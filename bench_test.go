@@ -9,6 +9,7 @@ package boltondp
 // noise sampling, page scan, UDA epoch) follow.
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"testing"
@@ -192,10 +193,9 @@ func BenchmarkPrivateTrainEndToEnd(b *testing.B) {
 	f := loss.NewLogistic(1e-3, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := core.Train(ds, f, core.Options{
-			Budget: dp.Budget{Epsilon: 0.1},
-			Passes: 5, Batch: 50, Radius: 1000, Rand: r,
-		})
+		_, err := core.TrainCtx(context.Background(), ds, f,
+			core.WithBudget(dp.Budget{Epsilon: 0.1}),
+			core.WithPasses(5), core.WithBatch(50), core.WithRadius(1000), core.WithRand(r))
 		if err != nil {
 			b.Fatal(err)
 		}

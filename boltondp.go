@@ -32,12 +32,9 @@
 //
 // TrainCtx is the ONE training entry point: algorithm selection is an
 // option (WithConvexity; the default picks Algorithm 2 for strongly
-// convex losses and Algorithm 1 otherwise), as are warm starts
-// (WithWarmStart), gradient perturbation (WithGradPerturb) and the
-// execution strategy. The legacy forms — Train and the per-algorithm
-// PrivateConvexPSGD / PrivateStronglyConvexPSGD — remain as deprecated
-// wrappers producing bit-identical results; new code should not use
-// them.
+// convex losses and Algorithm 1 otherwise), as is the execution
+// strategy (WithStrategy). There is no other way to train and no other
+// way to configure a run than the With* options.
 //
 // Data can live out of core: OpenStoreDir / AppendStoreSegment manage
 // an append-only segment directory (immutable store files behind a
@@ -59,12 +56,10 @@ import (
 	"math/rand"
 
 	"boltondp/internal/account"
-	"boltondp/internal/account/compose"
 	"boltondp/internal/baselines"
 	"boltondp/internal/bismarck"
 	"boltondp/internal/core"
 	"boltondp/internal/data"
-	"boltondp/internal/dist"
 	"boltondp/internal/dp"
 	"boltondp/internal/engine"
 	"boltondp/internal/eval"
@@ -93,14 +88,9 @@ type (
 	// SparseSamples — the right representation for one-hot-heavy and
 	// text-like data.
 	SparseDataset = data.SparseDataset
-	// SparseStream is a lazily generated sparse dataset: rows are
-	// derived from (seed, index) on access and never materialized.
-	SparseStream = data.SparseStream
 	// LossFunction is a convex per-example loss with its (L, β, γ)
 	// constants.
 	LossFunction = loss.Function
-	// TrainOptions configures the private bolt-on trainers.
-	TrainOptions = core.Options
 	// TrainOption is a functional option for TrainCtx (WithBudget,
 	// WithAccountant, WithStrategy, WithProgress, …).
 	TrainOption = core.Option
@@ -120,8 +110,6 @@ type (
 	// request exceeding the remainder fails closed (ErrBudgetOverdraw)
 	// before any training work.
 	Accountant = account.Accountant
-	// LedgerEntry is one audited spend in an Accountant's ledger.
-	LedgerEntry = account.Entry
 	// Ledger is the serializable accountant snapshot a released model
 	// carries in its metadata (under LedgerMetaKey).
 	Ledger = account.Ledger
@@ -147,21 +135,14 @@ type (
 	Projector = projection.Projector
 	// ExecutionStrategy selects how training runs execute (see
 	// DESIGN.md §2): StrategySequential, StrategySharded or
-	// StrategyStreaming, set through TrainOptions.Strategy/Workers.
+	// StrategyStreaming, selected with WithStrategy.
 	ExecutionStrategy = engine.Strategy
-	// Stream is a lazily generated dataset for the streaming strategy:
-	// rows are derived from (seed, index) on access and never
-	// materialized.
-	Stream = data.Stream
 	// StoreReader is a random-access view of an on-disk columnar
 	// dataset store (DESIGN.md §7). It implements Samples,
 	// SparseSamples and the engine's sharding contract, so every
 	// execution strategy trains straight from the file, holding one
 	// chunk — not the dataset — in memory.
 	StoreReader = store.Reader
-	// StoreWriter streams labeled sparse rows into a store file in one
-	// pass (row count and dimension need not be known up front).
-	StoreWriter = store.Writer
 	// StoreOptions configures store conversion (chunk geometry, class
 	// count override).
 	StoreOptions = store.Options
@@ -191,43 +172,26 @@ func NewLogisticLoss(lambda float64) LossFunction { return loss.NewLogistic(lamb
 // smoothing width h (the paper uses h = 0.1).
 func NewHuberSVMLoss(h, lambda float64) LossFunction { return loss.NewHuber(h, lambda, 0) }
 
-// Execution strategies for TrainOptions.Strategy, re-exported from the
-// execution engine (internal/engine).
+// Execution strategies for WithStrategy, re-exported from the execution
+// engine (internal/engine).
 const (
 	// StrategySequential is the paper's Algorithms 1–2 verbatim: one
 	// goroutine, one permutation (the default).
 	StrategySequential = engine.Sequential
-	// StrategySharded trains TrainOptions.Workers disjoint shards in
-	// parallel with per-epoch model averaging — the paper's multicore
-	// bolt-on scheme. Noise is calibrated for the averaged model; for
+	// StrategySharded trains WithStrategy's worker count of disjoint
+	// shards in parallel with per-epoch model averaging — the paper's
+	// multicore bolt-on scheme. Noise is calibrated for the averaged model; for
 	// strongly convex losses the bound equals the sequential one, so
 	// parallelism is privacy-free.
 	StrategySharded = engine.Sharded
 	// StrategyStreaming trains in a single in-order pass with no
-	// materialized permutation — the online scenario (pair it with
-	// NewStream for never-materialized training data).
+	// materialized permutation — the online scenario.
 	StrategyStreaming = engine.Streaming
 )
 
-// ParseExecutionStrategy maps a CLI-style name
-// (sequential|sharded|streaming) to an ExecutionStrategy.
-func ParseExecutionStrategy(name string) (ExecutionStrategy, error) {
-	return engine.ParseStrategy(name)
-}
-
-// NewStream builds a deterministic two-class streaming dataset of m
-// rows in d dimensions: row i is regenerated from (seed, i) on every
-// access, so StrategyStreaming can train over it in O(d) memory.
-// Spread and Flip follow the synthetic-generator semantics (cluster
-// standard deviation and label-noise probability).
-func NewStream(seed int64, m, d int, spread, flip float64) *Stream {
-	return data.NewStream(seed, m, d, spread, flip)
-}
-
 // Out-of-core dataset store (see DESIGN.md §7). A store file makes
 // "the training set fits in RAM" a per-run choice: convert once with
-// WriteStore (or stream rows through CreateStore), then train any
-// strategy from OpenStore's reader. Training from a store is
+// WriteStore, then train any strategy from OpenStore's reader. Training from a store is
 // bit-identical to training from the source it was written from —
 // sensitivity calibration never depends on the representation.
 
@@ -241,13 +205,6 @@ func OpenStore(path string) (*StoreReader, error) { return store.Open(path) }
 // in one sequential pass, preserving row order and exact value bits.
 func WriteStore(path string, src SparseSamples, opt StoreOptions) error {
 	return store.Write(path, src, opt)
-}
-
-// CreateStore opens a store file for streaming row-at-a-time
-// conversion (Append rows, then Close); neither the row count nor the
-// dimension needs to be known up front.
-func CreateStore(path string, opt StoreOptions) (*StoreWriter, error) {
-	return store.Create(path, opt)
 }
 
 // Segment directories (see DESIGN.md §12): the growing form of the
@@ -285,41 +242,12 @@ func CompactStoreDir(dir string, minRows int) (before, after int, err error) {
 // errors.Is. The refused computation never runs.
 var ErrBudgetOverdraw = account.ErrOverdraw
 
-// LedgerMetaKey is the model-metadata key under which an accountant's
-// ledger is persisted (SaveClassifier files, registry models, /modelz).
-const LedgerMetaKey = account.MetaKey
-
 // NewAccountant returns an accountant owning the given total budget.
 // Draw training spends from it with WithAccountant, split it across
 // composite workflows (one-vs-all classes, tuning candidates) with
 // Accountant.Split, and stamp its ledger into released-model metadata
 // with Accountant.StampMeta.
 func NewAccountant(total Budget) (*Accountant, error) { return account.New(total) }
-
-// Composition rules an Accountant can price reservations under (see
-// DESIGN.md §11): AccountingSimple is linear (ε, δ) summation — the
-// default and the pre-existing behavior, bit-identical ledgers;
-// AccountingAdvanced composes heterogeneous releases by the
-// Kairouz–Oh–Viswanath bound; AccountingRDP tracks per-order Rényi
-// curves and converts to (ε, δ) only at spend time — the tightest rule,
-// and the one per-step gradient perturbation is priced under.
-const (
-	AccountingSimple   = compose.RuleSimple
-	AccountingAdvanced = compose.RuleAdvanced
-	AccountingRDP      = compose.RuleRDP
-)
-
-// NewAccountantWithRule returns an accountant whose reservations are
-// priced under the named composition rule ("simple", "advanced",
-// "rdp"; "" means simple). The rule travels in the ledger and through
-// model metadata, so a served model's /modelz record states which
-// composition theorem justified its spend.
-func NewAccountantWithRule(rule string, total Budget) (*Accountant, error) {
-	return account.NewWithRule(rule, total)
-}
-
-// ParseLedger decodes a ledger serialized by Accountant.StampMeta.
-func ParseLedger(s string) (*Ledger, error) { return account.ParseLedger(s) }
 
 // RestoreAccountant rebuilds a live accountant from a ledger — the
 // resume path for continual training across process restarts: read the
@@ -344,18 +272,15 @@ func LedgerFromMeta(meta map[string]string) (l *Ledger, ok bool, err error) {
 // the context once per mini-batch update, so cancellation or deadline
 // expiry stops the run within one epoch slice with ctx.Err().
 //
-// Every other training form in this package (Train, PrivateConvexPSGD,
-// PrivateStronglyConvexPSGD) is a deprecated equivalent of a TrainCtx
-// call, kept bit-identical for existing callers.
+// Everything else about a run — budget or accountant, passes, batch,
+// radius, strategy — is a With* option; the zero configuration is one
+// sequential pass at batch 1.
 func TrainCtx(ctx context.Context, s Samples, f LossFunction, opts ...TrainOption) (*TrainResult, error) {
 	return core.TrainCtx(ctx, s, f, opts...)
 }
 
 // Algorithm selectors for WithConvexity.
 const (
-	// ConvexityAuto (the default) picks Algorithm 2 when the loss's
-	// constants state strong convexity (γ > 0), Algorithm 1 otherwise.
-	ConvexityAuto = core.ConvexityAuto
 	// ConvexityConvex forces Algorithm 1 (valid for every convex loss,
 	// including strongly convex ones — the bound is just looser).
 	ConvexityConvex = core.ConvexityConvex
@@ -368,11 +293,12 @@ const (
 // runs, instead of deriving it from the loss's constants.
 func WithConvexity(c TrainConvexity) TrainOption { return core.WithConvexity(c) }
 
-// WithWarmStart starts the SGD iterate sequence from w0 (a copy)
-// instead of the origin. Warm starts are privacy-free when w0 is a
-// previously RELEASED private model (post-processing); the noise is
-// always calibrated to the full sensitivity of the new run.
-func WithWarmStart(w0 []float64) TrainOption { return core.WithWarmStart(w0) }
+// WithPaperBatchSensitivity calibrates Algorithm 2's noise to the
+// paper's Δ₂ = 2L/(γmb) instead of the sound b-independent 2L/(γm) —
+// a bound that brute-force neighbouring-dataset runs violate at b > 1.
+// For reproducing the paper's reported figures only; do not rely on it
+// for real privacy.
+func WithPaperBatchSensitivity() TrainOption { return core.WithPaperBatchSensitivity() }
 
 // WithBudget sets the privacy budget the released model is calibrated
 // to. Combined with WithAccountant the budget is reserved (fail-closed)
@@ -411,54 +337,7 @@ func WithRand(r *rand.Rand) TrainOption { return core.WithRand(r) }
 // the 1-based epoch number and the empirical risk of the current
 // pre-noise iterate. The risk values are NOT private — log them on the
 // trusted side only, never release them under the run's budget.
-// Incompatible with WithGradPerturb, whose iterates are released as
-// they are produced: the exact risk would leak outside the budget.
 func WithProgress(fn func(epoch int, risk float64)) TrainOption { return core.WithProgress(fn) }
-
-// WithTrainOptions seeds the run from a full TrainOptions value — the
-// escape hatch for fields without a dedicated option (step family,
-// averaging, Tol, …). Place it before the other options.
-func WithTrainOptions(base TrainOptions) TrainOption { return core.WithOptions(base) }
-
-// WithAccounting names the composition rule the run is priced under
-// (AccountingSimple, AccountingAdvanced, AccountingRDP). With an
-// accountant attached the two must agree.
-func WithAccounting(rule string) TrainOption { return core.WithAccounting(rule) }
-
-// WithGradPerturb switches training to the gradient-perturbation
-// strategy (DP-SGD): per-example gradients clipped to clip, Gaussian
-// noise at multiplier noiseMultiplier (σ̃, in units of the 2·clip
-// sensitivity) added to every summed mini-batch gradient, and the cost
-// accounted per step through the subsampled-Gaussian machinery (default
-// rule AccountingRDP). Pass noiseMultiplier = 0 to solve the smallest
-// σ̃ that fits the budget. Sequential-only; needs δ > 0.
-func WithGradPerturb(clip, noiseMultiplier float64) TrainOption {
-	return core.WithGradPerturb(clip, noiseMultiplier)
-}
-
-// Train runs the bolt-on private PSGD appropriate for the loss.
-//
-// Deprecated: use TrainCtx with functional options (bit-identical;
-// WithTrainOptions(opt) carries a full TrainOptions over).
-func Train(s Samples, f LossFunction, opt TrainOptions) (*TrainResult, error) {
-	return core.Train(s, f, opt)
-}
-
-// PrivateConvexPSGD is Algorithm 1 of the paper (convex losses).
-//
-// Deprecated: use TrainCtx with WithConvexity(ConvexityConvex)
-// (bit-identical).
-func PrivateConvexPSGD(s Samples, f LossFunction, opt TrainOptions) (*TrainResult, error) {
-	return core.PrivateConvexPSGD(s, f, opt)
-}
-
-// PrivateStronglyConvexPSGD is Algorithm 2 (strongly convex losses).
-//
-// Deprecated: use TrainCtx with WithConvexity(ConvexityStronglyConvex)
-// (bit-identical).
-func PrivateStronglyConvexPSGD(s Samples, f LossFunction, opt TrainOptions) (*TrainResult, error) {
-	return core.PrivateStronglyConvexPSGD(s, f, opt)
-}
 
 // Continual training (see DESIGN.md §12).
 
@@ -472,8 +351,8 @@ func NewContinualTrainer(acct *Accountant, windows int, f LossFunction, base ...
 	return core.NewContinualTrainer(acct, windows, f, base...)
 }
 
-// NewContinualRDP is NewContinualTrainer over a fresh AccountingRDP
-// accountant owning total — the default configuration of the online
+// NewContinualRDP is NewContinualTrainer over a fresh accountant under
+// the "rdp" composition rule owning total — the default configuration of the online
 // retraining loop (the rdp rule prices a window sequence tightest).
 func NewContinualRDP(total Budget, windows int, f LossFunction, base ...TrainOption) (*ContinualTrainer, error) {
 	return core.NewContinualRDP(total, windows, f, base...)
@@ -538,8 +417,6 @@ type (
 	// model — the deployment artifact the paper trains in-RDBMS to
 	// produce.
 	ModelRegistry = serve.Registry
-	// ServedModel is one immutable published model version.
-	ServedModel = serve.Model
 	// ModelServer is the HTTP prediction service over a registry:
 	// POST /predict, POST /predict/batch (sparse rows scored at
 	// O(rows·classes·nnz)), GET /healthz, GET /modelz.
@@ -556,7 +433,7 @@ type (
 // dir, loading every model already published into it; dir == "" gives
 // an in-memory registry. Train-and-publish in three lines:
 //
-//	res, _ := boltondp.Train(train, f, opt)
+//	res, _ := boltondp.TrainCtx(ctx, train, f, opts...)
 //	reg, _ := boltondp.NewModelRegistry("registry")
 //	reg.Publish("fraud", &boltondp.LinearClassifier{W: res.W}, meta)
 //
@@ -566,50 +443,6 @@ func NewModelRegistry(dir string) (*ModelRegistry, error) { return serve.NewRegi
 // NewModelServer builds the HTTP prediction service over a registry;
 // mount NewModelServer(reg, opt).Handler() on any http server.
 func NewModelServer(reg *ModelRegistry, opt ServeOptions) *ModelServer { return serve.New(reg, opt) }
-
-// Distributed training (see DESIGN.md §8).
-
-type (
-	// DistCoordinator drives distributed sharded training over a pool
-	// of registered DistWorkers, bit-identical to the in-process
-	// Sharded strategy under the same seed.
-	DistCoordinator = dist.Coordinator
-	// DistCoordinatorConfig tunes the coordinator's HTTP behavior and
-	// failure policy (retries, backoff, per-call deadlines).
-	DistCoordinatorConfig = dist.CoordinatorConfig
-	// DistWorker executes shard assignments; mount its Handler() on any
-	// http server (or run cmd/dpworker).
-	DistWorker = dist.Worker
-	// DistSource is the coordinator-side training-set description a
-	// distributed run partitions: NewDistStoreSource for on-disk store
-	// files (workers open the same path and verify chunk CRCs),
-	// NewDistInlineSource for in-memory samples shipped inline.
-	DistSource = dist.Source
-)
-
-// NewDistCoordinator returns a coordinator with no registered workers;
-// call Register with each worker's base URL before training.
-func NewDistCoordinator(cfg DistCoordinatorConfig) *DistCoordinator { return dist.NewCoordinator(cfg) }
-
-// NewDistWorker returns an empty distributed-training worker.
-func NewDistWorker() *DistWorker { return dist.NewWorker() }
-
-// NewDistStoreSource describes a store-file training set for
-// distributed runs. Workers must be able to open the same path.
-func NewDistStoreSource(r *StoreReader) DistSource { return dist.NewStoreSource(r) }
-
-// NewDistInlineSource describes an in-memory training set whose shards
-// are shipped to workers inline over the wire.
-func NewDistInlineSource(s Samples) DistSource { return dist.NewInlineSource(s) }
-
-// TrainDistributed is TrainCtx on a coordinator/worker pool: the same
-// functional options (WithStrategy(StrategySharded, P) selects the
-// shard count), the same calibration, and — by the parity contract
-// pinned in internal/dist — the same bits in the released model and the
-// accountant ledger as the single-process run under the same seed.
-func TrainDistributed(ctx context.Context, coord *DistCoordinator, src DistSource, f LossFunction, opts ...TrainOption) (*TrainResult, error) {
-	return core.TrainDistributed(ctx, coord, src, f, opts...)
-}
 
 // Tuning.
 
@@ -626,9 +459,8 @@ func PrivateTune(d *Dataset, grid []TuningParams, budget Budget, train tuning.Tr
 // is checked before each candidate's training run, and when acct is
 // non-nil the tuner's own spend — the ε of the exponential-mechanism
 // pick — is reserved against it (fail-closed) before any work. Pass a
-// TrainFunc built from a TrainOptions carrying the same ctx (e.g. via
-// TrainCtx inside the closure) to make the candidate runs themselves
-// cancellable too.
+// TrainFunc that hands the same ctx to TrainCtx to make the candidate
+// runs themselves cancellable too.
 func PrivateTuneCtx(ctx context.Context, d *Dataset, grid []TuningParams, budget Budget, acct *Accountant, train tuning.TrainFunc, r *rand.Rand) (*TuningResult, error) {
 	return tuning.PrivateCtx(ctx, d, grid, budget, acct, train, r)
 }
@@ -638,40 +470,15 @@ func PublicTune(train, public *Dataset, grid []TuningParams, fit tuning.TrainFun
 	return tuning.Public(train, public, grid, fit)
 }
 
-// EngineTuningTrainFunc adapts Train (and through it the execution
-// engine) into a tuning TrainFunc for binary linear models: each grid
-// tuple's (k, b) become Passes/Batch, λ parameterizes the loss, and
-// base carries everything else — budget, strategy, randomness, and
-// (for PrivateTuneCtx) the context and accountant each candidate draws
-// from.
-func EngineTuningTrainFunc(newLoss func(lambda float64) LossFunction, base TrainOptions) tuning.TrainFunc {
-	return tuning.EngineTrainFunc(newLoss, base)
-}
-
 // Data.
 
 // LoadLIBSVM reads a LIBSVM/SVMlight format file.
 func LoadLIBSVM(path string, dim int) (*Dataset, error) { return data.LoadLIBSVM(path, dim) }
 
-// LoadLIBSVMSparse reads a LIBSVM file directly into CSR form without
-// materializing dense rows — the right loader for high-dimensional
-// sparse data; training on the result automatically uses the
-// sparse-native kernel.
-func LoadLIBSVMSparse(path string, dim int) (*SparseDataset, error) {
-	return data.LoadLIBSVMSparse(path, dim)
-}
-
 // KDDSimSparse generates the KDDCup-99 simulation in its natural
 // one-hot sparse encoding (~10% density, d = 122); see DESIGN.md §4.
 func KDDSimSparse(r *rand.Rand, scale float64) (train, test *SparseDataset) {
 	return data.KDDSimSparse(r, scale)
-}
-
-// NewSparseStream builds a deterministic two-class sparse streaming
-// dataset: m rows in d dimensions with nnz active coordinates each,
-// regenerated from (seed, i) on every access.
-func NewSparseStream(seed int64, m, d, nnz int, flip float64) *SparseStream {
-	return data.NewSparseStream(seed, m, d, nnz, flip)
 }
 
 // MNISTSim, ProteinSim, CovtypeSim, HIGGSSim and KDDSim generate the
@@ -712,39 +519,3 @@ const (
 	UDASCS13         = bismarck.AlgSCS13
 	UDABST14         = bismarck.AlgBST14
 )
-
-// Parallel (shared-nothing) training.
-
-type (
-	// ParallelTrainConfig configures shared-nothing parallel training:
-	// P independent per-partition SGD aggregates merged by model
-	// averaging, Bismarck/MapReduce style.
-	ParallelTrainConfig = bismarck.ParallelTrainConfig
-	// ParallelTrainResult reports a parallel run.
-	ParallelTrainResult = bismarck.ParallelTrainResult
-	// SVRGConfig configures the variance-reduced optimizer.
-	SVRGConfig = sgd.SVRGConfig
-)
-
-// ParallelTrainInRDBMS partitions the table across Workers goroutines,
-// trains a PSGD model per partition with per-epoch model averaging
-// (the execution engine's Sharded strategy), and (for UDAOutputPerturb)
-// perturbs once with the parallel sensitivity Δ_part(m/P)/P — which for
-// strongly convex losses equals the sequential bound, making
-// parallelism privacy-free.
-//
-// Deprecated: kept as a thin wrapper for the in-RDBMS deployment
-// story. New code should call Train with TrainOptions{Strategy:
-// StrategySharded, Workers: P}, which accepts a *Table (or any
-// Samples) directly; see examples/parallel.
-func ParallelTrainInRDBMS(t *Table, f LossFunction, cfg ParallelTrainConfig) (*ParallelTrainResult, error) {
-	return bismarck.ParallelTrainUDA(t, f, cfg)
-}
-
-// RunSVRG runs the (noiseless) variance-reduced SVRG optimizer — a
-// non-adaptive algorithm in the sense of the paper's Definition 7 and
-// its stated future-work direction for output perturbation. No privacy
-// calibration is returned; see the sgd package docs.
-func RunSVRG(s Samples, cfg SVRGConfig) (*sgd.Result, error) {
-	return sgd.RunSVRG(s, cfg)
-}

@@ -24,10 +24,9 @@ func TestFacadeTrainPrivate(t *testing.T) {
 	// noise 74·Δ₂/ε stays well below the model scale at γm ≈ 360.
 	train, test := ProteinSim(r, 0.1)
 	lambda := 0.05
-	res, err := Train(train, NewLogisticLoss(lambda), TrainOptions{
-		Budget: Budget{Epsilon: 1},
-		Passes: 5, Batch: 50, Radius: 1 / lambda, Rand: r,
-	})
+	res, err := TrainCtx(context.Background(), train, NewLogisticLoss(lambda),
+		WithBudget(Budget{Epsilon: 1}),
+		WithPasses(5), WithBatch(50), WithRadius(1/lambda), WithRand(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +43,12 @@ func TestFacadeAlgorithmVariants(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	train, _ := KDDSim(r, 0.01)
 	f := NewLogisticLoss(0.01)
-	if _, err := PrivateStronglyConvexPSGD(train, f, TrainOptions{
-		Budget: Budget{Epsilon: 1}, Rand: r,
-	}); err != nil {
+	if _, err := TrainCtx(context.Background(), train, f, WithConvexity(ConvexityStronglyConvex),
+		WithBudget(Budget{Epsilon: 1}), WithRand(r)); err != nil {
 		t.Error(err)
 	}
-	if _, err := PrivateConvexPSGD(train, NewLogisticLoss(0), TrainOptions{
-		Budget: Budget{Epsilon: 1}, Rand: r,
-	}); err != nil {
+	if _, err := TrainCtx(context.Background(), train, NewLogisticLoss(0), WithConvexity(ConvexityConvex),
+		WithBudget(Budget{Epsilon: 1}), WithRand(r)); err != nil {
 		t.Error(err)
 	}
 	if _, err := NoiselessSGD(train, f, BaselineOptions{Rand: r}); err != nil {
@@ -70,9 +67,8 @@ func TestFacadeAlgorithmVariants(t *testing.T) {
 func TestFacadeHuberLoss(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	train, test := ProteinSim(r, 0.02)
-	res, err := Train(train, NewHuberSVMLoss(0.1, 0.01), TrainOptions{
-		Budget: Budget{Epsilon: 1}, Passes: 5, Batch: 50, Radius: 100, Rand: r,
-	})
+	res, err := TrainCtx(context.Background(), train, NewHuberSVMLoss(0.1, 0.01),
+		WithBudget(Budget{Epsilon: 1}), WithPasses(5), WithBatch(50), WithRadius(100), WithRand(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +95,12 @@ func TestFacadeMulticlassWithProjection(t *testing.T) {
 	}
 	lambda := 0.05
 	model, err := TrainOneVsAll(train, 10, func(view Samples, class int) ([]float64, error) {
-		res, err := Train(view, NewLogisticLoss(lambda), TrainOptions{
-			Budget: per, Passes: 5, Batch: 50, Radius: 1 / lambda, Rand: r,
+		res, err := TrainCtx(context.Background(), view, NewLogisticLoss(lambda),
+			WithBudget(per), WithPasses(5), WithBatch(50), WithRadius(1/lambda), WithRand(r),
 			// The tiny test-scale m makes the sound bound's noise
 			// dominate; the paper calibration keeps this a wiring test
 			// rather than a utility test.
-			PaperBatchSensitivity: true,
-		})
+			WithPaperBatchSensitivity())
 		if err != nil {
 			return nil, err
 		}
@@ -124,9 +119,8 @@ func TestFacadeTuning(t *testing.T) {
 	train, test := KDDSim(r, 0.02)
 	budget := Budget{Epsilon: 1}
 	fit := func(part *Dataset, p TuningParams) (Classifier, error) {
-		res, err := Train(part, NewLogisticLoss(p.Lambda), TrainOptions{
-			Budget: budget, Passes: p.K, Batch: p.B, Radius: 1 / p.Lambda, Rand: r,
-		})
+		res, err := TrainCtx(context.Background(), part, NewLogisticLoss(p.Lambda),
+			WithBudget(budget), WithPasses(p.K), WithBatch(p.B), WithRadius(1/p.Lambda), WithRand(r))
 		if err != nil {
 			return nil, err
 		}
@@ -215,10 +209,9 @@ func TestFacadeNoiseScalesWithEpsilon(t *testing.T) {
 	noise := func(eps float64) float64 {
 		var sum float64
 		for i := 0; i < 10; i++ {
-			res, err := Train(train, NewLogisticLoss(lambda), TrainOptions{
-				Budget: Budget{Epsilon: eps}, Passes: 2, Batch: 50,
-				Radius: 1 / lambda, Rand: r,
-			})
+			res, err := TrainCtx(context.Background(), train, NewLogisticLoss(lambda),
+				WithBudget(Budget{Epsilon: eps}), WithPasses(2), WithBatch(50),
+				WithRadius(1/lambda), WithRand(r))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,40 +259,19 @@ func TestFacadeParallelTraining(t *testing.T) {
 	if err := tab.InsertAll(train); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ParallelTrainInRDBMS(tab, f, ParallelTrainConfig{
-		Workers:   4,
-		Algorithm: UDAOutputPerturb,
-		Budget:    Budget{Epsilon: 1},
-		Passes:    3, Batch: 10, Radius: 1 / lambda,
-		Rand: r,
-	})
+	res, err := TrainCtx(context.Background(), tab, f,
+		WithStrategy(StrategySharded, 4),
+		WithBudget(Budget{Epsilon: 1}),
+		WithPasses(3), WithBatch(10), WithRadius(1/lambda),
+		WithRand(r))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(res.PartModels) != 4 {
-		t.Fatalf("%d partition models", len(res.PartModels))
 	}
 	if res.Sensitivity <= 0 {
 		t.Error("no sensitivity reported")
 	}
 	if acc := Accuracy(test, &LinearClassifier{W: res.W}); acc < 0.55 {
 		t.Errorf("parallel private accuracy %v", acc)
-	}
-}
-
-func TestFacadeSVRG(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	train, test := ProteinSim(r, 0.01)
-	f := NewLogisticLoss(0.01)
-	res, err := RunSVRG(train, SVRGConfig{
-		Loss: f, Eta: 0.05, Epochs: 5, Radius: 100,
-		Rand: rand.New(rand.NewSource(12)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := Accuracy(test, &LinearClassifier{W: res.W}); acc < 0.8 {
-		t.Errorf("SVRG accuracy %v on protein-sim", acc)
 	}
 }
 
@@ -311,10 +283,9 @@ func TestFacadeTrainPublishServe(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	train, test := KDDSimSparse(r, 0.005)
 	lambda := 0.05
-	res, err := Train(train, NewLogisticLoss(lambda), TrainOptions{
-		Budget: Budget{Epsilon: 2},
-		Passes: 3, Batch: 50, Radius: 1 / lambda, Rand: r,
-	})
+	res, err := TrainCtx(context.Background(), train, NewLogisticLoss(lambda),
+		WithBudget(Budget{Epsilon: 2}),
+		WithPasses(3), WithBatch(50), WithRadius(1/lambda), WithRand(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,10 +521,15 @@ func TestFacadePrivateTuneCtx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lambdaLoss := func(lambda float64) LossFunction { return NewLogisticLoss(lambda) }
-	fit := EngineTuningTrainFunc(lambdaLoss, TrainOptions{
-		Budget: Budget{Epsilon: 0.5}, Rand: r,
-	})
+	fit := func(part *Dataset, p TuningParams) (Classifier, error) {
+		res, err := TrainCtx(context.Background(), part, NewLogisticLoss(p.Lambda),
+			WithBudget(Budget{Epsilon: 0.5}),
+			WithPasses(p.K), WithBatch(p.B), WithRadius(1/p.Lambda), WithRand(r))
+		if err != nil {
+			return nil, err
+		}
+		return &LinearClassifier{W: res.W}, nil
+	}
 	res, err := PrivateTuneCtx(context.Background(), train, PaperTuningGrid(), Budget{Epsilon: 1}, acct, fit, r)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ package boltondp_test
 // (sensitivities, budget splits) rather than noisy accuracies.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -14,16 +15,15 @@ import (
 // Train a private model and inspect the calibration the bolt-on step
 // used. The strongly convex sensitivity 2L/(γm) is a deterministic
 // function of the run shape, so it is the same on every execution.
-func ExampleTrain() {
+func ExampleTrainCtx() {
 	r := rand.New(rand.NewSource(1))
 	train, _ := boltondp.ProteinSim(r, 0.02)
 
 	lambda := 0.01
-	res, err := boltondp.Train(train, boltondp.NewLogisticLoss(lambda), boltondp.TrainOptions{
-		Budget: boltondp.Budget{Epsilon: 0.1},
-		Passes: 5, Batch: 50, Radius: 1 / lambda,
-		Rand: r,
-	})
+	res, err := boltondp.TrainCtx(context.Background(), train, boltondp.NewLogisticLoss(lambda),
+		boltondp.WithBudget(boltondp.Budget{Epsilon: 0.1}),
+		boltondp.WithPasses(5), boltondp.WithBatch(50), boltondp.WithRadius(1/lambda),
+		boltondp.WithRand(r))
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -32,9 +33,8 @@ func main() {
 			sub, _ = train.Split(r, frac)
 		}
 		lambda := 0.1
-		res, err := boltondp.Train(sub, boltondp.NewLogisticLoss(lambda), boltondp.TrainOptions{
-			Budget: budget, Passes: 5, Batch: 50, Radius: 1 / lambda, Rand: r,
-		})
+		res, err := boltondp.TrainCtx(context.Background(), sub, boltondp.NewLogisticLoss(lambda),
+			boltondp.WithBudget(budget), boltondp.WithPasses(5), boltondp.WithBatch(50), boltondp.WithRadius(1/lambda), boltondp.WithRand(r))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,9 +46,8 @@ func main() {
 	// Now tune (k, λ) privately with Algorithm 3 over the paper's grid.
 	tuned, err := boltondp.PrivateTune(train, boltondp.PaperTuningGrid(), budget,
 		func(part *boltondp.Dataset, p boltondp.TuningParams) (boltondp.Classifier, error) {
-			res, err := boltondp.Train(part, boltondp.NewLogisticLoss(p.Lambda), boltondp.TrainOptions{
-				Budget: budget, Passes: p.K, Batch: p.B, Radius: 1 / p.Lambda, Rand: r,
-			})
+			res, err := boltondp.TrainCtx(context.Background(), part, boltondp.NewLogisticLoss(p.Lambda),
+				boltondp.WithBudget(budget), boltondp.WithPasses(p.K), boltondp.WithBatch(p.B), boltondp.WithRadius(1/p.Lambda), boltondp.WithRand(r))
 			if err != nil {
 				return nil, err
 			}

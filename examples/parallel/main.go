@@ -5,14 +5,12 @@
 // pass over its shard and the models are merged by averaging. The
 // punchline: the merged model is perturbed with the *same* sensitivity
 // as the sequential strongly convex algorithm, Δ = 2L/(γ(m/P))/P =
-// 2L/(γm). Parallelism costs nothing in privacy.
-//
-// (The older in-RDBMS entry point boltondp.ParallelTrainInRDBMS still
-// works but is deprecated — it is now a thin wrapper over the same
-// engine.)
+// 2L/(γm). Parallelism costs nothing in privacy. An in-RDBMS Table
+// trains the same way: it is a Samples like any other.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -35,15 +33,13 @@ func main() {
 	// the P=1 row doubles as the sequential baseline.
 	for _, workers := range []int{1, 2, 4, 8} {
 		start := time.Now()
-		res, err := boltondp.Train(train, f, boltondp.TrainOptions{
-			Budget:   budget,
-			Passes:   5,
-			Batch:    10,
-			Radius:   1 / lambda,
-			Strategy: boltondp.StrategySharded,
-			Workers:  workers,
-			Rand:     rand.New(rand.NewSource(int64(100 + workers))),
-		})
+		res, err := boltondp.TrainCtx(context.Background(), train, f,
+			boltondp.WithBudget(budget),
+			boltondp.WithPasses(5),
+			boltondp.WithBatch(10),
+			boltondp.WithRadius(1/lambda),
+			boltondp.WithStrategy(boltondp.StrategySharded, workers),
+			boltondp.WithRand(rand.New(rand.NewSource(int64(100+workers)))))
 		if err != nil {
 			log.Fatal(err)
 		}

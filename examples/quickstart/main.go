@@ -67,12 +67,7 @@ func main() {
 		acct.Spent(), acct.Total(), len(acct.Ledger().Entries))
 	fmt.Println("res.W is safe to publish; res.NonPrivate is not.")
 
-	// Back-compat note: the pre-accountant form is still supported —
-	//
-	//	boltondp.Train(train, f, boltondp.TrainOptions{
-	//		Budget: boltondp.Budget{Epsilon: 0.5},
-	//		Passes: 10, Batch: 50, Radius: 1 / lambda, Rand: r,
-	//	})
-	//
-	// but it records no ledger and cannot be cancelled.
+	// Without an accountant, boltondp.WithBudget(boltondp.Budget{Epsilon:
+	// 0.5}) in place of WithAccountant gives the same guarantee
+	// stand-alone — but it records no ledger.
 }

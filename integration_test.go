@@ -4,6 +4,7 @@ package boltondp
 // asserted end-to-end through the public API only.
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -34,13 +35,12 @@ func TestHeadlineAccuracyClaim(t *testing.T) {
 		}
 		noiseless += Accuracy(test, &LinearClassifier{W: nr.W})
 
-		or, err := Train(train, f, TrainOptions{
-			Budget: budget, Passes: 10, Batch: 50, Radius: 1 / lambda, Rand: r,
+		or, err := TrainCtx(context.Background(), train, f,
+			WithBudget(budget), WithPasses(10), WithBatch(50), WithRadius(1/lambda), WithRand(r),
 			// This test reproduces the paper's reported comparison, so
 			// it uses the paper's Δ₂ = 2L/(γmb) calibration (see the
 			// finding on dp.SensitivityStronglyConvex).
-			PaperBatchSensitivity: true,
-		})
+			WithPaperBatchSensitivity())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,10 +83,9 @@ func TestTuneSaveLoadLoop(t *testing.T) {
 	budget := Budget{Epsilon: 0.5}
 	res, err := PrivateTune(train, PaperTuningGrid(), budget,
 		func(part *Dataset, p TuningParams) (Classifier, error) {
-			tr, err := Train(part, NewLogisticLoss(p.Lambda), TrainOptions{
-				Budget: budget, Passes: p.K, Batch: p.B, Radius: 1 / p.Lambda, Rand: r,
-				PaperBatchSensitivity: true, // paper-parity comparison
-			})
+			tr, err := TrainCtx(context.Background(), part, NewLogisticLoss(p.Lambda),
+				WithBudget(budget), WithPasses(p.K), WithBatch(p.B), WithRadius(1/p.Lambda), WithRand(r),
+				WithPaperBatchSensitivity()) // paper-parity comparison
 			if err != nil {
 				return nil, err
 			}
@@ -118,7 +117,7 @@ func TestTuneSaveLoadLoop(t *testing.T) {
 	}
 }
 
-// The library path (core.Train via facade) and the in-RDBMS path must
+// The library path (core.TrainCtx via facade) and the in-RDBMS path must
 // calibrate the same sensitivity for the same run shape — the bolt-on
 // guarantee does not depend on which engine executed SGD.
 func TestLibraryAndRDBMSSensitivityAgree(t *testing.T) {
@@ -127,9 +126,8 @@ func TestLibraryAndRDBMSSensitivityAgree(t *testing.T) {
 	lambda := 0.05
 	f := NewLogisticLoss(lambda)
 
-	lib, err := Train(train, f, TrainOptions{
-		Budget: Budget{Epsilon: 1}, Passes: 3, Batch: 10, Radius: 1 / lambda, Rand: r,
-	})
+	lib, err := TrainCtx(context.Background(), train, f,
+		WithBudget(Budget{Epsilon: 1}), WithPasses(3), WithBatch(10), WithRadius(1/lambda), WithRand(r))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,7 +247,7 @@ func BST14StronglyConvex(s sgd.Samples, f loss.Function, opt Options) (*Result, 
 	return bst14(s, f, opt, true)
 }
 
-// BST14 dispatches on the loss's strong convexity, mirroring core.Train.
+// BST14 dispatches on the loss's strong convexity, mirroring core.TrainCtx.
 func BST14(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
 	return bst14(s, f, opt, f.Params().StronglyConvex())
 }

@@ -102,7 +102,7 @@ type TrainConfig struct {
 	Batch     int       // mini-batch size b (default 1)
 	Radius    float64   // projection radius (required for AlgBST14)
 	Tol       float64   // optional convergence threshold (model L2 move)
-	// PaperBatchSensitivity mirrors core.Options.PaperBatchSensitivity:
+	// PaperBatchSensitivity mirrors core.WithPaperBatchSensitivity:
 	// calibrate the strongly convex OutputPerturb noise to the paper's
 	// 2L/(γmb) instead of the sound 2L/(γm). For reproducing the
 	// paper's figures only.
@@ -126,7 +126,7 @@ type TrainResult struct {
 
 // TrainUDA trains a model over the table through the UDA architecture,
 // reproducing the four integrations of Figure 1 and §4.2. It is the
-// in-RDBMS counterpart of core.Train / the baselines package and the
+// in-RDBMS counterpart of core.TrainCtx / the baselines package and the
 // engine behind the runtime and scalability experiments (Figures 2
 // and 5).
 func TrainUDA(t *Table, f loss.Function, cfg TrainConfig) (*TrainResult, error) {

@@ -1,16 +1,6 @@
 package bismarck
 
-import (
-	"errors"
-	"fmt"
-	"math"
-	"math/rand"
-
-	"boltondp/internal/dp"
-	"boltondp/internal/engine"
-	"boltondp/internal/loss"
-	"boltondp/internal/sgd"
-)
+import "boltondp/internal/sgd"
 
 // Shared-nothing parallel SGD, the way Bismarck parallelizes UDAs (and
 // the paper's footnote 2 extends to MapReduce): the shuffled table is
@@ -21,8 +11,9 @@ import (
 // The worker pool itself lives in internal/engine (Strategy Sharded):
 // per epoch every worker advances one pass over its segment from the
 // shared model and the merge averages the partition models. This file
-// is only the table-facing compatibility wrapper plus the Sharder glue
-// that gives each worker its own decode scratch.
+// is only the Sharder glue that gives each worker its own decode
+// scratch: engine.Run (noiseless) and core.TrainCtx with
+// WithStrategy(engine.Sharded, P) (private) take a *Table directly.
 //
 // Privacy composes cleanly with the bolt-on analysis. A single
 // differing example lives in exactly one partition of size ~m/P, so
@@ -37,17 +28,6 @@ import (
 // strictly better than sequential. See dp.SensitivityShardedStronglyConvex
 // for the telescoping argument and internal/dp's tests for the
 // empirical verification.
-
-// Partitions splits the table into p contiguous row ranges of nearly
-// equal size, returning per-partition row bounds [lo, hi). The policy
-// is engine.ShardBounds', so UDA partitions and engine shards always
-// agree.
-func (t *Table) Partitions(p int) ([][2]int, error) {
-	if p < 1 || p > t.n {
-		return nil, fmt.Errorf("bismarck: cannot split %d rows into %d partitions", t.n, p)
-	}
-	return engine.ShardBounds(t.n, p), nil
-}
 
 // segment is a read-only row-range view of a table implementing
 // sgd.Samples. Each worker gets its own decode scratch so segments are
@@ -92,135 +72,4 @@ func (t *Table) Shard(lo, hi int) sgd.Samples {
 		}
 	}
 	return &segment{t: t, lo: lo, hi: hi, scratch: make([]float64, t.d)}
-}
-
-// ParallelTrainConfig configures a shared-nothing parallel run.
-//
-// Deprecated: new code should call engine.Run with Strategy Sharded, or
-// core.Train with Options.Workers, which accept any sgd.Samples
-// (including *Table) and calibrate the noise themselves.
-type ParallelTrainConfig struct {
-	Workers   int       // P ≥ 1
-	Algorithm Algorithm // Noiseless or OutputPerturb only
-	Budget    dp.Budget
-	Passes    int
-	Batch     int
-	Radius    float64
-	NoShuffle bool
-	Rand      *rand.Rand
-}
-
-// ParallelTrainResult reports a parallel run.
-//
-// Deprecated: see ParallelTrainConfig.
-type ParallelTrainResult struct {
-	W           []float64
-	PartModels  [][]float64 // final pre-merge per-partition models (non-private!)
-	Sensitivity float64
-	Updates     int
-}
-
-// ParallelTrainUDA trains with P per-partition PSGD aggregates merged
-// by per-epoch model averaging — the engine's Sharded strategy run over
-// the table's segments — then (for OutputPerturb) perturbs the merged
-// model once with the parallel sensitivity derived above. The white-box
-// algorithms are rejected: their per-batch noise would have to be
-// re-analyzed under partitioning, which neither the paper nor this
-// reproduction attempts.
-//
-// Deprecated: ParallelTrainUDA is kept as a thin wrapper for the
-// in-RDBMS deployment story; its worker pool moved to internal/engine.
-// New code should use engine.Run with Strategy Sharded (noiseless) or
-// core.Train with Options{Strategy: engine.Sharded, Workers: P}
-// (private), both of which accept *Table directly.
-func ParallelTrainUDA(t *Table, f loss.Function, cfg ParallelTrainConfig) (*ParallelTrainResult, error) {
-	if cfg.Rand == nil {
-		return nil, errors.New("bismarck: ParallelTrainConfig.Rand is required")
-	}
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("bismarck: Workers = %d", cfg.Workers)
-	}
-	if cfg.Algorithm != Noiseless && cfg.Algorithm != OutputPerturb {
-		return nil, fmt.Errorf("bismarck: parallel training supports noiseless and output perturbation only, got %v", cfg.Algorithm)
-	}
-	if t.Len() == 0 {
-		return nil, errors.New("bismarck: empty table")
-	}
-	if cfg.Passes == 0 {
-		cfg.Passes = 1
-	}
-	if cfg.Batch == 0 {
-		cfg.Batch = 1
-	}
-	if cfg.Algorithm == OutputPerturb {
-		if err := cfg.Budget.Validate(); err != nil {
-			return nil, err
-		}
-	}
-
-	if !cfg.NoShuffle {
-		if err := t.Shuffle(cfg.Rand); err != nil {
-			return nil, err
-		}
-	}
-	if err := t.Flush(); err != nil {
-		return nil, err
-	}
-
-	p := f.Params()
-	minPart, err := engine.ShardSize(t.Len(), cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-
-	var step sgd.Schedule
-	var sens float64
-	if p.StronglyConvex() {
-		step = sgd.StronglyConvexPaper(p.Beta, p.Gamma)
-		// Δ_part(minPart)/P, evaluated at the smallest partition
-		// (largest per-partition sensitivity) for a safe bound.
-		sens = dp.SensitivityShardedStronglyConvex(p.L, p.Gamma, minPart, cfg.Workers)
-	} else {
-		eta := convexEta(minPart, p.Beta)
-		step = sgd.Constant(eta)
-		b := cfg.Batch
-		if b > minPart {
-			b = minPart
-		}
-		sens = dp.SensitivityShardedConvexConstant(p.L, eta, cfg.Passes, b, cfg.Workers)
-	}
-
-	res, err := engine.Run(t, engine.Config{
-		Strategy: engine.Sharded,
-		Workers:  cfg.Workers,
-		SGD: sgd.Config{
-			Loss:   f,
-			Step:   step,
-			Passes: cfg.Passes,
-			Batch:  cfg.Batch,
-			Radius: cfg.Radius,
-			Rand:   cfg.Rand,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := &ParallelTrainResult{PartModels: res.ShardModels, Updates: res.Updates, Sensitivity: sens}
-	if cfg.Algorithm == OutputPerturb {
-		priv, err := cfg.Budget.Perturb(cfg.Rand, res.W, sens)
-		if err != nil {
-			return nil, err
-		}
-		out.W = priv
-	} else {
-		out.W = res.W
-		out.Sensitivity = 0
-	}
-	return out, nil
-}
-
-// convexEta is the Table 4 convex step 1/√m clamped to Lemma 1.1's 2/β.
-func convexEta(m int, beta float64) float64 {
-	return math.Min(1/math.Sqrt(float64(m)), 2/beta)
 }

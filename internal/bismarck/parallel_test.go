@@ -1,10 +1,12 @@
 package bismarck
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"boltondp/internal/core"
 	"boltondp/internal/dp"
 	"boltondp/internal/engine"
 	"boltondp/internal/loss"
@@ -32,39 +34,9 @@ func buildTable(t *testing.T, m, d int, seed int64) *Table {
 	return tab
 }
 
-func TestPartitions(t *testing.T) {
-	tab := buildTable(t, 103, 3, 1)
-	parts, err := tab.Partitions(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 4 {
-		t.Fatalf("%d partitions", len(parts))
-	}
-	total := 0
-	prev := 0
-	for _, p := range parts {
-		if p[0] != prev {
-			t.Fatalf("gap: partition starts at %d, want %d", p[0], prev)
-		}
-		total += p[1] - p[0]
-		prev = p[1]
-	}
-	if total != 103 || prev != 103 {
-		t.Errorf("partitions cover %d of 103 rows", total)
-	}
-	if _, err := tab.Partitions(0); err == nil {
-		t.Error("0 partitions accepted")
-	}
-	if _, err := tab.Partitions(104); err == nil {
-		t.Error("more partitions than rows accepted")
-	}
-}
-
 // Sharding a freshly loaded table whose tail page was never flushed
 // must work: Shard flushes pending rows exactly as At does, so a
-// direct engine.Run over the table — the migration path the
-// ParallelTrainUDA deprecation points at — sees every row.
+// direct engine.Run over the table sees every row.
 func TestShardFlushesTailPage(t *testing.T) {
 	tab := buildTable(t, 255, 4, 30) // 255 rows never fill page-sized batches
 	f := loss.NewLogistic(1e-2, 0)
@@ -100,21 +72,33 @@ func TestSegmentView(t *testing.T) {
 	}
 }
 
+// runSharded trains noiseless strongly convex PSGD over the table's
+// segments through the engine's Sharded strategy — the in-RDBMS
+// parallel path: per-partition aggregates merged by model averaging.
+func runSharded(tab *Table, f loss.Function, workers, passes, batch int, radius float64, r *rand.Rand) (*engine.Result, error) {
+	p := f.Params()
+	return engine.Run(tab, engine.Config{
+		Strategy: engine.Sharded,
+		Workers:  workers,
+		SGD: sgd.Config{
+			Loss: f, Step: sgd.StronglyConvexPaper(p.Beta, p.Gamma),
+			Passes: passes, Batch: batch, Radius: radius, Rand: r,
+		},
+	})
+}
+
 func TestParallelOneWorkerMatchesShape(t *testing.T) {
 	tab := buildTable(t, 400, 5, 3)
 	f := loss.NewLogistic(1e-2, 0)
-	res, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{
-		Workers: 1, Algorithm: Noiseless, Passes: 3, Batch: 10,
-		Radius: 100, NoShuffle: true, Rand: rand.New(rand.NewSource(4)),
-	})
+	res, err := runSharded(tab, f, 1, 3, 10, 100, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PartModels) != 1 {
-		t.Fatalf("%d partition models", len(res.PartModels))
+	if len(res.ShardModels) != 1 {
+		t.Fatalf("%d partition models", len(res.ShardModels))
 	}
 	// Merge of one model is that model.
-	if !vec.Equal(res.W, res.PartModels[0], 1e-12) {
+	if !vec.Equal(res.W, res.ShardModels[0], 1e-12) {
 		t.Error("P=1 merge differs from the single model")
 	}
 	if res.Updates != 3*40 {
@@ -125,10 +109,7 @@ func TestParallelOneWorkerMatchesShape(t *testing.T) {
 func TestParallelTrainsAccurately(t *testing.T) {
 	tab := buildTable(t, 2000, 5, 5)
 	f := loss.NewLogistic(1e-2, 0)
-	res, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{
-		Workers: 4, Algorithm: Noiseless, Passes: 5, Batch: 10,
-		Radius: 100, NoShuffle: true, Rand: rand.New(rand.NewSource(6)),
-	})
+	res, err := runSharded(tab, f, 4, 5, 10, 100, rand.New(rand.NewSource(6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +129,11 @@ func TestParallelDeterministic(t *testing.T) {
 	run := func() []float64 {
 		tab := buildTable(t, 300, 4, 7)
 		f := loss.NewLogistic(1e-2, 0)
-		res, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{
-			Workers: 3, Algorithm: OutputPerturb,
-			Budget: dp.Budget{Epsilon: 1},
-			Passes: 2, Batch: 5, Radius: 100, NoShuffle: true,
-			Rand: rand.New(rand.NewSource(8)),
-		})
+		res, err := core.TrainCtx(context.Background(), tab, f,
+			core.WithStrategy(engine.Sharded, 3),
+			core.WithBudget(dp.Budget{Epsilon: 1}),
+			core.WithPasses(2), core.WithBatch(5), core.WithRadius(100),
+			core.WithRand(rand.New(rand.NewSource(8))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,11 +151,10 @@ func TestParallelSensitivityFormula(t *testing.T) {
 	lambda := 1e-2
 	f := loss.NewLogistic(lambda, 0)
 	p := f.Params()
-	res, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{
-		Workers: 5, Algorithm: OutputPerturb, Budget: dp.Budget{Epsilon: 1},
-		Passes: 2, Batch: 10, Radius: 1 / lambda, NoShuffle: true,
-		Rand: rand.New(rand.NewSource(10)),
-	})
+	res, err := core.TrainCtx(context.Background(), tab, f,
+		core.WithStrategy(engine.Sharded, 5), core.WithBudget(dp.Budget{Epsilon: 1}),
+		core.WithPasses(2), core.WithBatch(10), core.WithRadius(1/lambda),
+		core.WithRand(rand.New(rand.NewSource(10))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,30 +165,6 @@ func TestParallelSensitivityFormula(t *testing.T) {
 	seq := dp.SensitivityStronglyConvex(p.L, p.Gamma, 1000)
 	if math.Abs(res.Sensitivity-seq) > 1e-15 {
 		t.Errorf("parallel sensitivity %v should equal sequential %v (equal partitions)", res.Sensitivity, seq)
-	}
-}
-
-func TestParallelRejects(t *testing.T) {
-	tab := buildTable(t, 100, 3, 11)
-	f := loss.NewLogistic(0, 0)
-	r := rand.New(rand.NewSource(12))
-	if _, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{Workers: 2, Algorithm: AlgSCS13, Rand: r}); err == nil {
-		t.Error("white-box algorithm accepted")
-	}
-	if _, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{Workers: 0, Rand: r}); err == nil {
-		t.Error("0 workers accepted")
-	}
-	if _, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{Workers: 2}); err == nil {
-		t.Error("nil rand accepted")
-	}
-	if _, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{
-		Workers: 2, Algorithm: OutputPerturb, Rand: r,
-	}); err == nil {
-		t.Error("invalid budget accepted")
-	}
-	empty := NewMemTable("e", 3)
-	if _, err := ParallelTrainUDA(empty, f, ParallelTrainConfig{Workers: 1, Rand: r}); err == nil {
-		t.Error("empty table accepted")
 	}
 }
 
@@ -228,17 +183,11 @@ func TestParallelDiskTableSmallPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := loss.NewLogistic(1e-2, 0)
-	cfg := ParallelTrainConfig{
-		Workers: 4, Algorithm: Noiseless, Passes: 3, Batch: 5,
-		Radius: 100, NoShuffle: true,
-	}
-	cfg.Rand = rand.New(rand.NewSource(21))
-	rm, err := ParallelTrainUDA(mem, f, cfg)
+	rm, err := runSharded(mem, f, 4, 3, 5, 100, rand.New(rand.NewSource(21)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Rand = rand.New(rand.NewSource(21))
-	rd, err := ParallelTrainUDA(disk, f, cfg)
+	rd, err := runSharded(disk, f, 4, 3, 5, 100, rand.New(rand.NewSource(21)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,17 +235,12 @@ func TestParallelEmpiricalSensitivityProperty(t *testing.T) {
 		nx := []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 		vec.Normalize(nx)
 
-		cfg := ParallelTrainConfig{
-			Workers: workers, Algorithm: Noiseless, Passes: 2, Batch: 2,
-			Radius: 1 / lambda, NoShuffle: true,
-			Rand: rand.New(rand.NewSource(500 + seed)),
-		}
-		r1, err := ParallelTrainUDA(build(alt, rows[alt], ys[alt]), f, cfg)
+		r1, err := runSharded(build(alt, rows[alt], ys[alt]), f, workers, 2, 2, 1/lambda, rand.New(rand.NewSource(500+seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Rand = rand.New(rand.NewSource(500 + seed)) // same worker seeds
-		r2, err := ParallelTrainUDA(build(alt, nx, math.Copysign(1, r.NormFloat64())), f, cfg)
+		// same worker seeds
+		r2, err := runSharded(build(alt, nx, math.Copysign(1, r.NormFloat64())), f, workers, 2, 2, 1/lambda, rand.New(rand.NewSource(500+seed)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -195,92 +195,6 @@ func TestWarmStartParity(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersBitIdentical: every legacy entry point still
-// compiles and produces bit-identical output to the TrainCtx spelling.
-func TestDeprecatedWrappersBitIdentical(t *testing.T) {
-	s := separable(rand.New(rand.NewSource(5)), 400, 5)
-	seed := func() *rand.Rand { return rand.New(rand.NewSource(99)) }
-	budget := dp.Budget{Epsilon: 1}
-
-	cases := []struct {
-		name   string
-		legacy func() (*Result, error)
-		modern func() (*Result, error)
-	}{
-		{
-			name: "Train/logistic",
-			legacy: func() (*Result, error) {
-				return Train(s, loss.NewLogistic(0, 0), Options{Budget: budget, Passes: 2, Batch: 20, Rand: seed()})
-			},
-			modern: func() (*Result, error) {
-				return TrainCtx(context.Background(), s, loss.NewLogistic(0, 0),
-					WithBudget(budget), WithPasses(2), WithBatch(20), WithRand(seed()))
-			},
-		},
-		{
-			name: "PrivateConvexPSGD",
-			legacy: func() (*Result, error) {
-				return PrivateConvexPSGD(s, loss.NewLogistic(1e-2, 0), Options{Budget: budget, Passes: 2, Batch: 20, Rand: seed()})
-			},
-			modern: func() (*Result, error) {
-				return TrainCtx(context.Background(), s, loss.NewLogistic(1e-2, 0),
-					WithConvexity(ConvexityConvex),
-					WithBudget(budget), WithPasses(2), WithBatch(20), WithRand(seed()))
-			},
-		},
-		{
-			name: "PrivateStronglyConvexPSGD",
-			legacy: func() (*Result, error) {
-				return PrivateStronglyConvexPSGD(s, loss.NewLogistic(1e-2, 0), Options{Budget: budget, Passes: 2, Batch: 20, Radius: 100, Rand: seed()})
-			},
-			modern: func() (*Result, error) {
-				return TrainCtx(context.Background(), s, loss.NewLogistic(1e-2, 0),
-					WithConvexity(ConvexityStronglyConvex),
-					WithBudget(budget), WithPasses(2), WithBatch(20), WithRadius(100), WithRand(seed()))
-			},
-		},
-		{
-			name: "PrivateConvexPSGDCtx",
-			legacy: func() (*Result, error) {
-				return PrivateConvexPSGDCtx(context.Background(), s, loss.NewLogistic(1e-2, 0),
-					WithBudget(budget), WithPasses(2), WithBatch(20), WithRand(seed()))
-			},
-			modern: func() (*Result, error) {
-				return TrainCtx(context.Background(), s, loss.NewLogistic(1e-2, 0),
-					WithConvexity(ConvexityConvex),
-					WithBudget(budget), WithPasses(2), WithBatch(20), WithRand(seed()))
-			},
-		},
-		{
-			name: "PrivateStronglyConvexPSGDCtx",
-			legacy: func() (*Result, error) {
-				return PrivateStronglyConvexPSGDCtx(context.Background(), s, loss.NewLogistic(1e-2, 0),
-					WithBudget(budget), WithPasses(2), WithBatch(20), WithRadius(100), WithRand(seed()))
-			},
-			modern: func() (*Result, error) {
-				return TrainCtx(context.Background(), s, loss.NewLogistic(1e-2, 0),
-					WithConvexity(ConvexityStronglyConvex),
-					WithBudget(budget), WithPasses(2), WithBatch(20), WithRadius(100), WithRand(seed()))
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			a, err := tc.legacy()
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := tc.modern()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !wEqual(a.W, b.W) || !wEqual(a.NonPrivate, b.NonPrivate) || a.Sensitivity != b.Sensitivity {
-				t.Error("legacy wrapper is not bit-identical to the TrainCtx spelling")
-			}
-		})
-	}
-}
-
 // TestConvexityValidation: forcing Algorithm 2 on a merely convex loss
 // fails, and out-of-range Convexity values are rejected.
 func TestConvexityValidation(t *testing.T) {

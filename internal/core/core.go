@@ -10,7 +10,7 @@
 // (engine.Run with no GradNoise hook) and perturbs only the returned
 // model, with noise calibrated by the sensitivity calculus in
 // internal/dp. The engine strategy — sequential, sharded across
-// workers, or streaming — is a run-time choice (Options.Strategy), and
+// workers, or streaming — is a run-time choice (WithStrategy), and
 // the calibration here is the only place that has to know about it:
 // sharded runs evaluate the per-shard bound at the smallest shard and
 // divide by the worker count (see dp.SensitivityShardedStronglyConvex),
@@ -28,6 +28,7 @@ import (
 	"math/rand"
 
 	"boltondp/internal/account"
+	"boltondp/internal/dist"
 	"boltondp/internal/dp"
 	"boltondp/internal/engine"
 	"boltondp/internal/loss"
@@ -95,267 +96,43 @@ func (c Convexity) String() string {
 	}
 }
 
-// Options configures a private PSGD run. The zero value plus a Budget
-// and a Rand is usable: one pass, batch 1, paper-default step sizes.
-type Options struct {
-	// Budget is the privacy guarantee to enforce. Delta = 0 gives pure
-	// ε-DP (Theorem 4 / 5); Delta > 0 gives (ε,δ)-DP (Theorem 6 / 7).
-	Budget dp.Budget
+// config is the resolved configuration of one training run: the zero
+// value with every Option applied in order. Its fields are exactly the
+// independently settable training values — each is written by the one
+// With* option that documents it (options.go), and there is no other
+// way to configure a run.
+type config struct {
+	budget     dp.Budget           // WithBudget; zero with an accountant = draw the remainder
+	accountant *account.Accountant // WithAccountant
+	accounting string              // WithAccounting
+	spendLabel string              // WithSpendLabel
+	rand       *rand.Rand          // WithRand (required)
 
-	// Passes is k, the number of passes over the data (default 1).
-	Passes int
+	passes int       // WithPasses: k (default 1)
+	batch  int       // WithBatch: b (default 1); plan clamps it to the per-shard size
+	radius float64   // WithRadius
+	tol    float64   // WithTol
+	w0     []float64 // WithWarmStart
 
-	// Batch is the mini-batch size b (default 1). The convex
-	// constant-step sensitivity improves by the factor b (§3.2.3); for
-	// the other schedules see the batch-aware forms in internal/dp.
-	Batch int
+	convexity             Convexity        // WithConvexity
+	step                  StepKind         // WithStep
+	paperBatchSensitivity bool             // WithPaperBatchSensitivity
+	gradPerturb           *gradPerturbSpec // WithGradPerturb
 
-	// Eta is the constant step size for the convex algorithm. Zero
-	// means the paper's default 1/√m (Table 4). It is clamped to 2/β,
-	// the validity boundary of Lemma 1.1; the clamped value is used in
-	// the sensitivity too, so privacy never degrades.
-	Eta float64
+	average     bool // WithAverage
+	averageTail bool // WithAverageTail
+	freshPerm   bool // WithFreshPerm
 
-	// Step selects the convex step-size family. Ignored by the
-	// strongly convex algorithm, which always uses min(1/β, 1/(γt)).
-	Step StepKind
+	strategy      engine.Strategy // WithStrategy
+	workers       int             // WithStrategy: shard count under Sharded
+	kernelWorkers int             // WithKernelWorkers
 
-	// C is the m^c offset exponent for StepDecreasing/StepSqrt
-	// (default 0.5). Must lie in [0, 1).
-	C float64
-
-	// Radius constrains the hypothesis space to the L2 ball of this
-	// radius via projected updates (rule (7)). Non-positive means
-	// unconstrained. The paper uses R = 1/λ for strongly convex runs.
-	Radius float64
-
-	// Average returns the uniform iterate average instead of the last
-	// iterate (Lemma 10: never hurts sensitivity).
-	Average bool
-
-	// AverageTail returns the average of the last ⌈ln T⌉ iterates — the
-	// other scheme Lemma 10 covers. Mutually exclusive with Average.
-	AverageTail bool
-
-	// FreshPerm resamples the permutation each pass (§3.2.3).
-	FreshPerm bool
-
-	// PaperBatchSensitivity calibrates the strongly convex noise to the
-	// paper's Δ₂ = 2L/(γmb) (§3.2.3's blanket factor-b claim applied to
-	// Algorithm 2). Our analysis and brute-force neighboring-dataset
-	// runs show that bound is violated for b > 1 (see the note on
-	// dp.SensitivityStronglyConvex), so the default is the sound
-	// b-independent Δ₂ = 2L/(γm). Set this only to reproduce the
-	// paper's reported figures; do not rely on it for real privacy.
-	PaperBatchSensitivity bool
-
-	// Tol enables the strongly-convex "oblivious k" strategy of §4.3:
-	// run until the per-pass risk decrease falls below Tol or Passes is
-	// reached. Only legal for the strongly convex algorithm, whose
-	// sensitivity does not depend on k; the convex constructor rejects
-	// it because its noise must be fixed in advance.
-	Tol float64
-
-	// Strategy selects the execution-engine strategy (internal/engine):
-	// Sequential (the default — Algorithms 1–2 verbatim), Sharded
-	// (Workers disjoint shards with per-epoch model averaging; noise is
-	// calibrated for the averaged model), or Streaming (one in-order
-	// pass, the online scenario; Passes must be ≤ 1).
-	Strategy engine.Strategy
-
-	// Workers is the shard count for the Sharded strategy (default 1;
-	// one worker is executed exactly as Sequential). Setting Workers > 1
-	// with any other strategy is an error.
-	Workers int
-
-	// KernelWorkers is the intra-batch parallelism degree of the SGD
-	// kernel (sgd.Config.KernelWorkers; 0 or 1 = sequential). Unlike
-	// Workers it changes neither the execution strategy nor the
-	// sensitivity calculus: the parallel kernel is bit-identical to the
-	// sequential one for every value, so no noise recalibration exists
-	// or is needed. Valid under every strategy.
-	KernelWorkers int
-
-	// Rand is the randomness source for the permutation(s), the worker
-	// seeds and the noise.
-	Rand *rand.Rand
-
-	// Ctx, when non-nil, makes the run cancellable: the execution
-	// engine polls it once per mini-batch update (every strategy), and
-	// Train returns ctx.Err() within one epoch slice of cancellation.
-	// Prefer TrainCtx, which sets it from its first argument.
-	Ctx context.Context
-
-	// Accountant, when non-nil, is the privacy-budget accountant this
-	// run draws from: Budget is reserved against it (under SpendLabel)
-	// before any training work, and an over-budget request fails closed
-	// with account.ErrOverdraw. When Budget is the zero value, the
-	// entire remaining budget is drawn.
-	Accountant *account.Accountant
-
-	// Accounting names the composition rule ("simple", "advanced",
-	// "rdp") the run is priced under. Empty defers to the accountant's
-	// rule (or "simple" stand-alone; "rdp" for gradient perturbation,
-	// the rule that strategy exists for). When both Accounting and
-	// Accountant are set they must agree — one composition authority
-	// per run.
-	Accounting string
-
-	// GradPerturb, when non-nil, switches Train to the
-	// gradient-perturbation strategy (PrivateGradPerturbPSGD): per-step
-	// clipped-gradient noise accounted through the subsampled-Gaussian
-	// composer instead of the paper's single output perturbation.
-	GradPerturb *GradPerturbSpec
-
-	// SpendLabel is the accountant ledger label for this run's
-	// reservation. Empty means "train(<loss name>)".
-	SpendLabel string
-
-	// Convexity selects the algorithm for Train/TrainCtx dispatch. The
-	// zero value derives it from the loss (Algorithm 2 iff strongly
-	// convex). Ignored when GradPerturb is set.
-	Convexity Convexity
-
-	// W0 is the warm-start point: the iterate the engine starts from
-	// instead of the origin. It must have the data's dimension. The
-	// paper's sensitivity bounds hold for any data-independent common
-	// start, and a previously *released* private model is safe by
-	// post-processing — which is exactly how ContinualTrainer uses it.
-	// Never warm-start from an unreleased (non-private) iterate.
-	W0 []float64
-
-	// Progress, when non-nil, is called after every epoch (pass, or
-	// sharded merge epoch) with the 1-based epoch number and the
-	// empirical risk of the current (pre-noise) iterate. Setting it
-	// costs one extra pass over the data per epoch. Gradient
-	// perturbation rejects it: there the exact risk is a data-dependent
-	// release outside the accounted budget (output perturbation keeps
-	// the iterates on the trusted side until the single noisy release,
-	// so the hook is a trusted-side debug tap there).
-	Progress func(epoch int, risk float64)
+	progress func(epoch int, risk float64) // WithProgress
 }
 
-func (o *Options) withDefaults(m int) Options {
-	out := *o
-	if out.Passes == 0 {
-		out.Passes = 1
-	}
-	if out.Batch == 0 {
-		out.Batch = 1
-	}
-	if out.C == 0 {
-		out.C = 0.5
-	}
-	if out.Eta == 0 {
-		out.Eta = 1 / math.Sqrt(float64(m))
-	}
-	return out
-}
-
-func (o *Options) validate() error {
-	if err := o.Budget.Validate(); err != nil {
-		return err
-	}
-	if o.Passes < 0 || o.Batch < 0 {
-		return fmt.Errorf("core: negative Passes (%d) or Batch (%d)", o.Passes, o.Batch)
-	}
-	if o.C < 0 || o.C >= 1 {
-		return fmt.Errorf("core: C must be in [0,1), got %v", o.C)
-	}
-	if o.Rand == nil {
-		return errors.New("core: Options.Rand is required")
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("core: negative Workers (%d)", o.Workers)
-	}
-	if o.KernelWorkers < 0 {
-		return fmt.Errorf("core: negative KernelWorkers (%d)", o.KernelWorkers)
-	}
-	if o.Workers > 1 && o.Strategy != engine.Sharded {
-		return fmt.Errorf("core: Workers=%d requires the Sharded strategy, got %v", o.Workers, o.Strategy)
-	}
-	if o.Convexity < ConvexityAuto || o.Convexity > ConvexityStronglyConvex {
-		return fmt.Errorf("core: unknown Convexity %v", o.Convexity)
-	}
-	if _, err := o.accountingRule(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// shardSize returns the dataset size the step schedule and the
-// per-shard sensitivity are evaluated at: the smallest shard for
-// Sharded runs (the smallest shard has the largest bound), m otherwise.
-func (o *Options) shardSize(m int) (int, error) {
-	if o.Strategy != engine.Sharded || o.Workers <= 1 {
-		return m, nil
-	}
-	return engine.ShardSize(m, o.Workers)
-}
-
-// effWorkers is the averaging divisor the sharded sensitivity calculus
-// applies (1 for everything but a multi-worker Sharded run).
-func (o *Options) effWorkers() int {
-	if o.Strategy == engine.Sharded && o.Workers > 1 {
-		return o.Workers
-	}
-	return 1
-}
-
-// checkStreaming enforces the single-pass constraint of the streaming
-// strategy, whose sensitivity is calibrated for exactly one pass.
-func (o *Options) checkStreaming() error {
-	if o.Strategy == engine.Streaming && o.Passes != 1 {
-		return fmt.Errorf("core: Streaming execution is single-pass; got Passes=%d (leave Passes at 0 or set it to 1)", o.Passes)
-	}
-	return nil
-}
-
-// fillBudget resolves a zero Budget against the accountant (draw
-// everything that remains). Must run before validate, which rejects a
-// zero budget. An exhausted accountant fails closed here with
-// ErrOverdraw — the same error identity every other over-budget path
-// reports — rather than leaking a zero-ε validation error.
-func (o *Options) fillBudget() error {
-	if o.Accountant == nil || o.Budget != (dp.Budget{}) {
-		return nil
-	}
-	rem := o.Accountant.Remaining()
-	if rem.Epsilon <= 0 {
-		return fmt.Errorf("%w: drawing the remainder of an exhausted accountant (total %v)",
-			account.ErrOverdraw, o.Accountant.Total())
-	}
-	o.Budget = rem
-	return nil
-}
-
-// reserveBudget debits the run's budget from its accountant, when one
-// is attached. Called after all parameter validation and before the
-// engine touches a single row, so an over-budget request fails closed
-// with no training work done. Reservations are never refunded: the
-// ledger records intent to release, the conservative reading of simple
-// composition (a failed run after this point still forfeits its spend).
-//
-// The reservation is typed so the accountant's composition rule can
-// price it tightly: a pure release as an ε-DP event (advanced/RDP give
-// it a sublinear composed cost), an approximate one as the Gaussian
-// mechanism at the multiplier the calibration in dp.Budget.Perturb
-// actually uses. Under the simple rule both downgrade to the plain
-// (ε, δ) entry this method always recorded — bit-identical ledgers.
-func (o *Options) reserveBudget(f loss.Function) error {
-	if o.Accountant == nil {
-		return nil
-	}
-	label := o.SpendLabel
-	if label == "" {
-		label = "train(" + f.Name() + ")"
-	}
-	if o.Budget.Pure() {
-		return o.Accountant.ReservePure(label, o.Budget.Epsilon)
-	}
-	return o.Accountant.ReserveGaussian(label,
-		rng.GaussianSigma(1, o.Budget.Epsilon, o.Budget.Delta), 1, o.Budget)
-}
+// stepOffsetC is c, the m^c offset exponent of the StepDecreasing and
+// StepSqrt families (Corollaries 2–3; the paper's experiments fix 0.5).
+const stepOffsetC = 0.5
 
 // Result reports one private training run.
 type Result struct {
@@ -381,215 +158,224 @@ type Result struct {
 	Passes  int
 }
 
-// PrivateConvexPSGD runs Algorithm 1 directly.
-//
-// Deprecated: call TrainCtx with WithConvexity(ConvexityConvex); this
-// wrapper remains for compatibility and is bit-identical to that form.
-func PrivateConvexPSGD(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	return privateConvexPSGD(s, f, opt)
+// newConfig applies opts in order over the zero config.
+func newConfig(opts []Option) *config {
+	c := new(config)
+	for _, fn := range opts {
+		fn(c)
+	}
+	return c
 }
 
-// privateConvexPSGD is Algorithm 1 (plus extensions): k-pass PSGD with
-// the selected convex step family, output-perturbed with sensitivity
+// resolve draws a zero budget from the accountant, validates, and fills
+// the defaults that do not depend on the data (one pass, batch 1).
+func (c *config) resolve() error {
+	if err := c.fillBudget(); err != nil {
+		return err
+	}
+	if err := c.validate(); err != nil {
+		return err
+	}
+	if c.passes == 0 {
+		c.passes = 1
+	}
+	if c.batch == 0 {
+		c.batch = 1
+	}
+	return nil
+}
+
+func (c *config) validate() error {
+	if err := c.budget.Validate(); err != nil {
+		return err
+	}
+	if c.passes < 0 || c.batch < 0 {
+		return fmt.Errorf("core: negative passes (%d) or batch (%d)", c.passes, c.batch)
+	}
+	if c.rand == nil {
+		return errors.New("core: WithRand is required")
+	}
+	if c.workers < 0 {
+		return fmt.Errorf("core: negative workers (%d)", c.workers)
+	}
+	if c.kernelWorkers < 0 {
+		return fmt.Errorf("core: negative kernel workers (%d)", c.kernelWorkers)
+	}
+	if c.workers > 1 && c.strategy != engine.Sharded {
+		return fmt.Errorf("core: %d workers require the Sharded strategy, got %v", c.workers, c.strategy)
+	}
+	if c.convexity < ConvexityAuto || c.convexity > ConvexityStronglyConvex {
+		return fmt.Errorf("core: unknown Convexity %v", c.convexity)
+	}
+	if _, err := c.accountingRule(); err != nil {
+		return err
+	}
+	return nil
+}
+
+// fillBudget resolves a zero budget against the accountant (draw
+// everything that remains). Must run before validate, which rejects a
+// zero budget. An exhausted accountant fails closed here with
+// ErrOverdraw — the same error identity every other over-budget path
+// reports — rather than leaking a zero-ε validation error.
+func (c *config) fillBudget() error {
+	if c.accountant == nil || c.budget != (dp.Budget{}) {
+		return nil
+	}
+	rem := c.accountant.Remaining()
+	if rem.Epsilon <= 0 {
+		return fmt.Errorf("%w: drawing the remainder of an exhausted accountant (total %v)",
+			account.ErrOverdraw, c.accountant.Total())
+	}
+	c.budget = rem
+	return nil
+}
+
+// plan is the one place a configuration becomes a step schedule and the
+// L2-sensitivity Δ₂ its output noise is calibrated to; TrainCtx,
+// TrainDistributed and gradient perturbation all price their run here.
+// m is the dataset size. The schedule comes back as a dist.StepSpec —
+// the resolved numbers of an sgd schedule constructor — so a local run
+// (spec.Build()) and a distributed one (the wire) consume one value.
+//
+// Algorithm 2 (ConvexityStronglyConvex, or ConvexityAuto on a γ > 0
+// loss) steps at η_t = min(1/β, 1/(γt)) with Δ₂ = 2L/(γm) (Lemma 8,
+// sound batch-aware form) — independent of k, so Tol early stopping is
+// allowed (§4.3 "the number of passes k is oblivious to private SGD").
+// Algorithm 1 runs the selected convex family:
 //
 //	Δ₂ = 2kLη/b                               (constant, Corollary 1)
 //	Δ₂ = (4L/β)(1/(b·m^c) + ln k/m)           (decreasing, Corollary 2, batch-aware)
 //	Δ₂ = (4L/(bβ))Σ_j 1/√(j·m/b+1+m^c)        (square-root, Corollary 3, batch-aware)
 //
-// under Options.Budget. Under the Sharded strategy the schedule and the
-// bounds above are evaluated at the smallest shard size and divided by
-// the worker count (the averaged-model sensitivity); under Streaming,
-// k is pinned to 1. The loss must be convex (γ may be 0; a strongly
-// convex loss is allowed but Algorithm 2 gives strictly less noise).
-func privateConvexPSGD(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	if err := opt.fillBudget(); err != nil {
-		return nil, err
-	}
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if opt.Tol > 0 {
-		return nil, errors.New("core: Tol-based early stopping is not private in the convex case (noise depends on k); fix Passes instead")
-	}
-	m := s.Len()
+// with η = 1/√m (Table 4) clamped to 2/β, the validity boundary of
+// Lemma 1.1 — the clamped value enters Δ₂ too, so privacy never
+// degrades. Gradient perturbation takes Algorithm 1's schedule
+// unchanged and Δ₂ = 2·clip: the clip, not the step size, bounds its
+// per-step sensitivity.
+//
+// Under the Sharded strategy the schedule and the bounds are evaluated
+// at the smallest shard (the largest per-shard bound) and divided by the
+// worker count — the averaged-model sensitivity, which for Algorithm 2
+// and equal shards is exactly the sequential 2L/(γm): parallelism is
+// privacy-free (the paper's multicore punchline). Streaming runs are
+// pinned to one pass. plan also clamps c.batch to that size, mirroring
+// the engine's clamp, so Δ₂ is never over-divided and every executor
+// sees the b the noise was calibrated for.
+func (c *config) plan(f loss.Function, m int) (dist.StepSpec, float64, error) {
+	var spec dist.StepSpec
 	if m == 0 {
-		return nil, errors.New("core: empty training set")
+		return spec, 0, errors.New("core: empty training set")
 	}
-	n, err := opt.shardSize(m)
-	if err != nil {
-		return nil, err
-	}
-	o := opt.withDefaults(n) // paper defaults at the per-shard size
-	if err := o.checkStreaming(); err != nil {
-		return nil, err
+	if c.strategy == engine.Streaming && c.passes != 1 {
+		return spec, 0, fmt.Errorf("core: Streaming execution is single-pass; got %d passes (leave WithPasses unset or at 1)", c.passes)
 	}
 	p := f.Params()
-	workers := o.effWorkers()
-	if o.Batch > n {
-		o.Batch = n // mirror the engine's clamp so Δ₂ is not over-divided
+	strongly := c.gradPerturb == nil &&
+		(c.convexity == ConvexityStronglyConvex || c.convexity == ConvexityAuto && p.StronglyConvex())
+	if strongly && !p.StronglyConvex() {
+		return spec, 0, fmt.Errorf("core: loss %q is not strongly convex (γ=0); use the convex algorithm (WithConvexity(ConvexityConvex))", f.Name())
 	}
+	n, workers := m, 1
+	if c.strategy == engine.Sharded && c.workers > 1 {
+		var err error
+		if n, err = engine.ShardSize(m, c.workers); err != nil {
+			return spec, 0, err
+		}
+		workers = c.workers
+	}
+	c.batch = min(c.batch, n)
 
-	var step sgd.Schedule
+	if strongly {
+		spec = dist.StepSpec{Kind: dist.StepStronglyConvex, Beta: p.Beta, Gamma: p.Gamma}
+		if c.paperBatchSensitivity {
+			return spec, dp.SensitivityStronglyConvexPaperBatch(p.L, p.Gamma, n, c.batch) / float64(workers), nil
+		}
+		return spec, dp.SensitivityShardedStronglyConvex(p.L, p.Gamma, n, workers), nil
+	}
+	if c.tol > 0 {
+		return spec, 0, errors.New("core: Tol-based early stopping is not private in the convex case (noise depends on k); fix the pass count instead")
+	}
 	var sens float64
-	switch o.Step {
+	switch c.step {
 	case StepConstant:
-		eta := math.Min(o.Eta, 2/p.Beta) // Lemma 1.1 validity
-		step = sgd.Constant(eta)
-		sens = dp.SensitivityShardedConvexConstant(p.L, eta, o.Passes, o.Batch, workers)
+		eta := math.Min(1/math.Sqrt(float64(n)), 2/p.Beta)
+		spec = dist.StepSpec{Kind: dist.StepConstant, Eta: eta}
+		sens = dp.SensitivityShardedConvexConstant(p.L, eta, c.passes, c.batch, workers)
 	case StepDecreasing:
-		step = sgd.DecreasingConvex(p.Beta, n, o.C)
-		sens = dp.SensitivityShardedConvexDecreasing(p.L, p.Beta, o.Passes, n, o.Batch, o.C, workers)
+		spec = dist.StepSpec{Kind: dist.StepDecreasing, Beta: p.Beta, M: n, C: stepOffsetC}
+		sens = dp.SensitivityShardedConvexDecreasing(p.L, p.Beta, c.passes, n, c.batch, stepOffsetC, workers)
 	case StepSqrt:
-		step = sgd.SqrtConvex(p.Beta, n, o.C)
-		sens = dp.SensitivityShardedConvexSqrt(p.L, p.Beta, o.Passes, n, o.Batch, o.C, workers)
+		spec = dist.StepSpec{Kind: dist.StepSqrt, Beta: p.Beta, M: n, C: stepOffsetC}
+		sens = dp.SensitivityShardedConvexSqrt(p.L, p.Beta, c.passes, n, c.batch, stepOffsetC, workers)
 	default:
-		return nil, fmt.Errorf("core: unknown StepKind %v", o.Step)
+		return spec, 0, fmt.Errorf("core: unknown StepKind %v", c.step)
 	}
+	if c.gradPerturb != nil {
+		sens = 2 * c.gradPerturb.clip
+	}
+	return spec, sens, nil
+}
 
-	if err := o.reserveBudget(f); err != nil {
-		return nil, err
+// reserve debits the run's budget from its accountant, when one is
+// attached. Called after all parameter validation and before the engine
+// touches a single row, so an over-budget request fails closed with no
+// training work done. Reservations are never refunded: the ledger
+// records intent to release, the conservative reading of simple
+// composition (a failed run after this point still forfeits its spend).
+//
+// The reservation is typed so the accountant's composition rule can
+// price it tightly: a pure release as an ε-DP event (advanced/RDP give
+// it a sublinear composed cost), an approximate one as the Gaussian
+// mechanism at the multiplier the calibration in dp.Budget.Perturb
+// actually uses. Under the simple rule both downgrade to the plain
+// (ε, δ) entry this method always recorded — bit-identical ledgers.
+func (c *config) reserve(f loss.Function) error {
+	if c.accountant == nil {
+		return nil
 	}
-	res, err := engine.Run(s, engine.Config{
-		Strategy: o.Strategy,
-		Workers:  o.Workers,
+	label := c.spendLabel
+	if label == "" {
+		label = "train(" + f.Name() + ")"
+	}
+	if c.budget.Pure() {
+		return c.accountant.ReservePure(label, c.budget.Epsilon)
+	}
+	return c.accountant.ReserveGaussian(label,
+		rng.GaussianSigma(1, c.budget.Epsilon, c.budget.Delta), 1, c.budget)
+}
+
+// run executes the planned SGD on the in-process engine, strictly as a
+// black box; gp is non-nil only for gradient perturbation.
+func (c *config) run(ctx context.Context, s sgd.Samples, f loss.Function, step sgd.Schedule, gp *sgd.GradPerturb) (*engine.Result, error) {
+	return engine.Run(s, engine.Config{
+		Strategy: c.strategy,
+		Workers:  c.workers,
 		SGD: sgd.Config{
 			Loss:          f,
 			Step:          step,
-			Passes:        o.Passes,
-			Batch:         o.Batch,
-			Radius:        o.Radius,
-			Average:       o.Average,
-			AverageTail:   o.AverageTail,
-			FreshPerm:     o.FreshPerm,
-			KernelWorkers: o.KernelWorkers,
-			Rand:          o.Rand,
-			Ctx:           o.Ctx,
-			Progress:      o.Progress,
-			W0:            o.W0,
+			Passes:        c.passes,
+			Batch:         c.batch,
+			Radius:        c.radius,
+			Average:       c.average,
+			AverageTail:   c.averageTail,
+			FreshPerm:     c.freshPerm,
+			KernelWorkers: c.kernelWorkers,
+			Rand:          c.rand,
+			Tol:           c.tol,
+			Ctx:           ctx,
+			Progress:      c.progress,
+			W0:            c.w0,
+			GradPerturb:   gp,
 		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return perturb(&res.Result, o, sens)
-}
-
-// PrivateStronglyConvexPSGD runs Algorithm 2 directly.
-//
-// Deprecated: call TrainCtx with WithConvexity(ConvexityStronglyConvex);
-// this wrapper remains for compatibility and is bit-identical to that
-// form.
-func PrivateStronglyConvexPSGD(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	return privateStronglyConvexPSGD(s, f, opt)
-}
-
-// privateStronglyConvexPSGD is Algorithm 2 (plus extensions): k-pass
-// PSGD at η_t = min(1/β, 1/(γt)), output-perturbed with
-// Δ₂ = 2L/(γm) (Lemma 8, sound batch-aware form) — independent of k,
-// so Options.Tol early
-// stopping is allowed (§4.3 "the number of passes k is oblivious to
-// private SGD"). Under the Sharded strategy the bound is evaluated at
-// the smallest shard and divided by the worker count, which for equal
-// shards is exactly the sequential 2L/(γm): parallelism is privacy-free
-// (the paper's multicore punchline). The loss must be γ-strongly
-// convex.
-func privateStronglyConvexPSGD(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	if err := opt.fillBudget(); err != nil {
-		return nil, err
-	}
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	m := s.Len()
-	if m == 0 {
-		return nil, errors.New("core: empty training set")
-	}
-	p := f.Params()
-	if !p.StronglyConvex() {
-		return nil, fmt.Errorf("core: loss %q is not strongly convex (γ=0); use the convex algorithm (WithConvexity(ConvexityConvex))", f.Name())
-	}
-	n, err := opt.shardSize(m)
-	if err != nil {
-		return nil, err
-	}
-	o := opt.withDefaults(n)
-	if err := o.checkStreaming(); err != nil {
-		return nil, err
-	}
-	workers := o.effWorkers()
-	if o.Batch > n {
-		o.Batch = n // mirror the engine's clamp so the paper-batch Δ₂ is not over-divided
-	}
-
-	if err := o.reserveBudget(f); err != nil {
-		return nil, err
-	}
-	res, err := engine.Run(s, engine.Config{
-		Strategy: o.Strategy,
-		Workers:  o.Workers,
-		SGD: sgd.Config{
-			Loss:          f,
-			Step:          sgd.StronglyConvexPaper(p.Beta, p.Gamma),
-			Passes:        o.Passes,
-			Batch:         o.Batch,
-			Radius:        o.Radius,
-			Average:       o.Average,
-			AverageTail:   o.AverageTail,
-			FreshPerm:     o.FreshPerm,
-			KernelWorkers: o.KernelWorkers,
-			Rand:          o.Rand,
-			Tol:           o.Tol,
-			Ctx:           o.Ctx,
-			Progress:      o.Progress,
-			W0:            o.W0,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	var sens float64
-	if o.PaperBatchSensitivity {
-		sens = dp.SensitivityStronglyConvexPaperBatch(p.L, p.Gamma, n, o.Batch) / float64(workers)
-	} else {
-		sens = dp.SensitivityShardedStronglyConvex(p.L, p.Gamma, n, workers)
-	}
-	return perturb(&res.Result, o, sens)
-}
-
-// Train runs one private training job with a struct-literal Options.
-//
-// Deprecated: call TrainCtx, the one documented entry point; this
-// wrapper remains for compatibility and is bit-identical to
-// TrainCtx(opt.Ctx, s, f, ...) with the equivalent options.
-func Train(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	return train(s, f, opt)
-}
-
-// train dispatches to the applicable algorithm: gradient perturbation
-// when Options.GradPerturb is set, else by Options.Convexity —
-// Algorithm 2 when forced or (under ConvexityAuto) when the loss is
-// strongly convex, Algorithm 1 otherwise.
-func train(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	if opt.GradPerturb != nil {
-		return PrivateGradPerturbPSGD(s, f, opt)
-	}
-	switch opt.Convexity {
-	case ConvexityConvex:
-		return privateConvexPSGD(s, f, opt)
-	case ConvexityStronglyConvex:
-		return privateStronglyConvexPSGD(s, f, opt)
-	}
-	if f.Params().StronglyConvex() {
-		return privateStronglyConvexPSGD(s, f, opt)
-	}
-	return privateConvexPSGD(s, f, opt)
 }
 
 // perturb applies the output perturbation step (lines 3–5 of
 // Algorithms 1–2) to the black-box SGD result.
-func perturb(res *sgd.Result, o Options, sens float64) (*Result, error) {
+func (c *config) perturb(res *sgd.Result, sens float64) (*Result, error) {
 	model := res.Model()
-	private, err := o.Budget.Perturb(o.Rand, model, sens)
+	private, err := c.budget.Perturb(c.rand, model, sens)
 	if err != nil {
 		return nil, err
 	}
@@ -606,4 +392,45 @@ func perturb(res *sgd.Result, o Options, sens float64) (*Result, error) {
 		Updates:     res.Updates,
 		Passes:      res.Passes,
 	}, nil
+}
+
+// TrainCtx is the training entry point: it runs the bolt-on private
+// PSGD appropriate for the loss (or the one forced with WithConvexity,
+// or gradient perturbation with WithGradPerturb), cancellable through
+// ctx (checked once per mini-batch update by every execution strategy;
+// the run returns ctx.Err() within one epoch slice of cancellation or
+// deadline expiry).
+//
+//	acct, _ := account.New(dp.Budget{Epsilon: 1})
+//	res, err := core.TrainCtx(ctx, train, f,
+//		core.WithAccountant(acct),
+//		core.WithPasses(10), core.WithBatch(50), core.WithRadius(1/lambda),
+//		core.WithRand(r))
+//
+// It is the only way to train in-process; TrainDistributed and
+// ContinualTrainer take the same options.
+func TrainCtx(ctx context.Context, s sgd.Samples, f loss.Function, opts ...Option) (*Result, error) {
+	c := newConfig(opts)
+	if err := c.resolve(); err != nil {
+		return nil, err
+	}
+	if c.gradPerturb != nil {
+		return c.trainGradPerturb(ctx, s, f)
+	}
+	spec, sens, err := c.plan(f, s.Len())
+	if err != nil {
+		return nil, err
+	}
+	step, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.reserve(f); err != nil {
+		return nil, err
+	}
+	res, err := c.run(ctx, s, f, step, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.perturb(&res.Result, sens)
 }

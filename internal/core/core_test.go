@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -33,12 +34,11 @@ func TestPrivateConvexPSGDBasic(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	s := separable(r, 2000, 5)
 	f := loss.NewLogistic(0, 0)
-	res, err := PrivateConvexPSGD(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1},
-		Passes: 2,
-		Batch:  50,
-		Rand:   r,
-	})
+	res, err := TrainCtx(context.Background(), s, f, WithConvexity(ConvexityConvex),
+		WithBudget(dp.Budget{Epsilon: 1}),
+		WithPasses(2),
+		WithBatch(50),
+		WithRand(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +69,11 @@ func TestPrivateConvexStepFamilies(t *testing.T) {
 	s := separable(r, 500, 4)
 	f := loss.NewLogistic(0, 0)
 	for _, kind := range []StepKind{StepConstant, StepDecreasing, StepSqrt} {
-		res, err := PrivateConvexPSGD(s, f, Options{
-			Budget: dp.Budget{Epsilon: 1},
-			Passes: 3,
-			Step:   kind,
-			Rand:   r,
-		})
+		res, err := TrainCtx(context.Background(), s, f, WithConvexity(ConvexityConvex),
+			WithBudget(dp.Budget{Epsilon: 1}),
+			WithPasses(3),
+			WithStep(kind),
+			WithRand(r))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -83,9 +82,8 @@ func TestPrivateConvexStepFamilies(t *testing.T) {
 		}
 	}
 	// Unknown kind rejected.
-	if _, err := PrivateConvexPSGD(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Step: StepKind(99), Rand: r,
-	}); err == nil {
+	if _, err := TrainCtx(context.Background(), s, f, WithConvexity(ConvexityConvex),
+		WithBudget(dp.Budget{Epsilon: 1}), WithStep(StepKind(99)), WithRand(r)); err == nil {
 		t.Error("unknown StepKind accepted")
 	}
 }
@@ -95,9 +93,8 @@ func TestPrivateConvexEtaClamped(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	s := separable(r, 100, 3)
 	f := loss.NewHuber(0.01, 0, 0)
-	res, err := PrivateConvexPSGD(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Passes: 1, Rand: r,
-	})
+	res, err := TrainCtx(context.Background(), s, f, WithConvexity(ConvexityConvex),
+		WithBudget(dp.Budget{Epsilon: 1}), WithPasses(1), WithRand(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +108,8 @@ func TestPrivateConvexEtaClamped(t *testing.T) {
 func TestPrivateConvexRejectsTol(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	s := separable(r, 50, 2)
-	_, err := PrivateConvexPSGD(s, loss.NewLogistic(0, 0), Options{
-		Budget: dp.Budget{Epsilon: 1}, Tol: 1e-3, Rand: r,
-	})
+	_, err := TrainCtx(context.Background(), s, loss.NewLogistic(0, 0), WithConvexity(ConvexityConvex),
+		WithBudget(dp.Budget{Epsilon: 1}), WithTol(1e-3), WithRand(r))
 	if err == nil || !strings.Contains(err.Error(), "not private") {
 		t.Errorf("convex Tol should be rejected, got %v", err)
 	}
@@ -125,13 +121,12 @@ func TestPrivateStronglyConvexPSGDBasic(t *testing.T) {
 	lambda := 1e-3
 	f := loss.NewLogistic(lambda, 0)
 	p := f.Params()
-	res, err := PrivateStronglyConvexPSGD(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1},
-		Passes: 5,
-		Batch:  50,
-		Radius: 1 / lambda,
-		Rand:   r,
-	})
+	res, err := TrainCtx(context.Background(), s, f, WithConvexity(ConvexityStronglyConvex),
+		WithBudget(dp.Budget{Epsilon: 1}),
+		WithPasses(5),
+		WithBatch(50),
+		WithRadius(1/lambda),
+		WithRand(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +140,10 @@ func TestPrivateStronglyConvexPSGDBasic(t *testing.T) {
 		t.Errorf("Passes = %d", res.Passes)
 	}
 	// Opt-in paper calibration divides by b.
-	pres, err := PrivateStronglyConvexPSGD(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1},
-		Passes: 5, Batch: 50, Radius: 1 / lambda, Rand: r,
-		PaperBatchSensitivity: true,
-	})
+	pres, err := TrainCtx(context.Background(), s, f, WithConvexity(ConvexityStronglyConvex),
+		WithBudget(dp.Budget{Epsilon: 1}),
+		WithPasses(5), WithBatch(50), WithRadius(1/lambda), WithRand(r),
+		WithPaperBatchSensitivity())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +158,8 @@ func TestStronglyConvexSensitivityIndependentOfK(t *testing.T) {
 	f := loss.NewLogistic(1e-2, 0)
 	var sens []float64
 	for _, k := range []int{1, 5, 20} {
-		res, err := PrivateStronglyConvexPSGD(s, f, Options{
-			Budget: dp.Budget{Epsilon: 1}, Passes: k, Rand: r,
-		})
+		res, err := TrainCtx(context.Background(), s, f, WithConvexity(ConvexityStronglyConvex),
+			WithBudget(dp.Budget{Epsilon: 1}), WithPasses(k), WithRand(r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,9 +175,8 @@ func TestConvexSensitivityGrowsWithK(t *testing.T) {
 	s := separable(r, 500, 3)
 	f := loss.NewLogistic(0, 0)
 	get := func(k int) float64 {
-		res, err := PrivateConvexPSGD(s, f, Options{
-			Budget: dp.Budget{Epsilon: 1}, Passes: k, Rand: r,
-		})
+		res, err := TrainCtx(context.Background(), s, f, WithConvexity(ConvexityConvex),
+			WithBudget(dp.Budget{Epsilon: 1}), WithPasses(k), WithRand(r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,9 +190,8 @@ func TestConvexSensitivityGrowsWithK(t *testing.T) {
 func TestStronglyConvexRequiresStrongConvexity(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	s := separable(r, 50, 2)
-	_, err := PrivateStronglyConvexPSGD(s, loss.NewLogistic(0, 0), Options{
-		Budget: dp.Budget{Epsilon: 1}, Rand: r,
-	})
+	_, err := TrainCtx(context.Background(), s, loss.NewLogistic(0, 0), WithConvexity(ConvexityStronglyConvex),
+		WithBudget(dp.Budget{Epsilon: 1}), WithRand(r))
 	if err == nil {
 		t.Error("γ=0 loss accepted by the strongly convex algorithm")
 	}
@@ -210,13 +201,12 @@ func TestStronglyConvexTolEarlyStop(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	s := separable(r, 500, 4)
 	f := loss.NewLogistic(1e-2, 0)
-	res, err := PrivateStronglyConvexPSGD(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1},
-		Passes: 100,
-		Batch:  10,
-		Tol:    1e-4,
-		Rand:   r,
-	})
+	res, err := TrainCtx(context.Background(), s, f, WithConvexity(ConvexityStronglyConvex),
+		WithBudget(dp.Budget{Epsilon: 1}),
+		WithPasses(100),
+		WithBatch(10),
+		WithTol(1e-4),
+		WithRand(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,9 +219,8 @@ func TestTrainDispatch(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	s := separable(r, 200, 3)
 	// Strongly convex path.
-	res, err := Train(s, loss.NewLogistic(1e-2, 0), Options{
-		Budget: dp.Budget{Epsilon: 1}, Rand: r,
-	})
+	res, err := TrainCtx(context.Background(), s, loss.NewLogistic(1e-2, 0),
+		WithBudget(dp.Budget{Epsilon: 1}), WithRand(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +231,8 @@ func TestTrainDispatch(t *testing.T) {
 		t.Errorf("Train chose the wrong algorithm: sens %v want %v", res.Sensitivity, want)
 	}
 	// Convex path.
-	res, err = Train(s, loss.NewLogistic(0, 0), Options{
-		Budget: dp.Budget{Epsilon: 1}, Rand: r,
-	})
+	res, err = TrainCtx(context.Background(), s, loss.NewLogistic(0, 0),
+		WithBudget(dp.Budget{Epsilon: 1}), WithRand(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +251,7 @@ func TestGaussianBudgetUsed(t *testing.T) {
 	avg := func(b dp.Budget) float64 {
 		var sum float64
 		for i := 0; i < 20; i++ {
-			res, err := PrivateConvexPSGD(s, f, Options{Budget: b, Passes: 1, Batch: 50, Rand: r})
+			res, err := TrainCtx(context.Background(), s, f, WithConvexity(ConvexityConvex), WithBudget(b), WithPasses(1), WithBatch(50), WithRand(r))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,27 +272,24 @@ func TestOptionsValidation(t *testing.T) {
 	f := loss.NewLogistic(0, 0)
 	cases := []struct {
 		name string
-		opt  Options
+		opts []Option
 	}{
-		{"bad budget", Options{Rand: r}},
-		{"nil rand", Options{Budget: dp.Budget{Epsilon: 1}}},
-		{"bad C", Options{Budget: dp.Budget{Epsilon: 1}, C: 1.5, Rand: r}},
-		{"negative passes", Options{Budget: dp.Budget{Epsilon: 1}, Passes: -1, Rand: r}},
+		{"bad budget", []Option{WithRand(r)}},
+		{"nil rand", []Option{WithBudget(dp.Budget{Epsilon: 1})}},
+		{"negative passes", []Option{WithBudget(dp.Budget{Epsilon: 1}), WithPasses(-1), WithRand(r)}},
 	}
 	for _, c := range cases {
-		if _, err := PrivateConvexPSGD(s, f, c.opt); err == nil {
+		if _, err := TrainCtx(context.Background(), s, f, append(c.opts, WithConvexity(ConvexityConvex))...); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
 	// Empty training set.
-	if _, err := PrivateConvexPSGD(&sgd.SliceSamples{}, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Rand: r,
-	}); err == nil {
+	if _, err := TrainCtx(context.Background(), &sgd.SliceSamples{}, f, WithConvexity(ConvexityConvex),
+		WithBudget(dp.Budget{Epsilon: 1}), WithRand(r)); err == nil {
 		t.Error("empty set accepted")
 	}
-	if _, err := PrivateStronglyConvexPSGD(&sgd.SliceSamples{}, loss.NewLogistic(1e-2, 0), Options{
-		Budget: dp.Budget{Epsilon: 1}, Rand: r,
-	}); err == nil {
+	if _, err := TrainCtx(context.Background(), &sgd.SliceSamples{}, loss.NewLogistic(1e-2, 0), WithConvexity(ConvexityStronglyConvex),
+		WithBudget(dp.Budget{Epsilon: 1}), WithRand(r)); err == nil {
 		t.Error("empty set accepted (strongly convex)")
 	}
 }
@@ -316,9 +301,8 @@ func TestNoiseShrinksWithEpsilon(t *testing.T) {
 	avg := func(eps float64) float64 {
 		var sum float64
 		for i := 0; i < 30; i++ {
-			res, err := PrivateStronglyConvexPSGD(s, f, Options{
-				Budget: dp.Budget{Epsilon: eps}, Rand: r,
-			})
+			res, err := TrainCtx(context.Background(), s, f, WithConvexity(ConvexityStronglyConvex),
+				WithBudget(dp.Budget{Epsilon: eps}), WithRand(r))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -335,9 +319,8 @@ func TestAveragingOption(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	s := separable(r, 300, 3)
 	f := loss.NewLogistic(0, 0)
-	res, err := PrivateConvexPSGD(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Average: true, Rand: r,
-	})
+	res, err := TrainCtx(context.Background(), s, f, WithConvexity(ConvexityConvex),
+		WithBudget(dp.Budget{Epsilon: 1}), WithAverage(), WithRand(r))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func TestTrainAccountantOverdrawBeforeWork(t *testing.T) {
 		t.Errorf("over-budget run still read %d rows", got)
 	}
 	// The convex algorithm fails closed the same way.
-	_, err = PrivateConvexPSGDCtx(context.Background(), src, loss.NewLogistic(0, 0),
+	_, err = TrainCtx(context.Background(), src, loss.NewLogistic(0, 0), WithConvexity(ConvexityConvex),
 		WithBudget(dp.Budget{Epsilon: 0.5}), WithAccountant(acct),
 		WithPasses(2), WithBatch(10), WithRadius(100),
 		WithRand(rand.New(rand.NewSource(1))))

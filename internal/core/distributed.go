@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"boltondp/internal/dist"
-	"boltondp/internal/dp"
 	"boltondp/internal/engine"
 	"boltondp/internal/loss"
 	"boltondp/internal/sgd"
@@ -23,82 +21,42 @@ var jobSeq atomic.Uint64
 // loss on a distributed coordinator/worker pool (internal/dist) instead
 // of the in-process engine. It is the distributed counterpart of
 // TrainCtx with the Sharded strategy: WithStrategy(engine.Sharded, P)
-// selects the shard count (default 1), the noise is calibrated exactly
-// as PrivateConvexPSGD / PrivateStronglyConvexPSGD calibrate a sharded
-// run, and the result — model, ledger entry, noise draw — is
-// bit-identical to the single-process run under the same seed (the
-// parity contract pinned by the internal/dist tests).
+// selects the shard count (default 1), the algorithm and the noise come
+// from the same plan TrainCtx prices a sharded run with, and the result
+// — model, ledger entry, noise draw — is bit-identical to the
+// single-process run under the same seed (the parity contract pinned by
+// the internal/dist tests).
 //
-// Options that require mid-run access to the whole dataset or change
-// the randomness schedule are rejected: Tol and Progress (per-epoch
-// risk needs every row), AverageTail (not supported under Sharded),
-// and FreshPerm (the sharded executor resamples per-shard permutations
-// every epoch already; the flag only has meaning for multi-pass
-// sequential runs, whose distributed form ships one pinned
-// permutation).
+// Options the wire cannot honour are rejected before any reservation:
+// gradient perturbation (Sequential-only), and those that require
+// mid-run access to the whole dataset or change the randomness schedule
+// — Tol and Progress (per-epoch risk needs every row), AverageTail (not
+// supported under Sharded), and FreshPerm (the sharded executor
+// resamples per-shard permutations every epoch already; the flag only
+// has meaning for multi-pass sequential runs, whose distributed form
+// ships one pinned permutation).
 func TrainDistributed(ctx context.Context, coord *dist.Coordinator, src dist.Source, f loss.Function, opts ...Option) (*Result, error) {
-	o := buildOptions(ctx, opts)
-	if err := o.fillBudget(); err != nil {
-		return nil, err
-	}
-	if o.Workers == 0 {
-		o.Workers = 1
-	}
-	o.Strategy = engine.Sharded
-	if err := o.validate(); err != nil {
+	c := newConfig(opts)
+	c.strategy = engine.Sharded
+	if err := c.resolve(); err != nil {
 		return nil, err
 	}
 	switch {
-	case o.Tol > 0:
+	case c.gradPerturb != nil:
+		return nil, errors.New("core: gradient perturbation is Sequential-only (per-step accounting assumes one update stream); not available distributed")
+	case c.tol > 0:
 		return nil, errors.New("core: Tol-based early stopping needs per-epoch risk over the whole dataset; not available distributed")
-	case o.Progress != nil:
+	case c.progress != nil:
 		return nil, errors.New("core: Progress needs per-epoch risk over the whole dataset; not available distributed")
-	case o.AverageTail:
+	case c.averageTail:
 		return nil, errors.New("core: AverageTail is not supported under Sharded execution")
-	case o.FreshPerm:
+	case c.freshPerm:
 		return nil, errors.New("core: FreshPerm does not apply to distributed runs (sharded epochs already resample; single-shard runs ship one pinned permutation)")
 	}
-	m := src.Rows()
-	if m == 0 {
-		return nil, errors.New("core: empty training set")
-	}
-	n, err := o.shardSize(m)
+	stepSpec, sens, err := c.plan(f, src.Rows())
 	if err != nil {
 		return nil, err
 	}
-	o = o.withDefaults(n)
-	p := f.Params()
-	workers := o.effWorkers()
-	if o.Batch > n {
-		o.Batch = n // mirror the engine's clamp so Δ₂ is not over-divided
-	}
-
-	var stepSpec dist.StepSpec
-	var sens float64
-	if p.StronglyConvex() {
-		stepSpec = dist.StepSpec{Kind: dist.StepStronglyConvex, Beta: p.Beta, Gamma: p.Gamma}
-		if o.PaperBatchSensitivity {
-			sens = dp.SensitivityStronglyConvexPaperBatch(p.L, p.Gamma, n, o.Batch) / float64(workers)
-		} else {
-			sens = dp.SensitivityShardedStronglyConvex(p.L, p.Gamma, n, workers)
-		}
-	} else {
-		switch o.Step {
-		case StepConstant:
-			eta := math.Min(o.Eta, 2/p.Beta) // Lemma 1.1 validity
-			stepSpec = dist.StepSpec{Kind: dist.StepConstant, Eta: eta}
-			sens = dp.SensitivityShardedConvexConstant(p.L, eta, o.Passes, o.Batch, workers)
-		case StepDecreasing:
-			stepSpec = dist.StepSpec{Kind: dist.StepDecreasing, Beta: p.Beta, M: n, C: o.C}
-			sens = dp.SensitivityShardedConvexDecreasing(p.L, p.Beta, o.Passes, n, o.Batch, o.C, workers)
-		case StepSqrt:
-			stepSpec = dist.StepSpec{Kind: dist.StepSqrt, Beta: p.Beta, M: n, C: o.C}
-			sens = dp.SensitivityShardedConvexSqrt(p.L, p.Beta, o.Passes, n, o.Batch, o.C, workers)
-		default:
-			return nil, fmt.Errorf("core: unknown StepKind %v", o.Step)
-		}
-	}
-
 	lossSpec, err := dist.LossSpecFor(f)
 	if err != nil {
 		return nil, err
@@ -107,32 +65,22 @@ func TrainDistributed(ctx context.Context, coord *dist.Coordinator, src dist.Sou
 		ID: fmt.Sprintf("train-%s-%d", f.Name(), jobSeq.Add(1)),
 		Spec: dist.TrainSpec{
 			Loss: lossSpec, Step: stepSpec,
-			Batch: o.Batch, Radius: o.Radius, Average: o.Average,
-			KernelWorkers: o.KernelWorkers,
+			Batch: c.batch, Radius: c.radius, Average: c.average,
+			KernelWorkers: c.kernelWorkers,
 		},
-		Shards: maxInt(o.Workers, 1),
-		Passes: o.Passes,
+		Shards: max(c.workers, 1),
+		Passes: c.passes,
+		W0:     c.w0,
 	}
 
-	if err := o.reserveBudget(f); err != nil {
+	if err := c.reserve(f); err != nil {
 		return nil, err
 	}
-	runCtx := o.Ctx
-	if runCtx == nil {
-		runCtx = context.Background()
-	}
-	res, err := coord.Train(runCtx, src, job, o.Rand)
+	res, err := coord.Train(ctx, src, job, c.rand)
 	if err != nil {
 		return nil, err
 	}
-	return perturb(&sgd.Result{
+	return c.perturb(&sgd.Result{
 		W: res.W, WAvg: res.WAvg, Updates: res.Updates, Passes: res.Passes,
-	}, o, sens)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	}, sens)
 }

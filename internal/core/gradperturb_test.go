@@ -10,6 +10,7 @@ import (
 	"boltondp/internal/account"
 	"boltondp/internal/account/compose"
 	"boltondp/internal/dp"
+	"boltondp/internal/engine"
 	"boltondp/internal/loss"
 	"boltondp/internal/sgd"
 	"boltondp/internal/vec"
@@ -28,15 +29,14 @@ func TestSimpleRuleParityWall(t *testing.T) {
 	budget := dp.Budget{Epsilon: 1, Delta: 1e-6}
 
 	run := func(acct *account.Accountant) *Result {
-		res, err := Train(s, f, Options{
-			Budget:     budget,
-			Passes:     2,
-			Batch:      25,
-			Radius:     100,
-			Rand:       rand.New(rand.NewSource(77)),
-			Accountant: acct,
-			SpendLabel: "wall",
-		})
+		res, err := TrainCtx(context.Background(), s, f,
+			WithBudget(budget),
+			WithPasses(2),
+			WithBatch(25),
+			WithRadius(100),
+			WithRand(rand.New(rand.NewSource(77))),
+			WithAccountant(acct),
+			WithSpendLabel("wall"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,10 +73,9 @@ func TestSimpleRuleParityWall(t *testing.T) {
 
 	// A pure budget takes the ReservePure path; same bit-compat.
 	pureTyped, _ := account.NewWithRule(compose.RuleSimple, dp.Budget{Epsilon: 2})
-	res, err := Train(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Passes: 1, Batch: 25, Radius: 100,
-		Rand: rand.New(rand.NewSource(78)), Accountant: pureTyped, SpendLabel: "pure",
-	})
+	res, err := TrainCtx(context.Background(), s, f,
+		WithBudget(dp.Budget{Epsilon: 1}), WithPasses(1), WithBatch(25), WithRadius(100),
+		WithRand(rand.New(rand.NewSource(78))), WithAccountant(pureTyped), WithSpendLabel("pure"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +162,11 @@ func TestGradPerturbDeterministic(t *testing.T) {
 	s := separable(rand.New(rand.NewSource(41)), 400, 4)
 	f := loss.NewLogistic(1e-2, 0)
 	run := func() []float64 {
-		res, err := Train(s, f, Options{
-			Budget:      dp.Budget{Epsilon: 4, Delta: 1e-6},
-			GradPerturb: &GradPerturbSpec{Clip: 0.5, NoiseMultiplier: 1},
-			Passes:      2, Batch: 20, Radius: 100,
-			Rand: rand.New(rand.NewSource(42)),
-		})
+		res, err := TrainCtx(context.Background(), s, f,
+			WithBudget(dp.Budget{Epsilon: 4, Delta: 1e-6}),
+			WithGradPerturb(0.5, 1),
+			WithPasses(2), WithBatch(20), WithRadius(100),
+			WithRand(rand.New(rand.NewSource(42))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,14 +190,13 @@ func TestGradPerturbOverdrawBeforeWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Train(src, loss.NewLogistic(1e-2, 0), Options{
-		Budget: dp.Budget{Epsilon: 0.5, Delta: 1e-7},
+	_, err = TrainCtx(context.Background(), src, loss.NewLogistic(1e-2, 0),
+		WithBudget(dp.Budget{Epsilon: 0.5, Delta: 1e-7}),
 		// σ̃ = 0.05 over 25 steps prices enormously above ε = 0.5.
-		GradPerturb: &GradPerturbSpec{Clip: 1, NoiseMultiplier: 0.05},
-		Passes:      1, Batch: 20, Radius: 100,
-		Rand:       rand.New(rand.NewSource(52)),
-		Accountant: acct,
-	})
+		WithGradPerturb(1, 0.05),
+		WithPasses(1), WithBatch(20), WithRadius(100),
+		WithRand(rand.New(rand.NewSource(52))),
+		WithAccountant(acct))
 	if !errors.Is(err, account.ErrOverdraw) {
 		t.Fatalf("err = %v, want account.ErrOverdraw", err)
 	}
@@ -212,12 +209,11 @@ func TestGradPerturbOverdrawBeforeWork(t *testing.T) {
 
 	// Stand-alone (no accountant) the same overpriced run is refused by
 	// the trial pricing, still before any row access.
-	_, err = Train(src, loss.NewLogistic(1e-2, 0), Options{
-		Budget:      dp.Budget{Epsilon: 0.5, Delta: 1e-6},
-		GradPerturb: &GradPerturbSpec{Clip: 1, NoiseMultiplier: 0.05},
-		Passes:      1, Batch: 20, Radius: 100,
-		Rand: rand.New(rand.NewSource(53)),
-	})
+	_, err = TrainCtx(context.Background(), src, loss.NewLogistic(1e-2, 0),
+		WithBudget(dp.Budget{Epsilon: 0.5, Delta: 1e-6}),
+		WithGradPerturb(1, 0.05),
+		WithPasses(1), WithBatch(20), WithRadius(100),
+		WithRand(rand.New(rand.NewSource(53))))
 	if err == nil || !strings.Contains(err.Error(), "over budget") {
 		t.Fatalf("stand-alone overpriced run: err = %v", err)
 	}
@@ -234,38 +230,32 @@ func TestGradPerturbRuleDefaultsAndMismatch(t *testing.T) {
 	s := separable(rand.New(rand.NewSource(61)), 800, 4)
 	f := loss.NewLogistic(1e-2, 0)
 	budget := dp.Budget{Epsilon: 2.5, Delta: 1e-6}
-	opt := func() Options {
-		return Options{
-			Budget:      budget,
-			GradPerturb: &GradPerturbSpec{Clip: 1, NoiseMultiplier: 1.2},
-			Passes:      2, Batch: 25, Radius: 100,
-			Rand: rand.New(rand.NewSource(62)),
-		}
+	train := func(extra ...Option) error {
+		_, err := TrainCtx(context.Background(), s, f, append([]Option{
+			WithBudget(budget),
+			WithGradPerturb(1, 1.2),
+			WithPasses(2), WithBatch(25), WithRadius(100),
+			WithRand(rand.New(rand.NewSource(62))),
+		}, extra...)...)
+		return err
 	}
 
 	// 64 steps at σ̃ = 1.2 price over ε = 2.5 under simple composition...
-	o := opt()
-	o.Accounting = compose.RuleSimple
-	if _, err := Train(s, f, o); err == nil || !strings.Contains(err.Error(), "over budget") {
+	if err := train(WithAccounting(compose.RuleSimple)); err == nil || !strings.Contains(err.Error(), "over budget") {
 		t.Fatalf("simple-rule pricing should refuse this run, got err = %v", err)
 	}
 	// ...and comfortably fit under the rdp default.
-	if _, err := Train(s, f, opt()); err != nil {
+	if err := train(); err != nil {
 		t.Fatalf("rdp-default run failed: %v", err)
 	}
 
 	// Rule mismatch with the accountant is a configuration error.
 	acct, _ := account.NewWithRule(compose.RuleAdvanced, dp.Budget{Epsilon: 4, Delta: 1e-5})
-	o = opt()
-	o.Accountant = acct
-	o.Accounting = compose.RuleRDP
-	if _, err := Train(s, f, o); err == nil || !strings.Contains(err.Error(), "disagrees") {
+	if err := train(WithAccountant(acct), WithAccounting(compose.RuleRDP)); err == nil || !strings.Contains(err.Error(), "disagrees") {
 		t.Fatalf("rule mismatch: err = %v", err)
 	}
 	// An unknown rule is rejected too.
-	o = opt()
-	o.Accounting = "zcdp"
-	if _, err := Train(s, f, o); err == nil {
+	if err := train(WithAccounting("zcdp")); err == nil {
 		t.Fatal("unknown accounting rule accepted")
 	}
 }
@@ -275,36 +265,35 @@ func TestGradPerturbRuleDefaultsAndMismatch(t *testing.T) {
 func TestGradPerturbValidationCore(t *testing.T) {
 	s := separable(rand.New(rand.NewSource(71)), 200, 4)
 	f := loss.NewLogistic(1e-2, 0)
-	base := func() Options {
-		return Options{
-			Budget:      dp.Budget{Epsilon: 6, Delta: 1e-6},
-			GradPerturb: &GradPerturbSpec{Clip: 1, NoiseMultiplier: 1},
-			Passes:      1, Batch: 20, Radius: 100,
-			Rand: rand.New(rand.NewSource(72)),
-		}
+	train := func(extra ...Option) error {
+		_, err := TrainCtx(context.Background(), s, f, append([]Option{
+			WithBudget(dp.Budget{Epsilon: 6, Delta: 1e-6}),
+			WithGradPerturb(1, 1),
+			WithPasses(1), WithBatch(20), WithRadius(100),
+			WithRand(rand.New(rand.NewSource(72))),
+		}, extra...)...)
+		return err
 	}
 	cases := []struct {
 		name string
-		mut  func(*Options)
+		opt  Option
 		want string
 	}{
-		{"sharded", func(o *Options) { o.Strategy = 1; o.Workers = 2 }, "Sequential-only"},
-		{"tol", func(o *Options) { o.Tol = 1e-3 }, "Tol"},
-		{"progress", func(o *Options) { o.Progress = func(int, float64) {} }, "Progress"},
-		{"freshperm", func(o *Options) { o.FreshPerm = true }, "FreshPerm"},
-		{"pure budget", func(o *Options) { o.Budget = dp.Budget{Epsilon: 2} }, "δ > 0"},
-		{"negative multiplier", func(o *Options) { o.GradPerturb.NoiseMultiplier = -1 }, "NoiseMultiplier"},
+		{"sharded", WithStrategy(engine.Sharded, 2), "Sequential-only"},
+		{"tol", WithTol(1e-3), "Tol"},
+		{"progress", WithProgress(func(int, float64) {}), "Progress"},
+		{"freshperm", WithFreshPerm(), "FreshPerm"},
+		{"pure budget", WithBudget(dp.Budget{Epsilon: 2}), "δ > 0"},
+		{"negative multiplier", WithGradPerturb(1, -1), "NoiseMultiplier"},
 	}
 	for _, tc := range cases {
-		o := base()
-		tc.mut(&o)
-		_, err := Train(s, f, o)
+		err := train(tc.opt)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
 	}
 	// The happy path actually runs (guards the cases above are real).
-	if _, err := Train(s, f, base()); err != nil {
+	if err := train(); err != nil {
 		t.Fatalf("base gradperturb config failed: %v", err)
 	}
 }
@@ -319,13 +308,12 @@ func TestGradPerturbSolvedSigmaTightens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = Train(s, f, Options{
-			Budget:      dp.Budget{Epsilon: eps, Delta: 1e-6},
-			GradPerturb: &GradPerturbSpec{Clip: 1},
-			Passes:      1, Batch: 25, Radius: 100,
-			Rand:       rand.New(rand.NewSource(82)),
-			Accountant: acct,
-		})
+		_, err = TrainCtx(context.Background(), s, f,
+			WithBudget(dp.Budget{Epsilon: eps, Delta: 1e-6}),
+			WithGradPerturb(1, 0),
+			WithPasses(1), WithBatch(25), WithRadius(100),
+			WithRand(rand.New(rand.NewSource(82))),
+			WithAccountant(acct))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -120,10 +120,9 @@ func TestKernelWorkersParityWall(t *testing.T) {
 func TestKernelWorkersOptionValidation(t *testing.T) {
 	ds := strategyDataset(8, 100, 3)
 	f := loss.NewLogistic(1e-2, 0)
-	if _, err := Train(ds, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, KernelWorkers: -2,
-		Rand: rand.New(rand.NewSource(9)),
-	}); err == nil {
+	if _, err := TrainCtx(context.Background(), ds, f,
+		WithBudget(dp.Budget{Epsilon: 1}), WithKernelWorkers(-2),
+		WithRand(rand.New(rand.NewSource(9)))); err == nil {
 		t.Error("negative KernelWorkers accepted")
 	}
 }

@@ -1,34 +1,26 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 
 	"boltondp/internal/account"
 	"boltondp/internal/dp"
 	"boltondp/internal/engine"
-	"boltondp/internal/loss"
-	"boltondp/internal/sgd"
 )
 
-// Option is a functional option for TrainCtx and friends. Options are
-// applied in order over a zero Options value (or over the base given to
-// WithOptions), so later options win.
-type Option func(*Options)
+// Option is a functional option for TrainCtx, TrainDistributed and
+// ContinualTrainer — the only way to configure a run. Options are
+// applied in order over the zero configuration (one pass, batch 1,
+// constant step, sequential execution), so later options win.
+type Option func(*config)
 
-// WithOptions seeds the run from a full Options value — the escape
-// hatch for parameters without a dedicated option (step family,
-// averaging, fresh permutations, …). Place it first: options applied
-// after it override its fields.
-func WithOptions(base Options) Option {
-	return func(o *Options) { *o = base }
-}
-
-// WithBudget sets the privacy budget the release is calibrated to.
-// Combined with WithAccountant, the budget is reserved against the
-// accountant before training; alone, it is the stand-alone guarantee.
+// WithBudget sets the privacy budget the release is calibrated to:
+// Delta = 0 gives pure ε-DP (Theorem 4 / 5), Delta > 0 gives (ε,δ)-DP
+// via Gaussian noise (Theorem 6 / 7). Combined with WithAccountant, the
+// budget is reserved against the accountant before training; alone, it
+// is the stand-alone guarantee.
 func WithBudget(b dp.Budget) Option {
-	return func(o *Options) { o.Budget = b }
+	return func(c *config) { c.budget = b }
 }
 
 // WithAccountant attaches the privacy-budget accountant the run draws
@@ -36,36 +28,44 @@ func WithBudget(b dp.Budget) Option {
 // way the spend is recorded in the accountant's ledger and an
 // over-budget request fails closed before any training work.
 func WithAccountant(a *account.Accountant) Option {
-	return func(o *Options) { o.Accountant = a }
+	return func(c *config) { c.accountant = a }
 }
 
 // WithSpendLabel names this run's entry in the accountant's ledger
 // (default "train(<loss name>)").
 func WithSpendLabel(label string) Option {
-	return func(o *Options) { o.SpendLabel = label }
+	return func(c *config) { c.spendLabel = label }
 }
 
-// WithPasses sets k, the number of passes over the data.
+// WithPasses sets k, the number of passes over the data (default 1).
 func WithPasses(k int) Option {
-	return func(o *Options) { o.Passes = k }
+	return func(c *config) { c.passes = k }
 }
 
-// WithBatch sets the mini-batch size b.
+// WithBatch sets the mini-batch size b (default 1). The convex
+// constant-step sensitivity improves by the factor b (§3.2.3); for the
+// other schedules see the batch-aware forms in internal/dp.
 func WithBatch(b int) Option {
-	return func(o *Options) { o.Batch = b }
+	return func(c *config) { c.batch = b }
 }
 
 // WithRadius constrains the hypothesis space to the L2 ball of radius
-// r (the paper's R = 1/λ convention for strongly convex losses).
+// r via projected updates (rule (7)); non-positive means unconstrained.
+// The paper uses R = 1/λ for strongly convex losses.
 func WithRadius(r float64) Option {
-	return func(o *Options) { o.Radius = r }
+	return func(c *config) { c.radius = r }
 }
 
-// WithStrategy selects the execution-engine strategy and its worker
-// count (workers is only meaningful for engine.Sharded; pass 0 or 1
-// otherwise).
+// WithStrategy selects the execution-engine strategy (internal/engine)
+// and its worker count: Sequential (the default — Algorithms 1–2
+// verbatim), Sharded (workers disjoint shards with per-epoch model
+// averaging; the noise is calibrated for the averaged model, and one
+// worker executes exactly as Sequential), or Streaming (one in-order
+// pass, the online scenario; more than one pass is an error). workers
+// is only meaningful for Sharded — more than 1 with any other strategy
+// is an error; pass 0 or 1 otherwise.
 func WithStrategy(s engine.Strategy, workers int) Option {
-	return func(o *Options) { o.Strategy = s; o.Workers = workers }
+	return func(c *config) { c.strategy = s; c.workers = workers }
 }
 
 // WithKernelWorkers sets the intra-batch parallelism degree of the SGD
@@ -74,39 +74,48 @@ func WithStrategy(s engine.Strategy, workers int) Option {
 // worker count — it never changes the sensitivity calculus or the
 // result; it only changes how many goroutines compute it.
 func WithKernelWorkers(w int) Option {
-	return func(o *Options) { o.KernelWorkers = w }
+	return func(c *config) { c.kernelWorkers = w }
 }
 
 // WithRand sets the randomness source for permutations, worker seeds
 // and the privacy noise. Required: the trainers refuse to run without
 // an explicit source, so seeds stay reproducible by construction.
 func WithRand(r *rand.Rand) Option {
-	return func(o *Options) { o.Rand = r }
+	return func(c *config) { c.rand = r }
 }
 
 // WithProgress installs a per-epoch observability hook: fn is invoked
-// after every epoch with the 1-based epoch number and the empirical
-// risk of the current (pre-noise, NOT private) iterate. The risk values
+// after every epoch (pass, or sharded merge epoch) with the 1-based
+// epoch number and the empirical risk of the current (pre-noise, NOT
+// private) iterate, at the cost of one extra pass over the data per
+// epoch. Output perturbation keeps the iterates on the trusted side
+// until the single noisy release, so the hook is a debug tap: the values
 // must not be released under the run's budget — they are for logging
 // and live monitoring on the trusted side only. Incompatible with
 // WithGradPerturb, whose iterates leave the trusted side as they are
 // produced: an exact risk value would be an unaccounted release.
 func WithProgress(fn func(epoch int, risk float64)) Option {
-	return func(o *Options) { o.Progress = fn }
+	return func(c *config) { c.progress = fn }
 }
 
-// WithTol enables the §4.3 "oblivious k" early-stopping rule (strongly
-// convex losses only — the convex trainer rejects it).
+// WithTol enables the §4.3 "oblivious k" early-stopping rule: run until
+// the per-pass risk decrease falls below tol or the pass count is
+// reached. Only legal for Algorithm 2, whose sensitivity does not
+// depend on k; Algorithm 1 rejects it because its noise must be fixed
+// in advance.
 func WithTol(tol float64) Option {
-	return func(o *Options) { o.Tol = tol }
+	return func(c *config) { c.tol = tol }
 }
 
 // WithAccounting names the composition rule ("simple", "advanced",
-// "rdp") the run is priced under. With an accountant attached the two
-// must agree; without one it governs the stand-alone calibration (only
-// gradient perturbation consults it today).
+// "rdp") the run is priced under. Unset defers to the accountant's rule
+// (or "simple" stand-alone; "rdp" for gradient perturbation, the rule
+// that strategy exists for). With an accountant attached the two must
+// agree — one composition authority per run; without one it governs the
+// stand-alone calibration (only gradient perturbation consults it
+// today).
 func WithAccounting(rule string) Option {
-	return func(o *Options) { o.Accounting = rule }
+	return func(c *config) { c.accounting = rule }
 }
 
 // WithGradPerturb switches training to the gradient-perturbation
@@ -117,76 +126,68 @@ func WithAccounting(rule string) Option {
 // Pass noiseMultiplier = 0 to solve the smallest σ̃ that fits the
 // budget.
 func WithGradPerturb(clip, noiseMultiplier float64) Option {
-	return func(o *Options) {
-		o.GradPerturb = &GradPerturbSpec{Clip: clip, NoiseMultiplier: noiseMultiplier}
+	return func(c *config) {
+		c.gradPerturb = &gradPerturbSpec{clip: clip, noiseMultiplier: noiseMultiplier}
 	}
 }
 
-// WithConvexity pins Train/TrainCtx dispatch to one of the paper's two
-// algorithms. The default (ConvexityAuto) derives the algorithm from
+// WithConvexity pins TrainCtx/TrainDistributed dispatch to one of the
+// paper's two algorithms. The default (ConvexityAuto) derives the algorithm from
 // the loss: Algorithm 2 when it is strongly convex, Algorithm 1
 // otherwise. Forcing ConvexityConvex on a strongly convex loss is legal
 // (at strictly more noise); forcing ConvexityStronglyConvex on a merely
 // convex loss fails. Ignored by gradient perturbation.
-func WithConvexity(c Convexity) Option {
-	return func(o *Options) { o.Convexity = c }
+func WithConvexity(v Convexity) Option {
+	return func(c *config) { c.convexity = v }
 }
 
 // WithWarmStart starts the SGD iterate at w0 (copied) instead of the
 // origin. The sensitivity bounds hold for any data-independent common
 // start, and a previously released private model is data-independent by
-// post-processing — pass only such vectors, never an unreleased
-// iterate. A nil or empty w0 means the origin.
+// post-processing (which is exactly how ContinualTrainer uses it) —
+// pass only such vectors, never an unreleased iterate. w0 must have the
+// data's dimension; nil or empty means the origin.
 func WithWarmStart(w0 []float64) Option {
-	return func(o *Options) {
+	return func(c *config) {
 		if len(w0) == 0 {
-			o.W0 = nil
+			c.w0 = nil
 			return
 		}
-		o.W0 = append([]float64(nil), w0...)
+		c.w0 = append([]float64(nil), w0...)
 	}
 }
 
-// TrainCtx is the training entry point: it runs the bolt-on private
-// PSGD appropriate for the loss (or the one forced with WithConvexity,
-// or gradient perturbation with WithGradPerturb), cancellable through
-// ctx (checked once per mini-batch update by every execution strategy;
-// the run returns ctx.Err() within one epoch slice of cancellation or
-// deadline expiry).
-//
-//	acct, _ := account.New(dp.Budget{Epsilon: 1})
-//	res, err := core.TrainCtx(ctx, train, f,
-//		core.WithAccountant(acct),
-//		core.WithPasses(10), core.WithBatch(50), core.WithRadius(1/lambda),
-//		core.WithRand(r))
-//
-// This is the one documented way in; Train, PrivateConvexPSGD and
-// PrivateStronglyConvexPSGD are deprecated wrappers that remain
-// bit-identical to the equivalent TrainCtx call.
-func TrainCtx(ctx context.Context, s sgd.Samples, f loss.Function, opts ...Option) (*Result, error) {
-	return train(s, f, buildOptions(ctx, opts))
+// WithStep selects the convex step-size family of Corollaries 1–3
+// (default StepConstant, η = 1/√m clamped to 2/β). Ignored by
+// Algorithm 2, which always steps at min(1/β, 1/(γt)).
+func WithStep(kind StepKind) Option {
+	return func(c *config) { c.step = kind }
 }
 
-// PrivateConvexPSGDCtx is the context-aware form of PrivateConvexPSGD.
-//
-// Deprecated: call TrainCtx with WithConvexity(ConvexityConvex).
-func PrivateConvexPSGDCtx(ctx context.Context, s sgd.Samples, f loss.Function, opts ...Option) (*Result, error) {
-	return privateConvexPSGD(s, f, buildOptions(ctx, opts))
+// WithAverage releases the uniform iterate average instead of the last
+// iterate (Lemma 10: never hurts sensitivity).
+func WithAverage() Option {
+	return func(c *config) { c.average = true }
 }
 
-// PrivateStronglyConvexPSGDCtx is the context-aware form of
-// PrivateStronglyConvexPSGD.
-//
-// Deprecated: call TrainCtx with WithConvexity(ConvexityStronglyConvex).
-func PrivateStronglyConvexPSGDCtx(ctx context.Context, s sgd.Samples, f loss.Function, opts ...Option) (*Result, error) {
-	return privateStronglyConvexPSGD(s, f, buildOptions(ctx, opts))
+// WithAverageTail releases the average of the last ⌈ln T⌉ iterates —
+// the other scheme Lemma 10 covers. Mutually exclusive with
+// WithAverage; not supported under Sharded execution.
+func WithAverageTail() Option {
+	return func(c *config) { c.averageTail = true }
 }
 
-func buildOptions(ctx context.Context, opts []Option) Options {
-	var o Options
-	for _, fn := range opts {
-		fn(&o)
-	}
-	o.Ctx = ctx
-	return o
+// WithFreshPerm resamples the permutation every pass (§3.2.3; the
+// sensitivity analysis is unchanged).
+func WithFreshPerm() Option {
+	return func(c *config) { c.freshPerm = true }
+}
+
+// WithPaperBatchSensitivity calibrates Algorithm 2's noise to the
+// paper's Δ₂ = 2L/(γmb) instead of the sound b-independent 2L/(γm)
+// (see dp.SensitivityStronglyConvex for why that bound is violated at
+// b > 1). For reproducing the paper's figures only; do not rely on it
+// for real privacy.
+func WithPaperBatchSensitivity() Option {
+	return func(c *config) { c.paperBatchSensitivity = true }
 }

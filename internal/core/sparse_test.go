@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -28,12 +29,12 @@ func TestPrivateSparseDenseDistributionalIdentity(t *testing.T) {
 	type scenario struct {
 		name string
 		f    loss.Function
-		opt  Options
+		opts []Option
 	}
-	mk := func(strategy engine.Strategy, workers, passes int) Options {
-		return Options{
-			Budget: dp.Budget{Epsilon: 0.5}, Passes: passes, Batch: 5,
-			Radius: 100, Strategy: strategy, Workers: workers,
+	mk := func(strategy engine.Strategy, workers, passes int) []Option {
+		return []Option{
+			WithBudget(dp.Budget{Epsilon: 0.5}), WithPasses(passes), WithBatch(5),
+			WithRadius(100), WithStrategy(strategy, workers),
 		}
 	}
 	scenarios := []scenario{
@@ -44,15 +45,13 @@ func TestPrivateSparseDenseDistributionalIdentity(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			optS := sc.opt
-			optS.Rand = rand.New(rand.NewSource(99))
-			resS, err := Train(sp, sc.f, optS)
+			resS, err := TrainCtx(context.Background(), sp, sc.f,
+				append(sc.opts, WithRand(rand.New(rand.NewSource(99))))...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			optD := sc.opt
-			optD.Rand = rand.New(rand.NewSource(99))
-			resD, err := Train(de, sc.f, optD)
+			resD, err := TrainCtx(context.Background(), de, sc.f,
+				append(sc.opts, WithRand(rand.New(rand.NewSource(99))))...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,18 +26,16 @@ func TestShardedSensitivityMatchesSequential(t *testing.T) {
 	f := loss.NewLogistic(lambda, 0)
 	p := f.Params()
 
-	seq, err := Train(ds, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Passes: 2, Batch: 5, Radius: 1 / lambda,
-		Rand: rand.New(rand.NewSource(2)),
-	})
+	seq, err := TrainCtx(context.Background(), ds, f,
+		WithBudget(dp.Budget{Epsilon: 1}), WithPasses(2), WithBatch(5), WithRadius(1/lambda),
+		WithRand(rand.New(rand.NewSource(2))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := Train(ds, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Passes: 2, Batch: 5, Radius: 1 / lambda,
-		Strategy: engine.Sharded, Workers: 5,
-		Rand: rand.New(rand.NewSource(2)),
-	})
+	sh, err := TrainCtx(context.Background(), ds, f,
+		WithBudget(dp.Budget{Epsilon: 1}), WithPasses(2), WithBatch(5), WithRadius(1/lambda),
+		WithStrategy(engine.Sharded, 5),
+		WithRand(rand.New(rand.NewSource(2))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +53,10 @@ func TestShardedConvexSensitivityDividesByWorkers(t *testing.T) {
 	f := loss.NewLogistic(0, 0)
 	p := f.Params()
 	workers := 3
-	res, err := Train(ds, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Passes: 2, Batch: 5,
-		Strategy: engine.Sharded, Workers: workers,
-		Rand: rand.New(rand.NewSource(4)),
-	})
+	res, err := TrainCtx(context.Background(), ds, f,
+		WithBudget(dp.Budget{Epsilon: 1}), WithPasses(2), WithBatch(5),
+		WithStrategy(engine.Sharded, workers),
+		WithRand(rand.New(rand.NewSource(4))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,17 +77,15 @@ func TestStreamingStrategy(t *testing.T) {
 	f := loss.NewLogistic(lambda, 0)
 	p := f.Params()
 
-	if _, err := Train(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Passes: 3, Radius: 1 / lambda,
-		Strategy: engine.Streaming, Rand: rand.New(rand.NewSource(6)),
-	}); err == nil {
+	if _, err := TrainCtx(context.Background(), s, f,
+		WithBudget(dp.Budget{Epsilon: 1}), WithPasses(3), WithRadius(1/lambda),
+		WithStrategy(engine.Streaming, 0), WithRand(rand.New(rand.NewSource(6)))); err == nil {
 		t.Error("multi-pass streaming accepted")
 	}
 
-	res, err := Train(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Batch: 5, Radius: 1 / lambda,
-		Strategy: engine.Streaming, Rand: rand.New(rand.NewSource(7)),
-	})
+	res, err := TrainCtx(context.Background(), s, f,
+		WithBudget(dp.Budget{Epsilon: 1}), WithBatch(5), WithRadius(1/lambda),
+		WithStrategy(engine.Streaming, 0), WithRand(rand.New(rand.NewSource(7))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,24 +108,23 @@ func TestPaperBatchSensitivityClampsBatch(t *testing.T) {
 	p := f.Params()
 
 	for _, tc := range []struct {
-		name     string
-		opts     Options
-		wantN, b int // effective size and clamped batch the Δ₂ must use
+		name              string
+		opts              []Option
+		workers, wantN, b int // averaging divisor, effective size and clamped batch the Δ₂ must use
 	}{
-		{"sequential batch>m", Options{Batch: 5000}, 1000, 1000},
-		{"sharded batch>minShard", Options{Strategy: engine.Sharded, Workers: 10, Batch: 500}, 100, 100},
+		{"sequential batch>m", []Option{WithBatch(5000)}, 1, 1000, 1000},
+		{"sharded batch>minShard", []Option{WithStrategy(engine.Sharded, 10), WithBatch(500)}, 10, 100, 100},
 	} {
-		o := tc.opts
-		o.Budget = dp.Budget{Epsilon: 1}
-		o.Passes = 2
-		o.Radius = 1 / lambda
-		o.PaperBatchSensitivity = true
-		o.Rand = rand.New(rand.NewSource(21))
-		res, err := Train(ds, f, o)
+		res, err := TrainCtx(context.Background(), ds, f, append(tc.opts,
+			WithBudget(dp.Budget{Epsilon: 1}),
+			WithPasses(2),
+			WithRadius(1/lambda),
+			WithPaperBatchSensitivity(),
+			WithRand(rand.New(rand.NewSource(21))))...)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want := dp.SensitivityStronglyConvexPaperBatch(p.L, p.Gamma, tc.wantN, tc.b) / float64(o.effWorkers())
+		want := dp.SensitivityStronglyConvexPaperBatch(p.L, p.Gamma, tc.wantN, tc.b) / float64(tc.workers)
 		if math.Abs(res.Sensitivity-want) > 1e-18 {
 			t.Errorf("%s: Δ₂ %v, want %v (batch must clamp to %d)", tc.name, res.Sensitivity, want, tc.b)
 		}
@@ -139,22 +134,19 @@ func TestPaperBatchSensitivityClampsBatch(t *testing.T) {
 func TestStrategyOptionValidation(t *testing.T) {
 	ds := strategyDataset(8, 100, 3)
 	f := loss.NewLogistic(1e-2, 0)
-	if _, err := Train(ds, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Workers: 4, // Sequential + Workers
-		Rand: rand.New(rand.NewSource(9)),
-	}); err == nil {
+	if _, err := TrainCtx(context.Background(), ds, f,
+		WithBudget(dp.Budget{Epsilon: 1}), WithStrategy(engine.Sequential, 4), // Sequential + Workers
+		WithRand(rand.New(rand.NewSource(9)))); err == nil {
 		t.Error("Workers without Sharded strategy accepted")
 	}
-	if _, err := Train(ds, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Strategy: engine.Sharded, Workers: 101,
-		Rand: rand.New(rand.NewSource(10)),
-	}); err == nil {
+	if _, err := TrainCtx(context.Background(), ds, f,
+		WithBudget(dp.Budget{Epsilon: 1}), WithStrategy(engine.Sharded, 101),
+		WithRand(rand.New(rand.NewSource(10)))); err == nil {
 		t.Error("more workers than rows accepted")
 	}
-	if _, err := Train(ds, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Workers: -1,
-		Rand: rand.New(rand.NewSource(11)),
-	}); err == nil {
+	if _, err := TrainCtx(context.Background(), ds, f,
+		WithBudget(dp.Budget{Epsilon: 1}), WithStrategy(engine.Sequential, -1),
+		WithRand(rand.New(rand.NewSource(11)))); err == nil {
 		t.Error("negative workers accepted")
 	}
 }
@@ -165,11 +157,10 @@ func TestShardedTrainAccuracy(t *testing.T) {
 	ds := strategyDataset(12, 2000, 5)
 	lambda := 1e-2
 	f := loss.NewLogistic(lambda, 0)
-	res, err := Train(ds, f, Options{
-		Budget: dp.Budget{Epsilon: 5}, Passes: 5, Batch: 10, Radius: 1 / lambda,
-		Strategy: engine.Sharded, Workers: 4,
-		Rand: rand.New(rand.NewSource(13)),
-	})
+	res, err := TrainCtx(context.Background(), ds, f,
+		WithBudget(dp.Budget{Epsilon: 5}), WithPasses(5), WithBatch(10), WithRadius(1/lambda),
+		WithStrategy(engine.Sharded, 4),
+		WithRand(rand.New(rand.NewSource(13))))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,42 +157,58 @@ func TestDistParitySharded(t *testing.T) {
 					}
 				})
 
-				t.Run("private", func(t *testing.T) {
-					pool := newPool(t, 2)
-					budget := dp.Budget{Epsilon: 0.5}
+				// The private rows share one comparison; the extra
+				// options must reach both executors through the same
+				// plan — a warm start (the job's W0) and a forced
+				// Algorithm 1 on this strongly convex loss.
+				w0 := make([]float64, sc.src.Dim())
+				for i := range w0 {
+					w0[i] = 0.01 * float64(i%7-3)
+				}
+				for _, row := range []struct {
+					name  string
+					extra []core.Option
+				}{
+					{"private", nil},
+					{"private-warmstart", []core.Option{core.WithWarmStart(w0)}},
+					{"private-forced-convex", []core.Option{core.WithConvexity(core.ConvexityConvex)}},
+				} {
+					t.Run(row.name, func(t *testing.T) {
+						pool := newPool(t, 2)
+						opts := func(acct *account.Accountant) []core.Option {
+							return append([]core.Option{
+								core.WithStrategy(engine.Sharded, P),
+								core.WithBudget(dp.Budget{Epsilon: 0.5}), core.WithAccountant(acct),
+								core.WithPasses(3), core.WithBatch(8), core.WithRadius(1 / 1e-2),
+								core.WithRand(rand.New(rand.NewSource(11))),
+							}, row.extra...)
+						}
 
-					wantAcct := account.MustNew(dp.Budget{Epsilon: 2})
-					want, err := core.TrainCtx(context.Background(), sc.baseline, f,
-						core.WithStrategy(engine.Sharded, P),
-						core.WithBudget(budget), core.WithAccountant(wantAcct),
-						core.WithPasses(3), core.WithBatch(8), core.WithRadius(1/1e-2),
-						core.WithRand(rand.New(rand.NewSource(11))))
-					if err != nil {
-						t.Fatalf("core.TrainCtx: %v", err)
-					}
+						wantAcct := account.MustNew(dp.Budget{Epsilon: 2})
+						want, err := core.TrainCtx(context.Background(), sc.baseline, f, opts(wantAcct)...)
+						if err != nil {
+							t.Fatalf("core.TrainCtx: %v", err)
+						}
 
-					gotAcct := account.MustNew(dp.Budget{Epsilon: 2})
-					got, err := core.TrainDistributed(context.Background(), pool.coord, sc.src, f,
-						core.WithStrategy(engine.Sharded, P),
-						core.WithBudget(budget), core.WithAccountant(gotAcct),
-						core.WithPasses(3), core.WithBatch(8), core.WithRadius(1/1e-2),
-						core.WithRand(rand.New(rand.NewSource(11))))
-					if err != nil {
-						t.Fatalf("core.TrainDistributed: %v", err)
-					}
+						gotAcct := account.MustNew(dp.Budget{Epsilon: 2})
+						got, err := core.TrainDistributed(context.Background(), pool.coord, sc.src, f, opts(gotAcct)...)
+						if err != nil {
+							t.Fatalf("core.TrainDistributed: %v", err)
+						}
 
-					bitsEqual(t, "W (private)", got.W, want.W)
-					bitsEqual(t, "NonPrivate", got.NonPrivate, want.NonPrivate)
-					if math.Float64bits(got.Sensitivity) != math.Float64bits(want.Sensitivity) {
-						t.Fatalf("Sensitivity %v != %v", got.Sensitivity, want.Sensitivity)
-					}
-					if math.Float64bits(got.NoiseNorm) != math.Float64bits(want.NoiseNorm) {
-						t.Fatalf("NoiseNorm %v != %v", got.NoiseNorm, want.NoiseNorm)
-					}
-					if !gotAcct.Ledger().Same(wantAcct.Ledger()) {
-						t.Fatalf("ledgers differ:\n got %+v\nwant %+v", gotAcct.Ledger(), wantAcct.Ledger())
-					}
-				})
+						bitsEqual(t, "W (private)", got.W, want.W)
+						bitsEqual(t, "NonPrivate", got.NonPrivate, want.NonPrivate)
+						if math.Float64bits(got.Sensitivity) != math.Float64bits(want.Sensitivity) {
+							t.Fatalf("Sensitivity %v != %v", got.Sensitivity, want.Sensitivity)
+						}
+						if math.Float64bits(got.NoiseNorm) != math.Float64bits(want.NoiseNorm) {
+							t.Fatalf("NoiseNorm %v != %v", got.NoiseNorm, want.NoiseNorm)
+						}
+						if !gotAcct.Ledger().Same(wantAcct.Ledger()) {
+							t.Fatalf("ledgers differ:\n got %+v\nwant %+v", gotAcct.Ledger(), wantAcct.Ledger())
+						}
+					})
+				}
 			})
 		}
 	}
@@ -205,21 +221,20 @@ func TestDistParityAveragedPrivate(t *testing.T) {
 	srcs := sources(t)
 	sc := srcs["store"]
 	f := loss.NewLogistic(1e-2, 0)
-	base := core.Options{
-		Budget: dp.Budget{Epsilon: 1, Delta: 1e-6},
-		Passes: 2, Batch: 4, Radius: 100, Average: true,
-		Strategy: engine.Sharded, Workers: 2,
+	base := []core.Option{
+		core.WithBudget(dp.Budget{Epsilon: 1, Delta: 1e-6}),
+		core.WithPasses(2), core.WithBatch(4), core.WithRadius(100), core.WithAverage(),
+		core.WithStrategy(engine.Sharded, 2),
 	}
 
 	pool := newPool(t, 2)
-	wantOpts := base
-	wantOpts.Rand = rand.New(rand.NewSource(5))
-	want, err := core.Train(sc.baseline, f, wantOpts)
+	want, err := core.TrainCtx(context.Background(), sc.baseline, f,
+		append(base, core.WithRand(rand.New(rand.NewSource(5))))...)
 	if err != nil {
-		t.Fatalf("core.Train: %v", err)
+		t.Fatalf("core.TrainCtx: %v", err)
 	}
 	got, err := core.TrainDistributed(context.Background(), pool.coord, sc.src, f,
-		core.WithOptions(base), core.WithRand(rand.New(rand.NewSource(5))))
+		append(base, core.WithRand(rand.New(rand.NewSource(5))))...)
 	if err != nil {
 		t.Fatalf("core.TrainDistributed: %v", err)
 	}
@@ -235,24 +250,31 @@ func TestTrainDistributedRejections(t *testing.T) {
 	ds := data.Synthetic(rand.New(rand.NewSource(3)), data.GenConfig{M: 40, D: 5, Classes: 2, Spread: 1})
 	src := dist.NewInlineSource(ds)
 	f := loss.NewLogistic(1e-2, 0)
+	acct := account.MustNew(dp.Budget{Epsilon: 4})
 	base := []core.Option{
 		core.WithBudget(dp.Budget{Epsilon: 1}),
+		core.WithAccountant(acct),
 		core.WithRand(rand.New(rand.NewSource(1))),
 	}
-	cases := map[string]core.Option{
-		"tol":         core.WithTol(1e-3),
-		"progress":    core.WithProgress(func(int, float64) {}),
-		"averagetail": core.WithOptions(core.Options{Budget: dp.Budget{Epsilon: 1}, AverageTail: true}),
-		"freshperm":   core.WithOptions(core.Options{Budget: dp.Budget{Epsilon: 1}, FreshPerm: true}),
+	cases := map[string]struct {
+		opt core.Option
+		f   loss.Function
+	}{
+		"tol":                              {core.WithTol(1e-3), f},
+		"progress":                         {core.WithProgress(func(int, float64) {}), f},
+		"averagetail":                      {core.WithAverageTail(), f},
+		"freshperm":                        {core.WithFreshPerm(), f},
+		"gradperturb":                      {core.WithGradPerturb(1, 1), f},
+		"forced-strongly-convex-on-convex": {core.WithConvexity(core.ConvexityStronglyConvex), loss.NewLogistic(0, 0)},
 	}
-	for name, opt := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			opts := append(append([]core.Option{}, base...), opt)
-			if name == "averagetail" || name == "freshperm" {
-				opts = append(opts, core.WithRand(rand.New(rand.NewSource(1))))
-			}
-			if _, err := core.TrainDistributed(context.Background(), pool.coord, src, f, opts...); err == nil {
+			opts := append(append([]core.Option{}, base...), tc.opt)
+			if _, err := core.TrainDistributed(context.Background(), pool.coord, src, tc.f, opts...); err == nil {
 				t.Fatalf("%s accepted; want rejection", name)
+			}
+			if spent := acct.Spent(); spent != (dp.Budget{}) {
+				t.Fatalf("%s was rejected after reserving %v; rejections must leave the accountant untouched", name, spent)
 			}
 		})
 	}

@@ -237,8 +237,7 @@ func PlanShards(m, workers int) (*Plan, error) {
 
 // ShardBounds returns the [lo, hi) row ranges of the workers shards:
 // contiguous, nearly equal, with the remainder merged into the last
-// shard — the same policy bismarck.(*Table).Partitions has always used,
-// now shared through here. It panics unless 1 ≤ workers ≤ m.
+// shard. It panics unless 1 ≤ workers ≤ m.
 func ShardBounds(m, workers int) [][2]int {
 	if workers < 1 || workers > m {
 		panic(fmt.Sprintf("engine: cannot split %d rows into %d shards", m, workers))

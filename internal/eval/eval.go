@@ -212,10 +212,10 @@ func TrainOneVsAll(s sgd.Samples, classes int, train BinaryTrainer) (*OneVsAll, 
 }
 
 // TrainOneVsAllCtx is TrainOneVsAll made cancellable: ctx is checked
-// before each per-class training run, and a trainer built on
-// core.TrainCtx (or any core.Options carrying the same ctx) also stops
-// mid-run, so cancelling a ten-class build never waits for the current
-// class to finish its remaining passes.
+// before each per-class training run, and a trainer that hands the same
+// ctx to core.TrainCtx also stops mid-run, so cancelling a ten-class
+// build never waits for the current class to finish its remaining
+// passes.
 func TrainOneVsAllCtx(ctx context.Context, s sgd.Samples, classes int, train BinaryTrainer) (*OneVsAll, error) {
 	if classes < 2 {
 		return nil, fmt.Errorf("eval: need >= 2 classes, got %d", classes)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -41,10 +42,10 @@ func AblationStepFamilies(cfg Config) error {
 	}
 	for _, kind := range []core.StepKind{core.StepConstant, core.StepDecreasing, core.StepSqrt} {
 		for _, k := range passes {
-			res, err := core.PrivateConvexPSGD(train, f, core.Options{
-				Budget: dp.Budget{Epsilon: 0.4},
-				Passes: k, Batch: 50, Step: kind, Rand: root,
-			})
+			res, err := core.TrainCtx(context.Background(), train, f,
+				core.WithConvexity(core.ConvexityConvex),
+				core.WithBudget(dp.Budget{Epsilon: 0.4}),
+				core.WithPasses(k), core.WithBatch(50), core.WithStep(kind), core.WithRand(root))
 			if err != nil {
 				return err
 			}
@@ -71,18 +72,19 @@ func AblationAveraging(cfg Config) error {
 	fmt.Fprintln(w, "release\teps\taccuracy")
 	for _, eps := range epsGrid(false, cfg.Quick) {
 		for _, mode := range []string{"last", "average", "tail"} {
-			opt := core.Options{
-				Budget: dp.Budget{Epsilon: eps},
-				Passes: 10, Batch: 50, Radius: radius, Rand: root,
-				PaperBatchSensitivity: true, // figure parity
+			opts := []core.Option{
+				core.WithConvexity(core.ConvexityStronglyConvex),
+				core.WithBudget(dp.Budget{Epsilon: eps}),
+				core.WithPasses(10), core.WithBatch(50), core.WithRadius(radius), core.WithRand(root),
+				core.WithPaperBatchSensitivity(), // figure parity
 			}
 			switch mode {
 			case "average":
-				opt.Average = true
+				opts = append(opts, core.WithAverage())
 			case "tail":
-				opt.AverageTail = true
+				opts = append(opts, core.WithAverageTail())
 			}
-			res, err := core.PrivateStronglyConvexPSGD(train, f, opt)
+			res, err := core.TrainCtx(context.Background(), train, f, opts...)
 			if err != nil {
 				return err
 			}
@@ -108,18 +110,20 @@ func AblationFreshPermutation(cfg Config) error {
 	fmt.Fprintln(w, "permutation\teps\taccuracy\tΔ₂")
 	for _, eps := range epsGrid(false, cfg.Quick) {
 		for _, fresh := range []bool{false, true} {
-			res, err := core.PrivateStronglyConvexPSGD(train, f, core.Options{
-				Budget: dp.Budget{Epsilon: eps},
-				Passes: 10, Batch: 50, Radius: radius,
-				FreshPerm: fresh, Rand: root,
-				PaperBatchSensitivity: true, // figure parity
-			})
-			if err != nil {
-				return err
+			opts := []core.Option{
+				core.WithConvexity(core.ConvexityStronglyConvex),
+				core.WithBudget(dp.Budget{Epsilon: eps}),
+				core.WithPasses(10), core.WithBatch(50), core.WithRadius(radius), core.WithRand(root),
+				core.WithPaperBatchSensitivity(), // figure parity
 			}
 			name := "shuffle-once"
 			if fresh {
 				name = "fresh-per-pass"
+				opts = append(opts, core.WithFreshPerm())
+			}
+			res, err := core.TrainCtx(context.Background(), train, f, opts...)
+			if err != nil {
+				return err
 			}
 			acc := eval.Accuracy(test, &eval.Linear{W: res.W})
 			fmt.Fprintf(w, "%s\t%g\t%.4f\t%.6f\n", name, eps, acc, res.Sensitivity)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -85,21 +86,19 @@ func Accounting(cfg Config) error {
 	tw = newTab(cfg)
 	fmt.Fprintf(tw, "strategy\taccounting\ttest acc\n")
 
-	outRes, err := core.Train(train, f, core.Options{
-		Budget: b, Passes: passes, Batch: 50, Radius: 1 / lambda,
-		Rand: rand.New(rand.NewSource(cfg.Seed + 1)),
-	})
+	outRes, err := core.TrainCtx(context.Background(), train, f,
+		core.WithBudget(b), core.WithPasses(passes), core.WithBatch(50), core.WithRadius(1/lambda),
+		core.WithRand(rand.New(rand.NewSource(cfg.Seed+1))))
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(tw, "output-perturb\tsimple\t%.4f\n",
 		eval.Accuracy(test, &eval.Linear{W: outRes.W}))
 
-	gpRes, err := core.Train(train, f, core.Options{
-		Budget: b, Passes: passes, Batch: 50, Radius: 1 / lambda,
-		GradPerturb: &core.GradPerturbSpec{Clip: 1},
-		Rand:        rand.New(rand.NewSource(cfg.Seed + 1)),
-	})
+	gpRes, err := core.TrainCtx(context.Background(), train, f,
+		core.WithBudget(b), core.WithPasses(passes), core.WithBatch(50), core.WithRadius(1/lambda),
+		core.WithGradPerturb(1, 0),
+		core.WithRand(rand.New(rand.NewSource(cfg.Seed+1))))
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -52,10 +53,9 @@ func Table2Convergence(cfg Config) error {
 
 			var oursSum, bstSum float64
 			for trial := 0; trial < trials; trial++ {
-				res, err := core.Train(ds, f, core.Options{
-					Budget: budget, Passes: 1, Batch: 1, Radius: radius,
-					Average: true, Rand: root,
-				})
+				res, err := core.TrainCtx(context.Background(), ds, f,
+					core.WithBudget(budget), core.WithPasses(1), core.WithBatch(1), core.WithRadius(radius),
+					core.WithAverage(), core.WithRand(root))
 				if err != nil {
 					return err
 				}

@@ -13,6 +13,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -175,15 +176,14 @@ func trainBinary(s sgd.Samples, spec trainSpec) ([]float64, error) {
 		}
 		return res.W, nil
 	case "ours":
-		res, err := core.Train(s, spec.f, core.Options{
-			Budget: spec.budget, Passes: spec.k, Batch: spec.b,
-			Radius: spec.radius, Rand: spec.rand,
-			Strategy: strategyFor(spec.workers), Workers: spec.workers,
+		res, err := core.TrainCtx(context.Background(), s, spec.f,
+			core.WithBudget(spec.budget), core.WithPasses(spec.k), core.WithBatch(spec.b),
+			core.WithRadius(spec.radius), core.WithRand(spec.rand),
+			core.WithStrategy(strategyFor(spec.workers), spec.workers),
 			// Figure parity: reproduce the paper's Δ₂ = 2L/(γmb)
 			// calibration (see dp.SensitivityStronglyConvex's note on
 			// why the library default differs).
-			PaperBatchSensitivity: true,
-		})
+			core.WithPaperBatchSensitivity())
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -48,12 +49,11 @@ func ScalingSharded(cfg Config) error {
 	var base time.Duration
 	for _, p := range workersGrid {
 		start := time.Now()
-		res, err := core.Train(train, f, core.Options{
-			Budget: dp.Budget{Epsilon: 0.1},
-			Passes: 5, Batch: 10, Radius: 1 / lambda,
-			Strategy: strategyFor(p), Workers: p,
-			Rand: rand.New(rand.NewSource(cfg.Seed + int64(p))),
-		})
+		res, err := core.TrainCtx(context.Background(), train, f,
+			core.WithBudget(dp.Budget{Epsilon: 0.1}),
+			core.WithPasses(5), core.WithBatch(10), core.WithRadius(1/lambda),
+			core.WithStrategy(strategyFor(p), p),
+			core.WithRand(rand.New(rand.NewSource(cfg.Seed+int64(p)))))
 		if err != nil {
 			return err
 		}
@@ -94,13 +94,9 @@ func StreamingOnline(cfg Config) error {
 	fmt.Fprintln(w, "mode\trows\twall\tΔ₂\ttest accuracy")
 	for _, mode := range []string{"streaming", "materialized"} {
 		var train sgd.Samples = stream
-		opt := core.Options{
-			Budget: dp.Budget{Epsilon: 0.5},
-			Batch:  10, Radius: 1 / lambda,
-			Rand: rand.New(rand.NewSource(cfg.Seed + 7)),
-		}
+		strategy := engine.Sequential
 		if mode == "streaming" {
-			opt.Strategy = engine.Streaming
+			strategy = engine.Streaming
 		} else {
 			// Materialize the same rows and run the sequential engine
 			// (one pass, sampled permutation) for comparison.
@@ -115,7 +111,11 @@ func StreamingOnline(cfg Config) error {
 			train = ds
 		}
 		start := time.Now()
-		res, err := core.Train(train, f, opt)
+		res, err := core.TrainCtx(context.Background(), train, f,
+			core.WithBudget(dp.Budget{Epsilon: 0.5}),
+			core.WithBatch(10), core.WithRadius(1/lambda),
+			core.WithStrategy(strategy, 0),
+			core.WithRand(rand.New(rand.NewSource(cfg.Seed+7))))
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -73,28 +74,26 @@ func SparseKernel(cfg Config) error {
 		// regime the paper itself uses for high-dimensional runs — pure
 		// ε-DP noise at d = 1000 would bury any model and make the
 		// accuracy columns meaningless.
-		opt := core.Options{
-			Budget: dp.Budget{Epsilon: 1, Delta: deltaFor(ld.train.Len())},
-			Passes: 3, Batch: 10, Radius: 1 / lambda,
+		train := func(s sgd.Samples) (*core.Result, error) {
+			return core.TrainCtx(context.Background(), s, f,
+				core.WithBudget(dp.Budget{Epsilon: 1, Delta: deltaFor(ld.train.Len())}),
+				core.WithPasses(3), core.WithBatch(10), core.WithRadius(1/lambda),
+				core.WithRand(rand.New(rand.NewSource(cfg.Seed+7))))
 		}
 		if !sgd.UsesSparseKernel(sp, sgd.Config{Loss: f, Step: sgd.Constant(1), Passes: 1, NoPerm: true}) {
 			return fmt.Errorf("experiments: %s would not dispatch to the sparse kernel", ld.name)
 		}
 
-		optS := opt
-		optS.Rand = rand.New(rand.NewSource(cfg.Seed + 7))
 		startS := time.Now()
-		resS, err := core.Train(sp, f, optS)
+		resS, err := train(sp)
 		if err != nil {
 			return err
 		}
 		wallS := time.Since(startS)
 
 		de := sp.ToDense()
-		optD := opt
-		optD.Rand = rand.New(rand.NewSource(cfg.Seed + 7))
 		startD := time.Now()
-		resD, err := core.Train(de, f, optD)
+		resD, err := train(de)
 		if err != nil {
 			return err
 		}

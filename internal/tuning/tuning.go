@@ -13,11 +13,9 @@ import (
 	"math/rand"
 
 	"boltondp/internal/account"
-	"boltondp/internal/core"
 	"boltondp/internal/data"
 	"boltondp/internal/dp"
 	"boltondp/internal/eval"
-	"boltondp/internal/loss"
 )
 
 // Params is one tuning-parameter tuple θ = (k, b, λ) (§4.1 "we call
@@ -57,34 +55,6 @@ func PaperGrid() []Params {
 // on the exponential-mechanism pick (Algorithm 3, line 5).
 type TrainFunc func(part *data.Dataset, p Params) (eval.Classifier, error)
 
-// EngineTrainFunc adapts core.Train — and through it the execution
-// engine (internal/engine) — into a TrainFunc for binary linear
-// models: the tuple's (k, b) become Passes/Batch, λ parameterizes the
-// loss via newLoss, and base carries everything else (budget, step
-// family, execution strategy and worker count, randomness — and, for
-// PrivateCtx runs, the context and accountant: base.Ctx makes every
-// candidate's training cancellable, and base.Accountant makes each
-// candidate reserve its own training budget). When the resulting loss
-// is strongly convex and base.Radius is zero, the paper's R = 1/λ
-// convention (§4.3) is applied. This is the canonical way to make a
-// tuning run — every candidate of the grid — execute under a chosen
-// engine strategy.
-func EngineTrainFunc(newLoss func(lambda float64) loss.Function, base core.Options) TrainFunc {
-	return func(part *data.Dataset, p Params) (eval.Classifier, error) {
-		opt := base
-		opt.Passes, opt.Batch = p.K, p.B
-		f := newLoss(p.Lambda)
-		if f.Params().StronglyConvex() && opt.Radius == 0 && p.Lambda > 0 {
-			opt.Radius = 1 / p.Lambda
-		}
-		res, err := core.Train(part, f, opt)
-		if err != nil {
-			return nil, err
-		}
-		return &eval.Linear{W: res.W}, nil
-	}
-}
-
 // Result reports a tuning run.
 type Result struct {
 	Model  eval.Classifier
@@ -108,8 +78,8 @@ func Private(d *data.Dataset, grid []Params, budget dp.Budget, train TrainFunc, 
 
 // PrivateCtx is Algorithm 3 made cancellable and accountable: the
 // context is checked before each candidate's training run (and flows
-// into the runs themselves when train was built from a base
-// core.Options carrying it — EngineTrainFunc preserves it), and when
+// into the runs themselves when train calls core.TrainCtx with it), and
+// when
 // acct is non-nil the tuner's own spend — the ε of the exponential-
 // mechanism pick, line 5 — is reserved against it before any work,
 // failing closed on overdraw.

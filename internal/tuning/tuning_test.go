@@ -183,13 +183,12 @@ func TestPrivateTuningWithPrivateSGD(t *testing.T) {
 	budget := dp.Budget{Epsilon: 1}
 	train := func(part *data.Dataset, p Params) (eval.Classifier, error) {
 		f := loss.NewLogistic(p.Lambda, 0)
-		res, err := core.PrivateStronglyConvexPSGD(part, f, core.Options{
-			Budget: budget,
-			Passes: p.K,
-			Batch:  p.B,
-			Radius: 1 / p.Lambda,
-			Rand:   r,
-		})
+		res, err := core.TrainCtx(context.Background(), part, f, core.WithConvexity(core.ConvexityStronglyConvex),
+			core.WithBudget(budget),
+			core.WithPasses(p.K),
+			core.WithBatch(p.B),
+			core.WithRadius(1/p.Lambda),
+			core.WithRand(r))
 		if err != nil {
 			return nil, err
 		}
@@ -204,22 +203,34 @@ func TestPrivateTuningWithPrivateSGD(t *testing.T) {
 	}
 }
 
-// EngineTrainFunc must route every grid candidate through core.Train —
-// and therefore the execution engine — honoring the strategy and
-// worker count of the base options, and apply the R = 1/λ convention.
+// engineFit is the TrainFunc a caller writes to route every grid
+// candidate through core.TrainCtx — and therefore the execution engine:
+// the tuple's (k, b) become passes/batch, λ parameterizes the loss, R
+// follows the paper's 1/λ convention, base carries everything else.
+func engineFit(ctx context.Context, base ...core.Option) TrainFunc {
+	return func(part *data.Dataset, p Params) (eval.Classifier, error) {
+		res, err := core.TrainCtx(ctx, part, loss.NewLogistic(p.Lambda, 0), append(base[:len(base):len(base)],
+			core.WithPasses(p.K), core.WithBatch(p.B), core.WithRadius(1/p.Lambda))...)
+		if err != nil {
+			return nil, err
+		}
+		return &eval.Linear{W: res.W}, nil
+	}
+}
+
+// An engine-backed TrainFunc must honor the strategy and worker count
+// of its base options for every grid candidate.
 func TestEngineTrainFunc(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	d := data.Synthetic(r, data.GenConfig{Name: "t", M: 4200, D: 4, Classes: 2, Spread: 0.3, Flip: 0.01})
 	budget := dp.Budget{Epsilon: 2}
 
 	for _, workers := range []int{1, 3} {
-		base := core.Options{Budget: budget, Workers: workers, Rand: r}
+		strategy := engine.Sequential
 		if workers > 1 {
-			base.Strategy = engine.Sharded
+			strategy = engine.Sharded
 		}
-		fit := EngineTrainFunc(func(lambda float64) loss.Function {
-			return loss.NewLogistic(lambda, 0)
-		}, base)
+		fit := engineFit(context.Background(), core.WithBudget(budget), core.WithStrategy(strategy, workers), core.WithRand(r))
 		res, err := Private(d, PaperGrid(), budget, fit, r)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -231,8 +242,7 @@ func TestEngineTrainFunc(t *testing.T) {
 
 	// A candidate failure must surface with the tuple attached: workers
 	// exceeding the portion size make core reject the run.
-	base := core.Options{Budget: budget, Strategy: engine.Sharded, Workers: 10000, Rand: r}
-	fit := EngineTrainFunc(func(lambda float64) loss.Function { return loss.NewLogistic(lambda, 0) }, base)
+	fit := engineFit(context.Background(), core.WithBudget(budget), core.WithStrategy(engine.Sharded, 10000), core.WithRand(r))
 	if _, err := Private(d, PaperGrid(), budget, fit, r); err == nil {
 		t.Error("oversized worker count did not error")
 	}
@@ -298,16 +308,15 @@ func TestPrivateTuningAccountant(t *testing.T) {
 	}
 }
 
-// EngineTrainFunc threads base.Ctx into the candidate runs themselves:
-// a pre-cancelled context stops the first candidate inside core.Train.
+// A TrainFunc that hands its ctx to core.TrainCtx makes the candidate
+// runs themselves cancellable: a pre-cancelled context stops the first
+// candidate inside the engine.
 func TestEngineTrainFuncCtx(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	d := data.Synthetic(r, data.GenConfig{Name: "t", M: 3000, D: 5, Classes: 2, Spread: 0.4})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	train := EngineTrainFunc(func(lambda float64) loss.Function { return loss.NewLogistic(lambda, 0) }, core.Options{
-		Budget: dp.Budget{Epsilon: 1}, Rand: r, Ctx: ctx,
-	})
+	train := engineFit(ctx, core.WithBudget(dp.Budget{Epsilon: 1}), core.WithRand(r))
 	// The tuner's own pre-candidate check also trips; bypass it by
 	// calling the TrainFunc directly to pin the engine-level path.
 	_, err := train(d, Params{K: 2, B: 10, Lambda: 1e-3})
