@@ -74,31 +74,27 @@ type Runner func(cfg Config) error
 
 // Registry maps experiment IDs (see DESIGN.md §3) to runners.
 var Registry = map[string]Runner{
-	"table2":    Table2Convergence,
-	"table3":    Table3Datasets,
-	"table4":    Table4StepSizes,
-	"fig1":      Fig1Integration,
-	"fig2a":     Fig2ScalabilityMemory,
-	"fig2b":     Fig2ScalabilityDisk,
-	"fig3":      Fig3AccuracyPublic,
-	"fig4a":     Fig4aPassesConvex,
-	"fig4b":     Fig4bPassesStronglyConvex,
-	"fig4c":     Fig4cBatchConvex,
-	"fig5":      Fig5Runtime,
-	"fig6":      Fig6AccuracyPrivateTuning,
-	"fig7":      Fig7HuberSVM,
-	"fig8":      Fig8LargeDatasetsPublic,
-	"fig9":      Fig9LargeDatasetsPrivate,
-	"fig10":     Fig10BatchSweep,
-	"dist":      DistLoopback,
-	"scaling":   ScalingSharded,
-	"stream":    StreamingOnline,
-	"sparse":    SparseKernel,
-	"serve":     ServeThroughput,
-	"outofcore": OutOfCore,
-	"kernelpar": KernelParallel,
-	"storev2":   StoreV2,
-	"online":    OnlineContinual,
+	"table2":  Table2Convergence,
+	"table3":  Table3Datasets,
+	"table4":  Table4StepSizes,
+	"fig1":    Fig1Integration,
+	"fig2a":   Fig2ScalabilityMemory,
+	"fig2b":   Fig2ScalabilityDisk,
+	"fig3":    Fig3AccuracyPublic,
+	"fig4a":   Fig4aPassesConvex,
+	"fig4b":   Fig4bPassesStronglyConvex,
+	"fig4c":   Fig4cBatchConvex,
+	"fig5":    Fig5Runtime,
+	"fig6":    Fig6AccuracyPrivateTuning,
+	"fig7":    Fig7HuberSVM,
+	"fig8":    Fig8LargeDatasetsPublic,
+	"fig9":    Fig9LargeDatasetsPrivate,
+	"fig10":   Fig10BatchSweep,
+	"dist":    DistLoopback,
+	"scaling": ScalingSharded,
+	"stream":  StreamingOnline,
+	"sparse":  SparseKernel,
+	"online":  OnlineContinual,
 }
 
 // IDs returns the registered experiment IDs in sorted order.

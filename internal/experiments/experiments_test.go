@@ -22,8 +22,7 @@ func TestRegistryCoversDesignDoc(t *testing.T) {
 		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"ablation-steps", "ablation-averaging", "ablation-noise",
 		"ablation-freshperm",
-		"scaling", "stream", "sparse", "serve", "outofcore", "dist",
-		"kernelpar", "storev2", "accounting", "online",
+		"scaling", "stream", "sparse", "dist", "accounting", "online",
 	}
 	for _, id := range want {
 		if _, ok := Registry[id]; !ok {

@@ -19,7 +19,7 @@ import (
 // Segment directory: the append-only tier of the store (DESIGN.md §12).
 //
 // A segment directory holds a set of immutable store files ("segments",
-// each a complete v1/v2 store file written by Writer) plus a CRC'd
+// each a complete store file written by Writer) plus a CRC'd
 // MANIFEST that lists them in ingestion order. The union of the
 // segments, in manifest order, is one logical dataset: OpenDir exposes
 // it behind the same sgd.Samples / sgd.SparseSamples / engine.Sharder
@@ -567,11 +567,12 @@ func AppendSegmentScan(dir string, dim int, opt Options, scan func(emit func(x *
 // than minRows rows (minRows <= 0 merges everything) — into single
 // segments, preserving global row order, so training from the
 // compacted directory is bit-identical to the uncompacted union. The
-// merged segment inherits the run's first segment's chunk size and
-// format version. The manifest swap is atomic; superseded segment
-// files are removed after it commits (open readers on them keep
-// working — the files are immutable and a Dir.Reload folds the swap
-// in). It returns the segment counts before and after.
+// merged segment inherits the run's first segment's chunk size and the
+// directory's class count, and is checked against the run it replaces
+// before the manifest names it. The manifest swap is atomic;
+// superseded segment files are removed after it commits (open readers
+// on them keep working — the files are immutable and a Dir.Reload
+// folds the swap in). It returns the segment counts before and after.
 func Compact(dir string, minRows int) (before, after int, err error) {
 	ents, err := readManifest(dir)
 	if err != nil {
@@ -599,8 +600,7 @@ func Compact(dir string, minRows int) (before, after int, err error) {
 		}
 		merged, err := mergeSegments(dir, ents[i:j])
 		if err != nil {
-			// Best effort: remove any merged files written so far for
-			// abandoned runs is unnecessary — they are unlisted, hence
+			// Files merged for earlier runs stay behind unlisted, hence
 			// invisible; the manifest is untouched.
 			return before, before, err
 		}
@@ -625,14 +625,21 @@ func Compact(dir string, minRows int) (before, after int, err error) {
 // mergeSegments streams the rows of run (in order) into one new
 // segment file and returns its manifest entry. Labels pass through the
 // readers' serving form (any {0,1}→±1 remap already applied), so the
-// merged segment serves bit-identical rows.
-func mergeSegments(dir string, run []segEntry) (segEntry, error) {
+// merged segment serves bit-identical rows. Like an appended segment,
+// the merged file stays under a temp name until it is re-opened and
+// shown to hold exactly the run's rows under the directory's dim and
+// class count; on any failure the temp is removed and nothing else in
+// the directory has changed.
+func mergeSegments(dir string, run []segEntry) (_ segEntry, err error) {
 	first, err := Open(filepath.Join(dir, run[0].Name))
 	if err != nil {
 		return segEntry{}, fmt.Errorf("store: segment %s: %w", run[0].Name, err)
 	}
-	opt := Options{ChunkRows: first.ChunkRows(), Version: first.Version()}
-	dim := first.Dim()
+	// The class count is the directory's, not the run's: under an
+	// explicit Options.Classes a run may miss a class, and re-inferring
+	// would write a segment OpenDir refuses.
+	dim, classes := first.Dim(), first.Classes()
+	opt := Options{ChunkRows: first.ChunkRows(), Classes: classes}
 	first.Close()
 
 	// Merged files sort after every live segment: provenance stays
@@ -641,16 +648,21 @@ func mergeSegments(dir string, run []segEntry) (segEntry, error) {
 	all, _ := readManifest(dir)
 	name := nextSegName(dir, all)
 	tmp := filepath.Join(dir, name+".tmp")
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
 	w, err := Create(tmp, opt)
 	if err != nil {
 		return segEntry{}, err
 	}
 	w.SetDim(dim)
+	wantRows := 0
 	for _, e := range run {
 		r, err := Open(filepath.Join(dir, e.Name))
 		if err != nil {
 			w.Abort()
-			os.Remove(tmp)
 			return segEntry{}, fmt.Errorf("store: segment %s: %w", e.Name, err)
 		}
 		for i := 0; i < r.Len(); i++ {
@@ -658,24 +670,31 @@ func mergeSegments(dir string, run []segEntry) (segEntry, error) {
 			if err := w.Append(x, y); err != nil {
 				r.Close()
 				w.Abort()
-				os.Remove(tmp)
 				return segEntry{}, err
 			}
 		}
 		r.Close()
+		wantRows += e.Rows
 	}
 	if err := w.Close(); err != nil {
-		os.Remove(tmp)
 		return segEntry{}, err
 	}
-	rows, nnz := w.Rows(), w.NNZ()
+
+	m, err := Open(tmp)
+	if err != nil {
+		return segEntry{}, err
+	}
+	rows, nnz, gotDim, gotClasses := m.Len(), m.NNZ(), m.Dim(), m.Classes()
+	m.Close()
+	if rows != wantRows || gotDim != dim || gotClasses != classes {
+		return segEntry{}, fmt.Errorf("store: merging %s..%s gave %d rows / dim %d / %d classes, the run it replaces holds %d / %d / %d — refusing the compaction",
+			run[0].Name, run[len(run)-1].Name, rows, gotDim, gotClasses, wantRows, dim, classes)
+	}
 	crc, err := fileCRC32(tmp)
 	if err != nil {
-		os.Remove(tmp)
 		return segEntry{}, fmt.Errorf("store: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp)
 		return segEntry{}, fmt.Errorf("store: %w", err)
 	}
 	return segEntry{Name: name, Rows: rows, NNZ: nnz, CRC: crc}, nil

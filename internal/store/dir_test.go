@@ -224,6 +224,62 @@ func TestCompactParity(t *testing.T) {
 	bitsEqual(t, "sequential/full", train(d, engine.Sequential, 0, 2), beforeSeq)
 }
 
+// TestCompactKeepsExplicitClasses: under an explicit Options.Classes a
+// window may miss a class, so a merged segment must carry the
+// directory's class count instead of re-inferring it from its own rows
+// — and a merge that does not reproduce the run it replaces (here: a
+// segment file swapped behind the manifest's back) is refused with the
+// manifest untouched and no merged file left behind.
+func TestCompactKeepsExplicitClasses(t *testing.T) {
+	dir := t.TempDir()
+	seg := func(ys ...float64) *memRows {
+		return &memRows{dim: 10, xs: repeatRows(&vec.Sparse{Idx: []int{1, 4}, Val: []float64{1, -1}}, len(ys)), ys: ys}
+	}
+	opt := store.Options{Classes: 3}
+	for _, src := range []*memRows{seg(0, 1, 2, 0, 1, 2, 0, 1), seg(0, 1, 0, 1), seg(1, 0, 1, 0)} {
+		if _, err := store.AppendSegment(dir, src, opt); err != nil {
+			t.Fatalf("AppendSegment: %v", err)
+		}
+	}
+	if nb, na, err := store.Compact(dir, 5); err != nil || nb != 3 || na != 2 {
+		t.Fatalf("Compact: %d → %d segments, err %v; want 3 → 2", nb, na, err)
+	}
+	d := openDir(t, dir)
+	if d.Len() != 16 || d.Classes() != 3 {
+		t.Fatalf("compacted directory has %d rows / %d classes, want 16 / 3", d.Len(), d.Classes())
+	}
+	if err := d.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+
+	// Two more small windows, then the second is replaced by a valid
+	// store of a different length: the merge no longer matches the
+	// manifest's rows for the run and must be refused.
+	for _, src := range []*memRows{seg(0, 1, 0), seg(1, 2, 1)} {
+		if _, err := store.AppendSegment(dir, src, opt); err != nil {
+			t.Fatalf("AppendSegment: %v", err)
+		}
+	}
+	if err := d.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	names := d.SegmentNames()
+	if err := store.Write(filepath.Join(dir, names[len(names)-1]), seg(1, 2), opt); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "MANIFEST")
+	before, _ := os.ReadFile(manifest)
+	files, _ := os.ReadDir(dir)
+	if _, _, err := store.Compact(dir, 4); err == nil {
+		t.Fatal("Compact accepted a merge that lost a row of the run it replaces")
+	}
+	after, _ := os.ReadFile(manifest)
+	left, _ := os.ReadDir(dir)
+	if string(after) != string(before) || len(left) != len(files) {
+		t.Fatalf("refused compaction changed the directory (%d → %d files)", len(files), len(left))
+	}
+}
+
 // memRows is a hand-built sparse source for invariant-violation tests.
 type memRows struct {
 	dim int
@@ -407,49 +463,4 @@ func TestDirReload(t *testing.T) {
 	if d.Segments() != 1 || d.Len() != 300 {
 		t.Fatalf("post-compaction reload (%d segments, %d rows)", d.Segments(), d.Len())
 	}
-}
-
-// BenchmarkStoreIngestSegment measures AppendSegment throughput — the
-// online-ingest path's cost: one streaming write pass plus the full
-// fail-closed integrity sweep (Verify + invariants + file CRC).
-func BenchmarkStoreIngestSegment(b *testing.B) {
-	r := rand.New(rand.NewSource(71))
-	ds, _ := data.KDDSimSparse(r, 0.01)
-	rows := float64(ds.Len())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dir := filepath.Join(b.TempDir(), "segs")
-		if _, err := store.AppendSegment(dir, ds, store.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-// BenchmarkStoreCompact measures the compaction pass: merging eight
-// small segments into one, rows streamed in order.
-func BenchmarkStoreCompact(b *testing.B) {
-	r := rand.New(rand.NewSource(72))
-	ds, _ := data.KDDSimSparse(r, 0.01)
-	rows := float64(ds.Len())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir := filepath.Join(b.TempDir(), "segs")
-		seg := ds.Len() / 8
-		for j := 0; j < 8; j++ {
-			hi := (j + 1) * seg
-			if j == 7 {
-				hi = ds.Len()
-			}
-			if _, err := store.AppendSegment(dir, ds.Shard(j*seg, hi).(sgd.SparseSamples), store.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StartTimer()
-		if _, _, err := store.Compact(dir, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

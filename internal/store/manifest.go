@@ -1,9 +1,6 @@
 package store
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // ChunkRef identifies one chunk of a store file for cross-process
 // manifests: its index, the rows it holds, and the CRC32 recorded in
@@ -44,19 +41,9 @@ func (r *Reader) ChunkRef(c int) (ChunkRef, error) {
 	} else if _, err := r.f.ReadAt(hbuf[:], r.offsets[c]); err != nil {
 		return ChunkRef{}, fmt.Errorf("store: %s: chunk %d: %w", r.path, c, err)
 	}
-	rows := int(binary.LittleEndian.Uint32(hbuf[0:4]))
-	nnz := int(binary.LittleEndian.Uint32(hbuf[4:8]))
-	plen := int(binary.LittleEndian.Uint32(hbuf[8:12]))
-	crc := binary.LittleEndian.Uint32(hbuf[12:16])
-	wantRows := r.hdr.chunkRows
-	if c == r.chunks-1 {
-		wantRows = r.hdr.rows - (r.chunks-1)*r.hdr.chunkRows
-	}
-	if rows != wantRows {
-		return ChunkRef{}, fmt.Errorf("store: %s: chunk %d holds %d rows, want %d", r.path, c, rows, wantRows)
-	}
-	if !plenConsistent(r.hdr.version, rows, nnz, plen) {
-		return ChunkRef{}, fmt.Errorf("store: %s: chunk %d payload length %d inconsistent with %d rows / %d nnz", r.path, c, plen, rows, nnz)
+	rows, _, _, crc, err := r.cur.chunkGeom(c, hbuf[:])
+	if err != nil {
+		return ChunkRef{}, err
 	}
 	return ChunkRef{Index: c, Rows: rows, CRC: crc}, nil
 }

@@ -163,9 +163,6 @@ func (r *Reader) Dim() int { return r.hdr.dim }
 // many distinct labels to count).
 func (r *Reader) Classes() int { return r.hdr.classes }
 
-// Version returns the file's format version (1 or 2).
-func (r *Reader) Version() int { return r.hdr.version }
-
 // Chunks returns the number of chunks in the file.
 func (r *Reader) Chunks() int { return r.chunks }
 
@@ -320,7 +317,7 @@ func (c *cursor) chunkGeom(n int, hbuf []byte) (rows, nnz, plen int, crc uint32,
 	if rows != wantRows {
 		return 0, 0, 0, 0, fmt.Errorf("store: %s: chunk %d holds %d rows, want %d", r.path, n, rows, wantRows)
 	}
-	if !plenConsistent(r.hdr.version, rows, nnz, plen) {
+	if plen != payloadLen(rows, nnz) {
 		return 0, 0, 0, 0, fmt.Errorf("store: %s: chunk %d payload length %d inconsistent with %d rows / %d nnz", r.path, n, plen, rows, nnz)
 	}
 	if r.offsets[n]+chunkHeaderSize+int64(plen) > r.dirOffset {
@@ -357,98 +354,6 @@ func (c *cursor) validateCSR(n, rows, nnz int, indptr, idx []int) error {
 	return nil
 }
 
-// decodeIndexV2 decodes a version-2 payload's varint index sections
-// (everything past the raw val/y prefix) into the cursor's reused
-// indptr/idx arenas. Structural validation is built into the decode and
-// runs on every visit, fail-closed: a truncated or over-long varint, a
-// row-length sum ≠ nnz, a zero column gap, an index ≥ dim, leftover
-// bytes or a non-zero pad byte are all corruption errors — the decode
-// succeeding implies every invariant validateCSR checks.
-func (c *cursor) decodeIndexV2(n, rows, nnz int, p []byte) error {
-	r := c.r
-	corrupt := func(what string) error {
-		return fmt.Errorf("store: %s: chunk %d: corrupt v2 index section (%s)", r.path, n, what)
-	}
-	o, end := payloadFixedV2(rows, nnz), len(p)
-	// uvarint with a single-byte fast path: at realistic densities
-	// almost every row length and column gap fits 7 bits, and this
-	// decode runs on every chunk switch — it IS the v2 read path.
-	uvarint := func() (uint64, bool) {
-		if o < end {
-			if v := p[o]; v < 0x80 {
-				o++
-				return uint64(v), true
-			}
-		}
-		v, k := binary.Uvarint(p[o:end])
-		if k <= 0 {
-			return 0, false
-		}
-		o += k
-		return v, true
-	}
-	if cap(c.indptr) < rows+1 {
-		c.indptr = make([]int, rows+1)
-	}
-	c.indptr = c.indptr[:rows+1]
-	c.indptr[0] = 0
-	sum := 0
-	for i := 1; i <= rows; i++ {
-		v, ok := uvarint()
-		if !ok {
-			return corrupt("truncated row length")
-		}
-		if v > uint64(nnz-sum) {
-			return corrupt("row lengths exceed nnz")
-		}
-		sum += int(v)
-		c.indptr[i] = sum
-	}
-	if sum != nnz {
-		return corrupt("row lengths do not cover nnz")
-	}
-	if cap(c.idx) < nnz {
-		c.idx = make([]int, nnz)
-	}
-	c.idx = c.idx[:nnz]
-	dim := uint64(r.hdr.dim)
-	for row := 0; row < rows; row++ {
-		lo, hi := c.indptr[row], c.indptr[row+1]
-		var prev uint64
-		for k := lo; k < hi; k++ {
-			v, ok := uvarint()
-			if !ok {
-				return corrupt("truncated column index")
-			}
-			col := v
-			if k > lo {
-				if v == 0 {
-					return corrupt("zero column gap")
-				}
-				if v >= dim { // a gap of ≥ dim always overshoots; checking
-					// first also keeps prev+v from overflowing uint64
-					return corrupt("column gap out of range")
-				}
-				col = prev + v
-			}
-			if col >= dim {
-				return corrupt("column index out of range")
-			}
-			c.idx[k] = int(col)
-			prev = col
-		}
-	}
-	if end-o >= 8 {
-		return corrupt("trailing bytes after index sections")
-	}
-	for _, pad := range p[o:end] {
-		if pad != 0 {
-			return corrupt("non-zero pad byte")
-		}
-	}
-	return nil
-}
-
 // load makes chunk n current.
 func (c *cursor) load(n int) error {
 	if c.cur == n {
@@ -461,13 +366,9 @@ func (c *cursor) load(n int) error {
 	return c.loadArena(n)
 }
 
-// loadMapped serves chunk n out of the file mapping. For version-1
-// files the CSR slices alias the mapping, with CRC and CSR invariants
-// checked on this cursor's first visit and pure slice arithmetic after
-// that. Version-2 index sections are varint-encoded and cannot alias:
-// they are decoded into the cursor's reused arenas on every chunk
-// switch (the decode is itself the structural validation), while val/y
-// still alias the mapping.
+// loadMapped serves chunk n out of the file mapping: the CSR slices
+// alias the mapping, with CRC and CSR invariants checked on this
+// cursor's first visit and pure slice arithmetic after that.
 func (c *cursor) loadMapped(n int) error {
 	r := c.r
 	off := r.offsets[n]
@@ -477,29 +378,17 @@ func (c *cursor) loadMapped(n int) error {
 		return err
 	}
 	p := r.mm[off+chunkHeaderSize : off+chunkHeaderSize+int64(plen)]
+	indptr := asInt(p[8*(nnz+rows) : 8*(nnz+rows+rows+1)])
+	idx := asInt(p[8*(nnz+rows+rows+1):])
 	if !c.verified[n] {
 		if got := crc32.ChecksumIEEE(p); got != crc {
 			return fmt.Errorf("store: %s: chunk %d checksum mismatch (%08x != %08x)", r.path, n, got, crc)
 		}
-	}
-	if r.hdr.version == formatV2 {
-		// Invalidate before decoding into the shared arenas so a failed
-		// decode can never be served.
-		c.cur = -1
-		c.lo, c.hi = 0, 0
-		if err := c.decodeIndexV2(n, rows, nnz, p); err != nil {
+		if err := c.validateCSR(n, rows, nnz, indptr, idx); err != nil {
 			return err
 		}
-	} else {
-		indptr := asInt(p[8*(nnz+rows) : 8*(nnz+rows+rows+1)])
-		idx := asInt(p[8*(nnz+rows+rows+1):])
-		if !c.verified[n] {
-			if err := c.validateCSR(n, rows, nnz, indptr, idx); err != nil {
-				return err
-			}
-		}
-		c.indptr, c.idx = indptr, idx
 	}
+	c.indptr, c.idx = indptr, idx
 	c.verified[n] = true
 	c.val = asF64(p[:8*nnz])
 	yB := p[8*nnz : 8*(nnz+rows)]
@@ -572,30 +461,24 @@ func (c *cursor) loadArena(n int) error {
 		c.y[i] = yv
 		o += 8
 	}
-	if r.hdr.version == formatV2 {
-		if err := c.decodeIndexV2(n, rows, nnz, p); err != nil {
-			return err
-		}
-	} else {
-		if cap(c.indptr) < rows+1 {
-			c.indptr = make([]int, rows+1)
-		}
-		c.indptr = c.indptr[:rows+1]
-		for i := 0; i <= rows; i++ {
-			c.indptr[i] = int(binary.LittleEndian.Uint64(p[o : o+8]))
-			o += 8
-		}
-		if cap(c.idx) < nnz {
-			c.idx = make([]int, nnz)
-		}
-		c.idx = c.idx[:nnz]
-		for i := 0; i < nnz; i++ {
-			c.idx[i] = int(binary.LittleEndian.Uint64(p[o : o+8]))
-			o += 8
-		}
-		if err := c.validateCSR(n, rows, nnz, c.indptr, c.idx); err != nil {
-			return err
-		}
+	if cap(c.indptr) < rows+1 {
+		c.indptr = make([]int, rows+1)
+	}
+	c.indptr = c.indptr[:rows+1]
+	for i := 0; i <= rows; i++ {
+		c.indptr[i] = int(binary.LittleEndian.Uint64(p[o : o+8]))
+		o += 8
+	}
+	if cap(c.idx) < nnz {
+		c.idx = make([]int, nnz)
+	}
+	c.idx = c.idx[:nnz]
+	for i := 0; i < nnz; i++ {
+		c.idx[i] = int(binary.LittleEndian.Uint64(p[o : o+8]))
+		o += 8
+	}
+	if err := c.validateCSR(n, rows, nnz, c.indptr, c.idx); err != nil {
+		return err
 	}
 	c.cur = n
 	c.lo = n * r.hdr.chunkRows

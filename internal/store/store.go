@@ -14,9 +14,9 @@
 // store is genuinely single-pass O(d + chunk) memory at any number of
 // rows.
 //
-// # File format (version 1, little-endian throughout)
+// # File format (little-endian throughout)
 //
-//	Header   (48 B)  magic "BOLTSTR1", version u32, chunkRows u32,
+//	Header   (48 B)  magic "BOLTSTR1", version u32 (= 1), chunkRows u32,
 //	                 dim u64, rows u64, classes u32, flags u32,
 //	                 crc32(IEEE) u32 over the preceding 40 bytes, pad u32
 //	Chunk*           chunkRows rows each (the last chunk holds the
@@ -40,40 +40,13 @@
 // On little-endian platforms the Reader memory-maps the file and
 // serves rows as slices straight into the mapping — a chunk "decode"
 // is a CRC + invariant check the first time a cursor visits the chunk
-// and pure slice arithmetic after that, which is what keeps a
-// store-backed training epoch within a few percent of in-memory (the
-// CI-gated 15% budget). Spending 8 bytes per column index instead of 4
+// and pure slice arithmetic after that, with no allocation on a
+// steady-state scan (TestStoreScanAllocs); what a store-backed training
+// epoch costs over an in-memory one is the benchmark's
+// store.train_over_mem row. Spending 8 bytes per column index instead of 4
 // is the deliberate price of that zero-copy read path. Platforms
 // without the mapped fast path fall back to buffered pread + explicit
 // decode into reused arenas, bit-identical either way.
-//
-// # Format version 2 (delta+varint index sections)
-//
-// Version 2 keeps the container — header, chunk headers, directory,
-// footer, CRCs, 8-byte alignment — and the val/y sections byte-for-byte
-// identical to version 1, but replaces the two index sections of each
-// chunk payload with a delta+varint encoding:
-//
-//	Payload  val     f64[nnz]            (raw, as in v1)
-//	         y       f64[rows]           (raw, as in v1)
-//	         indptr  uvarint[rows]       row lengths: indptr[i+1]-indptr[i]
-//	         idx     uvarint[nnz]        per row: first index absolute,
-//	                                     then gaps idx[k]-idx[k-1] (≥ 1)
-//	         pad     0x00 × (0..7)       to the next 8-byte boundary
-//
-// CSR index sections are the redundancy in the format: indptr is a
-// monotone ramp and per-row indices are strictly increasing, so both
-// compress to small non-negative integers that varints store in 1–2
-// bytes instead of 8. On KDD-like density that shrinks the file well
-// past the ≥25% acceptance floor while values and labels — the bits
-// that decide the model — stay raw IEEE-754, preserving the
-// bit-identical-training invariant below. The price is that v2 index
-// sections can no longer be aliased into the mapping: both read
-// backends decode them into the cursor's reused arenas on every chunk
-// switch (val/y still alias the mapping on the mapped backend). The
-// decode is fail-closed like everything else: a truncated or overlong
-// varint, a zero gap, an index ≥ dim, a row-length sum ≠ nnz, or a
-// non-zero pad byte is an error, never a silently wrong row.
 //
 // The header is written with zero dim/rows at Create and patched at
 // Close, so a Writer streams rows of unknown count and dimension in one
@@ -108,24 +81,21 @@ const (
 	headerMagic = "BOLTSTR1"
 	footerMagic = "BOLTEND1"
 
-	// Format versions. Version 1 stores every section as raw 8-byte
-	// little-endian arrays (zero-copy mapped reads). Version 2 keeps
-	// val/y raw but delta+varint-compresses the two index sections —
-	// see the "format version 2" section of the package comment.
-	// Readers accept both; Writers default to 1 (Options.Version).
-	formatV1 = 1
-	formatV2 = 2
+	// formatVersion is the one chunk encoding there is: every section a
+	// raw 8-byte little-endian array. The header keeps the field so a
+	// file from a different encoding is refused, never misread.
+	formatVersion = 1
 
 	headerSize      = 48
 	chunkHeaderSize = 16
 	footerSize      = 48
 
-	// DefaultChunkRows is the chunk granularity Writers use unless
+	// defaultChunkRows is the chunk granularity Writers use unless
 	// overridden: large enough that per-chunk costs (one pread, one CRC,
 	// four array decodes) amortize to nothing per row, small enough that
 	// a scanning view's working set stays a few hundred KiB at KDD-like
 	// density.
-	DefaultChunkRows = 4096
+	defaultChunkRows = 4096
 
 	// maxChunkRows bounds what a Reader will accept, so a corrupt
 	// header cannot make it allocate an absurd arena.
@@ -139,7 +109,6 @@ const FlagLabels01 = 1 << 0
 
 // header is the decoded fixed-size file header.
 type header struct {
-	version   int
 	chunkRows int
 	dim       int
 	rows      int
@@ -149,7 +118,7 @@ type header struct {
 
 func (h *header) encode(buf []byte) {
 	copy(buf[0:8], headerMagic)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(h.version))
+	binary.LittleEndian.PutUint32(buf[8:12], formatVersion)
 	binary.LittleEndian.PutUint32(buf[12:16], uint32(h.chunkRows))
 	binary.LittleEndian.PutUint64(buf[16:24], uint64(h.dim))
 	binary.LittleEndian.PutUint64(buf[24:32], uint64(h.rows))
@@ -169,15 +138,13 @@ func decodeHeader(buf []byte) (*header, error) {
 	if string(buf[0:8]) != headerMagic {
 		return nil, fmt.Errorf("bad magic %q (not a store file)", buf[0:8])
 	}
-	v := binary.LittleEndian.Uint32(buf[8:12])
-	if v != formatV1 && v != formatV2 {
-		return nil, fmt.Errorf("unsupported format version %d (want %d or %d)", v, formatV1, formatV2)
+	if v := binary.LittleEndian.Uint32(buf[8:12]); v != formatVersion {
+		return nil, fmt.Errorf("unsupported format version %d (want %d)", v, formatVersion)
 	}
 	if got, want := crc32.ChecksumIEEE(buf[0:40]), binary.LittleEndian.Uint32(buf[40:44]); got != want {
 		return nil, fmt.Errorf("header checksum mismatch (%08x != %08x)", got, want)
 	}
 	h := &header{
-		version:   int(v),
 		chunkRows: int(binary.LittleEndian.Uint32(buf[12:16])),
 		dim:       int(binary.LittleEndian.Uint64(buf[16:24])),
 		rows:      int(binary.LittleEndian.Uint64(buf[24:32])),
@@ -245,45 +212,11 @@ func decodeFooter(buf []byte) (*footer, error) {
 	return f, nil
 }
 
-// payloadLen returns the byte length of a version-1 chunk payload with
-// the given geometry: val f64[nnz] + y f64[rows] + indptr i64[rows+1] +
+// payloadLen returns the byte length of a chunk payload with the given
+// geometry: val f64[nnz] + y f64[rows] + indptr i64[rows+1] +
 // idx i64[nnz], all 8-byte elements.
 func payloadLen(rows, nnz int) int {
 	return 8 * (2*nnz + 2*rows + 1)
-}
-
-// payloadFixedV2 is the byte length of the raw prefix of a version-2
-// chunk payload (val + y); the varint index sections follow it.
-func payloadFixedV2(rows, nnz int) int {
-	return 8 * (nnz + rows)
-}
-
-// payloadBoundsV2 returns the possible [min, max] byte lengths of a
-// version-2 chunk payload with the given geometry. The varint sections
-// hold exactly rows+nnz varints of 1–10 bytes each, and the payload is
-// padded to an 8-byte boundary, so a plen outside these bounds is
-// corruption the geometry check can reject before decoding.
-func payloadBoundsV2(rows, nnz int) (min, max int) {
-	fixed := payloadFixedV2(rows, nnz)
-	return align8(fixed + rows + nnz), align8(fixed + 10*(rows+nnz))
-}
-
-// align8 rounds n up to the next multiple of 8.
-func align8(n int) int {
-	return (n + 7) &^ 7
-}
-
-// plenConsistent reports whether plen is a possible payload length for
-// the given chunk geometry under format version v. Version 1 payloads
-// have exactly one length; version 2 lengths depend on the varint bytes,
-// so the check is the [min, max] envelope plus the alignment invariant —
-// the exact accounting happens fail-closed in the varint decode.
-func plenConsistent(v, rows, nnz, plen int) bool {
-	if v == formatV2 {
-		lo, hi := payloadBoundsV2(rows, nnz)
-		return plen >= lo && plen <= hi && plen%8 == 0
-	}
-	return plen == payloadLen(rows, nnz)
 }
 
 // putF64 appends v's IEEE-754 bits.

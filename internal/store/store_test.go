@@ -3,7 +3,6 @@ package store_test
 import (
 	"math"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -244,58 +243,6 @@ func TestLabels01Remap(t *testing.T) {
 			t.Fatalf("row %d: label %v changed without the remap opt-in, want %v", i, gy, y)
 		}
 	}
-}
-
-// TestFailClosed corrupts a valid store byte by byte region and checks
-// that every corruption is an error (from Open or Verify), never a
-// panic and never silently served data.
-func TestFailClosed(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	ds := data.SparseSynthetic(r, 64, 30, 5, 0)
-	dir := t.TempDir()
-	good := writeStore(t, dir, ds, store.Options{ChunkRows: 16})
-	raw, err := os.ReadFile(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(name string, mutate func([]byte) []byte) {
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "bad.bolt")
-			if err := os.WriteFile(path, mutate(append([]byte(nil), raw...)), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			rd, err := store.Open(path)
-			if err != nil {
-				return // failed closed at Open
-			}
-			defer rd.Close()
-			if err := rd.Verify(); err == nil {
-				t.Fatal("corruption neither rejected at Open nor by Verify")
-			}
-		})
-	}
-
-	check("bad-magic", func(b []byte) []byte { b[0] ^= 0xFF; return b })
-	check("bad-version", func(b []byte) []byte { b[8] = 99; return b })
-	// Every header field is load-bearing (dim bounds index validation,
-	// flags select the label remap, classes routes multiclass checks),
-	// so single-bit damage to any of them must be caught — the header
-	// carries its own CRC.
-	check("header-dim-flip", func(b []byte) []byte { b[16] ^= 0x01; return b })
-	check("header-rows-flip", func(b []byte) []byte { b[24] ^= 0x01; return b })
-	check("header-classes-flip", func(b []byte) []byte { b[32] ^= 0x01; return b })
-	check("header-flags-flip", func(b []byte) []byte { b[36] ^= 0x01; return b })
-	check("truncated-footer", func(b []byte) []byte { return b[:len(b)-7] })
-	check("truncated-half", func(b []byte) []byte { return b[:len(b)/2] })
-	check("truncated-to-header", func(b []byte) []byte { return b[:48] })
-	check("chunk-payload-flip", func(b []byte) []byte { b[48+16+3] ^= 0x01; return b })
-	check("chunk-value-flip", func(b []byte) []byte { b[48+16+200] ^= 0x80; return b })
-	check("chunk-header-rows", func(b []byte) []byte { b[48] ^= 0x01; return b })
-	check("directory-flip", func(b []byte) []byte { b[len(b)-48-3] ^= 0x01; return b })
-	check("footer-rows-flip", func(b []byte) []byte { b[len(b)-48+8] ^= 0x01; return b })
-	check("footer-nnz-flip", func(b []byte) []byte { b[len(b)-48+16] ^= 0x01; return b })
-	check("empty", func(b []byte) []byte { return nil })
 }
 
 // TestStoreScanAllocs gates the arena reuse claim: a steady-state

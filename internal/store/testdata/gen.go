@@ -1,15 +1,15 @@
 //go:build ignore
 
-// gen.go regenerates golden_v1.bolt, the committed version-1 store
-// fixture TestGoldenV1Fixture opens. Run from the repository root:
+// gen.go regenerates golden_v1.bolt, the committed store fixture
+// TestGoldenV1Fixture opens. Run from the repository root:
 //
 //	go run internal/store/testdata/gen.go
 //
 // It prints the canonical content CRC to paste into the test's
 // goldenV1CRC constant. The fixture exists so that readers keep
-// decoding historical v1 files bit-for-bit as the format grows new
-// versions; it should only ever be regenerated if the fixture itself
-// needs different content, never to "fix" a failing reader.
+// decoding historical files bit-for-bit; it should only ever be
+// regenerated if the fixture itself needs different content, never to
+// "fix" a failing reader.
 package main
 
 import (

@@ -14,9 +14,9 @@ import (
 
 // Options configures a Writer.
 type Options struct {
-	// ChunkRows is the number of rows per chunk (default
-	// DefaultChunkRows). Every chunk but the last holds exactly this
-	// many rows — the invariant that makes row → chunk lookup O(1).
+	// ChunkRows is the number of rows per chunk (default 4096). Every
+	// chunk but the last holds exactly this many rows — the invariant
+	// that makes row → chunk lookup O(1).
 	ChunkRows int
 
 	// Classes, when positive, overrides the class count recorded in the
@@ -32,30 +32,17 @@ type Options struct {
 	// deliberately opt-in: a plain Write must round-trip labels
 	// bit-for-bit, whatever they are.
 	RemapLabels01 bool
-
-	// Version selects the chunk payload encoding: 1 (the default,
-	// raw 8-byte index sections, zero-copy mapped reads) or 2
-	// (delta+varint index sections, ~25-45% smaller files at KDD-like
-	// density). Readers open both; values and labels are bit-identical
-	// either way.
-	Version int
 }
 
 func (o Options) withDefaults() (Options, error) {
 	if o.ChunkRows == 0 {
-		o.ChunkRows = DefaultChunkRows
+		o.ChunkRows = defaultChunkRows
 	}
 	if o.ChunkRows < 1 || o.ChunkRows > maxChunkRows {
 		return o, fmt.Errorf("store: ChunkRows %d out of range [1,%d]", o.ChunkRows, maxChunkRows)
 	}
 	if o.Classes < 0 {
 		return o, fmt.Errorf("store: Classes %d < 0", o.Classes)
-	}
-	if o.Version == 0 {
-		o.Version = formatV1
-	}
-	if o.Version != formatV1 && o.Version != formatV2 {
-		return o, fmt.Errorf("store: Version %d unsupported (want %d or %d)", o.Version, formatV1, formatV2)
 	}
 	return o, nil
 }
@@ -119,7 +106,7 @@ func Create(path string, opt Options) (*Writer, error) {
 	}
 	// Placeholder header; Close patches the final dim/rows/classes in.
 	var hdr [headerSize]byte
-	(&header{version: opt.Version, chunkRows: opt.ChunkRows, dim: 1, rows: 1}).encode(hdr[:])
+	(&header{chunkRows: opt.ChunkRows, dim: 1, rows: 1}).encode(hdr[:])
 	if _, err := w.bw.Write(hdr[:]); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: %w", err)
@@ -202,19 +189,11 @@ func (w *Writer) flushChunk() error {
 		return nil
 	}
 	nnz := len(w.idx)
-	// The bound holds for both encodings: a v2 payload is never larger
-	// than the v1 payload plus varint slack already inside MaxUint32
-	// whenever the v1 length is.
-	if int64(payloadLen(rows, nnz)) > math.MaxUint32 {
+	plen := payloadLen(rows, nnz)
+	if int64(plen) > math.MaxUint32 {
 		return fmt.Errorf("store: chunk of %d rows holds %d non-zeros, exceeding the format; lower ChunkRows", rows, nnz)
 	}
-	var p []byte
-	if w.opt.Version == formatV2 {
-		p = w.encodeChunkV2(rows, nnz)
-	} else {
-		p = w.encodeChunkV1(rows, nnz)
-	}
-	plen := len(p)
+	p := w.encodeChunk(plen)
 
 	var hdr [chunkHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(rows))
@@ -237,10 +216,9 @@ func (w *Writer) flushChunk() error {
 	return nil
 }
 
-// encodeChunkV1 encodes the buffered rows as a version-1 payload into
-// the reused buffer: four raw 8-byte little-endian arrays.
-func (w *Writer) encodeChunkV1(rows, nnz int) []byte {
-	plen := payloadLen(rows, nnz)
+// encodeChunk encodes the buffered rows into the reused payload buffer:
+// four raw 8-byte little-endian arrays.
+func (w *Writer) encodeChunk(plen int) []byte {
 	if cap(w.payload) < plen {
 		w.payload = make([]byte, plen)
 	}
@@ -263,45 +241,6 @@ func (w *Writer) encodeChunkV1(rows, nnz int) []byte {
 		o += 8
 	}
 	return p
-}
-
-// encodeChunkV2 encodes the buffered rows as a version-2 payload into
-// the reused buffer: raw val/y, then uvarint row lengths, then per-row
-// first-absolute-then-gap uvarint indices, zero-padded to 8 bytes.
-func (w *Writer) encodeChunkV2(rows, nnz int) []byte {
-	_, maxLen := payloadBoundsV2(rows, nnz)
-	if cap(w.payload) < maxLen {
-		w.payload = make([]byte, maxLen)
-	}
-	p := w.payload[:maxLen]
-	o := 0
-	for _, v := range w.val {
-		putF64(p, o, v)
-		o += 8
-	}
-	for _, v := range w.y {
-		putF64(p, o, v)
-		o += 8
-	}
-	for i := 1; i <= rows; i++ {
-		o += binary.PutUvarint(p[o:], uint64(w.indptr[i]-w.indptr[i-1]))
-	}
-	for r := 0; r < rows; r++ {
-		lo, hi := w.indptr[r], w.indptr[r+1]
-		for k := lo; k < hi; k++ {
-			gap := w.idx[k]
-			if k > lo {
-				gap -= w.idx[k-1] // ≥ 1: Append enforced strict increase
-			}
-			o += binary.PutUvarint(p[o:], uint64(gap))
-		}
-	}
-	// Zero the pad explicitly — the buffer is reused across chunks and
-	// the reader rejects non-zero pad bytes as corruption.
-	for end := align8(o); o < end; o++ {
-		p[o] = 0
-	}
-	return p[:o]
 }
 
 // classCount resolves the class count the header records: the explicit
@@ -388,7 +327,6 @@ func (w *Writer) Close() error {
 	}
 	var hdr [headerSize]byte
 	(&header{
-		version:   w.opt.Version,
 		chunkRows: w.opt.ChunkRows,
 		dim:       w.dim,
 		rows:      w.rows,
