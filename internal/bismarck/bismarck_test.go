@@ -109,6 +109,23 @@ func TestDiskTableRoundTrip(t *testing.T) {
 	}
 }
 
+// A disk table computes a row per access (buffer-pool fetch, page
+// decode), so it must not offer the epoch loops' look-ahead hint (sgd's
+// Touch contract): the hint is for rows addressable in memory.
+func TestDiskTableOffersNoLookAheadHint(t *testing.T) {
+	tab, err := CreateDiskTable(filepath.Join(t.TempDir(), "t.tbl"), 5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Remove()
+	fillTable(t, tab, 100, 5, 2)
+	for name, s := range map[string]sgd.Samples{"table": tab, "shard": tab.Shard(0, 50)} {
+		if _, ok := s.(interface{ Touch(i int) float64 }); ok {
+			t.Errorf("disk %s offers the look-ahead hint", name)
+		}
+	}
+}
+
 func TestDiskTableSmallPoolEvicts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.tbl")
 	// 2-page pool over a many-page table: repeated scans must re-read.

@@ -48,6 +48,9 @@ func (d *Dataset) Dim() int {
 // At implements sgd.Samples.
 func (d *Dataset) At(i int) ([]float64, float64) { return d.X[i], d.Y[i] }
 
+// Touch is the epoch loops' look-ahead hint (sgd's Touch contract).
+func (d *Dataset) Touch(i int) float64 { return d.Y[i] + vec.Touch(d.X[i]) }
+
 // Normalize rescales every row to the unit ball in place (no-op for
 // rows already inside), establishing the ‖x‖ ≤ 1 invariant.
 func (d *Dataset) Normalize() {

@@ -109,6 +109,13 @@ func (d *SparseDataset) AtSparse(i int) (*vec.Sparse, float64) {
 	return &d.row, d.y[i]
 }
 
+// Touch is the epoch loops' look-ahead hint (sgd's Touch contract); it
+// writes nothing, so shard views share it.
+func (d *SparseDataset) Touch(i int) float64 {
+	lo, hi := d.indptr[i], d.indptr[i+1]
+	return d.y[i] + vec.TouchSparse(d.idx[lo:hi], d.val[lo:hi])
+}
+
 // Shard implements engine.Sharder: an independent read-only view of
 // rows [lo, hi) with its own dense scratch, so shards of one
 // SparseDataset can be scanned concurrently by the sharded engine (the
@@ -148,6 +155,9 @@ func (v *sparseShard) AtSparse(i int) (*vec.Sparse, float64) {
 	v.row.Val = v.d.val[lo:hi]
 	return &v.row, v.d.y[j]
 }
+
+// Touch forwards the hint in parent coordinates.
+func (v *sparseShard) Touch(i int) float64 { return v.d.Touch(v.lo + i) }
 
 // Shard keeps views shardable in turn, translating to parent
 // coordinates so sharded runs over a row-range view stay race-free.

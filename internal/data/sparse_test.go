@@ -402,3 +402,50 @@ func TestSparseDatasetTrainsPrivately(t *testing.T) {
 		t.Error("bad private model")
 	}
 }
+
+// TestLookAheadHint pins which sources offer the epoch loops' look-ahead
+// hint (sgd's Touch contract): those whose rows sit in memory do, in
+// parent coordinates on a shard view; those that compute a row per
+// access do not, on the source or on its shard views.
+func TestLookAheadHint(t *testing.T) {
+	type toucher interface{ Touch(i int) float64 }
+	r := rand.New(rand.NewSource(3))
+	dense := Synthetic(r, GenConfig{Name: "t", M: 50, D: 20, Classes: 2, Spread: 0.4})
+	sparse := SparseSynthetic(r, 50, 200, 19, 0)
+
+	// The sum of the words Touch reads names the row: one word per
+	// 64-byte line and the last one, plus the label.
+	x, y := dense.At(17)
+	if got, want := dense.Touch(17), y+(x[19]+x[0]+x[8]+x[16]); got != want {
+		t.Errorf("dense Touch(17) = %v, want %v", got, want)
+	}
+	row, y := sparse.Row(17)
+	want := row.Val[18] + float64(row.Idx[18])
+	for k := 0; k < 19; k += 8 {
+		want += row.Val[k] + float64(row.Idx[k])
+	}
+	if got := sparse.Touch(17); got != y+want {
+		t.Errorf("sparse Touch(17) = %v, want %v", got, y+want)
+	}
+
+	const lo, hi = 9, 31
+	v := sparse.Shard(lo, hi)
+	for _, i := range []int{0, hi - lo - 1} {
+		if got, want := v.(toucher).Touch(i), sparse.Touch(lo+i); got != want {
+			t.Errorf("shard view row %d touched %v, parent row %d is %v", i, got, lo+i, want)
+		}
+	}
+	if sparse.Touch(hi-1) == sparse.Touch(hi) {
+		t.Fatal("fixture rows are indistinguishable")
+	}
+
+	st, sst := NewStream(1, 100, 8, 0.3, 0), NewSparseStream(1, 100, 50, 5, 0)
+	for name, s := range map[string]sgd.Samples{
+		"Stream": st, "Stream shard": st.Shard(0, 50),
+		"SparseStream": sst, "SparseStream shard": sst.Shard(0, 50),
+	} {
+		if _, ok := s.(toucher); ok {
+			t.Errorf("%s computes its rows and must not offer the hint", name)
+		}
+	}
+}

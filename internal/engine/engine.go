@@ -304,10 +304,14 @@ func RangeView(s sgd.Samples, lo, hi int) sgd.Samples {
 	if lo < 0 || hi < lo || hi > s.Len() {
 		panic(fmt.Sprintf("engine: range view [%d,%d) out of bounds for %d rows", lo, hi, s.Len()))
 	}
+	rv := rangeView{s: s, lo: lo, hi: hi}
 	if ss, ok := s.(sgd.SparseSamples); ok {
-		return &sparseRangeView{rangeView{s: s, lo: lo, hi: hi}, ss}
+		return &sparseRangeView{rv, ss}
 	}
-	return &rangeView{s: s, lo: lo, hi: hi}
+	if t, ok := s.(toucher); ok {
+		return &touchView{rv, t}
+	}
+	return &rv
 }
 
 type rangeView struct {
@@ -338,6 +342,18 @@ func (v *sparseRangeView) AtSparse(i int) (*vec.Sparse, float64) {
 	}
 	return v.ss.AtSparse(v.lo + i)
 }
+
+// toucher is sgd's optional look-ahead hint. Like the sparse tier, a
+// view offers it only when its source does, in parent coordinates —
+// the dense view only: every sparse source here shards itself.
+type toucher interface{ Touch(i int) float64 }
+
+type touchView struct {
+	rangeView
+	t toucher
+}
+
+func (v *touchView) Touch(i int) float64 { return v.t.Touch(v.lo + i) }
 
 func runSharded(s sgd.Samples, cfg Config) (*Result, error) {
 	c := cfg.SGD

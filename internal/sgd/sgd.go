@@ -79,6 +79,49 @@ func (s *SliceSamples) Dim() int {
 // At implements Samples.
 func (s *SliceSamples) At(i int) ([]float64, float64) { return s.X[i], s.Y[i] }
 
+// Touch is the look-ahead hint (see toucher).
+func (s *SliceSamples) Touch(i int) float64 { return s.Y[i] + vec.Touch(s.X[i]) }
+
+// toucher is the one optional source method behind the epoch loops'
+// look-ahead: read one word per cache line of row i's storage and
+// return their sum (vec.Touch), moving no cursor. It is a pure hint,
+// offered by sources whose rows are addressable in memory and by none
+// that compute a row per access (those get no extra call of any kind).
+// Under a sampled permutation every row is a chain of dependent cache
+// misses the update's arithmetic cannot overlap; Touch issues the next
+// rows' loads early and independently instead (DESIGN.md §9).
+type toucher interface{ Touch(i int) float64 }
+
+// lookAheadRows is the block the touch cursor moves by. It stays one to
+// two blocks ahead of the batch being computed: a block's rows are
+// touched back to back so their misses overlap each other too (one row
+// per update, at b = 1, would leave each touch's own miss chain at the
+// head of the reorder window), and two blocks are still cached when the
+// kernel arrives.
+const lookAheadRows = 32
+
+// lookAhead is one run's touch cursor, shared by both epoch drivers and
+// sitting above their choice of batch executor. Without a hint, and on
+// NoPerm and Poisson runs (perm == nil), it does nothing.
+type lookAhead struct {
+	src  toucher
+	next int     // first permutation slot not yet touched this pass
+	sink float64 // keeps the loads; per run, so shards do not share it
+}
+
+// advance is called with the perm slot the next batch ends at.
+func (l *lookAhead) advance(perm []int, end int) {
+	if l.src == nil || l.next >= end+lookAheadRows || perm == nil {
+		return
+	}
+	stop := min(end+2*lookAheadRows, len(perm))
+	var sum float64 // a register: a sum kept in memory would chain the touches
+	for _, i := range perm[l.next:stop] {
+		sum += l.src.Touch(i)
+	}
+	l.next, l.sink = stop, l.sink+sum
+}
+
 // Config describes one PSGD run.
 type Config struct {
 	Loss   loss.Function
@@ -132,8 +175,11 @@ type Config struct {
 	// reduces in example-index order, so the result is BIT-IDENTICAL to
 	// the sequential kernel for every W (see parallel.go for the
 	// determinism argument). It composes with the engine's Sharded
-	// strategy: shard count P is inter-shard parallelism, this is
-	// intra-batch parallelism within each shard.
+	// strategy (P shards × W workers) and shares the epoch loop's
+	// look-ahead, which sits above the executor. It is a pinned
+	// mechanism, not a measured speed-up: on the two-core benchmark box
+	// W=2 runs 1.17–1.64× SLOWER than W=1 (sgd.*_kw2_over_kw1); W=4 is
+	// unmeasured there.
 	KernelWorkers int
 
 	// T0 offsets the 1-based update counter: the first update of this
@@ -407,6 +453,8 @@ func Run(s Samples, cfg Config) (*Result, error) {
 		tailFrom = total - n + 1
 	}
 
+	var la lookAhead
+	la.src, _ = s.(toucher)
 	t := cfg.T0
 	passes := 0
 	prevRisk := math.Inf(1)
@@ -414,6 +462,7 @@ func Run(s Samples, cfg Config) (*Result, error) {
 		if cfg.FreshPerm && pass > 0 {
 			perm = cfg.Rand.Perm(m)
 		}
+		la.next = 0
 		for u := 0; u < updatesPerPass; u++ {
 			if cfg.Ctx != nil {
 				if err := cfg.Ctx.Err(); err != nil {
@@ -444,6 +493,7 @@ func Run(s Samples, cfg Config) (*Result, error) {
 				if u == updatesPerPass-1 {
 					end = m // merge the remainder into the final batch
 				}
+				la.advance(perm, end)
 				if dk != nil && end-start >= minParBatch {
 					// Bit-identical to the sequential accumulation below —
 					// see parallel.go — so per-batch dispatch never changes

@@ -62,6 +62,11 @@ func (s *SparseSliceSamples) AtSparse(i int) (*vec.Sparse, float64) {
 	return s.X[i], s.Y[i]
 }
 
+// Touch is the look-ahead hint (see toucher).
+func (s *SparseSliceSamples) Touch(i int) float64 {
+	return s.Y[i] + vec.TouchSparse(s.X[i].Idx, s.X[i].Val)
+}
+
 // Shard returns an independent view of rows [lo, hi) with its own
 // scratch, satisfying the execution engine's Sharder contract so
 // sharded runs over slice-backed sparse data stay race-free.
@@ -350,6 +355,8 @@ func runSparse(s SparseSamples, lf loss.Linear, cfg Config) (*Result, error) {
 		wd = make([]float64, d)
 	}
 
+	var la lookAhead
+	la.src, _ = s.(toucher)
 	t := cfg.T0
 	passes := 0
 	prevRisk := math.Inf(1)
@@ -357,6 +364,7 @@ func runSparse(s SparseSamples, lf loss.Linear, cfg Config) (*Result, error) {
 		if cfg.FreshPerm && pass > 0 {
 			perm = cfg.Rand.Perm(m)
 		}
+		la.next = 0
 		for u := 0; u < updatesPerPass; u++ {
 			if cfg.Ctx != nil {
 				if err := cfg.Ctx.Err(); err != nil {
@@ -369,6 +377,7 @@ func runSparse(s SparseSamples, lf loss.Linear, cfg Config) (*Result, error) {
 				end = m
 			}
 			t++
+			la.advance(perm, end)
 			st.batch(s, perm, start, end, cfg.Step.Eta(t))
 			if cfg.Average {
 				st.cs += st.alpha

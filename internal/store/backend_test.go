@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"boltondp/internal/data"
 	"boltondp/internal/engine"
@@ -320,4 +321,77 @@ func FuzzReadStore(f *testing.F) {
 			sameRow(t, "arena vs mapped", got, gy, want, wy)
 		}
 	})
+}
+
+// TestChunkTable pins the mapped path's O(1) chunk switch and the hint
+// that reads off it, structurally (no clock): a verified chunk's slices
+// are filed once and served again as the same memory — the labels
+// included, which a FlagLabels01 store remaps one row at a time instead
+// of copying a chunk's worth per switch — and the hint neither moves
+// the cursor nor visits a chunk the cursor has not verified. A
+// mapping-less reader's hint is inert.
+func TestChunkTable(t *testing.T) {
+	ds := data.SparseSynthetic(rand.New(rand.NewSource(17)), 300, 60, 7, 0.05)
+	for _, remap := range []bool{false, true} {
+		path := writeFixture(t, ds, Options{ChunkRows: 32, RemapLabels01: remap})
+		r, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if r.mm == nil {
+			t.Skip("no file mapping on this platform")
+		}
+		inMapping := func(p *float64) bool {
+			a := uintptr(unsafe.Pointer(p))
+			return a >= uintptr(unsafe.Pointer(&r.mm[0])) && a < uintptr(unsafe.Pointer(&r.mm[len(r.mm)-1]))
+		}
+		stored := func(i int) float64 { // the sum Touch reads for row i
+			x, y := ds.Row(i)
+			if remap {
+				y = (y + 1) / 2
+			}
+			return y + vec.TouchSparse(x.Idx, x.Val)
+		}
+
+		if got := r.Touch(100); got != 0 || r.cur.cur != -1 || r.cur.tab[3].indptr != nil {
+			t.Fatalf("remap=%v: hint on an unverified chunk returned %v and left chunk %d loaded", remap, got, r.cur.cur)
+		}
+		_, y := r.AtSparse(100) // first visit: verifies chunk 3 and files it
+		if _, wy := ds.Row(100); y != wy {
+			t.Fatalf("remap=%v: row 100 label %v, want %v", remap, y, wy)
+		}
+		first := &r.cur.y[0]
+		if !inMapping(first) || &r.cur.tab[3].y[0] != first {
+			t.Fatalf("remap=%v: chunk 3's labels are not served out of the mapping via the chunk table", remap)
+		}
+		r.AtSparse(5) // switch away
+		if got, want := r.Touch(100), stored(100); got != want || r.cur.cur != 0 {
+			t.Fatalf("remap=%v: hint read %v (want %v) with chunk %d loaded (want 0: the hint must not move the cursor)", remap, got, want, r.cur.cur)
+		}
+		r.AtSparse(101) // switch back: a table read, the same memory
+		if &r.cur.y[0] != first || &r.cur.indptr[0] != &r.cur.tab[3].indptr[0] {
+			t.Fatalf("remap=%v: switching back to a verified chunk re-derived its slices", remap)
+		}
+
+		v := r.Shard(40, 120).(*view)
+		if got := v.Touch(79); got != 0 {
+			t.Fatalf("remap=%v: a fresh view's hint read %v before its own cursor verified the chunk", remap, got)
+		}
+		v.AtSparse(79)
+		v.AtSparse(0)
+		if got, want := v.Touch(79), stored(119); got != want {
+			t.Fatalf("remap=%v: view hint at its last row read %v, want row 119's %v", remap, got, want)
+		}
+
+		a, err := openArena(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		a.AtSparse(100)
+		if got := a.Touch(100) + a.Touch(5); got != 0 || a.cur.cur != 3 || a.cur.tab != nil {
+			t.Fatalf("remap=%v: a mapping-less reader's hint read %v / moved to chunk %d", remap, got, a.cur.cur)
+		}
+	}
 }

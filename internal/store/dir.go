@@ -359,6 +359,12 @@ func (d *Dir) AtSparse(i int) (*vec.Sparse, float64) {
 	return d.segs[k].AtSparse(j)
 }
 
+// Touch forwards the epoch loops' look-ahead hint to row i's segment.
+func (d *Dir) Touch(i int) float64 {
+	k, j := d.locate(i)
+	return d.segs[k].Touch(j)
+}
+
 // Shard implements engine.Sharder: an independent [lo, hi) view backed
 // by fresh per-segment cursors, safe to use concurrently with other
 // shards (the contract the sharded strategy relies on).
@@ -407,6 +413,11 @@ func (v *dirView) At(i int) ([]float64, float64) {
 func (v *dirView) AtSparse(i int) (*vec.Sparse, float64) {
 	s, j := v.locate(i)
 	return s.(sgd.SparseSamples).AtSparse(j)
+}
+
+func (v *dirView) Touch(i int) float64 {
+	s, j := v.locate(i)
+	return s.(*view).Touch(j)
 }
 
 // Shard implements engine.Sharder by re-sharding from the root, so

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"boltondp/internal/core"
@@ -151,5 +152,115 @@ func TestStoreScoringParity(t *testing.T) {
 	}
 	if got, want := eval.Errors(rd, model), eval.Errors(ds, model); got != want {
 		t.Fatalf("store-backed errors %v != in-memory %v", got, want)
+	}
+}
+
+// noHint hides a store source's look-ahead hint (sgd's Touch contract)
+// and nothing else: Shard stays, and hides the hint of the views too.
+type noHint struct{ sgd.SparseSamples }
+
+func (h noHint) Shard(lo, hi int) sgd.Samples {
+	return noHint{h.SparseSamples.(engine.Sharder).Shard(lo, hi).(sgd.SparseSamples)}
+}
+
+// TestStoreHintParity: on a single file and on a segment directory the
+// hint reads exactly the row it is asked for — the sum of the words it
+// touches equals the in-memory dataset's for every row, through shard
+// views too — and training with it hidden ends on the same bits, under
+// Sequential and (the -race case: two shard cursors over one mapping)
+// Sharded P=2.
+func TestStoreHintParity(t *testing.T) {
+	type toucher interface{ Touch(i int) float64 }
+	ds, _ := data.KDDSimSparse(rand.New(rand.NewSource(23)), 0.003)
+	base := t.TempDir()
+	rd := openStore(t, writeStore(t, base, ds, store.Options{ChunkRows: 128}))
+	half := ds.Len() / 2
+	segDir := filepath.Join(base, "segs")
+	appendSlice(t, segDir, ds, 0, half, store.Options{ChunkRows: 128})
+	appendSlice(t, segDir, ds, half, ds.Len(), store.Options{ChunkRows: 128})
+	dir := openDir(t, segDir)
+
+	lo, hi := 100, ds.Len()-70 // straddles the segment boundary
+	for name, src := range map[string]sgd.Samples{"file": rd, "dir": dir} {
+		view := src.(engine.Sharder).Shard(lo, hi)
+		for _, s := range []sgd.Samples{src, view} { // one verifying pass each
+			for i := 0; i < s.Len(); i++ {
+				s.(sgd.SparseSamples).AtSparse(i)
+			}
+		}
+		for i := 0; i < ds.Len(); i++ {
+			if got, want := src.(toucher).Touch(i), ds.Touch(i); got != want {
+				t.Fatalf("%s: hint for row %d read %v, the row holds %v", name, i, got, want)
+			}
+		}
+		for _, i := range []int{0, half - lo - 1, half - lo, hi - lo - 1} {
+			if got, want := view.(toucher).Touch(i), ds.Touch(lo+i); got != want {
+				t.Fatalf("%s view: hint for row %d read %v, parent row %d holds %v", name, i, got, lo+i, want)
+			}
+		}
+
+		for _, ec := range []engine.Config{{Strategy: engine.Sequential}, {Strategy: engine.Sharded, Workers: 2}} {
+			run := func(s sgd.Samples) *engine.Result {
+				ec.SGD = sgd.Config{
+					Loss: loss.NewLogistic(1e-2, 0), Step: sgd.InvSqrtT(1), Radius: 100,
+					Passes: 3, Batch: 10, Average: true, Rand: rand.New(rand.NewSource(8)),
+				}
+				res, err := engine.Run(s, ec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			want, got := run(noHint{src.(sgd.SparseSamples)}), run(src)
+			bitsEqual(t, name+" W", got.W, want.W)
+			bitsEqual(t, name+" WAvg", got.WAvg, want.WAvg)
+		}
+	}
+}
+
+// TestLabels01PermutedParity: a store holding raw {0,1} labels under
+// the remap flag and its ±1 twin are the same training set — permuted
+// multi-pass runs end on the same bits as each other and as memory.
+// (That the remap is per row served, not per chunk switch, is pinned
+// structurally by TestChunkTable.)
+func TestLabels01PermutedParity(t *testing.T) {
+	ds, _ := data.KDDSimSparse(rand.New(rand.NewSource(29)), 0.003)
+	dir := t.TempDir()
+	twin := openStore(t, writeStore(t, dir, ds, store.Options{ChunkRows: 64}))
+
+	path01 := filepath.Join(dir, "labels01.bolt")
+	w, err := store.Create(path01, store.Options{ChunkRows: 64, RemapLabels01: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetDim(ds.Dim())
+	for i := 0; i < ds.Len(); i++ {
+		x, y := ds.Row(i)
+		if err := w.Append(x, (y+1)/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rd01 := openStore(t, path01)
+	if rd01.Flags()&store.FlagLabels01 == 0 {
+		t.Fatal("fixture did not record FlagLabels01")
+	}
+
+	for _, b := range []int{1, 50} {
+		run := func(s sgd.Samples) []float64 {
+			res, err := sgd.Run(s, sgd.Config{
+				Loss: loss.NewLogistic(1e-2, 0), Step: sgd.InvSqrtT(1), Radius: 100,
+				Passes: 2, Batch: b, FreshPerm: true, Rand: rand.New(rand.NewSource(4)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.W
+		}
+		mem := run(ds)
+		bitsEqual(t, "±1 store", run(twin), mem)
+		bitsEqual(t, "{0,1} store", run(rd01), mem)
 	}
 }

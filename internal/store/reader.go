@@ -188,6 +188,9 @@ func (r *Reader) At(i int) ([]float64, float64) { return r.cur.at(i) }
 // corruption (see the type comment).
 func (r *Reader) AtSparse(i int) (*vec.Sparse, float64) { return r.cur.atSparse(i) }
 
+// Touch is the epoch loops' look-ahead hint; see cursor.touch.
+func (r *Reader) Touch(i int) float64 { return r.cur.touch(i) }
+
 // Shard implements engine.Sharder: an independent read-only view of
 // rows [lo, hi) with its own chunk state over the shared file, so
 // shards of one store can be scanned concurrently by the sharded
@@ -214,7 +217,15 @@ func (r *Reader) ChunkCSR(c int) (indptr, idx []int, val, y []float64, err error
 	if err := r.cur.load(c); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	return r.cur.indptr, r.cur.idx, r.cur.val, r.cur.y, nil
+	y = r.cur.y
+	if r.hdr.flags&FlagLabels01 != 0 { // serving form: the one copy (the mapping is read-only)
+		y = append(r.cur.yArena[:0], y...)
+		for i, v := range y {
+			y[i] = r.cur.label(v)
+		}
+		r.cur.yArena = y
+	}
+	return r.cur.indptr, r.cur.idx, r.cur.val, y, nil
 }
 
 // Verify loads every chunk, validating all checksums and CSR
@@ -254,6 +265,8 @@ func (v *view) AtSparse(i int) (*vec.Sparse, float64) {
 	return v.cur.atSparse(v.lo + i)
 }
 
+func (v *view) Touch(i int) float64 { return v.cur.touch(v.lo + i) }
+
 // Shard keeps views shardable in turn, translating to parent
 // coordinates so sharded runs over a row-range view stay race-free.
 func (v *view) Shard(lo, hi int) sgd.Samples {
@@ -265,11 +278,11 @@ func (v *view) Shard(lo, hi int) sgd.Samples {
 
 // cursor is one scanning view's chunk state. In the mapped path the
 // CSR slices point straight into the file mapping; each chunk is CRC-
-// and invariant-checked the first time this cursor visits it (the
-// verified bitmap), after which a chunk switch is slice arithmetic
-// only — zero work per row, zero allocations per chunk (gated by
-// TestStoreScanAllocs). In the fallback path chunks are pread and
-// decoded into the cursor's reused arenas on every switch.
+// and invariant-checked the first time this cursor visits it, which
+// also files its slices in the chunk table, after which a chunk switch
+// is one table read — zero work per row, zero allocations per chunk
+// (gated by TestStoreScanAllocs). In the fallback path chunks are pread
+// and decoded into the cursor's reused arenas on every switch.
 type cursor struct {
 	r   *Reader
 	cur int // loaded chunk, -1 when none
@@ -279,25 +292,30 @@ type cursor struct {
 	// every access through the checked slow path.
 	lo, hi int
 
-	verified []bool // mapped path: chunks already CRC/invariant-checked
-
-	indptr []int
-	idx    []int
-	val    []float64
-	y      []float64
+	// tab is the mapped path's chunk table: entry n holds chunk n's
+	// aliased slices once this cursor has verified it (indptr non-nil),
+	// so a permuted epoch's chunk switches and the look-ahead hint index
+	// it instead of re-deriving the geometry per row.
+	tab      []chunkCSR
+	chunkCSR // the loaded chunk
 
 	raw    []byte    // fallback payload buffer
-	yArena []float64 // label remap buffer (FlagLabels01, mapped path)
+	yArena []float64 // ChunkCSR's remapped label copy (FlagLabels01)
 
 	scratch []float64 // dense At tier, allocated on first use
 	row     vec.Sparse
 }
 
+// chunkCSR is one chunk's CSR block; y holds the labels as stored.
+type chunkCSR struct {
+	indptr, idx []int
+	val, y      []float64
+}
+
 func (c *cursor) init(r *Reader) {
-	c.r = r
-	c.cur = -1
+	*c = cursor{r: r, cur: -1}
 	if r.mm != nil {
-		c.verified = make([]bool, r.chunks)
+		c.tab = make([]chunkCSR, r.chunks)
 	}
 }
 
@@ -368,47 +386,31 @@ func (c *cursor) load(n int) error {
 
 // loadMapped serves chunk n out of the file mapping: the CSR slices
 // alias the mapping, with CRC and CSR invariants checked on this
-// cursor's first visit and pure slice arithmetic after that.
+// cursor's first visit and one chunk-table read after that.
 func (c *cursor) loadMapped(n int) error {
 	r := c.r
-	off := r.offsets[n]
-	hbuf := r.mm[off : off+chunkHeaderSize]
-	rows, nnz, plen, crc, err := c.chunkGeom(n, hbuf)
-	if err != nil {
-		return err
-	}
-	p := r.mm[off+chunkHeaderSize : off+chunkHeaderSize+int64(plen)]
-	indptr := asInt(p[8*(nnz+rows) : 8*(nnz+rows+rows+1)])
-	idx := asInt(p[8*(nnz+rows+rows+1):])
-	if !c.verified[n] {
+	e := &c.tab[n]
+	if e.indptr == nil {
+		off := r.offsets[n]
+		rows, nnz, plen, crc, err := c.chunkGeom(n, r.mm[off:off+chunkHeaderSize])
+		if err != nil {
+			return err
+		}
+		p := r.mm[off+chunkHeaderSize : off+chunkHeaderSize+int64(plen)]
+		indptr := asInt(p[8*(nnz+rows) : 8*(nnz+rows+rows+1)])
+		idx := asInt(p[8*(nnz+rows+rows+1):])
 		if got := crc32.ChecksumIEEE(p); got != crc {
 			return fmt.Errorf("store: %s: chunk %d checksum mismatch (%08x != %08x)", r.path, n, got, crc)
 		}
 		if err := c.validateCSR(n, rows, nnz, indptr, idx); err != nil {
 			return err
 		}
+		*e = chunkCSR{indptr: indptr, idx: idx, val: asF64(p[:8*nnz]), y: asF64(p[8*nnz : 8*(nnz+rows)])}
 	}
-	c.indptr, c.idx = indptr, idx
-	c.verified[n] = true
-	c.val = asF64(p[:8*nnz])
-	yB := p[8*nnz : 8*(nnz+rows)]
-	if r.hdr.flags&FlagLabels01 != 0 {
-		// The mapping is read-only, so remapped labels need the one
-		// copied section: rows (not nnz) elements, reused across loads.
-		if cap(c.yArena) < rows {
-			c.yArena = make([]float64, rows)
-		}
-		c.yArena = c.yArena[:rows]
-		for i, v := range asF64(yB) {
-			c.yArena[i] = 2*v - 1
-		}
-		c.y = c.yArena
-	} else {
-		c.y = asF64(yB)
-	}
+	c.chunkCSR = *e
 	c.cur = n
 	c.lo = n * r.hdr.chunkRows
-	c.hi = c.lo + rows
+	c.hi = c.lo + len(e.y)
 	return nil
 }
 
@@ -452,13 +454,8 @@ func (c *cursor) loadArena(n int) error {
 		c.y = make([]float64, rows)
 	}
 	c.y = c.y[:rows]
-	remap := r.hdr.flags&FlagLabels01 != 0
 	for i := 0; i < rows; i++ {
-		yv := getF64(p, o)
-		if remap {
-			yv = 2*yv - 1
-		}
-		c.y[i] = yv
+		c.y[i] = getF64(p, o)
 		o += 8
 	}
 	if cap(c.indptr) < rows+1 {
@@ -513,7 +510,30 @@ func (c *cursor) atSparse(i int) (*vec.Sparse, float64) {
 	lo, hi := c.indptr[j], c.indptr[j+1]
 	c.row.Idx = c.idx[lo:hi]
 	c.row.Val = c.val[lo:hi]
-	return &c.row, c.y[j]
+	return &c.row, c.label(c.y[j])
+}
+
+// label returns a stored label in serving form: a FlagLabels01 store
+// serves ±1, remapping the one label a row access returns.
+func (c *cursor) label(y float64) float64 {
+	if c.r.hdr.flags&FlagLabels01 != 0 {
+		return 2*y - 1
+	}
+	return y
+}
+
+// touch is the look-ahead hint (sgd's Touch contract): row i's indptr,
+// label and idx/val lines, read off the chunk table without moving the
+// cursor. A chunk this cursor has not verified (so every row without a
+// mapping) returns 0 untouched: its first visit reads every byte anyway.
+func (c *cursor) touch(i int) float64 {
+	n := i / c.r.hdr.chunkRows
+	if uint(n) >= uint(len(c.tab)) || c.tab[n].indptr == nil {
+		return 0
+	}
+	e, j := &c.tab[n], i-n*c.r.hdr.chunkRows
+	lo, hi := e.indptr[j], e.indptr[j+1]
+	return e.y[j] + vec.TouchSparse(e.idx[lo:hi], e.val[lo:hi])
 }
 
 func (c *cursor) at(i int) ([]float64, float64) {
@@ -527,5 +547,5 @@ func (c *cursor) at(i int) ([]float64, float64) {
 	for k := c.indptr[j]; k < c.indptr[j+1]; k++ {
 		c.scratch[c.idx[k]] = c.val[k]
 	}
-	return c.scratch, c.y[j]
+	return c.scratch, c.label(c.y[j])
 }

@@ -55,6 +55,21 @@ func (s *Sparse) MaxIndex() int {
 	return s.Idx[len(s.Idx)-1]
 }
 
+// TouchSparse is Touch over a sparse row's two arrays, taken by value on
+// purpose: through a row header written to memory and read back, every
+// line load would wait on a store whose data is itself a missed load.
+func TouchSparse(idx []int, val []float64) float64 {
+	n := len(idx)
+	if n == 0 || len(val) != n {
+		return 0
+	}
+	t := val[n-1] + float64(idx[n-1])
+	for k := 0; k < n; k += 8 {
+		t += val[k] + float64(idx[k])
+	}
+	return t
+}
+
 // Dot returns ⟨s, dense⟩. Indices beyond len(dense) contribute zero.
 func (s *Sparse) Dot(dense []float64) float64 {
 	var sum float64

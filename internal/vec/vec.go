@@ -119,6 +119,21 @@ func Copy(a []float64) []float64 {
 	return out
 }
 
+// Touch reads one word per 64-byte cache line of a, plus the last word
+// (a need not be line-aligned), and returns their sum so the loads are
+// kept. It is the body of the row sources' look-ahead hint (sgd's
+// Touch contract): the loads are independent, so their misses overlap.
+func Touch(a []float64) float64 {
+	if len(a) == 0 {
+		return 0
+	}
+	s := a[len(a)-1]
+	for k := 0; k < len(a); k += 8 {
+		s += a[k]
+	}
+	return s
+}
+
 // Zero sets every element of a to 0.
 func Zero(a []float64) {
 	for i := range a {
