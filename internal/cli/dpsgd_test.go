@@ -7,12 +7,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"boltondp/internal/account"
 	"boltondp/internal/eval"
+	"boltondp/internal/store"
+	"boltondp/internal/vec"
 )
 
 func TestParseDPSGDDefaults(t *testing.T) {
@@ -471,5 +474,43 @@ func TestRunDPSGDCacheCorruptFailsClosed(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "delete it to reconvert") {
 		t.Fatalf("corrupt cache err = %v", err)
+	}
+}
+
+// A context cancelled in the middle of a -cache conversion stops it at
+// the next poll (one per 4096 rows), with the context's own error, no
+// scanner goroutine left behind and no temp segment left on disk.
+func TestScanLIBSVMNormalizedCancel(t *testing.T) {
+	dir := t.TempDir()
+	dataPath := sparseLIBSVMFile(t, dir, 20000)
+	cache := filepath.Join(dir, "cache")
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	emitted := 0
+	_, err := store.AppendSegmentScan(cache, 0, store.Options{RemapLabels01: true},
+		func(emit func(x *vec.Sparse, y float64) error) error {
+			return scanLIBSVMNormalized(ctx, dataPath, func(x *vec.Sparse, y float64) error {
+				if emitted++; emitted == 5000 {
+					cancel()
+				}
+				return emit(x, y)
+			})
+		})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled as-is", err)
+	}
+	if emitted != 8192 {
+		t.Fatalf("emitted %d rows after a cancel at row 5000, want 8192 (the next poll)", emitted)
+	}
+	ents, err := os.ReadDir(cache)
+	if err != nil || len(ents) != 0 {
+		t.Fatalf("cancelled conversion left %v in the cache directory (err %v)", ents, err)
+	}
+	for i := 0; runtime.NumGoroutine() != base; i++ {
+		if i == 2000 {
+			t.Fatalf("%d goroutines after the cancelled scan, started with %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond) // one that has signalled its WaitGroup may still be exiting
 	}
 }

@@ -275,38 +275,12 @@ func ScaleSim(seed int64, m, d int) *Dataset {
 // Duplicate column entries on one line are summed (the canonical form
 // every LIBSVM consumer in this repository shares via ScanLIBSVM).
 func LoadLIBSVM(path string, dim int) (*Dataset, error) {
-	var rows []*vec.Sparse
-	var ys []float64
-	maxIdx := dim - 1
-	labels := map[float64]bool{}
-	err := ScanLIBSVM(path, func(row *vec.Sparse, y float64) error {
-		if mi := row.MaxIndex(); mi > maxIdx {
-			maxIdx = mi
-		}
-		rows = append(rows, row)
-		ys = append(ys, y)
-		labels[y] = true
-		return nil
-	})
+	s, err := LoadLIBSVMSparse(path, dim)
 	if err != nil {
 		return nil, err
 	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("data: %s: no examples", path)
-	}
-	if maxIdx < 0 {
-		return nil, fmt.Errorf("data: %s: no features (dimension 0)", path)
-	}
-
-	d := &Dataset{Name: path}
-	d.Classes = remap01(ys, labels)
-	d.X = make([][]float64, len(rows))
-	d.Y = ys
-	for i, row := range rows {
-		x := make([]float64, maxIdx+1)
-		row.Scatter(x)
-		d.X[i] = x
-	}
+	d := s.ToDense()
+	d.Name = path
 	return d, nil
 }
 

@@ -6,38 +6,45 @@ import (
 	"testing"
 )
 
+// libsvmSeeds is the seed corpus both LIBSVM fuzz targets start from.
+var libsvmSeeds = []string{
+	"1 1:0.5 3:0.25\n-1 2:1\n",
+	"0 1:1\n1 2:2\n",
+	"# comment\n\n1 1:1\n",
+	"x 1:1\n",
+	"1 0:1\n",
+	"1 1:\n",
+	"1 :5\n",
+	"1 1:1e300 2:-1e300\n",
+	"3.5 10:0.1\n",
+	// Malformed feature indices: zero, negative, non-numeric, and an
+	// index that overflows int. All must error, never panic.
+	"1 -2:5\n",
+	"1 x:1\n",
+	"1 99999999999999999999:1\n",
+	// Out-of-order and duplicate columns (both loaders accept; the
+	// sparse loader canonicalizes through vec.SortedCopy).
+	"1 5:1 2:1\n",
+	"1 2:1 2:3\n",
+	"-1 3:0.5 2:0.5 2:0.25\n",
+	// Truncated lines: a dangling pair, a bare label, a file cut
+	// mid-token, and CRLF endings.
+	"1 1:1 2\n",
+	"1\n-1 1:1\n",
+	"1 1:0.5 3:0.2",
+	"1 1:0.5\r\n-1 2:1\r\n",
+	// Exotic-but-parseable values the scorer must survive.
+	"1 1:NaN 2:Inf\n",
+	"1e1 1:+0.5 2:-0\n",
+}
+
 // The LIBSVM parsers accept arbitrary user files and must never panic:
 // malformed input is an error, not a crash. Both parsers must also
 // agree on validity (they implement the same grammar).
 func FuzzLoadLIBSVM(f *testing.F) {
-	f.Add("1 1:0.5 3:0.25\n-1 2:1\n")
-	f.Add("0 1:1\n1 2:2\n")
-	f.Add("# comment\n\n1 1:1\n")
-	f.Add("x 1:1\n")
-	f.Add("1 0:1\n")
-	f.Add("1 1:\n")
-	f.Add("1 :5\n")
-	f.Add("1 1:1e300 2:-1e300\n")
-	f.Add("3.5 10:0.1\n")
-	// Malformed feature indices: zero, negative, non-numeric, and an
-	// index that overflows int. All must error, never panic.
-	f.Add("1 -2:5\n")
-	f.Add("1 x:1\n")
-	f.Add("1 99999999999999999999:1\n")
-	// Out-of-order and duplicate columns (both loaders accept; the
-	// sparse loader canonicalizes through vec.SortedCopy).
-	f.Add("1 5:1 2:1\n")
-	f.Add("1 2:1 2:3\n")
-	f.Add("-1 3:0.5 2:0.5 2:0.25\n")
-	// Truncated lines: a dangling pair, a bare label, a file cut
-	// mid-token, and CRLF endings.
-	f.Add("1 1:1 2\n")
-	f.Add("1\n-1 1:1\n")
-	f.Add("1 1:0.5 3:0.2")
-	f.Add("1 1:0.5\r\n-1 2:1\r\n")
-	// Exotic-but-parseable values the scorer must survive.
-	f.Add("1 1:NaN 2:Inf\n")
-	f.Add("1e1 1:+0.5 2:-0\n")
+	for _, s := range libsvmSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, content string) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "f.libsvm")
