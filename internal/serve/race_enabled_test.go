@@ -2,6 +2,6 @@
 
 package serve
 
-// raceEnabled relaxes timing assertions when the race detector's
-// instrumentation overhead distorts compute/IO ratios.
+// raceEnabled skips the allocation-count gates under the race detector,
+// where sync.Pool drops a random quarter of its Puts.
 const raceEnabled = true

@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,6 +29,13 @@ type Row struct {
 // indices) are scored zero-copy; anything else is canonicalized
 // through vec.SortedCopy.
 func (m *Model) Score(row *Row) (float64, error) {
+	var sp vec.Sparse
+	return m.score(row, &sp)
+}
+
+// score is Score with the sparse row header supplied by the caller, so
+// that a batch loop allocates one per worker and not one per row.
+func (m *Model) score(row *Row, sp *vec.Sparse) (float64, error) {
 	switch {
 	case row.X != nil && (row.Idx != nil || row.Val != nil):
 		return 0, errors.New("row has both dense and sparse form")
@@ -38,23 +45,26 @@ func (m *Model) Score(row *Row) (float64, error) {
 		}
 		return m.Classifier.Predict(row.X), nil
 	case row.Idx != nil || row.Val != nil:
-		return m.scoreSparse(row.Idx, row.Val)
+		return m.scoreSparseTier(row.Idx, row.Val, false, sp)
 	default:
 		return 0, errors.New(`empty row (need "x" or "idx"/"val")`)
 	}
 }
 
-// scoreSparse scores one coordinate-form row through the sparse tier.
-func (m *Model) scoreSparse(idx []int, val []float64) (float64, error) {
-	return m.scoreSparseTier(idx, val, false)
-}
-
 // scoreSparseTier scores one coordinate-form row with the same
-// canonicalization and bounds checks on either precision tier.
-func (m *Model) scoreSparseTier(idx []int, val []float64, f32 bool) (float64, error) {
-	sp, err := sparseRow(idx, val)
-	if err != nil {
-		return 0, err
+// canonicalization and bounds checks on either precision tier. sp is
+// the caller's row header: pairs that are already canonical (the common
+// case for programmatic clients) are scored through it zero-copy,
+// anything else through a canonicalizing copy.
+func (m *Model) scoreSparseTier(idx []int, val []float64, f32 bool, sp *vec.Sparse) (float64, error) {
+	if len(idx) == len(val) && canonical(idx) {
+		sp.Idx, sp.Val = idx, val
+	} else {
+		sorted, err := vec.SortedCopy(idx, val)
+		if err != nil {
+			return 0, err
+		}
+		sp = sorted
 	}
 	if mi := sp.MaxIndex(); mi >= m.Dim {
 		return 0, fmt.Errorf("sparse index %d out of range for model %q (dim %d)", mi, m.Name, m.Dim)
@@ -63,16 +73,6 @@ func (m *Model) scoreSparseTier(idx []int, val []float64, f32 bool) (float64, er
 		return m.predictSparse32(sp.Idx, sp.Val), nil
 	}
 	return m.Sparse.PredictSparse(sp), nil
-}
-
-// sparseRow builds the vec.Sparse view of a coordinate-form wire row:
-// a zero-copy wrapper when the pairs are already canonical (the common
-// case for programmatic clients), else a canonicalizing copy.
-func sparseRow(idx []int, val []float64) (*vec.Sparse, error) {
-	if len(idx) == len(val) && canonical(idx) {
-		return &vec.Sparse{Idx: idx, Val: val}, nil
-	}
-	return vec.SortedCopy(idx, val)
 }
 
 // canonical reports whether indices are non-negative and strictly
@@ -144,25 +144,25 @@ type canaryRouter struct {
 
 // scoreSparse scores one canary-routed coordinate row, falling back to
 // the primary when the canary cannot score it.
-func (rt *canaryRouter) scoreSparse(primary *Model, idx []int, val []float64, f32 bool) (float64, error) {
+func (rt *canaryRouter) scoreSparse(primary *Model, idx []int, val []float64, f32 bool, sp *vec.Sparse) (float64, error) {
 	rt.cs.rows.Add(1)
-	y, err := rt.cs.model.scoreSparseTier(idx, val, f32)
+	y, err := rt.cs.model.scoreSparseTier(idx, val, f32, sp)
 	if err == nil {
 		return y, nil
 	}
 	rt.cs.errors.Add(1)
-	return primary.scoreSparseTier(idx, val, f32)
+	return primary.scoreSparseTier(idx, val, f32, sp)
 }
 
 // scoreRow scores one canary-routed wire row with the same fallback.
-func (rt *canaryRouter) scoreRow(primary *Model, row *Row) (float64, error) {
+func (rt *canaryRouter) scoreRow(primary *Model, row *Row, sp *vec.Sparse) (float64, error) {
 	rt.cs.rows.Add(1)
-	y, err := rt.cs.model.Score(row)
+	y, err := rt.cs.model.score(row, sp)
 	if err == nil {
 		return y, nil
 	}
 	rt.cs.errors.Add(1)
-	return primary.Score(row)
+	return primary.score(row, sp)
 }
 
 // routes reports whether this row hashes under the rollout percentage.
@@ -192,11 +192,12 @@ func (m *Model) ScoreBatch(rows []Row, workers int) ([]float64, error) {
 func (m *Model) ScoreBatchCtx(ctx context.Context, rows []Row, workers int) ([]float64, error) {
 	labels := make([]float64, len(rows))
 	err := fanOut(ctx, len(rows), workers, func(lo, hi int) error {
+		var sp vec.Sparse
 		for i := lo; i < hi; i++ {
 			if ctxDead(ctx) {
 				return ctx.Err()
 			}
-			y, err := m.Score(&rows[i])
+			y, err := m.score(&rows[i], &sp)
 			if err != nil {
 				return fmt.Errorf("row %d: %w", i, err)
 			}
@@ -225,7 +226,7 @@ func (m *Model) ScoreBatchCSR(indptr, idx []int, val []float64, workers int) ([]
 // full-precision tier; the float32 tier the batch handler defaults to
 // is ScoreBatchCSRF32Ctx.
 func (m *Model) ScoreBatchCSRCtx(ctx context.Context, indptr, idx []int, val []float64, workers int) ([]float64, error) {
-	return m.scoreBatchCSR(ctx, indptr, idx, val, workers, false, nil)
+	return m.scoreBatchCSR(ctx, nil, indptr, idx, val, workers, false, nil)
 }
 
 // ScoreBatchCSRF32 scores a columnar sparse batch through the float32
@@ -234,15 +235,18 @@ func (m *Model) ScoreBatchCSRCtx(ctx context.Context, indptr, idx []int, val []f
 // the full-precision tier except on rows whose margin magnitude is
 // within weight-quantization distance of the decision boundary.
 func (m *Model) ScoreBatchCSRF32(indptr, idx []int, val []float64, workers int) ([]float64, error) {
-	return m.scoreBatchCSR(context.Background(), indptr, idx, val, workers, true, nil)
+	return m.scoreBatchCSR(context.Background(), nil, indptr, idx, val, workers, true, nil)
 }
 
 // ScoreBatchCSRF32Ctx is ScoreBatchCSRF32 bound to a context.
 func (m *Model) ScoreBatchCSRF32Ctx(ctx context.Context, indptr, idx []int, val []float64, workers int) ([]float64, error) {
-	return m.scoreBatchCSR(ctx, indptr, idx, val, workers, true, nil)
+	return m.scoreBatchCSR(ctx, nil, indptr, idx, val, workers, true, nil)
 }
 
-func (m *Model) scoreBatchCSR(ctx context.Context, indptr, idx []int, val []float64, workers int, f32 bool, rt *canaryRouter) ([]float64, error) {
+// scoreBatchCSR is the columnar scorer behind the exported forms and
+// the batch handler. labels is storage to score into when it is large
+// enough (the handler's pooled scratch); nil allocates.
+func (m *Model) scoreBatchCSR(ctx context.Context, labels []float64, indptr, idx []int, val []float64, workers int, f32 bool, rt *canaryRouter) ([]float64, error) {
 	if len(idx) != len(val) {
 		return nil, fmt.Errorf("idx/val length mismatch %d != %d", len(idx), len(val))
 	}
@@ -250,8 +254,9 @@ func (m *Model) scoreBatchCSR(ctx context.Context, indptr, idx []int, val []floa
 		return nil, fmt.Errorf("indptr must start at 0 and end at len(idx)=%d", len(idx))
 	}
 	n := len(indptr) - 1
-	labels := make([]float64, n)
+	labels = slices.Grow(labels[:0], n)[:n]
 	err := fanOut(ctx, n, workers, func(lo, hi int) error {
+		var sp vec.Sparse
 		for i := lo; i < hi; i++ {
 			if ctxDead(ctx) {
 				return ctx.Err()
@@ -263,9 +268,9 @@ func (m *Model) scoreBatchCSR(ctx context.Context, indptr, idx []int, val []floa
 			var y float64
 			var err error
 			if rt != nil && rt.routesSparse(idx[a:b], val[a:b]) {
-				y, err = rt.scoreSparse(m, idx[a:b], val[a:b], f32)
+				y, err = rt.scoreSparse(m, idx[a:b], val[a:b], f32, &sp)
 			} else {
-				y, err = m.scoreSparseTier(idx[a:b], val[a:b], f32)
+				y, err = m.scoreSparseTier(idx[a:b], val[a:b], f32, &sp)
 			}
 			if err != nil {
 				return fmt.Errorf("row %d: %w", i, err)
@@ -280,31 +285,33 @@ func (m *Model) scoreBatchCSR(ctx context.Context, indptr, idx []int, val []floa
 	return labels, nil
 }
 
-// scoreBatchRaw scores the row-object batch form: the handler decodes
-// only the request frame, and the per-row JSON decoding — the dominant
-// per-row cost of this form — is fanned out across the scoring workers
-// together with the arithmetic.
-func (m *Model) scoreBatchRaw(ctx context.Context, rows []json.RawMessage, workers int, rt *canaryRouter) ([]float64, error) {
-	labels := make([]float64, len(rows))
+// scoreBatchRaw scores the row-object batch form: the handler's codec
+// validated each element of "rows" and kept its byte span, and the
+// per-row decoding — the dominant per-row cost of this form — is fanned
+// out across the scoring workers together with the arithmetic, each
+// worker decoding into scratch of its own.
+func (m *Model) scoreBatchRaw(ctx context.Context, labels []float64, body []byte, rows []span, workers int, rt *canaryRouter) ([]float64, error) {
+	labels = slices.Grow(labels[:0], len(rows))[:len(rows)]
 	err := fanOut(ctx, len(rows), workers, func(lo, hi int) error {
+		sc := getScratch()
+		defer putScratch(sc)
+		var sp vec.Sparse
 		for i := lo; i < hi; i++ {
 			if ctxDead(ctx) {
 				return ctx.Err()
 			}
-			// Same strictness as /predict's frame decoder: a typo'd
-			// field must be a 400, not a silently dropped key.
-			var row Row
-			dec := json.NewDecoder(bytes.NewReader(rows[i]))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&row); err != nil {
+			// Same strictness as /predict's frame: a typo'd field must be
+			// a 400, not a silently dropped key.
+			if err := sc.req.decodeRow(body, rows[i]); err != nil {
 				return fmt.Errorf("row %d: %w", i, err)
 			}
+			row := sc.req.row()
 			var y float64
 			var err error
 			if rt != nil && rt.routesRow(&row) {
-				y, err = rt.scoreRow(m, &row)
+				y, err = rt.scoreRow(m, &row, &sp)
 			} else {
-				y, err = m.Score(&row)
+				y, err = m.score(&row, &sp)
 			}
 			if err != nil {
 				return fmt.Errorf("row %d: %w", i, err)
@@ -362,11 +369,6 @@ type Config struct {
 	// QueueTimeout bounds how long a request may wait for a scoring
 	// slot before being shed (default 1s).
 	QueueTimeout time.Duration
-
-	// DisableMetrics turns off /metrics and the per-request
-	// instrumentation — the baseline the overhead gate measures
-	// against. Production servers leave it off.
-	DisableMetrics bool
 
 	// CanaryErrorRate is the canary auto-rollback threshold: once the
 	// active rollout has scored at least CanaryMinRows rows, an
@@ -429,11 +431,7 @@ type Server struct {
 // New builds a prediction service over the registry.
 func New(reg *Registry, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{reg: reg, cfg: cfg, adm: newAdmission(cfg)}
-	if !cfg.DisableMetrics {
-		s.metrics = &Metrics{}
-	}
-	return s
+	return &Server{reg: reg, cfg: cfg, metrics: &Metrics{}, adm: newAdmission(cfg)}
 }
 
 // logf routes operational log lines through Config.Logf (or the
@@ -463,38 +461,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /predict/batch", s.instrument("predict_batch", s.admit(s.handleBatch)))
 	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	mux.HandleFunc("GET /modelz", s.instrument("modelz", s.handleModelz))
-	if s.metrics != nil {
-		mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
-	}
+	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	return mux
-}
-
-type predictRequest struct {
-	// Model selects a named version; empty means the live model.
-	Model string `json:"model,omitempty"`
-	Row
-}
-
-type predictResponse struct {
-	Model string  `json:"model"`
-	Label float64 `json:"label"`
-}
-
-// batchRequest carries one of two batch encodings: a "rows" list of
-// per-row objects (kept raw at the frame level so scoreBatchRaw can
-// decode them inside the worker fan-out), or the columnar CSR triple
-// "indptr"/"idx"/"val" — the high-throughput form.
-type batchRequest struct {
-	Model  string            `json:"model,omitempty"`
-	Rows   []json.RawMessage `json:"rows,omitempty"`
-	Indptr []int             `json:"indptr,omitempty"`
-	Idx    []int             `json:"idx,omitempty"`
-	Val    []float64         `json:"val,omitempty"`
-}
-
-type batchResponse struct {
-	Model  string    `json:"model"`
-	Labels []float64 `json:"labels"`
 }
 
 type healthResponse struct {
@@ -548,22 +516,13 @@ func (s *Server) model(name string) (*Model, int, error) {
 	return m, 0, nil
 }
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
-	if !s.decode(w, r, &req) {
+	sc := getScratch()
+	defer putScratch(sc) // after the reply, which is built in sc, is written
+	if !s.readRequest(w, r, sc, predictFields) {
 		return
 	}
-	m, code, err := s.model(req.Model)
+	m, code, err := s.model(sc.req.model)
 	if err != nil {
 		s.httpError(w, code, "%v", err)
 		return
@@ -571,31 +530,40 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if s.testHookScoring != nil {
 		s.testHookScoring()
 	}
-	y, err := m.Score(&req.Row)
+	row := sc.req.row()
+	y, err := m.Score(&row)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, predictResponse{Model: m.Name, Label: y})
+	sc.reply = appendPredictReply(sc.reply[:0], m.Name, y)
+	s.writeReply(w, sc.reply)
 }
 
+// handleBatch takes one of two batch encodings: a "rows" list of
+// per-row objects (kept as byte spans at the frame level so that
+// scoreBatchRaw decodes them inside the worker fan-out), or the
+// columnar CSR triple "indptr"/"idx"/"val" — the high-throughput form.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !s.decode(w, r, &req) {
+	sc := getScratch()
+	defer putScratch(sc) // after the reply, which is built in sc, is written
+	if !s.readRequest(w, r, sc, batchFields) {
 		return
 	}
-	csr := req.Indptr != nil || req.Idx != nil || req.Val != nil
-	if csr && req.Rows != nil {
+	req := &sc.req
+	indptr, idx, val := req.indptr.slice(), req.idx.slice(), req.val.slice()
+	csr := indptr != nil || idx != nil || val != nil
+	if csr && req.rowsSet {
 		s.httpError(w, http.StatusBadRequest, `batch has both "rows" and columnar form`)
 		return
 	}
-	n := len(req.Rows)
+	n := len(req.rows)
 	if csr {
-		if len(req.Indptr) == 0 {
+		if len(indptr) == 0 {
 			s.httpError(w, http.StatusBadRequest, `columnar batch is missing "indptr"`)
 			return
 		}
-		n = len(req.Indptr) - 1
+		n = len(indptr) - 1
 	}
 	if n <= 0 {
 		s.httpError(w, http.StatusBadRequest, "empty batch")
@@ -605,7 +573,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusRequestEntityTooLarge, "batch of %d rows exceeds limit %d", n, s.cfg.MaxBatch)
 		return
 	}
-	m, code, err := s.model(req.Model)
+	m, code, err := s.model(req.model)
 	if err != nil {
 		s.httpError(w, code, "%v", err)
 		return
@@ -617,16 +585,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// naming an explicit version gets exactly that version.
 	var rt *canaryRouter
 	var cs *canaryState
-	if req.Model == "" {
+	if req.model == "" {
 		if cs = s.reg.canary.Load(); cs != nil && cs.pct > 0 {
 			rt = &canaryRouter{cs: cs}
 		}
 	}
-	var labels []float64
 	if csr {
-		labels, err = m.scoreBatchCSR(r.Context(), req.Indptr, req.Idx, req.Val, s.cfg.Workers, !s.cfg.Float64Batch, rt)
+		sc.labels, err = m.scoreBatchCSR(r.Context(), sc.labels, indptr, idx, val, s.cfg.Workers, !s.cfg.Float64Batch, rt)
 	} else {
-		labels, err = m.scoreBatchRaw(r.Context(), req.Rows, s.cfg.Workers, rt)
+		sc.labels, err = m.scoreBatchRaw(r.Context(), sc.labels, sc.body, req.rows, s.cfg.Workers, rt)
 	}
 	if cs != nil {
 		s.maybeRollback(cs)
@@ -644,10 +611,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if s.metrics != nil {
-		s.metrics.batchRows.Add(uint64(n))
-	}
-	s.writeJSON(w, http.StatusOK, batchResponse{Model: m.Name, Labels: labels})
+	s.metrics.batchRows.Add(uint64(n))
+	sc.reply = appendBatchReply(sc.reply[:0], m.Name, sc.labels)
+	s.writeReply(w, sc.reply)
 }
 
 // maybeRollback fires the canary auto-rollback once the active rollout
@@ -664,9 +630,7 @@ func (s *Server) maybeRollback(cs *canaryState) {
 		return
 	}
 	if s.reg.rollbackCanary(cs) {
-		if s.metrics != nil {
-			s.metrics.canaryRollbacks.Add(1)
-		}
+		s.metrics.canaryRollbacks.Add(1)
 		s.logf("serve: canary %q rolled back: %d of %d routed rows errored (threshold %.3f)",
 			cs.model.Name, errs, rows, s.cfg.CanaryErrorRate)
 	}
@@ -720,9 +684,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		if s.metrics != nil {
-			s.metrics.encodeErrors.Add(1)
-		}
+		s.metrics.encodeErrors.Add(1)
 		s.logf("serve: %d response truncated mid-body: %v", code, err)
 	}
 }

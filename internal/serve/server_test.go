@@ -15,7 +15,7 @@ import (
 // testServer returns a handler over a registry holding a live binary
 // model "lin" (dim 4, w = [1,1,-1,-1]) and a named multiclass model
 // "ova" (3 classes over dim 2).
-func testServer(t *testing.T, cfg Config) (*Registry, http.Handler) {
+func testServer(t testing.TB, cfg Config) (*Registry, http.Handler) {
 	t.Helper()
 	reg, err := NewRegistry("")
 	if err != nil {
@@ -87,6 +87,9 @@ func TestPredictErrors(t *testing.T) {
 		{"negative sparse index", `{"idx":[-1],"val":[1]}`, http.StatusBadRequest},
 		{"idx/val length mismatch", `{"idx":[0,1],"val":[1]}`, http.StatusBadRequest},
 		{"unknown model", `{"model":"nope","x":[1,0,0,0]}`, http.StatusNotFound},
+		// Bytes after the request object were scored as if absent.
+		{"second object after the request", `{"idx":[1],"val":[1]}{"model":"other"}`, http.StatusBadRequest},
+		{"garbage after the request", `{"x":[1,0,0,0]} garbage`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		w, out := do(t, h, "POST", "/predict", tc.body)
@@ -222,6 +225,15 @@ func TestBatchErrors(t *testing.T) {
 	}
 	if msg, _ := out["error"].(string); !strings.Contains(msg, "row 1") {
 		t.Errorf("bad row error %q does not name the row", msg)
+	}
+	// Bytes after the request object were scored as if absent.
+	for _, body := range []string{
+		`{"rows":[{"x":[1,0,0,0]}]}{"model":"ova"}`,
+		`{"indptr":[0,1],"idx":[0],"val":[1]} garbage`,
+	} {
+		if w, _ := do(t, h, "POST", "/predict/batch", body); w.Code != http.StatusBadRequest {
+			t.Errorf("trailing bytes %s: status %d, want 400", body, w.Code)
+		}
 	}
 }
 
