@@ -2,9 +2,13 @@ package boltondp
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -37,6 +41,70 @@ func TestNoDeprecatedAPI(t *testing.T) {
 				t.Errorf("%s:%d: deprecated wrapper; delete it and move its callers", path, i+1)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNoClockGates keeps tier-1 deterministic: no test outside
+// benchmark/ gates on a duration it measured. A call to time.Since,
+// time.Until or testing.Benchmark in a _test.go file is such a gate (a
+// shared two-vCPU runner moves a clock 10–35% in a busy minute), and
+// speed belongs in the benchmark harness's rows instead. Deadline
+// polling through time.Now().Add stays legal: it bounds a wait, it
+// times nothing.
+func TestNoClockGates(t *testing.T) {
+	banned := map[string]map[string]bool{
+		"time":    {"Since": true, "Until": true},
+		"testing": {"Benchmark": true},
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkgOf := map[string]string{} // file-local import name → banned import path
+		for _, imp := range f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil || banned[p] == nil {
+				continue
+			}
+			name := p
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			pkgOf[name] = p
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && banned[pkgOf[x.Name]][sel.Sel.Name] {
+				t.Errorf("%s: %s.%s compares a clock in a test; make the gate exact or a benchmark harness row",
+					fset.Position(call.Pos()), x.Name, sel.Sel.Name)
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {

@@ -217,10 +217,18 @@ func (c *Coordinator) Train(ctx context.Context, src Source, job Job, r *rand.Ra
 	if len(c.Workers()) == 0 {
 		return nil, errors.New("dist: no live workers registered")
 	}
+	var res *Result
 	if plan.Workers == 1 {
-		return c.trainSingle(ctx, src, job, r)
+		res, err = c.trainSingle(ctx, src, job, r)
+	} else {
+		res, err = c.trainSharded(ctx, src, job, plan, r)
 	}
-	return c.trainSharded(ctx, src, job, plan, r)
+	if err == nil && ctx.Err() != nil {
+		// The last round's reply can beat the transport to a cancel; the
+		// run still fails closed.
+		return nil, ctx.Err()
+	}
+	return res, err
 }
 
 // trainSingle is the P = 1 path: like the engine, it delegates to one

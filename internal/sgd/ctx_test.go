@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"boltondp/internal/loss"
 )
@@ -119,82 +118,50 @@ func TestSparseCtxCheckAllocs(t *testing.T) {
 	}
 }
 
-// ctxOverheadEpochs times iters epochs of the steady-state sparse
-// kernel and reports ns per epoch. The loop is self-timed rather than
-// run through testing.Benchmark, which would inherit the CI smoke's
-// -benchtime=1x and reduce every measurement to a single noisy run.
-func ctxOverheadEpochs(t *testing.T, sp SparseSamples, cfg Config, iters int) float64 {
-	t.Helper()
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := Run(sp, cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(iters)
+// countingCtx is a live context that counts its Err polls.
+type countingCtx struct {
+	context.Context
+	polls int
 }
 
-// The bench-smoke of the satellite checklist: the per-update ctx check
-// must cost < 2% of an epoch on the BenchmarkSparse* workload. Timing
-// comparisons are noisy, so each measurement averages a fixed batch of
-// epochs and the gate takes the minimum over several attempts, failing
-// only when every attempt exceeds the bound.
-func TestSparseCtxCheckOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing gate; skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("timing gate; race instrumentation multiplies the atomic ctx poll's cost")
-	}
-	r := rand.New(rand.NewSource(1))
-	sp, _ := randomSparseSamples(r, sparseBenchRows, sparseBenchDim, sparseBenchNNZ)
-	f := loss.NewLogistic(1e-2, 0)
-	base := Config{
-		Loss: f, Step: Constant(0.05), Passes: 1, Batch: 10,
-		Radius: 100, NoPerm: true,
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	withCtx := base
-	withCtx.Ctx = ctx
-
-	const iters = 100 // ~0.5ms per epoch ⇒ ~50ms per measurement
-	// Warm-up: fault in pages, steady the caches, trigger scaling.
-	ctxOverheadEpochs(t, sp, base, 10)
-	ctxOverheadEpochs(t, sp, withCtx, 10)
-
-	const limit = 1.02 // < 2% overhead
-	best := 1e18
-	for attempt := 0; attempt < 5; attempt++ {
-		nsBase := ctxOverheadEpochs(t, sp, base, iters)
-		nsCtx := ctxOverheadEpochs(t, sp, withCtx, iters)
-		ratio := nsCtx / nsBase
-		if ratio < best {
-			best = ratio
-		}
-		if best <= limit {
-			return
-		}
-	}
-	t.Errorf("per-update ctx check overhead %.1f%% exceeds 2%% in every attempt", (best-1)*100)
+func (c *countingCtx) Err() error {
+	c.polls++
+	return c.Context.Err()
 }
 
-// BenchmarkSparseCtxEpoch: the BenchmarkSparseKernelEpoch workload with
-// a live context installed — compare against it to see the per-update
-// ctx poll's cost (the CI smoke runs both; TestSparseCtxCheckOverhead
-// gates the ratio).
-func BenchmarkSparseCtxEpoch(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	sp, _ := randomSparseSamples(r, sparseBenchRows, sparseBenchDim, sparseBenchNNZ)
+// TestCtxPolledOncePerUpdate pins the cost model Config.Ctx documents
+// as an exact count instead of a timing: Run polls Err exactly once per
+// update — never per row, never in the per-pass risk evaluation — on
+// both kernels, at b = 1 and b = 16, with and without Tol early
+// stopping.
+func TestCtxPolledOncePerUpdate(t *testing.T) {
+	sp, de := randomSparseSamples(rand.New(rand.NewSource(6)), 200, 50, 5)
 	f := loss.NewLogistic(1e-2, 0)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := sparseBenchConfig(f, int64(i))
-		cfg.Ctx = ctx
-		if _, err := Run(sp, cfg); err != nil {
-			b.Fatal(err)
+	for _, src := range []struct {
+		name string
+		s    Samples
+	}{{"sparse", sp}, {"dense", de}} {
+		for _, b := range []int{1, 16} {
+			for _, tol := range []float64{0, 1e-3} {
+				ctx := &countingCtx{Context: context.Background()}
+				cfg := Config{
+					Loss: f, Step: Constant(0.05), Passes: 30, Batch: b, Tol: tol,
+					Rand: rand.New(rand.NewSource(1)), Ctx: ctx,
+				}
+				if (src.name == "sparse") != UsesSparseKernel(src.s, cfg) {
+					t.Fatal("kernel dispatch mismatch")
+				}
+				res, err := Run(src.s, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tol > 0 && res.Passes == cfg.Passes {
+					t.Fatalf("%s b=%d: Tol never stopped the run; the case is vacuous", src.name, b)
+				}
+				if ctx.polls != res.Updates {
+					t.Errorf("%s b=%d tol=%g: %d Err polls for %d updates", src.name, b, tol, ctx.polls, res.Updates)
+				}
+			}
 		}
 	}
 }

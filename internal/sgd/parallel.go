@@ -1,6 +1,8 @@
 package sgd
 
-// Deterministic intra-batch parallelism for both update kernels.
+// Deterministic intra-batch parallelism for both update kernels. The
+// two executors below sit inside the dense and the sparse kernel (see
+// kernel in sgd.go), under Run's one epoch loop and its look-ahead.
 //
 // Config.KernelWorkers > 1 fans the embarrassingly parallel part of a
 // mini-batch update — the per-example work that reads the pre-update
@@ -158,7 +160,7 @@ func splitRange(lo, hi []int, n int) {
 	}
 }
 
-// denseKernel is the dense path's parallel batch executor. All state a
+// denseKernel is the dense kernel's parallel batch executor. All state a
 // phase needs travels through fields set before pool.run, so the two
 // phase closures are created once and the per-batch steady state stays
 // at 0 allocs (gated by TestParKernelAllocs).
@@ -220,11 +222,7 @@ func (dk *denseKernel) batch(perm []int, start, end int) {
 func (dk *denseKernel) gradPhase(k int) {
 	s := dk.views[k]
 	for j := dk.rowLo[k]; j < dk.rowHi[k]; j++ {
-		i := dk.start + j
-		if dk.perm != nil {
-			i = dk.perm[i]
-		}
-		x, y := s.At(i)
+		x, y := s.At(row(dk.perm, dk.start+j))
 		dk.loss.Grad(dk.gbufs[j], dk.w, x, y)
 	}
 }
@@ -267,22 +265,15 @@ func newSparseKernel(s SparseSamples, workers, maxBatch int, st *sparseState) *s
 		return nil
 	}
 	views := make([]SparseSamples, workers)
-	views[0] = s
-	sh, canShard := s.(sharder)
-	m := s.Len()
-	for k := 1; k < workers; k++ {
-		if canShard {
-			sv, ok := sh.Shard(0, m).(SparseSamples)
-			if !ok {
-				// A Sharder whose views drop the sparse tier: sharing
-				// the receiver would race on its scratch, so stay
-				// sequential (bit-identical either way).
-				return nil
-			}
-			views[k] = sv
-		} else {
-			views[k] = s
+	for k, v := range workerViews(s, workers) {
+		sv, ok := v.(SparseSamples)
+		if !ok {
+			// A Sharder whose views drop the sparse tier: sharing the
+			// receiver would race on its scratch, so stay sequential
+			// (bit-identical either way).
+			return nil
 		}
+		views[k] = sv
 	}
 	sk := &sparseKernel{
 		st: st, views: views,
@@ -307,11 +298,7 @@ func (sk *sparseKernel) derivPhase(k int) {
 	st := sk.st
 	s := sk.views[k]
 	for j := sk.lo[k]; j < sk.hi[k]; j++ {
-		i := sk.start + j
-		if sk.perm != nil {
-			i = sk.perm[i]
-		}
-		x, y := s.AtSparse(i)
+		x, y := s.AtSparse(row(sk.perm, sk.start+j))
 		st.cbuf[j] = st.f.Deriv(st.alpha*x.Dot(st.v), y)
 	}
 }

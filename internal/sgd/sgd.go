@@ -82,7 +82,7 @@ func (s *SliceSamples) At(i int) ([]float64, float64) { return s.X[i], s.Y[i] }
 // Touch is the look-ahead hint (see toucher).
 func (s *SliceSamples) Touch(i int) float64 { return s.Y[i] + vec.Touch(s.X[i]) }
 
-// toucher is the one optional source method behind the epoch loops'
+// toucher is the one optional source method behind the epoch loop's
 // look-ahead: read one word per cache line of row i's storage and
 // return their sum (vec.Touch), moving no cursor. It is a pure hint,
 // offered by sources whose rows are addressable in memory and by none
@@ -100,9 +100,10 @@ type toucher interface{ Touch(i int) float64 }
 // kernel arrives.
 const lookAheadRows = 32
 
-// lookAhead is one run's touch cursor, shared by both epoch drivers and
-// sitting above their choice of batch executor. Without a hint, and on
-// NoPerm and Poisson runs (perm == nil), it does nothing.
+// lookAhead is one run's touch cursor. Run's epoch loop moves it before
+// every batch, above both kernels and their choice of batch executor.
+// Without a hint, and on NoPerm and Poisson runs (perm == nil), it does
+// nothing.
 type lookAhead struct {
 	src  toucher
 	next int     // first permutation slot not yet touched this pass
@@ -120,6 +121,15 @@ func (l *lookAhead) advance(perm []int, end int) {
 		sum += l.src.Touch(i)
 	}
 	l.next, l.sink = stop, l.sink+sum
+}
+
+// row is the source row of permutation slot i: perm[i], or i itself on
+// an in-order run (perm == nil).
+func row(perm []int, i int) int {
+	if perm != nil {
+		return perm[i]
+	}
+	return i
 }
 
 // Config describes one PSGD run.
@@ -173,10 +183,10 @@ type Config struct {
 	// per-example phase of every large-enough mini-batch — dense
 	// gradients, sparse margin derivatives — across W goroutines and
 	// reduces in example-index order, so the result is BIT-IDENTICAL to
-	// the sequential kernel for every W (see parallel.go for the
+	// the sequential row loop for every W (see parallel.go for the
 	// determinism argument). It composes with the engine's Sharded
-	// strategy (P shards × W workers) and shares the epoch loop's
-	// look-ahead, which sits above the executor. It is a pinned
+	// strategy (P shards × W workers) and sits inside either kernel,
+	// below Run's one epoch loop and its look-ahead. It is a pinned
 	// mechanism, not a measured speed-up: on the two-core benchmark box
 	// W=2 runs 1.17–1.64× SLOWER than W=1 (sgd.*_kw2_over_kw1); W=4 is
 	// unmeasured there.
@@ -225,8 +235,8 @@ type Config struct {
 	// types) and Run returns ctx.Err() as soon as cancellation or
 	// deadline expiry is observed. A nil Ctx costs exactly one
 	// always-false branch per update; both kernels' steady state stays
-	// at 0 allocs/op either way (gated by TestSparseUpdateAllocs and
-	// the ctx-overhead smoke in ctx_test.go).
+	// at 0 allocs/op either way (gated by TestSparseCtxCheckAllocs, and
+	// TestCtxPolledOncePerUpdate pins the one poll per update).
 	Ctx context.Context
 
 	// Progress, when non-nil, is called after every completed pass with
@@ -366,7 +376,7 @@ func (r *Result) Model() []float64 {
 // SparseSamples, the loss implements loss.Linear and no GradNoise hook
 // is installed, the run executes on the sparse-native kernel
 // (sparse.go), whose per-example cost is O(nnz) instead of O(d). The
-// two paths apply the same update rule batch for batch and agree to
+// two kernels apply the same update rule batch for batch and agree to
 // floating-point rounding; randomness consumption (permutations) is
 // identical, so a caller drawing noise from the same Rand afterwards
 // sees identical draws either way.
@@ -375,39 +385,16 @@ func Run(s Samples, cfg Config) (*Result, error) {
 	if err := cfg.validate(m); err != nil {
 		return nil, err
 	}
-	if ss, lf, ok := sparseCapable(s, &cfg); ok {
-		return runSparse(ss, lf, cfg)
-	}
 	d := s.Dim()
+	if cfg.W0 != nil && len(cfg.W0) != d {
+		return nil, fmt.Errorf("sgd: W0 has dim %d, want %d", len(cfg.W0), d)
+	}
 	b := cfg.Batch
 	if b == 0 {
 		b = 1
 	}
 	if b > m {
 		b = m
-	}
-
-	w := make([]float64, d)
-	if cfg.W0 != nil {
-		if len(cfg.W0) != d {
-			return nil, fmt.Errorf("sgd: W0 has dim %d, want %d", len(cfg.W0), d)
-		}
-		copy(w, cfg.W0)
-	}
-
-	gp := cfg.GradPerturb
-	poisson := gp != nil && gp.Poisson
-
-	perm := cfg.Perm
-	if perm == nil && !cfg.NoPerm && !poisson {
-		perm = cfg.Rand.Perm(m)
-	}
-
-	grad := make([]float64, d)
-	gbuf := make([]float64, d)
-	var wsum []float64
-	if cfg.Average || cfg.AverageTail {
-		wsum = make([]float64, d)
 	}
 	// Batches per pass: when b does not divide m, the remainder is
 	// merged into the final batch (size in [b, 2b)) rather than
@@ -416,41 +403,37 @@ func Run(s Samples, cfg Config) (*Result, error) {
 	// and silently break every /b bound — the paper's §3.2.3 analysis
 	// assumes b divides m ("for simplicity let us assume that b
 	// divides m"); merging preserves that assumption's guarantee for
-	// arbitrary m.
+	// arbitrary m. (1 ≤ b ≤ m, so a pass has at least one update.)
 	updatesPerPass := m / b
-	if updatesPerPass < 1 {
-		updatesPerPass = 1
-	}
 	// The final batch of a pass absorbs the remainder (see above), so
-	// batches reach size < 2b; maxBatch bounds the parallel kernel's
-	// per-example buffers.
+	// batches reach size < 2b; maxBatch bounds every per-batch buffer a
+	// kernel preallocates.
 	maxBatch := m - (updatesPerPass-1)*b
-	// Poisson mode: per-step inclusion probability, expected lot size b.
-	rate := float64(b) / float64(m)
-	var noise []float64
-	if gp != nil && gp.Sigma > 0 {
-		noise = make([]float64, d)
+
+	perm := cfg.Perm
+	if perm == nil && !cfg.NoPerm && (cfg.GradPerturb == nil || !cfg.GradPerturb.Poisson) {
+		perm = cfg.Rand.Perm(m)
 	}
-	// Clipping needs every example's gradient materialized in order, so
-	// gradient-perturbation runs stay on the sequential dense kernel.
-	var dk *denseKernel
-	if gp == nil {
-		dk = newDenseKernel(s, cfg.KernelWorkers, maxBatch, d, cfg.Loss, w, grad)
+	var k kernel
+	if ss, lf, ok := sparseCapable(s, &cfg); ok {
+		k = newSparseRun(ss, lf, &cfg, maxBatch)
+	} else {
+		k = newDenseState(s, &cfg, b, maxBatch)
 	}
-	if dk != nil {
-		defer dk.close()
-	}
-	// Tail averaging covers the last ⌈ln T⌉ of the T planned updates
-	// (counted globally when a T0 offset is in play).
-	total := cfg.T0 + cfg.Passes*updatesPerPass
-	tailFrom := 0
-	tailCount := 0
-	if cfg.AverageTail {
+	defer k.close()
+	// The iterates numbered avgFrom and up join the average: all of them
+	// under Average; under AverageTail the last ⌈ln T⌉ of the T planned
+	// updates (counted globally when a T0 offset is in play).
+	avgFrom := math.MaxInt
+	if cfg.Average {
+		avgFrom = 0
+	} else if cfg.AverageTail {
+		total := cfg.T0 + cfg.Passes*updatesPerPass
 		n := int(math.Ceil(math.Log(float64(total))))
 		if n < 1 {
 			n = 1
 		}
-		tailFrom = total - n + 1
+		avgFrom = total - n + 1
 	}
 
 	var la lookAhead
@@ -469,97 +452,160 @@ func Run(s Samples, cfg Config) (*Result, error) {
 					return nil, err
 				}
 			}
-			var lot float64
-			if poisson {
-				// One independent Poisson draw per update: each example
-				// joins with probability rate = b/m, and the update
-				// divides by the EXPECTED lot size b (a constant), so an
-				// empty draw is a pure-noise update — exactly the
-				// mechanism the subsampled-Gaussian accounting prices.
-				vec.Zero(grad)
-				for i := 0; i < m; i++ {
-					if cfg.Rand.Float64() >= rate {
-						continue
-					}
-					x, y := s.At(i)
-					cfg.Loss.Grad(gbuf, w, x, y)
-					clipTo(gbuf, gp.Clip)
-					vec.Axpy(grad, 1, gbuf)
-				}
-				lot = float64(b)
-			} else {
-				start := u * b
-				end := start + b
-				if u == updatesPerPass-1 {
-					end = m // merge the remainder into the final batch
-				}
-				la.advance(perm, end)
-				if dk != nil && end-start >= minParBatch {
-					// Bit-identical to the sequential accumulation below —
-					// see parallel.go — so per-batch dispatch never changes
-					// a result.
-					dk.batch(perm, start, end)
-				} else {
-					vec.Zero(grad)
-					for i := start; i < end; i++ {
-						idx := i
-						if perm != nil {
-							idx = perm[i]
-						}
-						x, y := s.At(idx)
-						cfg.Loss.Grad(gbuf, w, x, y)
-						if gp != nil {
-							clipTo(gbuf, gp.Clip)
-						}
-						vec.Axpy(grad, 1, gbuf)
-					}
-				}
-				lot = float64(end - start)
+			start := u * b
+			end := start + b
+			if u == updatesPerPass-1 {
+				end = m // merge the remainder into the final batch
 			}
 			t++
-			if gp != nil && noise != nil {
-				// Noise on the SUM, then average with it — the DP-SGD
-				// update; shares GradNoise's injection point.
-				rng.GaussianVec(gp.Rand, noise, gp.Sigma)
-				vec.Axpy(grad, 1, noise)
-			}
-			vec.Scale(grad, 1/lot)
-			if cfg.GradNoise != nil {
-				cfg.GradNoise(t, grad)
-			}
-			vec.Axpy(w, -cfg.Step.Eta(t), grad)
-			vec.ProjectBall(w, cfg.Radius)
-			if cfg.Average {
-				vec.Axpy(wsum, 1, w)
-			} else if cfg.AverageTail && t >= tailFrom {
-				vec.Axpy(wsum, 1, w)
-				tailCount++
+			la.advance(perm, end)
+			k.update(perm, start, end, t)
+			if t >= avgFrom {
+				k.addIterate()
 			}
 		}
 		passes++
+		k.endPass()
 		if cfg.Tol > 0 || cfg.Progress != nil {
-			risk := EmpiricalRisk(s, cfg.Loss, w)
+			risk := EmpiricalRisk(s, cfg.Loss, k.iterate())
 			if cfg.Progress != nil {
 				cfg.Progress(passes, risk)
 			}
-			if cfg.Tol > 0 {
-				if prevRisk-risk < cfg.Tol {
-					break
-				}
-				prevRisk = risk
+			if cfg.Tol > 0 && prevRisk-risk < cfg.Tol {
+				break
 			}
+			prevRisk = risk
 		}
 	}
 
-	res := &Result{W: w, Updates: t - cfg.T0, Passes: passes}
-	if cfg.Average {
-		vec.Scale(wsum, 1/float64(t-cfg.T0))
-		res.WAvg = wsum
-	} else if cfg.AverageTail && tailCount > 0 {
-		vec.Scale(wsum, 1/float64(tailCount))
-		res.WAvg = wsum
+	w, wsum := k.iterate(), k.iterateSum()
+	if wsum != nil {
+		// Every update after T0 and from avgFrom on was added.
+		vec.Scale(wsum, 1/float64(t-max(cfg.T0, avgFrom-1)))
 	}
-	return res, nil
+	return &Result{W: w, WAvg: wsum, Updates: t - cfg.T0, Passes: passes}, nil
+}
+
+// kernel is one run's update rule over its own model representation:
+// denseState (below) or sparseState (sparse.go). Run owns everything
+// the two share — the batch clamp and remainder merge, permutations,
+// the look-ahead, the ctx poll, the update counter, the averaging
+// window, Tol/Progress and the averaging divide — and calls a kernel
+// once per batch or pass, never per row, so each kernel's row loop
+// keeps its state in locals. The parallel batch executors of
+// parallel.go (denseKernel, sparseKernel) sit inside the kernels.
+type kernel interface {
+	// update applies update t to the batch rows(start..end), through
+	// perm when it is non-nil (a Poisson kernel draws its own batch).
+	update(perm []int, start, end, t int)
+	addIterate() // adds the current iterate to the iterate sum
+	endPass()    // after each pass's last update
+	// iterate and iterateSum materialize the current iterate and the
+	// iterate sum (nil unless Average or AverageTail).
+	iterate() []float64
+	iterateSum() []float64
+	close() // releases the parallel executor, if any
+}
+
+// denseState is the dense kernel: the iterate as a plain d-vector, one
+// Grad per example. It alone serves clipping, GradPerturb noise,
+// Poisson sampling and the GradNoise hook, which need each example's or
+// each batch's gradient materialized.
+type denseState struct {
+	s   Samples
+	cfg Config
+	b   int // the clamped batch size: a Poisson draw's expected lot
+
+	w, grad, gbuf []float64
+	wsum          []float64 // nil unless averaging
+	noise         []float64 // nil unless GradPerturb.Sigma > 0
+	drawn         []int     // a Poisson draw's rows, capacity m; nil unless Poisson
+
+	par *denseKernel // nil unless KernelWorkers engages (parallel.go)
+}
+
+func newDenseState(s Samples, cfg *Config, b, maxBatch int) *denseState {
+	d := s.Dim()
+	scratch := make([]float64, 2*d) // grad and gbuf share one allocation, so k costs none in sgd.epoch_allocs
+	k := &denseState{
+		s: s, cfg: *cfg, b: b,
+		w: make([]float64, d), grad: scratch[:d:d], gbuf: scratch[d:],
+	}
+	copy(k.w, cfg.W0) // W0 == nil starts at the origin
+	if cfg.Average || cfg.AverageTail {
+		k.wsum = make([]float64, d)
+	}
+	gp := cfg.GradPerturb
+	if gp != nil && gp.Sigma > 0 {
+		k.noise = make([]float64, d)
+	}
+	if gp != nil && gp.Poisson {
+		k.drawn = make([]int, 0, s.Len())
+	}
+	// Clipping needs every example's gradient materialized in order, so
+	// gradient-perturbation runs stay on the sequential loop.
+	if gp == nil {
+		k.par = newDenseKernel(s, cfg.KernelWorkers, maxBatch, d, cfg.Loss, k.w, k.grad)
+	}
+	return k
+}
+
+func (k *denseState) update(perm []int, start, end, t int) {
+	s, f, w, grad, gbuf, gp := k.s, k.cfg.Loss, k.w, k.grad, k.gbuf, k.cfg.GradPerturb
+	lot := float64(end - start)
+	if gp != nil && gp.Poisson {
+		// One independent Poisson draw per update: each example joins
+		// with probability q = b/m, and the update divides by the
+		// EXPECTED lot size b (a constant), so an empty draw is a
+		// pure-noise update — exactly the mechanism the
+		// subsampled-Gaussian accounting prices. The drawn rows then
+		// take the permutation's place, in index order.
+		drawn, q := k.drawn[:0], float64(k.b)/float64(cap(k.drawn))
+		for i := 0; i < cap(k.drawn); i++ {
+			if k.cfg.Rand.Float64() < q {
+				drawn = append(drawn, i)
+			}
+		}
+		perm, start, end, lot = drawn, 0, len(drawn), float64(k.b)
+	}
+	if k.par != nil && end-start >= minParBatch {
+		// Bit-identical to the sequential accumulation below — see
+		// parallel.go — so per-batch dispatch never changes a result.
+		k.par.batch(perm, start, end)
+	} else {
+		vec.Zero(grad)
+		for i := start; i < end; i++ {
+			x, y := s.At(row(perm, i))
+			f.Grad(gbuf, w, x, y)
+			if gp != nil {
+				clipTo(gbuf, gp.Clip)
+			}
+			vec.Axpy(grad, 1, gbuf)
+		}
+	}
+	if k.noise != nil {
+		// Noise on the SUM, then average with it — the DP-SGD update;
+		// shares GradNoise's injection point.
+		rng.GaussianVec(gp.Rand, k.noise, gp.Sigma)
+		vec.Axpy(grad, 1, k.noise)
+	}
+	vec.Scale(grad, 1/lot)
+	if k.cfg.GradNoise != nil {
+		k.cfg.GradNoise(t, grad)
+	}
+	vec.Axpy(w, -k.cfg.Step.Eta(t), grad)
+	vec.ProjectBall(w, k.cfg.Radius)
+}
+
+func (k *denseState) addIterate()           { vec.Axpy(k.wsum, 1, k.w) }
+func (k *denseState) endPass()              {}
+func (k *denseState) iterate() []float64    { return k.w }
+func (k *denseState) iterateSum() []float64 { return k.wsum }
+
+func (k *denseState) close() {
+	if k.par != nil {
+		k.par.close()
+	}
 }
 
 // clipTo scales g down to l2 norm c when it exceeds it — the DP-SGD

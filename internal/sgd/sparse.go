@@ -10,9 +10,9 @@ import (
 
 // SparseSamples is the second tier of the engine's data contract: a
 // row source that can hand out examples in sparse coordinate form
-// without materializing them. Run dispatches to a sparse-native update
+// without materializing them. Run executes on the sparse-native update
 // kernel whenever the source implements this interface and the loss
-// implements loss.Linear; otherwise it falls back to the dense path,
+// implements loss.Linear; otherwise it falls back to the dense kernel,
 // so implementing SparseSamples is purely an optimization and never a
 // correctness requirement.
 //
@@ -101,9 +101,10 @@ func UsesSparseKernel(s Samples, cfg Config) bool {
 	return ok
 }
 
-// sparseState is the scaled-weight model representation of the sparse
-// update kernel. The iterate is stored as w = α·v so that the two
-// dense-touching parts of the PSGD update rule become O(1):
+// sparseState is the sparse kernel (see kernel in sgd.go) and its
+// scaled-weight model representation. The iterate is stored as w = α·v
+// so that the two dense-touching parts of the PSGD update rule become
+// O(1):
 //
 //   - the L2 shrink (1−ηλ)·w multiplies α;
 //   - the ball projection Π_C rescales α, using the running ‖v‖²
@@ -147,6 +148,12 @@ type sparseState struct {
 	// across Config.KernelWorkers goroutines (parallel.go); the result
 	// is bit-identical to the sequential loop either way.
 	par *sparseKernel
+
+	// The run's rows and step, and the buffer w = α·v is materialized
+	// into, set when the state serves Run as its kernel (newSparseRun).
+	src  SparseSamples
+	step Schedule
+	w    []float64
 }
 
 // newSparseState initializes the representation at w0 (nil = origin).
@@ -171,6 +178,53 @@ func newSparseState(f loss.Linear, d, maxBatch int, radius float64, avg bool, w0
 		st.stilde = make([]float64, d)
 	}
 	return st
+}
+
+// newSparseRun builds the sparse kernel of a Run over s (see kernel in
+// sgd.go): the scaled-weight state and, when KernelWorkers engages, its
+// Deriv executor.
+func newSparseRun(s SparseSamples, lf loss.Linear, cfg *Config, maxBatch int) *sparseState {
+	st := newSparseState(lf, s.Dim(), maxBatch, cfg.Radius, cfg.Average || cfg.AverageTail, cfg.W0)
+	st.src, st.step, st.w = s, cfg.Step, make([]float64, len(st.v))
+	st.par = newSparseKernel(s, cfg.KernelWorkers, maxBatch, st)
+	return st
+}
+
+func (st *sparseState) update(perm []int, start, end, t int) {
+	st.batch(st.src, perm, start, end, st.step.Eta(t))
+}
+
+// addIterate is the lazy iterate sum's O(1) half: S += α·v is cs += α.
+func (st *sparseState) addIterate() { st.cs += st.alpha }
+
+// endPass discards the pass's incremental ‖v‖² tracking error.
+func (st *sparseState) endPass() { st.refreshNorm() }
+
+// iterate materializes w = α·v.
+func (st *sparseState) iterate() []float64 {
+	for i, vi := range st.v {
+		st.w[i] = st.alpha * vi
+	}
+	return st.w
+}
+
+// iterateSum materializes the lazy iterate sum S = cs·v + s̃ (nil
+// without averaging).
+func (st *sparseState) iterateSum() []float64 {
+	if !st.avgOn {
+		return nil
+	}
+	out := make([]float64, len(st.v))
+	for i, vi := range st.v {
+		out[i] = st.cs*vi + st.stilde[i]
+	}
+	return out
+}
+
+func (st *sparseState) close() {
+	if st.par != nil {
+		st.par.close()
+	}
 }
 
 // refreshNorm recomputes ‖v‖² exactly, discarding accumulated
@@ -198,7 +252,7 @@ func (st *sparseState) fold() {
 
 // batch applies one mini-batch update with step size eta over rows
 // rows(start..end) (through perm when non-nil), exactly the update rule
-// of the dense engine:
+// of the dense kernel:
 //
 //	w ← Π_C( (1−ηλ)·w − (η/n)·Σ Deriv(⟨w,xᵢ⟩, yᵢ)·xᵢ )
 //
@@ -212,11 +266,7 @@ func (st *sparseState) batch(s SparseSamples, perm []int, start, end int, eta fl
 		// Lazily generated sources (data.SparseStream) rebuild rows on
 		// every access, and b = 1 is the paper's default, so this
 		// halves their dominant per-update cost.
-		i := start
-		if perm != nil {
-			i = perm[i]
-		}
-		x, y := s.AtSparse(i)
+		x, y := s.AtSparse(row(perm, start))
 		c := st.f.Deriv(st.alpha*x.Dot(st.v), y)
 		st.shrink(eta)
 		if c != 0 {
@@ -230,11 +280,7 @@ func (st *sparseState) batch(s SparseSamples, perm []int, start, end int, eta fl
 		st.par.deriv(perm, start, n)
 	} else {
 		for j := 0; j < n; j++ {
-			i := start + j
-			if perm != nil {
-				i = perm[i]
-			}
-			x, y := s.AtSparse(i)
+			x, y := s.AtSparse(row(perm, start+j))
 			cb[j] = st.f.Deriv(st.alpha*x.Dot(st.v), y)
 		}
 	}
@@ -244,11 +290,7 @@ func (st *sparseState) batch(s SparseSamples, perm []int, start, end int, eta fl
 		if cb[j] == 0 {
 			continue // flat region (e.g. Huber): zero data term
 		}
-		i := start + j
-		if perm != nil {
-			i = perm[i]
-		}
-		x, _ := s.AtSparse(i)
+		x, _ := s.AtSparse(row(perm, start+j))
 		st.apply(x, scale*cb[j])
 	}
 	st.project()
@@ -286,146 +328,11 @@ func (st *sparseState) project() {
 	}
 }
 
-// dense materializes w = α·v into dst.
-func (st *sparseState) dense(dst []float64) {
-	for i, vi := range st.v {
-		dst[i] = st.alpha * vi
-	}
-}
-
-// iterateSum materializes the lazy iterate sum S = cs·v + s̃.
-func (st *sparseState) iterateSum() []float64 {
-	out := make([]float64, len(st.v))
-	for i, vi := range st.v {
-		out[i] = st.cs*vi + st.stilde[i]
-	}
-	return out
-}
-
-// runSparse is Run's sparse-native execution path. It mirrors the
-// dense loop batch for batch — same permutation handling, batch
-// boundaries (remainder merged into the final batch), T0 offset, tail
-// window and Tol early stopping — so the two paths are interchangeable
-// up to floating-point rounding; the parity tests in sparse_test.go and
-// internal/engine pin that equivalence per strategy.
-func runSparse(s SparseSamples, lf loss.Linear, cfg Config) (*Result, error) {
-	m := s.Len()
-	d := s.Dim()
-	b := cfg.Batch
-	if b == 0 {
-		b = 1
-	}
-	if b > m {
-		b = m
-	}
-	if cfg.W0 != nil && len(cfg.W0) != d {
-		return nil, fmt.Errorf("sgd: W0 has dim %d, want %d", len(cfg.W0), d)
-	}
-
-	perm := cfg.Perm
-	if perm == nil && !cfg.NoPerm {
-		perm = cfg.Rand.Perm(m)
-	}
-
-	updatesPerPass := m / b
-	if updatesPerPass < 1 {
-		updatesPerPass = 1
-	}
-	// The final batch of a pass absorbs the remainder (see the dense
-	// loop's sensitivity note), so batches reach size < 2b.
-	maxBatch := m - (updatesPerPass-1)*b
-	total := cfg.T0 + cfg.Passes*updatesPerPass
-	tailFrom := 0
-	tailCount := 0
-	if cfg.AverageTail {
-		n := int(math.Ceil(math.Log(float64(total))))
-		if n < 1 {
-			n = 1
-		}
-		tailFrom = total - n + 1
-	}
-
-	st := newSparseState(lf, d, maxBatch, cfg.Radius, cfg.Average || cfg.AverageTail, cfg.W0)
-	st.par = newSparseKernel(s, cfg.KernelWorkers, maxBatch, st)
-	if st.par != nil {
-		defer st.par.close()
-	}
-	var wd []float64
-	if cfg.Tol > 0 || cfg.Progress != nil {
-		wd = make([]float64, d)
-	}
-
-	var la lookAhead
-	la.src, _ = s.(toucher)
-	t := cfg.T0
-	passes := 0
-	prevRisk := math.Inf(1)
-	for pass := 0; pass < cfg.Passes; pass++ {
-		if cfg.FreshPerm && pass > 0 {
-			perm = cfg.Rand.Perm(m)
-		}
-		la.next = 0
-		for u := 0; u < updatesPerPass; u++ {
-			if cfg.Ctx != nil {
-				if err := cfg.Ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			start := u * b
-			end := start + b
-			if u == updatesPerPass-1 {
-				end = m
-			}
-			t++
-			la.advance(perm, end)
-			st.batch(s, perm, start, end, cfg.Step.Eta(t))
-			if cfg.Average {
-				st.cs += st.alpha
-			} else if cfg.AverageTail && t >= tailFrom {
-				st.cs += st.alpha
-				tailCount++
-			}
-		}
-		passes++
-		st.refreshNorm()
-		if cfg.Tol > 0 || cfg.Progress != nil {
-			st.dense(wd)
-			risk := sparseEmpiricalRisk(s, lf, wd)
-			if cfg.Progress != nil {
-				cfg.Progress(passes, risk)
-			}
-			if cfg.Tol > 0 {
-				if prevRisk-risk < cfg.Tol {
-					break
-				}
-				prevRisk = risk
-			}
-		}
-	}
-
-	w := make([]float64, d)
-	st.dense(w)
-	res := &Result{W: w, Updates: t - cfg.T0, Passes: passes}
-	if cfg.Average {
-		wavg := st.iterateSum()
-		vec.Scale(wavg, 1/float64(t-cfg.T0))
-		res.WAvg = wavg
-	} else if cfg.AverageTail && tailCount > 0 {
-		wavg := st.iterateSum()
-		vec.Scale(wavg, 1/float64(tailCount))
-		res.WAvg = wavg
-	}
-	return res, nil
-}
-
 // sparseEmpiricalRisk is EmpiricalRisk over sparse rows: one sparse
 // dot per example and the (λ/2)‖w‖² regularizer computed once instead
 // of per row.
 func sparseEmpiricalRisk(s SparseSamples, f loss.Linear, w []float64) float64 {
-	m := s.Len()
-	if m == 0 {
-		return 0
-	}
+	m := s.Len() // > 0: EmpiricalRisk returns 0 for an empty source
 	var reg float64
 	if lambda := f.Reg(); lambda > 0 {
 		n := vec.Norm(w)
