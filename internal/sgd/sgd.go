@@ -560,9 +560,11 @@ func (k *denseState) update(perm []int, start, end, t int) {
 		// pure-noise update — exactly the mechanism the
 		// subsampled-Gaussian accounting prices. The drawn rows then
 		// take the permutation's place, in index order.
-		drawn, q := k.drawn[:0], float64(k.b)/float64(cap(k.drawn))
-		for i := 0; i < cap(k.drawn); i++ {
-			if k.cfg.Rand.Float64() < q {
+		drawn, r := k.drawn[:0], k.cfg.Rand
+		m := cap(drawn)
+		q := float64(k.b) / float64(m)
+		for i := 0; i < m; i++ {
+			if r.Float64() < q {
 				drawn = append(drawn, i)
 			}
 		}
