@@ -491,9 +491,9 @@ func Run(s Samples, cfg Config) (*Result, error) {
 // the two share — the batch clamp and remainder merge, permutations,
 // the look-ahead, the ctx poll, the update counter, the averaging
 // window, Tol/Progress and the averaging divide — and calls a kernel
-// once per batch or pass, never per row, so each kernel's row loop
-// keeps its state in locals. The parallel batch executors of
-// parallel.go (denseKernel, sparseKernel) sit inside the kernels.
+// once per batch or pass, never per row; inside update, a kernel's row
+// loop keeps its state in locals (DESIGN.md §2). The parallel batch
+// executors of parallel.go (denseKernel, sparseKernel) sit inside.
 type kernel interface {
 	// update applies update t to the batch rows(start..end), through
 	// perm when it is non-nil (a Poisson kernel draws its own batch).
