@@ -9,7 +9,6 @@ import (
 	"boltondp/internal/dist"
 	"boltondp/internal/engine"
 	"boltondp/internal/loss"
-	"boltondp/internal/sgd"
 )
 
 // jobSeq distinguishes jobs issued by this process, so concurrent
@@ -80,7 +79,5 @@ func TrainDistributed(ctx context.Context, coord *dist.Coordinator, src dist.Sou
 	if err != nil {
 		return nil, err
 	}
-	return c.perturb(&sgd.Result{
-		W: res.W, WAvg: res.WAvg, Updates: res.Updates, Passes: res.Passes,
-	}, sens)
+	return c.perturb(&res.Result, sens)
 }

@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"boltondp/internal/engine"
-	"boltondp/internal/vec"
+	"boltondp/internal/sgd"
 )
 
 // CoordinatorConfig tunes a coordinator's HTTP behavior and failure
@@ -163,27 +163,11 @@ type Job struct {
 	W0 []float64
 }
 
-// Result is the outcome of a distributed run — the distributed
-// counterpart of engine.Result, bit-identical to it under the parity
-// contract.
-type Result struct {
-	// W is the final merged model. NOT private: the caller perturbs it.
-	W []float64
-	// WAvg is the uniform iterate average (nil unless Spec.Average).
-	WAvg []float64
-	// ShardModels are the final per-shard models before the last merge.
-	ShardModels [][]float64
-	// Updates is the total update count across shards and epochs;
-	// Passes counts merge epochs; Workers echoes the shard count.
-	Updates int
-	Passes  int
-	Workers int
-}
-
 // Train runs one distributed sharded training job and returns the
-// merged (noiseless) model. r plays exactly the role engine.Run's
-// cfg.SGD.Rand plays for the in-process Sharded strategy, and is
-// consumed identically: P = 1 draws one permutation of the whole
+// merged (noiseless) model: the engine.Result the in-process Sharded(P)
+// run returns, bit for bit, under the parity contract. r plays exactly
+// the role engine.Run's cfg.SGD.Rand plays for the in-process Sharded
+// strategy, and is consumed identically: P = 1 draws one permutation of the whole
 // dataset; P > 1 draws P shard seeds via Int63 in shard order. A caller
 // drawing noise from r afterwards therefore sees the same values either
 // way — the keystone of private-run parity.
@@ -193,7 +177,7 @@ type Result struct {
 // its shards are reassigned (install + deterministic epoch rewind) to
 // the next live worker; when no live workers remain, or ctx is done,
 // the run aborts fail-closed — no partial average is ever returned.
-func (c *Coordinator) Train(ctx context.Context, src Source, job Job, r *rand.Rand) (*Result, error) {
+func (c *Coordinator) Train(ctx context.Context, src Source, job Job, r *rand.Rand) (*engine.Result, error) {
 	if r == nil {
 		return nil, errors.New("dist: Train requires a *rand.Rand (the parity contract is stated against its state)")
 	}
@@ -217,7 +201,7 @@ func (c *Coordinator) Train(ctx context.Context, src Source, job Job, r *rand.Ra
 	if len(c.Workers()) == 0 {
 		return nil, errors.New("dist: no live workers registered")
 	}
-	var res *Result
+	var res *engine.Result
 	if plan.Workers == 1 {
 		res, err = c.trainSingle(ctx, src, job, r)
 	} else {
@@ -236,7 +220,7 @@ func (c *Coordinator) Train(ctx context.Context, src Source, job Job, r *rand.Ra
 // the caller's generator — exactly the draw sgd.Run would have made —
 // and shipped explicitly, so the worker consumes no randomness of its
 // own and the iterate-average arithmetic is the sequential one.
-func (c *Coordinator) trainSingle(ctx context.Context, src Source, job Job, r *rand.Rand) (*Result, error) {
+func (c *Coordinator) trainSingle(ctx context.Context, src Source, job Job, r *rand.Rand) (*engine.Result, error) {
 	m := src.Rows()
 	perm := r.Perm(m)
 	man, err := src.manifest(0, 0, m)
@@ -258,9 +242,9 @@ func (c *Coordinator) trainSingle(ctx context.Context, src Source, job Job, r *r
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		W: w, WAvg: wavg, ShardModels: [][]float64{w},
-		Updates: resp.Updates, Passes: resp.Passes, Workers: 1,
+	return &engine.Result{
+		Result:      sgd.Result{W: w, WAvg: wavg, Updates: resp.Updates, Passes: resp.Passes},
+		ShardModels: [][]float64{w}, Workers: 1,
 	}, nil
 }
 
@@ -275,13 +259,15 @@ type shard struct {
 	worker   *workerRef
 }
 
-func (c *Coordinator) trainSharded(ctx context.Context, src Source, job Job, plan *engine.Plan, r *rand.Rand) (*Result, error) {
+// trainSharded is the P > 1 path: engine.Plan.Merge drives the epochs,
+// and each shard's epoch is one request to the worker holding it.
+func (c *Coordinator) trainSharded(ctx context.Context, src Source, job Job, plan *engine.Plan, r *rand.Rand) (*engine.Result, error) {
 	P := plan.Workers
 	d := src.Dim()
 
 	// Seeds are drawn in shard order before any network work — the
-	// exact Int63 sequence engine.runSharded consumes to seed its
-	// per-worker generators, so r's post-draw state matches.
+	// exact Int63 sequence engine.Run's Sharded strategy consumes to
+	// seed its per-worker generators, so r's post-draw state matches.
 	shards := make([]*shard, P)
 	for i := 0; i < P; i++ {
 		man, err := src.manifest(i, plan.Bounds[i][0], plan.Bounds[i][1])
@@ -309,76 +295,20 @@ func (c *Coordinator) trainSharded(ctx context.Context, src Source, job Job, pla
 		}
 	}
 
-	w := make([]float64, d)
-	if job.W0 != nil {
-		copy(w, job.W0)
-	}
-	var wsum, epochAvg []float64
-	if job.Spec.Average {
-		wsum = make([]float64, d)
-		epochAvg = make([]float64, d)
-	}
-	models := make([][]float64, P)
-	avgs := make([][]float64, P)
-	counts := make([]int, P)
-	offsets := make([]int, P)
-
-	totalUpdates := 0
-	passes := 0
-	for epoch := 0; epoch < job.Passes; epoch++ {
-		if err := ctx.Err(); err != nil {
+	return plan.Merge(ctx, job.Passes, job.W0, d, job.Spec.Average, func(i, e int, w []float64, t0 int) (*sgd.Result, error) {
+		resp, err := c.epoch(ctx, job, shards[i], &EpochRequest{
+			Version: ProtocolVersion, Job: job.ID, Shard: i,
+			Epoch: e, Passes: 1, T0: t0, W: EncodeVec(w),
+		})
+		if err != nil {
 			return nil, err
 		}
-		wv := EncodeVec(w)
-		for i := range shards {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				resp, err := c.epoch(ctx, job, shards[i], &EpochRequest{
-					Version: ProtocolVersion, Job: job.ID, Shard: i,
-					Epoch: epoch, Passes: 1, T0: offsets[i], W: wv,
-				})
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				models[i], avgs[i], errs[i] = decodeModels(resp, d, job.Spec.Average)
-				counts[i] = resp.Updates
-			}(i)
+		model, avg, err := decodeModels(resp, d, job.Spec.Average)
+		if err != nil {
+			return nil, err
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-
-		// Merge — the same arithmetic, in the same order, as the
-		// in-process sharded executor: uniform model averaging, then the
-		// update-weighted accumulation of the per-shard iterate averages.
-		vec.Mean(w, models...)
-		epochUpdates := 0
-		for i := range counts {
-			offsets[i] += counts[i]
-			epochUpdates += counts[i]
-		}
-		totalUpdates += epochUpdates
-		if job.Spec.Average {
-			vec.Mean(epochAvg, avgs...)
-			vec.Axpy(wsum, float64(epochUpdates), epochAvg)
-		}
-		passes++
-	}
-
-	out := &Result{
-		W: w, ShardModels: models,
-		Updates: totalUpdates, Passes: passes, Workers: P,
-	}
-	if job.Spec.Average && totalUpdates > 0 {
-		vec.Scale(wsum, 1/float64(totalUpdates))
-		out.WAvg = wsum
-	}
-	return out, nil
+		return &sgd.Result{W: model, WAvg: avg, Updates: resp.Updates}, nil
+	}, nil)
 }
 
 // encodeW0 encodes the starting model (origin when nil).

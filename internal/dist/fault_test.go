@@ -63,7 +63,7 @@ func newFaultSetup(t *testing.T) *faultSetup {
 	}
 }
 
-func (fs *faultSetup) train(t *testing.T, coord *dist.Coordinator, ctx context.Context) (*dist.Result, error) {
+func (fs *faultSetup) train(t *testing.T, coord *dist.Coordinator, ctx context.Context) (*engine.Result, error) {
 	t.Helper()
 	return coord.Train(ctx, fs.src, dist.Job{
 		ID: "fault", Spec: fs.spec, Shards: 2, Passes: 3,

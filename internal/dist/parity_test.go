@@ -242,6 +242,39 @@ func TestDistParityAveragedPrivate(t *testing.T) {
 	bitsEqual(t, "NonPrivate", got.NonPrivate, want.NonPrivate)
 }
 
+// TestDistParityInlineSparse: a sparse in-memory source ships a
+// sparse-tier payload, which the worker rebuilds as a data.SparseDataset,
+// so the run stays on the sparse kernel and bit-identical to the
+// single-process run — with P = 1 and with a merge.
+func TestDistParityInlineSparse(t *testing.T) {
+	ds := data.SparseSynthetic(rand.New(rand.NewSource(99)), 240, 30, 6, 0.1)
+	f := loss.NewLogistic(1e-2, 0)
+	spec := dist.TrainSpec{
+		Loss: mustLossSpec(t, f), Step: dist.StepSpec{Kind: dist.StepConstant, Eta: 0.1},
+		Batch: 8, Radius: 50, Average: true,
+	}
+	for _, P := range []int{1, 2} {
+		want, err := engine.Run(ds, engine.Config{
+			Strategy: engine.Sharded, Workers: P,
+			SGD: sgd.Config{
+				Loss: f, Step: sgd.Constant(0.1), Passes: 3, Batch: 8, Radius: 50, Average: true,
+				Rand: rand.New(rand.NewSource(7)),
+			},
+		})
+		if err != nil {
+			t.Fatalf("engine.Run: %v", err)
+		}
+		got, err := newPool(t, 2).coord.Train(context.Background(), dist.NewInlineSource(ds), dist.Job{
+			ID: "sparse", Spec: spec, Shards: P, Passes: 3,
+		}, rand.New(rand.NewSource(7)))
+		if err != nil {
+			t.Fatalf("P=%d: coord.Train: %v", P, err)
+		}
+		bitsEqual(t, fmt.Sprintf("W (P=%d)", P), got.W, want.W)
+		bitsEqual(t, fmt.Sprintf("WAvg (P=%d)", P), got.WAvg, want.WAvg)
+	}
+}
+
 // TestTrainDistributedRejections pins the option surface: parameters
 // whose semantics need the whole dataset mid-run (or change the
 // randomness schedule) are refused up front, not silently dropped.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 
+	"boltondp/internal/data"
 	"boltondp/internal/sgd"
 	"boltondp/internal/store"
 	"boltondp/internal/vec"
@@ -266,6 +267,11 @@ func openStoreShard(m *ShardManifest) (sgd.Samples, io.Closer, int, int, error) 
 	return r.Shard(m.Lo, m.Hi), r, m.Hi - m.Lo, r.Dim(), nil
 }
 
+// openInlineShard rebuilds an inline shard as one of package data's own
+// datasets, on the tier the coordinator's source presented: a sparse
+// payload becomes a data.SparseDataset, a dense one a data.Dataset, which
+// has no AtSparse — so the worker runs the kernel the single-process run
+// would.
 func openInlineShard(m *ShardManifest) (sgd.Samples, io.Closer, int, int, error) {
 	p := m.Inline
 	if p.Rows != m.Hi-m.Lo {
@@ -275,73 +281,24 @@ func openInlineShard(m *ShardManifest) (sgd.Samples, io.Closer, int, int, error)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	base := inlineRows{dim: p.Dim, indptr: indptr, idx: idx, val: val, y: y}
 	if p.Sparse {
-		return &inlineSparseRows{inlineRows: base}, nil, p.Rows, p.Dim, nil
+		ds := data.NewSparseDataset("dist-inline", p.Dim)
+		for i, yi := range y {
+			lo, hi := indptr[i], indptr[i+1]
+			if err := ds.Append(&vec.Sparse{Idx: idx[lo:hi], Val: val[lo:hi]}, yi); err != nil {
+				return nil, nil, 0, 0, err
+			}
+		}
+		return ds, nil, p.Rows, p.Dim, nil
 	}
-	return &base, nil, p.Rows, p.Dim, nil
-}
-
-// inlineRows is the dense-tier reconstruction of an inline shard: rows
-// scatter into a reused scratch buffer, and — deliberately — no
-// AtSparse method, so the engine's kernel dispatch picks the dense
-// kernel exactly as it does for the coordinator-side dense source.
-type inlineRows struct {
-	dim     int
-	indptr  []int
-	idx     []int
-	val     []float64
-	y       []float64
-	scratch []float64
-}
-
-func (s *inlineRows) Len() int { return len(s.y) }
-func (s *inlineRows) Dim() int { return s.dim }
-
-func (s *inlineRows) At(i int) ([]float64, float64) {
-	if s.scratch == nil {
-		s.scratch = make([]float64, s.dim)
+	ds := &data.Dataset{X: make([][]float64, p.Rows), Y: y}
+	flat := make([]float64, p.Rows*p.Dim)
+	for i := range ds.X {
+		x := flat[i*p.Dim : (i+1)*p.Dim]
+		for k := indptr[i]; k < indptr[i+1]; k++ {
+			x[idx[k]] = val[k]
+		}
+		ds.X[i] = x
 	}
-	vec.Zero(s.scratch)
-	for k := s.indptr[i]; k < s.indptr[i+1]; k++ {
-		s.scratch[s.idx[k]] = s.val[k]
-	}
-	return s.scratch, s.y[i]
-}
-
-// Shard implements engine.Sharder: At scatters into a reused scratch,
-// so concurrent readers — the intra-batch parallel kernel included —
-// need views with scratch of their own. indptr entries are absolute
-// offsets into idx/val, so a view only narrows indptr and y.
-func (s *inlineRows) Shard(lo, hi int) sgd.Samples {
-	if lo < 0 || hi < lo || hi > len(s.y) {
-		panic(fmt.Sprintf("dist: inline shard view [%d,%d) out of bounds for %d rows", lo, hi, len(s.y)))
-	}
-	return &inlineRows{dim: s.dim, indptr: s.indptr[lo : hi+1], idx: s.idx, val: s.val, y: s.y[lo:hi]}
-}
-
-// inlineSparseRows is the sparse-tier reconstruction — a separate type
-// so the sgd.SparseSamples assertion stays truthful about the tier the
-// coordinator's source presented.
-type inlineSparseRows struct {
-	inlineRows
-	row vec.Sparse
-}
-
-func (s *inlineSparseRows) AtSparse(i int) (*vec.Sparse, float64) {
-	lo, hi := s.indptr[i], s.indptr[i+1]
-	s.row.Idx = s.idx[lo:hi]
-	s.row.Val = s.val[lo:hi]
-	return &s.row, s.y[i]
-}
-
-// Shard implements engine.Sharder, preserving the sparse tier (the row
-// header is per-view state, so each view is independently readable).
-func (s *inlineSparseRows) Shard(lo, hi int) sgd.Samples {
-	if lo < 0 || hi < lo || hi > len(s.y) {
-		panic(fmt.Sprintf("dist: inline shard view [%d,%d) out of bounds for %d rows", lo, hi, len(s.y)))
-	}
-	return &inlineSparseRows{inlineRows: inlineRows{
-		dim: s.dim, indptr: s.indptr[lo : hi+1], idx: s.idx, val: s.val, y: s.y[lo:hi],
-	}}
+	return ds, nil, p.Rows, p.Dim, nil
 }

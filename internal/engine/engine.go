@@ -47,6 +47,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -127,10 +128,13 @@ type Config struct {
 	Workers int
 
 	// SGD carries the run parameters common to all strategies. Strategy
-	// restrictions: Sharded rejects GradNoise (white-box per-batch noise
-	// has no sharded sensitivity analysis), Perm (each worker samples
-	// its own shard permutations) and AverageTail; Streaming rejects
-	// Passes > 1, Perm and FreshPerm.
+	// restrictions: Sharded with Workers > 1 rejects Passes < 1,
+	// GradNoise (white-box per-batch noise has no sharded sensitivity
+	// analysis), GradPerturb (its accounting assumes one update
+	// stream), Perm and NoPerm (each worker samples its own shard
+	// permutations), AverageTail, a nil Rand (it seeds the workers) and
+	// a W0 of the wrong dimension; Streaming rejects Passes > 1, Perm
+	// and FreshPerm.
 	SGD sgd.Config
 }
 
@@ -195,7 +199,8 @@ func runStreaming(s sgd.Samples, c sgd.Config) (*Result, error) {
 // Plan is the shard layout of a Sharded(P) run over m rows: the single
 // authority both the in-process sharded executor and the distributed
 // coordinator (internal/dist) partition by, so the two always cut the
-// same rows into the same shards — a precondition for their bit-for-bit
+// same rows into the same shards, and whose Merge is the one epoch and
+// merge loop both run — together the basis of their bit-for-bit
 // parity. Build one with PlanShards.
 type Plan struct {
 	// Rows is the total row count m the plan covers.
@@ -359,8 +364,8 @@ func runSharded(s sgd.Samples, cfg Config) (*Result, error) {
 	c := cfg.SGD
 	if cfg.Workers <= 1 {
 		// One shard is the whole dataset, so delegate: this is what
-		// makes Sharded(P=1) ≡ Sequential hold bit-for-bit (the sharded
-		// loop below would consume Rand differently through per-worker
+		// makes Sharded(P=1) ≡ Sequential hold bit-for-bit (the merge
+		// loop would consume Rand differently through per-worker
 		// seeding).
 		res, err := runSequential(s, c)
 		if err != nil {
@@ -415,62 +420,91 @@ func runSharded(s sgd.Samples, cfg Config) (*Result, error) {
 		rngs[i] = rand.New(rand.NewSource(c.Rand.Int63()))
 	}
 
-	w := make([]float64, d)
-	if c.W0 != nil {
-		copy(w, c.W0)
+	// Tol and Progress act on the merged model, once per epoch; the
+	// shard runs never see them.
+	var after func(pass int, w []float64) bool
+	if c.Tol > 0 || c.Progress != nil {
+		prevRisk := math.Inf(1)
+		after = func(pass int, w []float64) bool {
+			risk := sgd.EmpiricalRisk(s, c.Loss, w)
+			if c.Progress != nil {
+				c.Progress(pass, risk)
+			}
+			stop := c.Tol > 0 && prevRisk-risk < c.Tol
+			prevRisk = risk
+			return stop
+		}
 	}
+	return plan.Merge(c.Ctx, c.Passes, c.W0, d, c.Average, func(i, _ int, w []float64, t0 int) (*sgd.Result, error) {
+		return sgd.Run(shards[i], sgd.Config{
+			Loss:          c.Loss,
+			Step:          c.Step,
+			Passes:        1,
+			Batch:         c.Batch,
+			Radius:        c.Radius,
+			Average:       c.Average,
+			KernelWorkers: c.KernelWorkers,
+			Rand:          rngs[i],
+			W0:            w,
+			T0:            t0,
+			Ctx:           c.Ctx,
+		})
+	}, after)
+}
+
+// ShardEpoch runs shard i's part of merge epoch e: one pass over the
+// shard from the merged model w (read-only) with the shard's update
+// count t0 so far. The in-process executor runs sgd.Run on a shard
+// view; the distributed coordinator sends one epoch request.
+type ShardEpoch func(i, e int, w []float64, t0 int) (*sgd.Result, error)
+
+// Merge is the one merge loop of a Sharded(P) run, shared by the
+// in-process executor and the distributed coordinator. Each of passes
+// epochs runs epoch on every shard concurrently from the merged model
+// (w0, or the origin when nil, for the first), waits for all of them,
+// and averages the shard models uniformly — the combine step the
+// Δ₂/P sensitivities (dp.SensitivitySharded*) are proved for. With
+// average set, the shards' iterate averages are averaged too and
+// weighted by the epoch's update count, so the returned WAvg is the
+// uniform average over every update.
+//
+// The first error in shard order fails the run, as does a ctx (nil is
+// allowed) done before an epoch starts. after, when non-nil, sees the
+// merged model after each epoch (pass counts from 1); returning true
+// ends the run there.
+func (p *Plan) Merge(ctx context.Context, passes int, w0 []float64, d int, average bool, epoch ShardEpoch, after func(pass int, w []float64) bool) (*Result, error) {
+	P := p.Workers
+	w := make([]float64, d)
+	copy(w, w0)
 	var wsum, epochAvg []float64
-	if c.Average {
+	if average {
 		wsum = make([]float64, d)
 		epochAvg = make([]float64, d)
 	}
+	models := make([][]float64, P)
+	avgs := make([][]float64, P)
+	counts := make([]int, P)
+	offsets := make([]int, P)
+	errs := make([]error, P)
 
-	models := make([][]float64, cfg.Workers)
-	avgs := make([][]float64, cfg.Workers)
-	counts := make([]int, cfg.Workers)
-	offsets := make([]int, cfg.Workers)
-	errs := make([]error, cfg.Workers)
-
-	totalUpdates := 0
-	passes := 0
-	prevRisk := math.Inf(1)
-	for pass := 0; pass < c.Passes; pass++ {
-		// Workers poll the context per update; the epoch-level check
-		// here additionally stops a cancelled run before it fans out the
-		// next merge epoch.
-		if c.Ctx != nil {
-			if err := c.Ctx.Err(); err != nil {
+	out := &Result{ShardModels: models, Workers: P}
+	for e := 0; e < passes; e++ {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
 		var wg sync.WaitGroup
-		for i := 0; i < cfg.Workers; i++ {
+		for i := 0; i < P; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				res, err := sgd.Run(shards[i], sgd.Config{
-					Loss:          c.Loss,
-					Step:          c.Step,
-					Passes:        1,
-					Batch:         c.Batch,
-					Radius:        c.Radius,
-					Average:       c.Average,
-					KernelWorkers: c.KernelWorkers,
-					Rand:          rngs[i],
-					W0:            w,
-					T0:            offsets[i],
-					Ctx:           c.Ctx,
-					// Progress stays with the merge loop below: the hook
-					// contract is one call per epoch on the merged model,
-					// not one per shard.
-				})
+				res, err := epoch(i, e, w, offsets[i])
 				if err != nil {
 					errs[i] = err
 					return
 				}
-				models[i] = res.W
-				avgs[i] = res.WAvg
-				counts[i] = res.Updates
+				models[i], avgs[i], counts[i] = res.W, res.WAvg, res.Updates
 			}(i)
 		}
 		wg.Wait()
@@ -480,44 +514,26 @@ func runSharded(s sgd.Samples, cfg Config) (*Result, error) {
 			}
 		}
 
-		// Merge: uniform model averaging, the combine-function contract.
 		vec.Mean(w, models...)
 		epochUpdates := 0
 		for i := range counts {
 			offsets[i] += counts[i]
 			epochUpdates += counts[i]
 		}
-		totalUpdates += epochUpdates
-		if c.Average {
-			// Cross-shard average of the per-shard iterate averages,
-			// weighted into the running sum by the epoch's update count
-			// so the final WAvg is the uniform average over epochs.
+		out.Updates += epochUpdates
+		if average {
 			vec.Mean(epochAvg, avgs...)
 			vec.Axpy(wsum, float64(epochUpdates), epochAvg)
 		}
-		passes++
-
-		if c.Tol > 0 || c.Progress != nil {
-			risk := sgd.EmpiricalRisk(s, c.Loss, w)
-			if c.Progress != nil {
-				c.Progress(passes, risk)
-			}
-			if c.Tol > 0 {
-				if prevRisk-risk < c.Tol {
-					break
-				}
-				prevRisk = risk
-			}
+		out.Passes++
+		if after != nil && after(out.Passes, w) {
+			break
 		}
 	}
 
-	out := &Result{
-		Result:      sgd.Result{W: w, Updates: totalUpdates, Passes: passes},
-		ShardModels: models,
-		Workers:     cfg.Workers,
-	}
-	if c.Average && totalUpdates > 0 {
-		vec.Scale(wsum, 1/float64(totalUpdates))
+	out.W = w
+	if average && out.Updates > 0 {
+		vec.Scale(wsum, 1/float64(out.Updates))
 		out.WAvg = wsum
 	}
 	return out, nil
