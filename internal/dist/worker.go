@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -203,7 +204,7 @@ func (wk *Worker) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	st.mu.Lock()
-	res, err := st.runEpoch(&req, w0)
+	res, err := st.runEpoch(r.Context(), &req, w0)
 	st.mu.Unlock()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -233,7 +234,10 @@ func (wk *Worker) handleEpoch(w http.ResponseWriter, r *http.Request) {
 //     one permutation from the seeded generator. If the generator is
 //     not positioned at the requested epoch, rewind deterministically
 //     first.
-func (st *shardState) runEpoch(req *EpochRequest, w0 []float64) (*sgd.Result, error) {
+//
+// ctx is the request's: an epoch the coordinator gave up on stops at
+// the next update instead of holding the shard lock to the end.
+func (st *shardState) runEpoch(ctx context.Context, req *EpochRequest, w0 []float64) (*sgd.Result, error) {
 	cfg := sgd.Config{
 		Loss:          st.lossFn,
 		Step:          st.step,
@@ -243,6 +247,7 @@ func (st *shardState) runEpoch(req *EpochRequest, w0 []float64) (*sgd.Result, er
 		KernelWorkers: st.spec.KernelWorkers,
 		W0:            w0,
 		T0:            req.T0,
+		Ctx:           ctx,
 	}
 	if st.perm != nil {
 		if req.Epoch != 0 {
