@@ -18,7 +18,6 @@ import (
 	"boltondp/internal/dp"
 	"boltondp/internal/engine"
 	"boltondp/internal/eval"
-	"boltondp/internal/loss"
 	"boltondp/internal/serve"
 	"boltondp/internal/sgd"
 	"boltondp/internal/store"
@@ -108,10 +107,8 @@ func ParseDPCoord(args []string, stderr io.Writer) (*DPCoordConfig, error) {
 	if cfg.EpochTimeout < 0 || cfg.Timeout < 0 {
 		return nil, errors.New("cli: -epoch-timeout and -timeout must be >= 0")
 	}
-	if cfg.Accounting != "" {
-		if _, err := compose.New(compose.Normalize(cfg.Accounting)); err != nil {
-			return nil, fmt.Errorf("cli: -accounting must be one of %v, got %q", compose.Rules(), cfg.Accounting)
-		}
+	if err := checkAccounting(cfg.Accounting); err != nil {
+		return nil, err
 	}
 	return cfg, nil
 }
@@ -201,18 +198,9 @@ func RunDPCoordCtx(ctx context.Context, cfg *DPCoordConfig, out io.Writer) error
 		return fmt.Errorf("cli: multiclass training is not supported here; see examples/multiclass")
 	}
 
-	var f loss.Function
-	switch cfg.LossName {
-	case "logistic":
-		f = loss.NewLogistic(cfg.Lambda, 0)
-	case "huber":
-		f = loss.NewHuber(cfg.HuberH, cfg.Lambda, 0)
-	default:
-		return fmt.Errorf("cli: unknown loss %q", cfg.LossName)
-	}
-	radius := 0.0
-	if cfg.Lambda > 0 {
-		radius = 1 / cfg.Lambda
+	f, radius, err := lossFor(cfg.LossName, cfg.Lambda, cfg.HuberH)
+	if err != nil {
+		return err
 	}
 	budget := dp.Budget{Epsilon: cfg.Eps, Delta: cfg.Delta}
 	rule := compose.Normalize(cfg.Accounting)
@@ -258,30 +246,5 @@ func RunDPCoordCtx(ctx context.Context, cfg *DPCoordConfig, out io.Writer) error
 	if err := acct.StampMeta(meta); err != nil {
 		return err
 	}
-	if cfg.SavePath != "" {
-		if err := eval.SaveClassifier(cfg.SavePath, model, meta); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "model written to %s\n", cfg.SavePath)
-	}
-	if cfg.Publish != "" {
-		reg, err := serve.NewRegistry(cfg.Publish)
-		if err != nil {
-			return err
-		}
-		name := coordPublishName(cfg)
-		m, err := reg.Publish(name, model, meta)
-		if err != nil {
-			return err
-		}
-		// Same promotion policy as dpsgd -publish: only an empty
-		// registry (or a republish of the live name) swaps traffic.
-		if reg.Live() == m {
-			fmt.Fprintf(out, "model published to %s as %q (live)\n", cfg.Publish, name)
-		} else {
-			fmt.Fprintf(out, "model published to %s as %q (live is %q; promote with dpserve -live or a canary rollout)\n",
-				cfg.Publish, name, reg.Live().Name)
-		}
-	}
-	return nil
+	return release(out, model, meta, cfg.SavePath, cfg.Publish, coordPublishName(cfg))
 }

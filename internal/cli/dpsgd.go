@@ -151,10 +151,8 @@ func ParseDPSGD(args []string, stderr io.Writer) (*DPSGDConfig, error) {
 	if cfg.DriftLabel < 0 || cfg.DriftMargin < 0 {
 		return nil, fmt.Errorf("cli: drift thresholds must be >= 0")
 	}
-	if cfg.Accounting != "" {
-		if _, err := compose.New(compose.Normalize(cfg.Accounting)); err != nil {
-			return nil, fmt.Errorf("cli: -accounting must be one of %v, got %q", compose.Rules(), cfg.Accounting)
-		}
+	if err := checkAccounting(cfg.Accounting); err != nil {
+		return nil, err
 	}
 	if cfg.Strategy == "gradperturb" {
 		if cfg.Algo != "ours" {
@@ -283,18 +281,9 @@ func RunDPSGDCtx(ctx context.Context, cfg *DPSGDConfig, out io.Writer) error {
 		return fmt.Errorf("cli: multiclass training is not supported here; see examples/multiclass")
 	}
 
-	var f loss.Function
-	switch cfg.LossName {
-	case "logistic":
-		f = loss.NewLogistic(cfg.Lambda, 0)
-	case "huber":
-		f = loss.NewHuber(cfg.HuberH, cfg.Lambda, 0)
-	default:
-		return fmt.Errorf("cli: unknown loss %q", cfg.LossName)
-	}
-	radius := 0.0
-	if cfg.Lambda > 0 {
-		radius = 1 / cfg.Lambda
+	f, radius, err := lossFor(cfg.LossName, cfg.Lambda, cfg.HuberH)
+	if err != nil {
+		return err
 	}
 	budget := dp.Budget{Epsilon: cfg.Eps, Delta: cfg.Delta}
 	rule := compose.Normalize(cfg.Accounting)
@@ -425,37 +414,7 @@ func RunDPSGDCtx(ctx context.Context, cfg *DPSGDConfig, out io.Writer) error {
 			return err
 		}
 	}
-	if cfg.SavePath != "" {
-		if err := eval.SaveClassifier(cfg.SavePath, model, meta); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "model written to %s\n", cfg.SavePath)
-	}
-	if cfg.Publish != "" {
-		// Train-and-publish: the model goes straight into a serving
-		// registry (atomic write + hot-swap), carrying its privacy
-		// statement in the metadata.
-		reg, err := serve.NewRegistry(cfg.Publish)
-		if err != nil {
-			return err
-		}
-		name := publishName(cfg)
-		m, err := reg.Publish(name, model, meta)
-		if err != nil {
-			return err
-		}
-		// Publish only goes live into an empty registry (or when
-		// republishing the live name) — promotion into a populated
-		// registry is an explicit SetLive/canary step on the serving
-		// side, so the message must not claim traffic it didn't take.
-		if reg.Live() == m {
-			fmt.Fprintf(out, "model published to %s as %q (live)\n", cfg.Publish, name)
-		} else {
-			fmt.Fprintf(out, "model published to %s as %q (live is %q; promote with dpserve -live or a canary rollout)\n",
-				cfg.Publish, name, reg.Live().Name)
-		}
-	}
-	return nil
+	return release(out, model, meta, cfg.SavePath, cfg.Publish, publishName(cfg))
 }
 
 // publishName derives the registry name for a -publish run: the data
@@ -465,6 +424,73 @@ func publishName(cfg *DPSGDConfig) string {
 		return cfg.Sim
 	}
 	return modelStem(cfg.DataPath)
+}
+
+// lossFor builds the -loss/-lambda/-huber-h loss and the radius 1/λ of
+// the ball the run projects onto (0, no projection, when λ = 0).
+func lossFor(name string, lambda, huberH float64) (loss.Function, float64, error) {
+	var f loss.Function
+	switch name {
+	case "logistic":
+		f = loss.NewLogistic(lambda, 0)
+	case "huber":
+		f = loss.NewHuber(huberH, lambda, 0)
+	default:
+		return nil, 0, fmt.Errorf("cli: unknown loss %q", name)
+	}
+	radius := 0.0
+	if lambda > 0 {
+		radius = 1 / lambda
+	}
+	return f, radius, nil
+}
+
+// checkAccounting validates an -accounting value ("" keeps the default).
+func checkAccounting(rule string) error {
+	if rule == "" {
+		return nil
+	}
+	if _, err := compose.New(compose.Normalize(rule)); err != nil {
+		return fmt.Errorf("cli: -accounting must be one of %v, got %q", compose.Rules(), rule)
+	}
+	return nil
+}
+
+// release writes model to savePath and publishes it into the registry
+// at publishDir under name, each only when its path is set, and reports
+// both to out.
+func release(out io.Writer, model *eval.Linear, meta map[string]string, savePath, publishDir, name string) error {
+	if savePath != "" {
+		if err := eval.SaveClassifier(savePath, model, meta); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "model written to %s\n", savePath)
+	}
+	if publishDir == "" {
+		return nil
+	}
+	// Train-and-publish: the model goes straight into a serving registry
+	// (atomic write + hot-swap), carrying its privacy statement in the
+	// metadata.
+	reg, err := serve.NewRegistry(publishDir)
+	if err != nil {
+		return err
+	}
+	m, err := reg.Publish(name, model, meta)
+	if err != nil {
+		return err
+	}
+	// Publish only goes live into an empty registry (or when
+	// republishing the live name) — promotion into a populated registry
+	// is an explicit SetLive/canary step on the serving side, so the
+	// message must not claim traffic it didn't take.
+	if reg.Live() == m {
+		fmt.Fprintf(out, "model published to %s as %q (live)\n", publishDir, name)
+	} else {
+		fmt.Fprintf(out, "model published to %s as %q (live is %q; promote with dpserve -live or a canary rollout)\n",
+			publishDir, name, reg.Live().Name)
+	}
+	return nil
 }
 
 // runIngest implements dpsgd -ingest: append one LIBSVM file as a new
@@ -540,18 +566,9 @@ func runIngest(ctx context.Context, cfg *DPSGDConfig, out io.Writer) error {
 		}
 	}
 
-	var f loss.Function
-	switch cfg.LossName {
-	case "logistic":
-		f = loss.NewLogistic(cfg.Lambda, 0)
-	case "huber":
-		f = loss.NewHuber(cfg.HuberH, cfg.Lambda, 0)
-	default:
-		return fmt.Errorf("cli: unknown loss %q", cfg.LossName)
-	}
-	radius := 0.0
-	if cfg.Lambda > 0 {
-		radius = 1 / cfg.Lambda
+	f, radius, err := lossFor(cfg.LossName, cfg.Lambda, cfg.HuberH)
+	if err != nil {
+		return err
 	}
 	trainer, err := core.NewContinualTrainer(acct, cfg.Windows, f,
 		core.WithPasses(cfg.Passes), core.WithBatch(cfg.Batch), core.WithRadius(radius),
