@@ -8,12 +8,15 @@ import (
 	"io"
 	"math/rand"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"boltondp/internal/account"
 	"boltondp/internal/account/compose"
 	"boltondp/internal/core"
+	"boltondp/internal/data"
 	"boltondp/internal/dist"
 	"boltondp/internal/dp"
 	"boltondp/internal/engine"
@@ -60,7 +63,7 @@ func ParseDPCoord(args []string, stderr io.Writer) (*DPCoordConfig, error) {
 	fs.SetOutput(stderr)
 	fs.StringVar(&workers, "workers", "", "comma-separated worker base URLs, e.g. http://a:8090,http://b:8090 (required)")
 	fs.StringVar(&cfg.StorePath, "store", "", "on-disk columnar store to train from (workers must see the same path; overrides -sim)")
-	fs.StringVar(&cfg.Sim, "sim", "protein", "built-in simulator: mnist|protein|covtype|higgs|kdd")
+	fs.StringVar(&cfg.Sim, "sim", "protein", "built-in simulator: mnist|protein|covtype|higgs|kdd (written to a temp store under $TMPDIR that workers must be able to open: a shared mount, or workers on loopback)")
 	fs.Float64Var(&cfg.Scale, "scale", 0.05, "simulator scale (1.0 = paper-sized)")
 	fs.StringVar(&cfg.LossName, "loss", "logistic", "logistic|huber")
 	fs.Float64Var(&cfg.Lambda, "lambda", 1e-3, "L2 regularization λ (0 = convex case)")
@@ -164,35 +167,42 @@ func RunDPCoordCtx(ctx context.Context, cfg *DPCoordConfig, out io.Writer) error
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 
-	// The coordinator-side view of the dataset: a store manifest (the
-	// workers open the same file and train their chunk ranges) or an
-	// inline simulator dataset shipped in the shard requests.
-	var src dist.Source
+	// The workers open the same store file and train their chunk
+	// ranges: -store names it; a simulator set is written to a temp
+	// store first, removed when the run ends.
+	path := cfg.StorePath
 	var evalSets []evalSet
-	classes := 2
-	if cfg.StorePath != "" {
-		rd, err := store.Open(cfg.StorePath)
-		if err != nil {
-			return err
-		}
-		defer rd.Close()
-		classes = rd.Classes()
-		if classes == 0 {
-			return fmt.Errorf("cli: %s holds too many distinct labels to classify", cfg.StorePath)
-		}
-		src = dist.NewStoreSource(rd)
-		evalSets = append(evalSets, evalSet{"train", rd})
-		fmt.Fprintf(out, "store: %s m=%d d=%d density=%.4f — workers train chunk ranges of the shared file\n",
-			cfg.StorePath, rd.Len(), rd.Dim(), rd.Density())
-	} else {
+	if path == "" {
 		gen := simGenerators[cfg.Sim]
 		if gen == nil {
 			return fmt.Errorf("cli: unknown simulator %q", cfg.Sim)
 		}
 		train, test := gen(r, cfg.Scale)
-		classes = train.Classes
-		src = dist.NewInlineSource(train)
+		dir, err := os.MkdirTemp("", "dpcoord-")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		path = filepath.Join(dir, cfg.Sim+".bolt")
+		if err := store.Write(path, data.FromDense(train), store.Options{Classes: train.Classes}); err != nil {
+			return err
+		}
 		evalSets = append(evalSets, evalSet{"train", train}, evalSet{"test ", test})
+	}
+	rd, err := store.Open(path)
+	if err != nil {
+		return err
+	}
+	defer rd.Close()
+	classes := rd.Classes()
+	if classes == 0 {
+		return fmt.Errorf("cli: %s holds too many distinct labels to classify", path)
+	}
+	src := dist.NewStoreSource(rd)
+	if cfg.StorePath != "" {
+		evalSets = append(evalSets, evalSet{"train", rd})
+		fmt.Fprintf(out, "store: %s m=%d d=%d density=%.4f — workers train chunk ranges of the shared file\n",
+			cfg.StorePath, rd.Len(), rd.Dim(), rd.Density())
 	}
 	if classes > 2 {
 		return fmt.Errorf("cli: multiclass training is not supported here; see examples/multiclass")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	crand "crypto/rand"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -11,9 +12,9 @@ import (
 	"boltondp/internal/loss"
 )
 
-// jobSeq distinguishes jobs issued by this process, so concurrent
-// TrainDistributed calls sharing a worker pool never collide on shard
-// state.
+// jobSeq numbers the jobs this process issues. It restarts in every
+// process, so a job ID also carries 64 random bits: two coordinators
+// sharing a worker pool must never install — or release — the same job.
 var jobSeq atomic.Uint64
 
 // TrainDistributed runs the bolt-on private PSGD appropriate for the
@@ -34,7 +35,7 @@ var jobSeq atomic.Uint64
 // resamples per-shard permutations every epoch already; the flag only
 // has meaning for multi-pass sequential runs, whose distributed form
 // ships one pinned permutation).
-func TrainDistributed(ctx context.Context, coord *dist.Coordinator, src dist.Source, f loss.Function, opts ...Option) (*Result, error) {
+func TrainDistributed(ctx context.Context, coord *dist.Coordinator, src *dist.Source, f loss.Function, opts ...Option) (*Result, error) {
 	c := newConfig(opts)
 	c.strategy = engine.Sharded
 	if err := c.resolve(); err != nil {
@@ -60,8 +61,14 @@ func TrainDistributed(ctx context.Context, coord *dist.Coordinator, src dist.Sou
 	if err != nil {
 		return nil, err
 	}
+	var nonce [8]byte
+	if _, err := crand.Read(nonce[:]); err != nil {
+		return nil, err
+	}
 	job := dist.Job{
-		ID: fmt.Sprintf("train-%s-%d", f.Name(), jobSeq.Add(1)),
+		// From crypto/rand, not c.rand: the caller's generator must be
+		// consumed exactly as the in-process run consumes it.
+		ID: fmt.Sprintf("train-%s-%d-%x", f.Name(), jobSeq.Add(1), nonce),
 		Spec: dist.TrainSpec{
 			Loss: lossSpec, Step: stepSpec,
 			Batch: c.batch, Radius: c.radius, Average: c.average,

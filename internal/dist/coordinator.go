@@ -177,7 +177,9 @@ type Job struct {
 // its shards are reassigned (install + deterministic epoch rewind) to
 // the next live worker; when no live workers remain, or ctx is done,
 // the run aborts fail-closed — no partial average is ever returned.
-func (c *Coordinator) Train(ctx context.Context, src Source, job Job, r *rand.Rand) (*engine.Result, error) {
+// However the run ends, every worker an install was sent to is then
+// asked to release the job (see release).
+func (c *Coordinator) Train(ctx context.Context, src *Source, job Job, r *rand.Rand) (*engine.Result, error) {
 	if r == nil {
 		return nil, errors.New("dist: Train requires a *rand.Rand (the parity contract is stated against its state)")
 	}
@@ -201,86 +203,31 @@ func (c *Coordinator) Train(ctx context.Context, src Source, job Job, r *rand.Ra
 	if len(c.Workers()) == 0 {
 		return nil, errors.New("dist: no live workers registered")
 	}
-	var res *engine.Result
-	if plan.Workers == 1 {
-		res, err = c.trainSingle(ctx, src, job, r)
-	} else {
-		res, err = c.trainSharded(ctx, src, job, plan, r)
-	}
-	if err == nil && ctx.Err() != nil {
-		// The last round's reply can beat the transport to a cancel; the
-		// run still fails closed.
-		return nil, ctx.Err()
-	}
-	return res, err
-}
 
-// trainSingle is the P = 1 path: like the engine, it delegates to one
-// continuous sequential run. The single permutation is drawn here, from
-// the caller's generator — exactly the draw sgd.Run would have made —
-// and shipped explicitly, so the worker consumes no randomness of its
-// own and the iterate-average arithmetic is the sequential one.
-func (c *Coordinator) trainSingle(ctx context.Context, src Source, job Job, r *rand.Rand) (*engine.Result, error) {
-	m := src.Rows()
-	perm := r.Perm(m)
-	man, err := src.manifest(0, 0, m)
-	if err != nil {
-		return nil, err
-	}
-	sh := &shard{index: 0, manifest: man, perm: perm}
-	if err := c.assign(ctx, job, sh); err != nil {
-		return nil, err
-	}
-	resp, err := c.epoch(ctx, job, sh, &EpochRequest{
-		Version: ProtocolVersion, Job: job.ID, Shard: 0,
-		Epoch: 0, Passes: job.Passes, T0: 0, W: encodeW0(job.W0, src.Dim()),
-	})
-	if err != nil {
-		return nil, err
-	}
-	w, wavg, err := decodeModels(resp, src.Dim(), job.Spec.Average)
-	if err != nil {
-		return nil, err
-	}
-	return &engine.Result{
-		Result:      sgd.Result{W: w, WAvg: wavg, Updates: resp.Updates, Passes: resp.Passes},
-		ShardModels: [][]float64{w}, Workers: 1,
-	}, nil
-}
-
-// shard is the coordinator's bookkeeping for one shard: its manifest,
-// its randomness (seed or delegated permutation), and the worker
-// currently holding it.
-type shard struct {
-	index    int
-	manifest *ShardManifest
-	seed     int64
-	perm     []int
-	worker   *workerRef
-}
-
-// trainSharded is the P > 1 path: engine.Plan.Merge drives the epochs,
-// and each shard's epoch is one request to the worker holding it.
-func (c *Coordinator) trainSharded(ctx context.Context, src Source, job Job, plan *engine.Plan, r *rand.Rand) (*engine.Result, error) {
-	P := plan.Workers
-	d := src.Dim()
-
-	// Seeds are drawn in shard order before any network work — the
-	// exact Int63 sequence engine.Run's Sharded strategy consumes to
-	// seed its per-worker generators, so r's post-draw state matches.
-	shards := make([]*shard, P)
-	for i := 0; i < P; i++ {
+	// The randomness is drawn before any network work, exactly as the
+	// engine draws it: P = 1 delegates to one continuous sequential run
+	// whose single permutation comes from r (the draw sgd.Run would
+	// make), shipped explicitly; P > 1 draws the Int63 shard seeds in
+	// shard order that seed the engine's per-worker generators.
+	shards := make([]*shard, plan.Workers)
+	for i := range shards {
 		man, err := src.manifest(i, plan.Bounds[i][0], plan.Bounds[i][1])
 		if err != nil {
 			return nil, err
 		}
-		shards[i] = &shard{index: i, manifest: man, seed: r.Int63()}
+		shards[i] = &shard{index: i, manifest: man}
+		if plan.Workers == 1 {
+			shards[i].perm = r.Perm(src.Rows())
+		} else {
+			shards[i].seed = r.Int63()
+		}
 	}
+	defer c.release(ctx, job.ID, shards)
 
 	// Install every shard on its initial worker (round-robin over the
 	// live pool), in parallel.
 	var wg sync.WaitGroup
-	errs := make([]error, P)
+	errs := make([]error, len(shards))
 	for i := range shards {
 		wg.Add(1)
 		go func(i int) {
@@ -295,6 +242,57 @@ func (c *Coordinator) trainSharded(ctx context.Context, src Source, job Job, pla
 		}
 	}
 
+	var res *engine.Result
+	if plan.Workers == 1 {
+		res, err = c.trainSingle(ctx, job, shards[0], d)
+	} else {
+		res, err = c.trainSharded(ctx, job, shards, plan, d)
+	}
+	if err == nil && ctx.Err() != nil {
+		// The last round's reply can beat the transport to a cancel; the
+		// run still fails closed.
+		return nil, ctx.Err()
+	}
+	return res, err
+}
+
+// trainSingle is the P = 1 path: like the engine, it delegates to one
+// continuous sequential run. The worker runs all passes in one epoch
+// call over the shipped permutation, consuming no randomness of its
+// own, so the iterate-average arithmetic is the sequential one.
+func (c *Coordinator) trainSingle(ctx context.Context, job Job, sh *shard, d int) (*engine.Result, error) {
+	resp, err := c.epoch(ctx, job, sh, &EpochRequest{
+		Version: ProtocolVersion, Job: job.ID, Shard: 0,
+		Epoch: 0, Passes: job.Passes, T0: 0, W: encodeW0(job.W0, d),
+	})
+	if err != nil {
+		return nil, err
+	}
+	w, wavg, err := decodeModels(resp, d, job.Spec.Average)
+	if err != nil {
+		return nil, err
+	}
+	return &engine.Result{
+		Result:      sgd.Result{W: w, WAvg: wavg, Updates: resp.Updates, Passes: resp.Passes},
+		ShardModels: [][]float64{w}, Workers: 1,
+	}, nil
+}
+
+// shard is the coordinator's bookkeeping for one shard: its manifest,
+// its randomness (seed or delegated permutation), the worker currently
+// holding it, and every worker an install of it was ever sent to.
+type shard struct {
+	index    int
+	manifest *ShardManifest
+	seed     int64
+	perm     []int
+	worker   *workerRef
+	sentTo   []*workerRef
+}
+
+// trainSharded is the P > 1 path: engine.Plan.Merge drives the epochs,
+// and each shard's epoch is one request to the worker holding it.
+func (c *Coordinator) trainSharded(ctx context.Context, job Job, shards []*shard, plan *engine.Plan, d int) (*engine.Result, error) {
 	return plan.Merge(ctx, job.Passes, job.W0, d, job.Spec.Average, func(i, e int, w []float64, t0 int) (*sgd.Result, error) {
 		resp, err := c.epoch(ctx, job, shards[i], &EpochRequest{
 			Version: ProtocolVersion, Job: job.ID, Shard: i,
@@ -309,6 +307,38 @@ func (c *Coordinator) trainSharded(ctx context.Context, src Source, job Job, pla
 		}
 		return &sgd.Result{W: model, WAvg: avg, Updates: resp.Updates}, nil
 	}, nil)
+}
+
+// releaseTimeout bounds the end-of-job release calls, which run outside
+// the run's own cancellation.
+const releaseTimeout = 5 * time.Second
+
+// release asks every worker an install of one of the job's shards was
+// sent to — the current holder, one declared dead since, one whose
+// acknowledgement was lost — to free the job. It is best effort: it
+// runs after the result is fixed, survives the run's cancellation
+// (context.WithoutCancel) under releaseTimeout, and never retries; a
+// failed release changes nothing about the run, and the worker keeps
+// the shards until its Close.
+func (c *Coordinator) release(ctx context.Context, id string, shards []*shard) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), releaseTimeout)
+	defer cancel()
+	seen := make(map[*workerRef]bool)
+	var wg sync.WaitGroup
+	for _, sh := range shards {
+		for _, wr := range sh.sentTo {
+			if seen[wr] {
+				continue
+			}
+			seen[wr] = true
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_ = c.post(ctx, wr.url+PathRelease, &ReleaseRequest{Version: ProtocolVersion, Job: id}, &ReleaseResponse{}) // best effort, as above
+			}()
+		}
+	}
+	wg.Wait()
 }
 
 // encodeW0 encodes the starting model (origin when nil).
@@ -368,6 +398,7 @@ func (c *Coordinator) assign(ctx context.Context, job Job, sh *shard) error {
 		if wr == nil {
 			return fmt.Errorf("dist: job %s: no live workers left to hold shard %d — aborting fail-closed", job.ID, sh.index)
 		}
+		sh.sentTo = append(sh.sentTo, wr)
 		var resp ShardResponse
 		err := c.callWorker(ctx, wr, PathShard, req, &resp)
 		if err == nil {

@@ -28,8 +28,7 @@ import (
 // fault is EITHER bit-identical recovery OR a clean abort — never a
 // silently different model.
 type faultSetup struct {
-	ds   *data.Dataset
-	src  dist.Source
+	src  *dist.Source
 	spec dist.TrainSpec
 	want *engine.Result
 }
@@ -37,8 +36,9 @@ type faultSetup struct {
 func newFaultSetup(t *testing.T) *faultSetup {
 	t.Helper()
 	ds := data.Synthetic(rand.New(rand.NewSource(31)), data.GenConfig{M: 120, D: 12, Classes: 2, Spread: 1.2})
+	rd := dist.TempStore(t, data.FromDense(ds))
 	f := loss.NewLogistic(1e-2, 0)
-	want, err := engine.Run(ds, engine.Config{
+	want, err := engine.Run(rd, engine.Config{
 		Strategy: engine.Sharded, Workers: 2,
 		SGD: sgd.Config{
 			Loss: f, Step: sgd.Constant(0.1), Passes: 3, Batch: 4,
@@ -50,8 +50,7 @@ func newFaultSetup(t *testing.T) *faultSetup {
 		t.Fatalf("engine.Run: %v", err)
 	}
 	return &faultSetup{
-		ds:  ds,
-		src: dist.NewInlineSource(ds),
+		src: dist.NewStoreSource(rd),
 		spec: dist.TrainSpec{
 			Loss:    mustLossSpec(t, f),
 			Step:    dist.StepSpec{Kind: dist.StepConstant, Eta: 0.1},
@@ -68,6 +67,42 @@ func (fs *faultSetup) train(t *testing.T, coord *dist.Coordinator, ctx context.C
 	return coord.Train(ctx, fs.src, dist.Job{
 		ID: "fault", Spec: fs.spec, Shards: 2, Passes: 3,
 	}, rand.New(rand.NewSource(13)))
+}
+
+// requireReleased fails unless every worker's /dist/healthz reports no
+// job and no shard held: Train released the job however it ended.
+func (p *pool) requireReleased(t *testing.T) {
+	t.Helper()
+	for _, u := range p.urls {
+		resp, err := http.Get(u + dist.PathHealthz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h dist.HealthResponse
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Jobs != 0 || h.Shards != 0 {
+			t.Fatalf("worker %s holds %d job(s), %d shard(s) after Train returned; want 0", u, h.Jobs, h.Shards)
+		}
+	}
+}
+
+// TestReleaseAfterTrain: a finished run leaves no shard on any worker,
+// for the delegated single shard and for a merge.
+func TestReleaseAfterTrain(t *testing.T) {
+	fs := newFaultSetup(t)
+	for _, P := range []int{1, 2} {
+		p := newPool(t, 2)
+		if _, err := p.coord.Train(context.Background(), fs.src, dist.Job{
+			ID: "release", Spec: fs.spec, Shards: P, Passes: 3,
+		}, rand.New(rand.NewSource(13))); err != nil {
+			t.Fatalf("P=%d: Train: %v", P, err)
+		}
+		p.requireReleased(t)
+	}
 }
 
 // dieAfter serves the first n epoch requests, then answers 503 to
@@ -132,6 +167,7 @@ func TestFaultAllWorkersDie(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "no live workers") {
 		t.Fatalf("abort error %q does not name the cause", err)
 	}
+	p.requireReleased(t)
 }
 
 // flakyFirstAttempt fails the first delivery of every distinct epoch
@@ -280,7 +316,8 @@ func TestFaultCtxCancelMidRound(t *testing.T) {
 	})
 
 	acct := account.MustNew(dp.Budget{Epsilon: 1})
-	_, err := core.TrainDistributed(ctx, p.coord, dist.NewInlineSource(ds), f,
+	src := dist.NewStoreSource(dist.TempStore(t, data.FromDense(ds)))
+	_, err := core.TrainDistributed(ctx, p.coord, src, f,
 		core.WithBudget(dp.Budget{Epsilon: 0.5}),
 		core.WithAccountant(acct),
 		core.WithPasses(5), core.WithBatch(4),
@@ -296,4 +333,5 @@ func TestFaultCtxCancelMidRound(t *testing.T) {
 	if l.SpentEpsilon != 0.5 {
 		t.Fatalf("spent ε = %v, want the single 0.5 reservation (no double spend, no refund)", l.SpentEpsilon)
 	}
+	p.requireReleased(t)
 }

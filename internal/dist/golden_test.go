@@ -2,10 +2,8 @@ package dist
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"flag"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -33,10 +31,6 @@ func goldenMessages() []struct {
 } {
 	wv := EncodeVec([]float64{0.5, -1.25, 0, 3.5})
 	av := EncodeVec([]float64{0.25, 0.25, -0.5, 1})
-	// A real 2-row CSR block (rows {0.5·e0 − 0.3125·e2, 3·e3}, labels
-	// +1/−1) in the store payload layout, so the fixture's base64 and
-	// CRC are honest encoder output, not invented bytes.
-	payload := encodeCSRPayload([]int{0, 2, 3}, []int{0, 2, 3}, []float64{0.5, -0.3125, 3}, []float64{1, -1})
 	return []struct {
 		file string
 		msg  any
@@ -45,10 +39,10 @@ func goldenMessages() []struct {
 			file: "shard_request_store.golden.json",
 			msg: &ShardRequest{
 				Version: ProtocolVersion,
-				Job:     "train-logistic-1",
+				Job:     "train-logistic-1-9f86d081884c7d65",
 				Manifest: ShardManifest{
 					Shard: 1, Lo: 100, Hi: 200,
-					Store: &StoreManifest{
+					Store: StoreManifest{
 						Path: "/data/train.bolt", Rows: 400, Dim: 4, ChunkRows: 64, Flags: 1,
 						Chunks: []store.ChunkRef{
 							{Index: 1, Rows: 64, CRC: 0xdeadbeef},
@@ -68,47 +62,56 @@ func goldenMessages() []struct {
 			},
 		},
 		{
-			file: "shard_request_inline.golden.json",
+			// A single-shard (P = 1) install: the explicit permutation
+			// and the Huber/sqrt spec fields.
+			file: "shard_request_perm.golden.json",
 			msg: &ShardRequest{
 				Version: ProtocolVersion,
-				Job:     "train-huber-2",
+				Job:     "train-huber-2-00c0ffee00c0ffee",
 				Manifest: ShardManifest{
 					Shard: 0, Lo: 0, Hi: 2,
-					Inline: &InlinePayload{
-						Rows: 2, NNZ: 3, Dim: 4, Sparse: true,
-						B64: base64.StdEncoding.EncodeToString(payload),
-						CRC: crc32.ChecksumIEEE(payload),
+					Store: StoreManifest{
+						Path: "/data/small.bolt", Rows: 2, Dim: 4, ChunkRows: 4096,
+						Chunks: []store.ChunkRef{{Index: 0, Rows: 2, CRC: 0x0badf00d}},
 					},
 				},
 				Spec: TrainSpec{
-					Loss:  LossSpec{Kind: LossHuber, Lambda: 0.0001, H: 0.1, R: 10000},
-					Step:  StepSpec{Kind: StepSqrt, Beta: 0.25, M: 100, C: 0.5},
-					Batch: 1,
+					Loss:          LossSpec{Kind: LossHuber, Lambda: 0.0001, H: 0.1, R: 10000},
+					Step:          StepSpec{Kind: StepSqrt, Beta: 0.25, M: 100, C: 0.5},
+					Batch:         1,
+					KernelWorkers: 2,
 				},
-				Seed: 7,
 				Perm: []int{1, 0},
 			},
 		},
 		{
 			file: "shard_response.golden.json",
 			msg: &ShardResponse{
-				Version: ProtocolVersion, Job: "train-logistic-1",
+				Version: ProtocolVersion, Job: "train-logistic-1-9f86d081884c7d65",
 				Shard: 1, Rows: 100, Dim: 4,
 			},
 		},
 		{
 			file: "epoch_request.golden.json",
 			msg: &EpochRequest{
-				Version: ProtocolVersion, Job: "train-logistic-1",
+				Version: ProtocolVersion, Job: "train-logistic-1-9f86d081884c7d65",
 				Shard: 1, Epoch: 2, Passes: 1, T0: 200, W: wv,
 			},
 		},
 		{
 			file: "epoch_response.golden.json",
 			msg: &EpochResponse{
-				Version: ProtocolVersion, Job: "train-logistic-1",
+				Version: ProtocolVersion, Job: "train-logistic-1-9f86d081884c7d65",
 				Shard: 1, Epoch: 2, W: wv, WAvg: &av, Updates: 100, Passes: 1,
 			},
+		},
+		{
+			file: "release_request.golden.json",
+			msg:  &ReleaseRequest{Version: ProtocolVersion, Job: "train-logistic-1-9f86d081884c7d65"},
+		},
+		{
+			file: "release_response.golden.json",
+			msg:  &ReleaseResponse{Version: ProtocolVersion, Job: "train-logistic-1-9f86d081884c7d65", Shards: 2},
 		},
 		{
 			file: "health_response.golden.json",

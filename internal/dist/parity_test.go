@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -74,32 +73,18 @@ func (p *pool) addWorkers(t testing.TB, n int, wrap func(i int, h http.Handler) 
 	}
 }
 
-// sources builds the two coordinator-side views of the same synthetic
-// dataset — in-memory dense and store-backed — plus the samples the
-// single-process baseline trains on for each.
-func sources(t *testing.T) map[string]struct {
-	src      dist.Source
-	baseline sgd.Samples
-} {
+// sources builds the two training sets the parity walls run on, each
+// as a store file the workers open and the single-process baseline
+// trains on: "store" is a sparse synthetic set, "inmemory" a dense
+// in-memory set written to a temp store — the way dpcoord -sim hands
+// its simulator data to workers.
+func sources(t *testing.T) map[string]*store.Reader {
 	t.Helper()
-	r := rand.New(rand.NewSource(99))
-	sparse := data.SparseSynthetic(r, 240, 30, 6, 0.1)
+	sparse := data.SparseSynthetic(rand.New(rand.NewSource(99)), 240, 30, 6, 0.1)
 	dense := data.Synthetic(rand.New(rand.NewSource(98)), data.GenConfig{M: 240, D: 30, Classes: 2, Spread: 1.5})
-	path := filepath.Join(t.TempDir(), "parity.bolt")
-	if err := store.Write(path, sparse, store.Options{ChunkRows: 64}); err != nil {
-		t.Fatalf("store.Write: %v", err)
-	}
-	rd, err := store.Open(path)
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	t.Cleanup(func() { rd.Close() })
-	return map[string]struct {
-		src      dist.Source
-		baseline sgd.Samples
-	}{
-		"inmemory": {src: dist.NewInlineSource(dense), baseline: dense},
-		"store":    {src: dist.NewStoreSource(rd), baseline: rd},
+	return map[string]*store.Reader{
+		"inmemory": dist.TempStore(t, data.FromDense(dense)),
+		"store":    dist.TempStore(t, sparse),
 	}
 }
 
@@ -109,17 +94,16 @@ func sources(t *testing.T) map[string]struct {
 // noiseless and private, in-memory and store-backed, models and (for
 // the private case) accountant ledgers compared bit for bit.
 func TestDistParitySharded(t *testing.T) {
-	srcs := sources(t)
 	f := loss.NewLogistic(1e-2, 0)
 	p := f.Params()
 
-	for name, sc := range srcs {
+	for name, rd := range sources(t) {
+		src := dist.NewStoreSource(rd)
 		for _, P := range []int{1, 2, 4} {
-			sc, P := sc, P
 			t.Run(fmt.Sprintf("%s/P%d", name, P), func(t *testing.T) {
 				t.Run("noiseless", func(t *testing.T) {
 					pool := newPool(t, 2)
-					m := sc.src.Rows()
+					m := src.Rows()
 					n := engine.MinShard(m, P)
 					spec := dist.TrainSpec{
 						Loss:    mustLossSpec(t, f),
@@ -130,7 +114,7 @@ func TestDistParitySharded(t *testing.T) {
 					}
 					step := sgd.SqrtConvex(p.Beta, n, 0.5)
 
-					want, err := engine.Run(sc.baseline, engine.Config{
+					want, err := engine.Run(rd, engine.Config{
 						Strategy: engine.Sharded, Workers: P,
 						SGD: sgd.Config{
 							Loss: f, Step: step, Passes: 3, Batch: 8,
@@ -141,7 +125,7 @@ func TestDistParitySharded(t *testing.T) {
 					if err != nil {
 						t.Fatalf("engine.Run: %v", err)
 					}
-					got, err := pool.coord.Train(context.Background(), sc.src, dist.Job{
+					got, err := pool.coord.Train(context.Background(), src, dist.Job{
 						ID: "parity", Spec: spec, Shards: P, Passes: 3,
 					}, rand.New(rand.NewSource(7)))
 					if err != nil {
@@ -161,7 +145,7 @@ func TestDistParitySharded(t *testing.T) {
 				// options must reach both executors through the same
 				// plan — a warm start (the job's W0) and a forced
 				// Algorithm 1 on this strongly convex loss.
-				w0 := make([]float64, sc.src.Dim())
+				w0 := make([]float64, src.Dim())
 				for i := range w0 {
 					w0[i] = 0.01 * float64(i%7-3)
 				}
@@ -185,13 +169,13 @@ func TestDistParitySharded(t *testing.T) {
 						}
 
 						wantAcct := account.MustNew(dp.Budget{Epsilon: 2})
-						want, err := core.TrainCtx(context.Background(), sc.baseline, f, opts(wantAcct)...)
+						want, err := core.TrainCtx(context.Background(), rd, f, opts(wantAcct)...)
 						if err != nil {
 							t.Fatalf("core.TrainCtx: %v", err)
 						}
 
 						gotAcct := account.MustNew(dp.Budget{Epsilon: 2})
-						got, err := core.TrainDistributed(context.Background(), pool.coord, sc.src, f, opts(gotAcct)...)
+						got, err := core.TrainDistributed(context.Background(), pool.coord, src, f, opts(gotAcct)...)
 						if err != nil {
 							t.Fatalf("core.TrainDistributed: %v", err)
 						}
@@ -218,8 +202,8 @@ func TestDistParitySharded(t *testing.T) {
 // release (the model the paper's convergence results are stated for):
 // the averaged distributed model, perturbed, must still match bitwise.
 func TestDistParityAveragedPrivate(t *testing.T) {
-	srcs := sources(t)
-	sc := srcs["store"]
+	rd := sources(t)["store"]
+	src := dist.NewStoreSource(rd)
 	f := loss.NewLogistic(1e-2, 0)
 	base := []core.Option{
 		core.WithBudget(dp.Budget{Epsilon: 1, Delta: 1e-6}),
@@ -228,12 +212,12 @@ func TestDistParityAveragedPrivate(t *testing.T) {
 	}
 
 	pool := newPool(t, 2)
-	want, err := core.TrainCtx(context.Background(), sc.baseline, f,
+	want, err := core.TrainCtx(context.Background(), rd, f,
 		append(base, core.WithRand(rand.New(rand.NewSource(5))))...)
 	if err != nil {
 		t.Fatalf("core.TrainCtx: %v", err)
 	}
-	got, err := core.TrainDistributed(context.Background(), pool.coord, sc.src, f,
+	got, err := core.TrainDistributed(context.Background(), pool.coord, src, f,
 		append(base, core.WithRand(rand.New(rand.NewSource(5))))...)
 	if err != nil {
 		t.Fatalf("core.TrainDistributed: %v", err)
@@ -242,46 +226,13 @@ func TestDistParityAveragedPrivate(t *testing.T) {
 	bitsEqual(t, "NonPrivate", got.NonPrivate, want.NonPrivate)
 }
 
-// TestDistParityInlineSparse: a sparse in-memory source ships a
-// sparse-tier payload, which the worker rebuilds as a data.SparseDataset,
-// so the run stays on the sparse kernel and bit-identical to the
-// single-process run — with P = 1 and with a merge.
-func TestDistParityInlineSparse(t *testing.T) {
-	ds := data.SparseSynthetic(rand.New(rand.NewSource(99)), 240, 30, 6, 0.1)
-	f := loss.NewLogistic(1e-2, 0)
-	spec := dist.TrainSpec{
-		Loss: mustLossSpec(t, f), Step: dist.StepSpec{Kind: dist.StepConstant, Eta: 0.1},
-		Batch: 8, Radius: 50, Average: true,
-	}
-	for _, P := range []int{1, 2} {
-		want, err := engine.Run(ds, engine.Config{
-			Strategy: engine.Sharded, Workers: P,
-			SGD: sgd.Config{
-				Loss: f, Step: sgd.Constant(0.1), Passes: 3, Batch: 8, Radius: 50, Average: true,
-				Rand: rand.New(rand.NewSource(7)),
-			},
-		})
-		if err != nil {
-			t.Fatalf("engine.Run: %v", err)
-		}
-		got, err := newPool(t, 2).coord.Train(context.Background(), dist.NewInlineSource(ds), dist.Job{
-			ID: "sparse", Spec: spec, Shards: P, Passes: 3,
-		}, rand.New(rand.NewSource(7)))
-		if err != nil {
-			t.Fatalf("P=%d: coord.Train: %v", P, err)
-		}
-		bitsEqual(t, fmt.Sprintf("W (P=%d)", P), got.W, want.W)
-		bitsEqual(t, fmt.Sprintf("WAvg (P=%d)", P), got.WAvg, want.WAvg)
-	}
-}
-
 // TestTrainDistributedRejections pins the option surface: parameters
 // whose semantics need the whole dataset mid-run (or change the
 // randomness schedule) are refused up front, not silently dropped.
 func TestTrainDistributedRejections(t *testing.T) {
 	pool := newPool(t, 1)
 	ds := data.Synthetic(rand.New(rand.NewSource(3)), data.GenConfig{M: 40, D: 5, Classes: 2, Spread: 1})
-	src := dist.NewInlineSource(ds)
+	src := dist.NewStoreSource(dist.TempStore(t, data.FromDense(ds)))
 	f := loss.NewLogistic(1e-2, 0)
 	acct := account.MustNew(dp.Budget{Epsilon: 4})
 	base := []core.Option{

@@ -6,18 +6,20 @@
 //
 // The division of labor follows the paper's MapReduce footnote
 // composed with the repository's own layers: the coordinator partitions
-// the training set into P shard manifests (store chunk ranges + CRCs,
-// or inline CSR payloads), assigns them to registered workers, and runs
-// the per-epoch loop — each worker advances noiseless permutation SGD
-// one pass over its own shard from the shared model, ships its O(d)
-// model vector back, the coordinator merges by uniform averaging and
-// redistributes. Per-round traffic is O(P·d) models, never data rows
-// (the dynamic-evaluation discipline: maintain the result under
-// updates, don't re-ship the input). Privacy stays strictly above this
-// package: internal/core calibrates the Sharded sensitivity and adds
-// the noise exactly once to the final averaged model, so the
-// distributed executor is as noise-free a black box as the in-process
-// engine.
+// a store file into P shard manifests (chunk ranges + CRCs; every
+// worker opens the same file itself), assigns them to registered
+// workers, and runs the per-epoch loop — each worker advances
+// noiseless permutation SGD one pass over its own shard from the
+// shared model, ships its O(d) model vector back, the coordinator
+// merges by uniform averaging and redistributes. No data row ever
+// crosses the wire: per-round traffic is O(P·d) models (the
+// dynamic-evaluation discipline: maintain the result under updates,
+// don't re-ship the input). When the run ends the coordinator tells
+// each worker to release the job, which closes its store readers.
+// Privacy stays strictly above this package: internal/core calibrates
+// the Sharded sensitivity and adds the noise exactly once to the final
+// averaged model, so the distributed executor is as noise-free a black
+// box as the in-process engine.
 //
 // # Parity contract
 //
@@ -71,7 +73,7 @@ import (
 // responses), so version skew surfaces as an explicit error at the
 // first exchange — the golden-file tests in golden_test.go pin the
 // encoded forms so a drift inside one version is caught in review.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // Wire paths of the worker's HTTP surface.
 const (
@@ -81,6 +83,8 @@ const (
 	PathShard = "/dist/shard"
 	// PathEpoch runs one epoch of an installed shard (POST).
 	PathEpoch = "/dist/epoch"
+	// PathRelease frees every shard a worker holds for one job (POST).
+	PathRelease = "/dist/release"
 )
 
 // Vec is a model vector on the wire: the base64 encoding of the
@@ -109,14 +113,16 @@ func EncodeVec(w []float64) Vec {
 }
 
 // Decode unpacks the vector, failing closed on any inconsistency
-// (bad base64, length mismatch, checksum mismatch).
+// (bad base64, length mismatch, checksum mismatch). The length check
+// divides rather than multiplies, so no claimed N — negative, or large
+// enough that 8·N wraps — can reach the allocation.
 func (v Vec) Decode() ([]float64, error) {
 	raw, err := base64.StdEncoding.DecodeString(v.B64)
 	if err != nil {
 		return nil, fmt.Errorf("dist: vector payload: %w", err)
 	}
-	if len(raw) != 8*v.N {
-		return nil, fmt.Errorf("dist: vector payload holds %d bytes, want %d for n=%d", len(raw), 8*v.N, v.N)
+	if len(raw)%8 != 0 || len(raw)/8 != v.N {
+		return nil, fmt.Errorf("dist: vector payload holds %d bytes, want 8 per element for n=%d", len(raw), v.N)
 	}
 	if got := crc32.ChecksumIEEE(raw); got != v.CRC {
 		return nil, fmt.Errorf("dist: vector checksum mismatch (%08x != %08x)", got, v.CRC)
@@ -143,34 +149,14 @@ type StoreManifest struct {
 	Chunks    []store.ChunkRef `json:"chunks"`
 }
 
-// InlinePayload carries a shard's rows inline, for training sets that
-// live in the coordinator's memory. The encoding is the store format's
-// chunk payload layout verbatim — val f64[nnz] | y f64[rows] |
-// indptr i64[rows+1] | idx i64[nnz], little-endian, CRC32 over the
-// whole payload — so the wire form inherits the store's validation
-// discipline (CRC plus CSR invariants) and its bit-exactness.
-type InlinePayload struct {
-	Rows int `json:"rows"`
-	NNZ  int `json:"nnz"`
-	Dim  int `json:"dim"`
-	// Sparse records which tier of the engine's data contract the
-	// worker-side source must present: a sparse-tier source trains on
-	// the sparse kernel, a dense-tier one on the dense kernel. The flag
-	// mirrors the coordinator-side source so the distributed run picks
-	// the same kernel as the single-process run it must match.
-	Sparse bool   `json:"sparse,omitempty"`
-	B64    string `json:"b64"`
-	CRC    uint32 `json:"crc"`
-}
-
 // ShardManifest describes one shard: its index, its global row range,
-// and exactly one data reference (store-backed or inline).
+// and the store file holding its rows. It never carries rows — a
+// worker opens the file itself and checks it against the manifest.
 type ShardManifest struct {
-	Shard  int            `json:"shard"`
-	Lo     int            `json:"lo"`
-	Hi     int            `json:"hi"`
-	Store  *StoreManifest `json:"store,omitempty"`
-	Inline *InlinePayload `json:"inline,omitempty"`
+	Shard int           `json:"shard"`
+	Lo    int           `json:"lo"`
+	Hi    int           `json:"hi"`
+	Store StoreManifest `json:"store"`
 }
 
 // LossSpec is the wire form of a loss function: the struct fields of
@@ -216,12 +202,10 @@ type TrainSpec struct {
 	// worker-side SGD kernel (sgd.Config.KernelWorkers; 0 or 1 =
 	// sequential). The parallel kernel is bit-identical to the
 	// sequential one, so the field affects worker CPU use only, never
-	// the trained bytes — which is why it can ride inside protocol
-	// version 1 as an additive omitempty field: a spec that leaves it
-	// unset encodes exactly as before (all golden fixtures are
-	// byte-stable), and an old worker handed a non-zero value fails
-	// loudly through its DisallowUnknownFields decoder instead of
-	// silently training something different.
+	// the trained bytes. It is omitempty, so a spec that leaves it
+	// unset does not carry it, and a worker that does not know the
+	// field fails loudly through its DisallowUnknownFields decoder
+	// instead of silently training something different.
 	KernelWorkers int `json:"kernelWorkers,omitempty"`
 }
 
@@ -287,6 +271,23 @@ type EpochResponse struct {
 	// the coordinator advances the shard's T0 by it.
 	Updates int `json:"updates"`
 	Passes  int `json:"passes"`
+}
+
+// ReleaseRequest tells a worker a job is over: it frees every shard it
+// holds for Job. The coordinator sends it when Train returns — on
+// success, failure or cancel. Releasing a job the worker does not hold
+// frees nothing and succeeds.
+type ReleaseRequest struct {
+	Version int    `json:"version"`
+	Job     string `json:"job"`
+}
+
+// ReleaseResponse acknowledges a release with the number of shards
+// freed.
+type ReleaseResponse struct {
+	Version int    `json:"version"`
+	Job     string `json:"job"`
+	Shards  int    `json:"shards"`
 }
 
 // HealthResponse is the worker handshake: protocol version plus a

@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -47,10 +50,15 @@ func TestVecRoundTrip(t *testing.T) {
 func TestVecFailClosed(t *testing.T) {
 	v := EncodeVec([]float64{1, 2, 3})
 	cases := map[string]Vec{
-		"bad base64":   {N: v.N, B64: "!!!not base64!!!", CRC: v.CRC},
-		"short count":  {N: 2, B64: v.B64, CRC: v.CRC},
-		"long count":   {N: 4, B64: v.B64, CRC: v.CRC},
-		"bad checksum": {N: v.N, B64: v.B64, CRC: v.CRC ^ 1},
+		"bad base64":     {N: v.N, B64: "!!!not base64!!!", CRC: v.CRC},
+		"short count":    {N: 2, B64: v.B64, CRC: v.CRC},
+		"long count":     {N: 4, B64: v.B64, CRC: v.CRC},
+		"bad checksum":   {N: v.N, B64: v.B64, CRC: v.CRC ^ 1},
+		"negative count": {N: -1, B64: "", CRC: 0},
+		// 8·N wraps to 0 here, and the CRC of no bytes is 0: a check
+		// that multiplies passes this vector on to make([]float64, N).
+		"count overflows": {N: 1 << 61, B64: "", CRC: 0},
+		"ragged payload":  {N: 0, B64: "AAAA", CRC: 0xff41d912},
 	}
 	for name, bad := range cases {
 		if _, err := bad.Decode(); err == nil {
@@ -59,66 +67,46 @@ func TestVecFailClosed(t *testing.T) {
 	}
 }
 
-// TestInlinePayloadFailClosed: the CSR invariants of the store format
-// are enforced on decode — corrupt geometry never reaches a kernel.
-func TestInlinePayloadFailClosed(t *testing.T) {
-	good := func() *InlinePayload {
-		src := NewInlineSource(&sgd.SliceSamples{
-			X: [][]float64{{1, 0, 2}, {0, 3, 0}},
-			Y: []float64{1, -1},
-		})
-		m, err := src.manifest(0, 0, 2)
+// FuzzVecDecode: no (N, B64, CRC) makes Decode panic, and a decoded
+// vector has N elements and survives a re-encode bit for bit. The seeds
+// are the committed golden vectors plus the overflow shape.
+func FuzzVecDecode(f *testing.F) {
+	for _, file := range []string{"epoch_request.golden.json", "epoch_response.golden.json"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
-			t.Fatalf("manifest: %v", err)
+			f.Fatal(err)
 		}
-		return m.Inline
-	}
-
-	if _, _, _, _, err := good().decode(); err != nil {
-		t.Fatalf("valid payload rejected: %v", err)
-	}
-
-	mutations := map[string]func(*InlinePayload){
-		"bad crc":       func(p *InlinePayload) { p.CRC ^= 1 },
-		"bad base64":    func(p *InlinePayload) { p.B64 = "***" },
-		"wrong rows":    func(p *InlinePayload) { p.Rows = 3 },
-		"wrong nnz":     func(p *InlinePayload) { p.NNZ = 5 },
-		"zero dim":      func(p *InlinePayload) { p.Dim = 0 },
-		"column beyond": func(p *InlinePayload) { p.Dim = 2 }, // row 0 has column 2
-	}
-	for name, mutate := range mutations {
-		p := good()
-		mutate(p)
-		if _, _, _, _, err := p.decode(); err == nil {
-			t.Errorf("%s: decode accepted a corrupt payload", name)
+		var msg struct {
+			W    Vec  `json:"w"`
+			WAvg *Vec `json:"w_avg"`
+		}
+		if err := json.Unmarshal(raw, &msg); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(msg.W.N, msg.W.B64, msg.W.CRC)
+		if msg.WAvg != nil {
+			f.Add(msg.WAvg.N, msg.WAvg.B64, msg.WAvg.CRC)
 		}
 	}
-}
-
-// TestInlineSourceTier: the worker-side reconstruction must present
-// exactly the tier the coordinator-side source presented — a dense
-// source must NOT come back sparse (it would switch kernels and break
-// bit-parity with the single-process run).
-func TestInlineSourceTier(t *testing.T) {
-	dense := &sgd.SliceSamples{X: [][]float64{{1, 0}, {0, 2}}, Y: []float64{1, -1}}
-	m, err := NewInlineSource(dense).manifest(0, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Inline.Sparse {
-		t.Fatal("dense source produced a sparse-tier payload")
-	}
-	s, _, _, _, err := openShard(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.(sgd.SparseSamples); ok {
-		t.Fatal("dense-tier payload reconstructed with an AtSparse method — kernel tier would flip")
-	}
-	x, y := s.At(1)
-	if x[0] != 0 || x[1] != 2 || y != -1 {
-		t.Fatalf("row 1 = (%v, %v), want ([0 2], -1)", x, y)
-	}
+	f.Add(1<<61, "", uint32(0))
+	f.Fuzz(func(t *testing.T, n int, b64 string, crc uint32) {
+		out, err := Vec{N: n, B64: b64, CRC: crc}.Decode()
+		if err != nil {
+			return
+		}
+		if len(out) != n {
+			t.Fatalf("decoded %d elements, N says %d", len(out), n)
+		}
+		back, err := EncodeVec(out).Decode()
+		if err != nil {
+			t.Fatalf("re-encoded vector rejected: %v", err)
+		}
+		for i := range out {
+			if math.Float64bits(back[i]) != math.Float64bits(out[i]) {
+				t.Fatalf("w[%d]: %x != %x after re-encode", i, math.Float64bits(back[i]), math.Float64bits(out[i]))
+			}
+		}
+	})
 }
 
 // TestLossSpecRoundTrip: spec → Build must reproduce the exact struct

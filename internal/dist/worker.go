@@ -4,13 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sync"
 
 	"boltondp/internal/loss"
 	"boltondp/internal/sgd"
+	"boltondp/internal/store"
 )
 
 // Worker executes shard assignments: it installs validated shard
@@ -26,6 +26,14 @@ import (
 // e permutations — before training. That makes every epoch request
 // idempotent and lets the coordinator replay a lost response or move a
 // shard to a fresh worker without skewing the randomness.
+//
+// A job's shards live until the coordinator releases the job (or until
+// Close). Every path that retires a shard — release, re-install, Close —
+// first removes it from the job table under the worker's lock, then
+// closes its store reader under the shard's own lock. An epoch holds
+// the shard's lock while it trains and checks, once it has the lock,
+// that the shard is still installed, so it answers 404 rather than read
+// an unmapped reader.
 type Worker struct {
 	mu   sync.Mutex
 	jobs map[string]map[int]*shardState
@@ -42,8 +50,8 @@ type shardState struct {
 	spec    TrainSpec
 	lossFn  loss.Function
 	step    sgd.Schedule
+	reader  *store.Reader
 	samples sgd.Samples
-	closer  io.Closer
 	rows    int
 	dim     int
 
@@ -62,30 +70,55 @@ type shardState struct {
 //	GET  /dist/healthz — liveness + protocol handshake
 //	POST /dist/shard   — install (or replace) a shard assignment
 //	POST /dist/epoch   — advance an installed shard one merge epoch
+//	POST /dist/release — free every shard of a finished job
 func (wk *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathHealthz, wk.handleHealthz)
 	mux.HandleFunc(PathShard, wk.handleShard)
 	mux.HandleFunc(PathEpoch, wk.handleEpoch)
+	mux.HandleFunc(PathRelease, wk.handleRelease)
 	return mux
 }
 
-// Close releases every installed shard's underlying resources (store
-// readers). The worker is unusable afterwards.
+// Close frees every installed shard. The worker is unusable afterwards.
 func (wk *Worker) Close() error {
 	wk.mu.Lock()
-	defer wk.mu.Unlock()
+	jobs := wk.jobs
+	wk.jobs = make(map[string]map[int]*shardState)
+	wk.mu.Unlock()
 	var first error
-	for _, shards := range wk.jobs {
-		for _, st := range shards {
-			if st.closer != nil {
-				if err := st.closer.Close(); err != nil && first == nil {
-					first = err
-				}
-			}
+	for _, shards := range jobs {
+		if err := freeShards(shards); err != nil && first == nil {
+			first = err
 		}
 	}
-	wk.jobs = make(map[string]map[int]*shardState)
+	return first
+}
+
+// shard returns the installed state of (job, shard), or nil.
+func (wk *Worker) shard(job string, shard int) *shardState {
+	wk.mu.Lock()
+	defer wk.mu.Unlock()
+	return wk.jobs[job][shard]
+}
+
+// free closes the shard's store reader under the shard's lock, after an
+// epoch running on it has finished. The caller has already removed the
+// shard from the job table, so no later epoch can reach it.
+func (st *shardState) free() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.reader.Close()
+}
+
+// freeShards frees every shard of one job, returning the first error.
+func freeShards(shards map[int]*shardState) error {
+	var first error
+	for _, st := range shards {
+		if err := st.free(); err != nil && first == nil {
+			first = err
+		}
+	}
 	return first
 }
 
@@ -132,21 +165,21 @@ func (wk *Worker) handleShard(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	samples, closer, rows, dim, err := openShard(&req.Manifest)
+	m := &req.Manifest
+	rd, err := openShard(m)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	rows := m.Hi - m.Lo
 	if req.Perm != nil && len(req.Perm) != rows {
-		if closer != nil {
-			closer.Close()
-		}
+		rd.Close()
 		httpError(w, http.StatusBadRequest, "dist: permutation length %d, shard holds %d rows", len(req.Perm), rows)
 		return
 	}
 	st := &shardState{
 		spec: req.Spec, lossFn: lossFn, step: step,
-		samples: samples, closer: closer, rows: rows, dim: dim,
+		reader: rd, samples: rd.Shard(m.Lo, m.Hi), rows: rows, dim: rd.Dim(),
 		seed: req.Seed, perm: req.Perm,
 	}
 	if st.perm == nil {
@@ -161,15 +194,16 @@ func (wk *Worker) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	// Re-installing the same (job, shard) replaces the previous state —
 	// the reassignment path after a worker failure.
-	if old := shards[req.Manifest.Shard]; old != nil && old.closer != nil {
-		old.closer.Close()
-	}
-	shards[req.Manifest.Shard] = st
+	old := shards[m.Shard]
+	shards[m.Shard] = st
 	wk.mu.Unlock()
+	if old != nil {
+		old.free()
+	}
 
 	writeJSON(w, http.StatusOK, ShardResponse{
-		Version: ProtocolVersion, Job: req.Job, Shard: req.Manifest.Shard,
-		Rows: rows, Dim: dim,
+		Version: ProtocolVersion, Job: req.Job, Shard: m.Shard,
+		Rows: rows, Dim: st.dim,
 	})
 }
 
@@ -182,9 +216,13 @@ func (wk *Worker) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	wk.mu.Lock()
-	st := wk.jobs[req.Job][req.Shard]
-	wk.mu.Unlock()
+	wk.serveEpoch(r.Context(), w, &req, wk.shard(req.Job, req.Shard))
+}
+
+// serveEpoch runs req on st, the state the request's (job, shard) named
+// when it was looked up. A shard released or replaced since then is no
+// longer installed once the epoch holds its lock, and answers 404.
+func (wk *Worker) serveEpoch(ctx context.Context, w http.ResponseWriter, req *EpochRequest, st *shardState) {
 	if st == nil {
 		httpError(w, http.StatusNotFound, "dist: no shard %d installed for job %q", req.Shard, req.Job)
 		return
@@ -204,7 +242,12 @@ func (wk *Worker) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	st.mu.Lock()
-	res, err := st.runEpoch(r.Context(), &req, w0)
+	if wk.shard(req.Job, req.Shard) != st {
+		st.mu.Unlock()
+		httpError(w, http.StatusNotFound, "dist: shard %d of job %q was released", req.Shard, req.Job)
+		return
+	}
+	res, err := st.runEpoch(ctx, req, w0)
 	st.mu.Unlock()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -219,6 +262,28 @@ func (wk *Worker) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		resp.WAvg = &v
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// handleRelease drops the job from the table, then frees its shards —
+// each after any epoch running on it has finished.
+func (wk *Worker) handleRelease(w http.ResponseWriter, r *http.Request) {
+	var req ReleaseRequest
+	if !decodeRequest(w, r, &req) {
+		return
+	}
+	if err := checkVersion(req.Version); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	wk.mu.Lock()
+	shards := wk.jobs[req.Job]
+	delete(wk.jobs, req.Job)
+	wk.mu.Unlock()
+	if err := freeShards(shards); err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, ReleaseResponse{Version: ProtocolVersion, Job: req.Job, Shards: len(shards)})
 }
 
 // runEpoch advances the shard under its own lock. Two modes, mirroring
@@ -288,9 +353,9 @@ func (st *shardState) runEpoch(ctx context.Context, req *EpochRequest, w0 []floa
 // Shared HTTP helpers (the serve-tier idiom).
 // ---------------------------------------------------------------------
 
-// maxBody bounds request bodies: inline shard payloads dominate, and
-// 1 GiB comfortably covers any dataset that should be shipped inline
-// rather than through a store file.
+// maxBody bounds request bodies. No request carries data rows; the
+// largest is a single-shard (P = 1) install, whose explicit permutation
+// holds one JSON integer per row — 1 GiB covers some 10⁸ rows.
 const maxBody = 1 << 30
 
 func decodeRequest(w http.ResponseWriter, r *http.Request, into any) bool {

@@ -17,7 +17,6 @@ import (
 	"boltondp/internal/engine"
 	"boltondp/internal/eval"
 	"boltondp/internal/loss"
-	"boltondp/internal/sgd"
 	"boltondp/internal/store"
 )
 
@@ -26,27 +25,20 @@ import (
 // task, same seed, P loopback workers behind real HTTP servers. Two
 // claims are on trial. First, the models are bit-identical — the dist
 // subsystem's core invariant, checked on every row. Second, the wire
-// cost depends on the source mode: an inline source ships the whole
-// CSR payload in the shard installs (O(m·d) on the wire, the dominant
-// cost below), while a store-backed source ships only chunk ranges and
-// CRCs — workers open the shared file themselves, so dispatch cost is
-// independent of m and the per-epoch traffic is O(P·d) either way.
+// costs little: shard installs carry only chunk ranges and CRCs of a
+// store file the workers open themselves, so dispatch cost is
+// independent of m and the per-epoch traffic is O(P·d).
 func DistLoopback(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Distributed loopback: coordinator + P HTTP workers vs single-process Sharded(P) ==")
 
-	root := rand.New(rand.NewSource(cfg.Seed))
 	m := scaled(200000, cfg.Scale, 4000)
 	const d = 50
 	lambda := 1e-2
 	f := loss.NewLogistic(lambda, 0)
 
-	// Inline mode: a dense simulator split held by the coordinator.
-	full := data.ScaleSim(cfg.Seed, m, d)
-	train, test := full.Split(root, 0.9)
-
-	// Store mode: a sparse dataset written once to the columnar store
-	// file every worker opens (loopback stands in for a shared mount).
+	// A sparse dataset written once to the store file every worker
+	// opens (loopback stands in for a shared mount).
 	dir, err := os.MkdirTemp("", "dist-exp-")
 	if err != nil {
 		return err
@@ -64,80 +56,70 @@ func DistLoopback(cfg Config) error {
 	}
 	defer rd.Close()
 
-	sources := []struct {
-		name     string
-		src      dist.Source
-		baseline sgd.Samples // what the single-process run trains on
-		test     sgd.Samples // what the accuracy column scores on
-	}{
-		{"inline", dist.NewInlineSource(train), train, test},
-		{"store", dist.NewStoreSource(rd), rd, sparseTest},
-	}
+	src := dist.NewStoreSource(rd)
 	grid := []int{1, 2, 4}
 	if cfg.Quick {
 		grid = []int{1, 2}
 	}
 
 	w := newTab(cfg)
-	fmt.Fprintln(w, "source\tP\tsingle\tdist\toverhead\tparity\ttest accuracy")
-	for _, sc := range sources {
-		for _, p := range grid {
-			opts := func(seed int64) []core.Option {
-				return []core.Option{
-					core.WithBudget(dp.Budget{Epsilon: 0.1}),
-					core.WithPasses(5), core.WithBatch(10), core.WithRadius(1 / lambda),
-					core.WithStrategy(engine.Sharded, p),
-					core.WithRand(rand.New(rand.NewSource(seed))),
-				}
+	fmt.Fprintln(w, "P\tsingle\tdist\toverhead\tparity\ttest accuracy")
+	for _, p := range grid {
+		opts := func(seed int64) []core.Option {
+			return []core.Option{
+				core.WithBudget(dp.Budget{Epsilon: 0.1}),
+				core.WithPasses(5), core.WithBatch(10), core.WithRadius(1 / lambda),
+				core.WithStrategy(engine.Sharded, p),
+				core.WithRand(rand.New(rand.NewSource(seed))),
 			}
-			seed := cfg.Seed + int64(p)
+		}
+		seed := cfg.Seed + int64(p)
 
-			start := time.Now()
-			single, err := core.TrainCtx(context.Background(), sc.baseline, f, opts(seed)...)
-			if err != nil {
+		start := time.Now()
+		single, err := core.TrainCtx(context.Background(), rd, f, opts(seed)...)
+		if err != nil {
+			return err
+		}
+		singleWall := time.Since(start)
+
+		coord := dist.NewCoordinator(dist.CoordinatorConfig{})
+		var servers []*httptest.Server
+		var workers []*dist.Worker
+		for i := 0; i < p; i++ {
+			wk := dist.NewWorker()
+			ts := httptest.NewServer(wk.Handler())
+			workers = append(workers, wk)
+			servers = append(servers, ts)
+			if err := coord.Register(context.Background(), ts.URL); err != nil {
 				return err
 			}
-			singleWall := time.Since(start)
+		}
+		start = time.Now()
+		got, err := core.TrainDistributed(context.Background(), coord, src, f, opts(seed)...)
+		distWall := time.Since(start)
+		for _, ts := range servers {
+			ts.Close()
+		}
+		for _, wk := range workers {
+			wk.Close()
+		}
+		if err != nil {
+			return err
+		}
 
-			coord := dist.NewCoordinator(dist.CoordinatorConfig{})
-			var servers []*httptest.Server
-			var workers []*dist.Worker
-			for i := 0; i < p; i++ {
-				wk := dist.NewWorker()
-				ts := httptest.NewServer(wk.Handler())
-				workers = append(workers, wk)
-				servers = append(servers, ts)
-				if err := coord.Register(context.Background(), ts.URL); err != nil {
-					return err
-				}
+		parity := "bit-identical"
+		for i := range single.W {
+			if math.Float64bits(single.W[i]) != math.Float64bits(got.W[i]) {
+				parity = "DIVERGED"
 			}
-			start = time.Now()
-			got, err := core.TrainDistributed(context.Background(), coord, sc.src, f, opts(seed)...)
-			distWall := time.Since(start)
-			for _, ts := range servers {
-				ts.Close()
-			}
-			for _, wk := range workers {
-				wk.Close()
-			}
-			if err != nil {
-				return err
-			}
-
-			parity := "bit-identical"
-			for i := range single.W {
-				if math.Float64bits(single.W[i]) != math.Float64bits(got.W[i]) {
-					parity = "DIVERGED"
-				}
-			}
-			acc := eval.Accuracy(sc.test, &eval.Linear{W: got.W})
-			fmt.Fprintf(w, "%s\t%d\t%v\t%v\t%.2fx\t%s\t%.4f\n",
-				sc.name, p, singleWall.Round(time.Millisecond), distWall.Round(time.Millisecond),
-				float64(distWall)/float64(singleWall), parity, acc)
-			if parity != "bit-identical" {
-				w.Flush() //nolint:errcheck // the error below is the report
-				return fmt.Errorf("experiments: distributed run diverged from single-process Sharded(%d) over %s", p, sc.name)
-			}
+		}
+		acc := eval.Accuracy(sparseTest, &eval.Linear{W: got.W})
+		fmt.Fprintf(w, "%d\t%v\t%v\t%.2fx\t%s\t%.4f\n",
+			p, singleWall.Round(time.Millisecond), distWall.Round(time.Millisecond),
+			float64(distWall)/float64(singleWall), parity, acc)
+		if parity != "bit-identical" {
+			w.Flush() //nolint:errcheck // the error below is the report
+			return fmt.Errorf("experiments: distributed run diverged from single-process Sharded(%d)", p)
 		}
 	}
 	return w.Flush()
