@@ -128,6 +128,57 @@ func TestCanaryBucketDenseSparseAgreement(t *testing.T) {
 	}
 }
 
+// TestCanaryBucketCanonical: routing depends on the row, not on how a
+// request spells it. The same rows sent canonical, with their pairs
+// permuted, and with one value split into a duplicate pair score on the
+// same side of a 50% rollout whose two models label every row
+// oppositely.
+func TestCanaryBucketCanonical(t *testing.T) {
+	const n = 100
+	spellings := map[string][]Row{}
+	for i := 0; i < n; i++ {
+		a, b := i%4, (i+1+i/4%3)%4
+		if a > b {
+			a, b = b, a
+		}
+		va, vb := float64(i+1), float64(2*i+3)
+		spellings["canonical"] = append(spellings["canonical"], Row{Idx: []int{a, b}, Val: []float64{va, vb}})
+		spellings["permuted"] = append(spellings["permuted"], Row{Idx: []int{b, a}, Val: []float64{vb, va}})
+		spellings["split"] = append(spellings["split"], Row{Idx: []int{a, b, a}, Val: []float64{va / 2, vb, va / 2}})
+	}
+	labels := map[string][]any{}
+	for name, rows := range spellings {
+		reg, s := canaryServer(t, Config{})
+		if err := reg.SetCanary("cand", 50); err != nil {
+			t.Fatal(err)
+		}
+		indptr, idx, val, err := PackCSR(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := json.Marshal(map[string]any{"indptr": indptr, "idx": idx, "val": val})
+		w, out := do(t, s.Handler(), "POST", "/predict/batch", string(body))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d body %v", name, w.Code, out)
+		}
+		labels[name] = out["labels"].([]any)
+	}
+	canary := 0
+	for i, l := range labels["canonical"] {
+		if l == -1.0 {
+			canary++
+		}
+		for _, name := range []string{"permuted", "split"} {
+			if got := labels[name][i]; got != l {
+				t.Errorf("row %d: %s spelling scored %v, canonical %v", i, name, got, l)
+			}
+		}
+	}
+	if canary == 0 || canary == n {
+		t.Fatalf("degenerate fixture: %d/%d rows on the canary", canary, n)
+	}
+}
+
 // TestCanaryNamedModelBypasses: a request addressing an explicit
 // version never routes to the canary.
 func TestCanaryNamedModelBypasses(t *testing.T) {
