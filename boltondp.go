@@ -418,8 +418,9 @@ type (
 	// produce.
 	ModelRegistry = serve.Registry
 	// ModelServer is the HTTP prediction service over a registry:
-	// POST /predict, POST /predict/batch (sparse rows scored at
-	// O(rows·classes·nnz)), GET /healthz, GET /modelz.
+	// POST /predict, POST /predict/batch (one columnar CSR batch,
+	// "indptr"/"idx"/"val", scored at O(rows·classes·nnz)),
+	// GET /healthz, GET /modelz.
 	ModelServer = serve.Server
 	// ServeOptions tunes the prediction service (batch-scoring
 	// workers, batch and body caps).

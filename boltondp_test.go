@@ -318,15 +318,16 @@ func TestFacadeTrainPublishServe(t *testing.T) {
 	if n > test.Len() {
 		n = test.Len()
 	}
-	rows := make([]ServeRow, n)
+	indptr, idx, val := []int{0}, []int{}, []float64{}
 	want := make([]float64, n)
 	local := &LinearClassifier{W: res.W}
 	for i := 0; i < n; i++ {
 		sp, _ := test.AtSparse(i)
-		rows[i] = ServeRow{Idx: append([]int(nil), sp.Idx...), Val: append([]float64(nil), sp.Val...)}
+		idx, val = append(idx, sp.Idx...), append(val, sp.Val...)
+		indptr = append(indptr, len(idx))
 		want[i] = local.PredictSparse(sp)
 	}
-	body, err := json.Marshal(map[string]any{"rows": rows})
+	body, err := json.Marshal(map[string]any{"indptr": indptr, "idx": idx, "val": val})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,9 @@
 //	dpserve -models ./registry -max-inflight 32 -max-queue 64 -queue-timeout 500ms
 //
 // Endpoints: POST /predict (one row, dense "x" or sparse "idx"/"val"),
-// POST /predict/batch (amortized scoring; sparse rows go through the
-// O(rows·classes·nnz) sparse tier), GET /healthz (reports shed-state),
+// POST /predict/batch (amortized scoring of one columnar CSR batch,
+// "indptr"/"idx"/"val"; its rows go through the O(rows·classes·nnz)
+// sparse tier), GET /healthz (reports shed-state),
 // GET /modelz (which includes each model's privacy-budget ledger when
 // it was published through an accountant, and the active canary), and
 // GET /metrics (Prometheus text exposition).

@@ -19,9 +19,10 @@ import (
 //	         recorded in the rollback counter and /metrics)
 //
 // Routing is deterministic: a row goes to the canary iff
-// rowBucket(row) < pct, where rowBucket hashes the row's coordinates
-// into [0,100). The same row always lands on the same side — across
-// requests, replicas and retries — so a misrouted-row fraction is an
+// rowBucket(row) < pct, where rowBucket hashes the coordinates of the
+// canonical row (sorted indices, duplicates summed) into [0,100). The
+// same row always lands on the same side — across requests, replicas,
+// retries and spellings of its pairs — so a misrouted-row fraction is an
 // exact function of the row set, not a sampling accident, and A/B
 // comparisons of a specific row are meaningful. Only live-model batch
 // requests route; single-row /predict and requests naming an explicit
@@ -117,7 +118,7 @@ func fnvMix(h, x uint64) uint64 {
 	return h
 }
 
-// rowBucket hashes one coordinate-form row into [0,100) — the
+// rowBucket hashes one canonical coordinate-form row into [0,100) — the
 // deterministic canary routing key. FNV-1a over the (index, value)
 // words: cheap (a few ns per nonzero), stable across processes, and
 // independent of batch framing.
@@ -126,21 +127,6 @@ func rowBucket(idx []int, val []float64) int {
 	for k := range idx {
 		h = fnvMix(h, uint64(idx[k]))
 		h = fnvMix(h, math.Float64bits(val[k]))
-	}
-	return int(h % 100)
-}
-
-// rowBucketDense hashes a dense wire row into [0,100) by folding its
-// nonzero coordinates through the same scheme, so a dense row and its
-// sparse encoding land in the same bucket.
-func rowBucketDense(x []float64) int {
-	h := uint64(fnvOffset64)
-	for i, v := range x {
-		if v == 0 {
-			continue
-		}
-		h = fnvMix(h, uint64(i))
-		h = fnvMix(h, math.Float64bits(v))
 	}
 	return int(h % 100)
 }

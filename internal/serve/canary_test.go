@@ -40,7 +40,7 @@ func canaryRows(n int) []Row {
 // for a configured pct, the set of canary-scored rows is precisely
 // {row : rowBucket(row) < pct} — no sampling, no approximation — and
 // the canary row counter matches. Verified at 0, a middle value, and
-// 100, over both batch encodings.
+// 100.
 func TestCanaryDeterministicRouting(t *testing.T) {
 	const n = 400
 	rows := canaryRows(n)
@@ -56,74 +56,46 @@ func TestCanaryDeterministicRouting(t *testing.T) {
 		t.Fatalf("degenerate fixture: %d/%d rows route at 30%%", routed, n)
 	}
 
-	for _, enc := range []string{"csr", "rows"} {
-		for _, pct := range []int{0, 30, 100} {
-			reg, s := canaryServer(t, Config{})
-			if err := reg.SetCanary("cand", pct); err != nil {
-				t.Fatal(err)
-			}
-			var body []byte
-			if enc == "csr" {
-				indptr, idx, val, err := PackCSR(rows)
-				if err != nil {
-					t.Fatal(err)
-				}
-				body, _ = json.Marshal(map[string]any{"indptr": indptr, "idx": idx, "val": val})
-			} else {
-				body, _ = json.Marshal(map[string]any{"rows": rows})
-			}
-			w, out := do(t, s.Handler(), "POST", "/predict/batch", string(body))
-			if w.Code != http.StatusOK {
-				t.Fatalf("%s pct=%d: status %d body %v", enc, pct, w.Code, out)
-			}
-			labels := out["labels"].([]any)
-			miscount := 0
-			for i, l := range labels {
-				toCanary := pct == 100 || (pct == 30 && want[i])
-				wantLabel := 1.0
-				if toCanary {
-					wantLabel = -1.0
-				}
-				if l != wantLabel {
-					miscount++
-					t.Errorf("%s pct=%d row %d: label %v, want %v", enc, pct, i, l, wantLabel)
-					if miscount > 4 {
-						t.Fatalf("%s pct=%d: giving up after %d misroutes", enc, pct, miscount)
-					}
-				}
-			}
-			_, _, gotRows, gotErrs := reg.Canary()
-			wantRows := uint64(0)
-			switch pct {
-			case 30:
-				wantRows = uint64(routed)
-			case 100:
-				wantRows = n
-			}
-			if gotRows != wantRows || gotErrs != 0 {
-				t.Errorf("%s pct=%d: canary counters rows=%d errs=%d, want rows=%d errs=0", enc, pct, gotRows, gotErrs, wantRows)
-			}
-		}
+	indptr, idx, val, err := PackCSR(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestCanaryBucketDenseSparseAgreement: a dense row and its sparse
-// encoding land in the same bucket, so a client's encoding choice
-// cannot flip a row across the rollout boundary.
-func TestCanaryBucketDenseSparseAgreement(t *testing.T) {
-	for i := 0; i < 50; i++ {
-		x := make([]float64, 8)
-		x[i%8] = float64(i + 1)
-		x[(i+3)%8] = float64(2*i + 1)
-		sp := Row{}
-		for j, v := range x {
-			if v != 0 {
-				sp.Idx = append(sp.Idx, j)
-				sp.Val = append(sp.Val, v)
+	body, _ := json.Marshal(map[string]any{"indptr": indptr, "idx": idx, "val": val})
+	for _, pct := range []int{0, 30, 100} {
+		reg, s := canaryServer(t, Config{})
+		if err := reg.SetCanary("cand", pct); err != nil {
+			t.Fatal(err)
+		}
+		w, out := do(t, s.Handler(), "POST", "/predict/batch", string(body))
+		if w.Code != http.StatusOK {
+			t.Fatalf("pct=%d: status %d body %v", pct, w.Code, out)
+		}
+		labels := out["labels"].([]any)
+		miscount := 0
+		for i, l := range labels {
+			toCanary := pct == 100 || (pct == 30 && want[i])
+			wantLabel := 1.0
+			if toCanary {
+				wantLabel = -1.0
+			}
+			if l != wantLabel {
+				miscount++
+				t.Errorf("pct=%d row %d: label %v, want %v", pct, i, l, wantLabel)
+				if miscount > 4 {
+					t.Fatalf("pct=%d: giving up after %d misroutes", pct, miscount)
+				}
 			}
 		}
-		if d, s := rowBucketDense(x), rowBucket(sp.Idx, sp.Val); d != s {
-			t.Fatalf("row %d: dense bucket %d != sparse bucket %d", i, d, s)
+		_, _, gotRows, gotErrs := reg.Canary()
+		wantRows := uint64(0)
+		switch pct {
+		case 30:
+			wantRows = uint64(routed)
+		case 100:
+			wantRows = n
+		}
+		if gotRows != wantRows || gotErrs != 0 {
+			t.Errorf("pct=%d: canary counters rows=%d errs=%d, want rows=%d errs=0", pct, gotRows, gotErrs, wantRows)
 		}
 	}
 }
@@ -187,7 +159,7 @@ func TestCanaryNamedModelBypasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, out := do(t, s.Handler(), "POST", "/predict/batch",
-		`{"model":"stable","rows":[{"idx":[0],"val":[1]}]}`)
+		`{"model":"stable","indptr":[0,1],"idx":[0],"val":[1]}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %v", w.Code, out)
 	}

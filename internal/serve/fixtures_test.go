@@ -36,25 +36,6 @@ func kddWorkload(tb testing.TB, n int) (http.Handler, []Row) {
 	return New(reg, Config{Workers: 4}).Handler(), rows
 }
 
-func encodeBatches(tb testing.TB, rows []Row, batch int) [][]byte {
-	tb.Helper()
-	var out [][]byte
-	for lo := 0; lo < len(rows); lo += batch {
-		hi := lo + batch
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		b, err := json.Marshal(struct {
-			Rows []Row `json:"rows"`
-		}{rows[lo:hi]})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
 // encodeCSRBatches packs row chunks into the columnar batch form.
 func encodeCSRBatches(tb testing.TB, rows []Row, batch int) [][]byte {
 	tb.Helper()

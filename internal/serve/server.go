@@ -29,13 +29,6 @@ type Row struct {
 // indices) are scored zero-copy; anything else is canonicalized
 // through vec.SortedCopy.
 func (m *Model) Score(row *Row) (float64, error) {
-	var sp vec.Sparse
-	return m.score(row, &sp)
-}
-
-// score is Score with the sparse row header supplied by the caller, so
-// that a batch loop allocates one per worker and not one per row.
-func (m *Model) score(row *Row, sp *vec.Sparse) (float64, error) {
 	switch {
 	case row.X != nil && (row.Idx != nil || row.Val != nil):
 		return 0, errors.New("row has both dense and sparse form")
@@ -45,27 +38,32 @@ func (m *Model) score(row *Row, sp *vec.Sparse) (float64, error) {
 		}
 		return m.Classifier.Predict(row.X), nil
 	case row.Idx != nil || row.Val != nil:
-		return m.scoreSparseTier(row.Idx, row.Val, false, sp)
+		sp, err := canonicalRow(row.Idx, row.Val, new(vec.Sparse))
+		if err != nil {
+			return 0, err
+		}
+		return m.scoreSparse(sp, false)
 	default:
 		return 0, errors.New(`empty row (need "x" or "idx"/"val")`)
 	}
 }
 
-// scoreSparseTier scores one coordinate-form row with the same
-// canonicalization and bounds checks on either precision tier. sp is
-// the caller's row header: pairs that are already canonical (the common
-// case for programmatic clients) are scored through it zero-copy,
-// anything else through a canonicalizing copy.
-func (m *Model) scoreSparseTier(idx []int, val []float64, f32 bool, sp *vec.Sparse) (float64, error) {
+// canonicalRow is one coordinate-form row as the scorers and the canary
+// hash take it: sorted indices, duplicates summed. sp is the caller's
+// row header: pairs that are already canonical (the common case for
+// programmatic clients) come back through it zero-copy, anything else
+// as a canonicalizing copy.
+func canonicalRow(idx []int, val []float64, sp *vec.Sparse) (*vec.Sparse, error) {
 	if len(idx) == len(val) && canonical(idx) {
 		sp.Idx, sp.Val = idx, val
-	} else {
-		sorted, err := vec.SortedCopy(idx, val)
-		if err != nil {
-			return 0, err
-		}
-		sp = sorted
+		return sp, nil
 	}
+	return vec.SortedCopy(idx, val)
+}
+
+// scoreSparse scores one canonical row on either precision tier, after
+// the model's own bounds check.
+func (m *Model) scoreSparse(sp *vec.Sparse, f32 bool) (float64, error) {
 	if mi := sp.MaxIndex(); mi >= m.Dim {
 		return 0, fmt.Errorf("sparse index %d out of range for model %q (dim %d)", mi, m.Name, m.Dim)
 	}
@@ -93,14 +91,11 @@ func canonical(idx []int) bool {
 // fanOut runs fn over [0, n) split into contiguous chunks across up
 // to workers goroutines and returns the first error. Each invocation
 // owns its range exclusively, so callers write disjoint output slots
-// without locking. A non-nil ctx is polled per row by the chunk
-// functions; fanOut itself refuses to start work on an already-dead
-// context.
+// without locking. ctx is polled per row by the chunk functions; fanOut
+// itself refuses to start work on an already-dead context.
 func fanOut(ctx context.Context, n, workers int, fn func(lo, hi int) error) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	if workers > n {
 		workers = n
@@ -126,13 +121,6 @@ func fanOut(ctx context.Context, n, workers int, fn func(lo, hi int) error) erro
 	return nil
 }
 
-// ctxDead reports whether a (possibly nil) context has been cancelled —
-// the per-row poll of the batch scoring loops, so a disconnected or
-// timed-out client stops burning scoring workers mid-batch.
-func ctxDead(ctx context.Context) bool {
-	return ctx != nil && ctx.Err() != nil
-}
-
 // canaryRouter carries an active canary rollout into a batch scoring
 // loop: rows whose hash bucket falls under the rollout percentage
 // score on the canary model (with per-row fallback to the primary on
@@ -142,91 +130,34 @@ type canaryRouter struct {
 	cs *canaryState
 }
 
-// scoreSparse scores one canary-routed coordinate row, falling back to
-// the primary when the canary cannot score it.
-func (rt *canaryRouter) scoreSparse(primary *Model, idx []int, val []float64, f32 bool, sp *vec.Sparse) (float64, error) {
+// score scores one canonical row: on the canary when a rollout is
+// active (rt != nil) and the row hashes under its percentage, falling
+// back to the primary when the canary cannot score it, and on the
+// primary otherwise.
+func (rt *canaryRouter) score(primary *Model, sp *vec.Sparse, f32 bool) (float64, error) {
+	if rt == nil || rowBucket(sp.Idx, sp.Val) >= rt.cs.pct {
+		return primary.scoreSparse(sp, f32)
+	}
 	rt.cs.rows.Add(1)
-	y, err := rt.cs.model.scoreSparseTier(idx, val, f32, sp)
+	y, err := rt.cs.model.scoreSparse(sp, f32)
 	if err == nil {
 		return y, nil
 	}
 	rt.cs.errors.Add(1)
-	return primary.scoreSparseTier(idx, val, f32, sp)
+	return primary.scoreSparse(sp, f32)
 }
 
-// scoreRow scores one canary-routed wire row with the same fallback.
-func (rt *canaryRouter) scoreRow(primary *Model, row *Row, sp *vec.Sparse) (float64, error) {
-	rt.cs.rows.Add(1)
-	y, err := rt.cs.model.score(row, sp)
-	if err == nil {
-		return y, nil
-	}
-	rt.cs.errors.Add(1)
-	return primary.score(row, sp)
-}
-
-// routes reports whether this row hashes under the rollout percentage.
-func (rt *canaryRouter) routesSparse(idx []int, val []float64) bool {
-	return rowBucket(idx, val) < rt.cs.pct
-}
-
-func (rt *canaryRouter) routesRow(row *Row) bool {
-	if row.X != nil {
-		return rowBucketDense(row.X) < rt.cs.pct
-	}
-	return rowBucket(row.Idx, row.Val) < rt.cs.pct
-}
-
-// ScoreBatch scores decoded rows across up to workers goroutines. The
-// model is immutable and each goroutine writes a disjoint range of the
-// output, so the fan-out needs no locking.
-func (m *Model) ScoreBatch(rows []Row, workers int) ([]float64, error) {
-	return m.ScoreBatchCtx(context.Background(), rows, workers)
-}
-
-// ScoreBatchCtx is ScoreBatch bound to a context: scoring stops within
-// one row of ctx's cancellation and returns ctx.Err(). The HTTP
-// handlers pass the request context through here, so a client that
-// disconnects or times out releases its scoring workers instead of
-// running the batch to completion.
-func (m *Model) ScoreBatchCtx(ctx context.Context, rows []Row, workers int) ([]float64, error) {
-	labels := make([]float64, len(rows))
-	err := fanOut(ctx, len(rows), workers, func(lo, hi int) error {
-		var sp vec.Sparse
-		for i := lo; i < hi; i++ {
-			if ctxDead(ctx) {
-				return ctx.Err()
-			}
-			y, err := m.score(&rows[i], &sp)
-			if err != nil {
-				return fmt.Errorf("row %d: %w", i, err)
-			}
-			labels[i] = y
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return labels, nil
-}
-
-// ScoreBatchCSR scores a columnar sparse batch: row i is the
-// coordinate pairs idx[indptr[i]:indptr[i+1]] / val[...]. This is the
-// serving hot path's preferred encoding — the whole batch is three
-// JSON arrays, so decode cost per row collapses to the numbers
-// themselves, and canonical rows are scored zero-copy straight out of
-// the decoded arrays at O(rows·classes·nnz) total.
+// ScoreBatchCSR scores a columnar sparse batch across up to workers
+// goroutines: row i is the coordinate pairs
+// idx[indptr[i]:indptr[i+1]] / val[...], the one batch encoding of
+// /predict/batch. The whole batch is three JSON arrays, so decode cost
+// per row collapses to the numbers themselves, and canonical rows are
+// scored zero-copy straight out of the decoded arrays at
+// O(rows·classes·nnz) total. It scores through the full-precision
+// tier; the float32 tier the batch handler defaults to is
+// ScoreBatchCSRF32.
 func (m *Model) ScoreBatchCSR(indptr, idx []int, val []float64, workers int) ([]float64, error) {
-	return m.ScoreBatchCSRCtx(context.Background(), indptr, idx, val, workers)
-}
-
-// ScoreBatchCSRCtx is ScoreBatchCSR bound to a context, with the same
-// cancellation contract as ScoreBatchCtx. Both score through the
-// full-precision tier; the float32 tier the batch handler defaults to
-// is ScoreBatchCSRF32Ctx.
-func (m *Model) ScoreBatchCSRCtx(ctx context.Context, indptr, idx []int, val []float64, workers int) ([]float64, error) {
-	return m.scoreBatchCSR(ctx, nil, indptr, idx, val, workers, false, nil)
+	return m.scoreBatchCSR(context.Background(), nil, indptr, idx, val, workers, false, nil)
 }
 
 // ScoreBatchCSRF32 scores a columnar sparse batch through the float32
@@ -238,14 +169,14 @@ func (m *Model) ScoreBatchCSRF32(indptr, idx []int, val []float64, workers int) 
 	return m.scoreBatchCSR(context.Background(), nil, indptr, idx, val, workers, true, nil)
 }
 
-// ScoreBatchCSRF32Ctx is ScoreBatchCSRF32 bound to a context.
-func (m *Model) ScoreBatchCSRF32Ctx(ctx context.Context, indptr, idx []int, val []float64, workers int) ([]float64, error) {
-	return m.scoreBatchCSR(ctx, nil, indptr, idx, val, workers, true, nil)
-}
-
 // scoreBatchCSR is the columnar scorer behind the exported forms and
 // the batch handler. labels is storage to score into when it is large
-// enough (the handler's pooled scratch); nil allocates.
+// enough (the handler's pooled scratch); nil allocates. Scoring stops
+// within one row of ctx's cancellation and returns ctx.Err(), so a
+// client that disconnects or times out releases its scoring workers.
+// Each row is canonicalized once, before the canary hash, so that how
+// a request spells a row (pair order, split duplicates) cannot move it
+// across the rollout boundary.
 func (m *Model) scoreBatchCSR(ctx context.Context, labels []float64, indptr, idx []int, val []float64, workers int, f32 bool, rt *canaryRouter) ([]float64, error) {
 	if len(idx) != len(val) {
 		return nil, fmt.Errorf("idx/val length mismatch %d != %d", len(idx), len(val))
@@ -258,60 +189,17 @@ func (m *Model) scoreBatchCSR(ctx context.Context, labels []float64, indptr, idx
 	err := fanOut(ctx, n, workers, func(lo, hi int) error {
 		var sp vec.Sparse
 		for i := lo; i < hi; i++ {
-			if ctxDead(ctx) {
-				return ctx.Err()
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 			a, b := indptr[i], indptr[i+1]
 			if a < 0 || a > b || b > len(idx) {
 				return fmt.Errorf("row %d: indptr not monotone", i)
 			}
+			row, err := canonicalRow(idx[a:b], val[a:b], &sp)
 			var y float64
-			var err error
-			if rt != nil && rt.routesSparse(idx[a:b], val[a:b]) {
-				y, err = rt.scoreSparse(m, idx[a:b], val[a:b], f32, &sp)
-			} else {
-				y, err = m.scoreSparseTier(idx[a:b], val[a:b], f32, &sp)
-			}
-			if err != nil {
-				return fmt.Errorf("row %d: %w", i, err)
-			}
-			labels[i] = y
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return labels, nil
-}
-
-// scoreBatchRaw scores the row-object batch form: the handler's codec
-// validated each element of "rows" and kept its byte span, and the
-// per-row decoding — the dominant per-row cost of this form — is fanned
-// out across the scoring workers together with the arithmetic, each
-// worker decoding into scratch of its own.
-func (m *Model) scoreBatchRaw(ctx context.Context, labels []float64, body []byte, rows []span, workers int, rt *canaryRouter) ([]float64, error) {
-	labels = slices.Grow(labels[:0], len(rows))[:len(rows)]
-	err := fanOut(ctx, len(rows), workers, func(lo, hi int) error {
-		sc := getScratch()
-		defer putScratch(sc)
-		var sp vec.Sparse
-		for i := lo; i < hi; i++ {
-			if ctxDead(ctx) {
-				return ctx.Err()
-			}
-			// Same strictness as /predict's frame: a typo'd field must be
-			// a 400, not a silently dropped key.
-			if err := sc.req.decodeRow(body, rows[i]); err != nil {
-				return fmt.Errorf("row %d: %w", i, err)
-			}
-			row := sc.req.row()
-			var y float64
-			var err error
-			if rt != nil && rt.routesRow(&row) {
-				y, err = rt.scoreRow(m, &row, &sp)
-			} else {
-				y, err = m.score(&row, &sp)
+			if err == nil {
+				y, err = rt.score(m, row, f32)
 			}
 			if err != nil {
 				return fmt.Errorf("row %d: %w", i, err)
@@ -327,9 +215,9 @@ func (m *Model) scoreBatchRaw(ctx context.Context, labels []float64, body []byte
 }
 
 // PackCSR packs sparse wire rows into the columnar batch form
-// (indptr/idx/val) — the documented client-side encoding for
-// /predict/batch's throughput path. Dense rows are rejected: the
-// columnar form carries coordinates only.
+// (indptr/idx/val), the one body /predict/batch takes. Dense rows are
+// rejected: the columnar form carries coordinates only, so a client
+// batching dense rows sends the pairs of their nonzeros.
 func PackCSR(rows []Row) (indptr, idx []int, val []float64, err error) {
 	indptr = make([]int, 1, len(rows)+1)
 	for i := range rows {
@@ -353,10 +241,9 @@ type Config struct {
 	MaxBatch int
 	// MaxBody caps the request body in bytes (default 32 MiB).
 	MaxBody int64
-	// Float64Batch opts the columnar /predict/batch path out of the
-	// float32 scoring tier, scoring every batch at full precision.
-	// Single-row /predict and the row-object batch form always score
-	// at full precision.
+	// Float64Batch opts /predict/batch out of the float32 scoring
+	// tier, scoring every batch at full precision. Single-row /predict
+	// always scores at full precision.
 	Float64Batch bool
 
 	// MaxInflight bounds the scoring requests running at once; 0 (the
@@ -447,7 +334,7 @@ func (s *Server) logf(format string, args ...any) {
 // Handler returns the service's route table:
 //
 //	POST /predict        {"x":[...]} or {"idx":[...],"val":[...]} (+"model")
-//	POST /predict/batch  {"rows":[...]} or columnar {"indptr":[...],"idx":[...],"val":[...]} (+"model")
+//	POST /predict/batch  columnar {"indptr":[...],"idx":[...],"val":[...]} (+"model")
 //	GET  /healthz        load-balancer health: 200 iff a live model is set; reports shed-state
 //	GET  /modelz         registry introspection (incl. the active canary)
 //	GET  /metrics        Prometheus text exposition
@@ -540,10 +427,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.writeReply(w, sc.reply)
 }
 
-// handleBatch takes one of two batch encodings: a "rows" list of
-// per-row objects (kept as byte spans at the frame level so that
-// scoreBatchRaw decodes them inside the worker fan-out), or the
-// columnar CSR triple "indptr"/"idx"/"val" — the high-throughput form.
+// handleBatch takes the columnar CSR triple "indptr"/"idx"/"val", the
+// one batch encoding; any other key, "rows" included, is a 400.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc) // after the reply, which is built in sc, is written
@@ -552,19 +437,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	req := &sc.req
 	indptr, idx, val := req.indptr.slice(), req.idx.slice(), req.val.slice()
-	csr := indptr != nil || idx != nil || val != nil
-	if csr && req.rowsSet {
-		s.httpError(w, http.StatusBadRequest, `batch has both "rows" and columnar form`)
+	if len(indptr) == 0 && (idx != nil || val != nil) {
+		s.httpError(w, http.StatusBadRequest, `columnar batch is missing "indptr"`)
 		return
 	}
-	n := len(req.rows)
-	if csr {
-		if len(indptr) == 0 {
-			s.httpError(w, http.StatusBadRequest, `columnar batch is missing "indptr"`)
-			return
-		}
-		n = len(indptr) - 1
-	}
+	n := len(indptr) - 1
 	if n <= 0 {
 		s.httpError(w, http.StatusBadRequest, "empty batch")
 		return
@@ -590,11 +467,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			rt = &canaryRouter{cs: cs}
 		}
 	}
-	if csr {
-		sc.labels, err = m.scoreBatchCSR(r.Context(), sc.labels, indptr, idx, val, s.cfg.Workers, !s.cfg.Float64Batch, rt)
-	} else {
-		sc.labels, err = m.scoreBatchRaw(r.Context(), sc.labels, sc.body, req.rows, s.cfg.Workers, rt)
-	}
+	sc.labels, err = m.scoreBatchCSR(r.Context(), sc.labels, indptr, idx, val, s.cfg.Workers, !s.cfg.Float64Batch, rt)
 	if cs != nil {
 		s.maybeRollback(cs)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -122,8 +123,10 @@ func TestPredictNoLiveModel(t *testing.T) {
 func TestBatch(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		_, h := testServer(t, Config{Workers: workers})
+		// Rows: the nonzeros of x = [1,0,0,0], {2:1}, and {3:1, 0:3} out
+		// of order, against w = [1,1,-1,-1].
 		w, out := do(t, h, "POST", "/predict/batch",
-			`{"rows":[{"x":[1,0,0,0]},{"idx":[2],"val":[1]},{"idx":[3,0],"val":[1,3]}]}`)
+			`{"indptr":[0,1,2,4],"idx":[0,2,3,0],"val":[1,1,1,3]}`)
 		if w.Code != http.StatusOK {
 			t.Fatalf("workers=%d: status %d body %v", workers, w.Code, out)
 		}
@@ -168,7 +171,7 @@ func TestBatchCSRErrors(t *testing.T) {
 		name, body string
 		code       int
 	}{
-		{"both forms", `{"rows":[{"x":[1,0,0,0]}],"indptr":[0,0],"idx":[],"val":[]}`, http.StatusBadRequest},
+		{"rows beside columnar", `{"rows":[{"x":[1,0,0,0]}],"indptr":[0,0],"idx":[],"val":[]}`, http.StatusBadRequest},
 		{"indptr too short", `{"indptr":[0],"idx":[],"val":[]}`, http.StatusBadRequest},
 		{"indptr wrong end", `{"indptr":[0,3],"idx":[0],"val":[1]}`, http.StatusBadRequest},
 		{"indptr not monotone", `{"indptr":[0,2,1,2],"idx":[0,1],"val":[1,1]}`, http.StatusBadRequest},
@@ -186,11 +189,11 @@ func TestBatchCSRErrors(t *testing.T) {
 }
 
 func TestBatchRowStrictness(t *testing.T) {
-	// A typo'd field inside a batch row must 400 exactly like /predict.
+	// A typo'd field in a batch must 400 exactly like /predict.
 	_, h := testServer(t, Config{})
-	w, out := do(t, h, "POST", "/predict/batch", `{"rows":[{"vals":[1]}]}`)
+	w, out := do(t, h, "POST", "/predict/batch", `{"indptr":[0,1],"idx":[0],"vals":[1]}`)
 	if w.Code != http.StatusBadRequest {
-		t.Errorf("unknown row field: status %d (%v)", w.Code, out)
+		t.Errorf("unknown batch field: status %d (%v)", w.Code, out)
 	}
 }
 
@@ -211,29 +214,48 @@ func TestPackCSR(t *testing.T) {
 
 func TestBatchErrors(t *testing.T) {
 	_, h := testServer(t, Config{MaxBatch: 2, Workers: 2})
-	if w, _ := do(t, h, "POST", "/predict/batch", `{"rows":[]}`); w.Code != http.StatusBadRequest {
+	if w, _ := do(t, h, "POST", "/predict/batch", `{"indptr":[0],"idx":[],"val":[]}`); w.Code != http.StatusBadRequest {
 		t.Errorf("empty batch: status %d", w.Code)
 	}
 	if w, _ := do(t, h, "POST", "/predict/batch",
-		`{"rows":[{"x":[1,0,0,0]},{"x":[1,0,0,0]},{"x":[1,0,0,0]}]}`); w.Code != http.StatusRequestEntityTooLarge {
+		`{"indptr":[0,1,2,3],"idx":[0,0,0],"val":[1,1,1]}`); w.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized batch: status %d", w.Code)
 	}
 	// A bad row fails the whole batch with its index.
-	w, out := do(t, h, "POST", "/predict/batch", `{"rows":[{"x":[1,0,0,0]},{"x":[1]}]}`)
+	w, out := do(t, h, "POST", "/predict/batch", `{"indptr":[0,1,2],"idx":[0,9],"val":[1,1]}`)
 	if w.Code != http.StatusBadRequest {
 		t.Errorf("bad row: status %d", w.Code)
 	}
 	if msg, _ := out["error"].(string); !strings.Contains(msg, "row 1") {
 		t.Errorf("bad row error %q does not name the row", msg)
 	}
+	// The row-object form is gone: "rows" is an unknown key.
+	w, out = do(t, h, "POST", "/predict/batch", `{"rows":[{"x":[1,0,0,0]}]}`)
+	if msg, _ := out["error"].(string); w.Code != http.StatusBadRequest || !strings.Contains(msg, `unknown field "rows"`) {
+		t.Errorf("rows form: status %d, error %q: want a 400 naming the unknown field", w.Code, msg)
+	}
 	// Bytes after the request object were scored as if absent.
 	for _, body := range []string{
-		`{"rows":[{"x":[1,0,0,0]}]}{"model":"ova"}`,
+		`{"indptr":[0,1],"idx":[0],"val":[1]}{"model":"ova"}`,
 		`{"indptr":[0,1],"idx":[0],"val":[1]} garbage`,
 	} {
 		if w, _ := do(t, h, "POST", "/predict/batch", body); w.Code != http.StatusBadRequest {
 			t.Errorf("trailing bytes %s: status %d, want 400", body, w.Code)
 		}
+	}
+}
+
+// TestBatchCancelledContext: a batch whose request context is already
+// done is not scored; the handler answers 503, never a 200.
+func TestBatchCancelledContext(t *testing.T) {
+	_, h := testServer(t, Config{Workers: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest("POST", "/predict/batch", strings.NewReader(`{"indptr":[0,1,2],"idx":[0,2],"val":[1,1]}`))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req.WithContext(ctx))
+	if w.Code != http.StatusServiceUnavailable {
+		t.Errorf("cancelled batch: status %d, want 503: %s", w.Code, w.Body)
 	}
 }
 
@@ -354,7 +376,7 @@ func TestServePredictDuringHotSwap(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < requests; i++ {
 				req := httptest.NewRequest("POST", "/predict/batch",
-					strings.NewReader(`{"rows":[{"idx":[0,3],"val":[1,1]},{"x":[0,1,0,1]}]}`))
+					strings.NewReader(`{"indptr":[0,2,4],"idx":[0,3,1,3],"val":[1,1,1,1]}`))
 				w := httptest.NewRecorder()
 				h.ServeHTTP(w, req)
 				if w.Code != http.StatusOK {

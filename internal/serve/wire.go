@@ -31,20 +31,18 @@ const (
 	fieldX
 	fieldIdx
 	fieldVal
-	fieldRows
 	fieldIndptr
 
 	predictFields = fieldModel | fieldX | fieldIdx | fieldVal
-	batchFields   = fieldModel | fieldRows | fieldIndptr | fieldIdx | fieldVal
-	rowFields     = fieldX | fieldIdx | fieldVal // one element of "rows"
+	batchFields   = fieldModel | fieldIndptr | fieldIdx | fieldVal
 )
 
 // wireNames[k] spells wireField(1<<k).
-var wireNames = [...]string{"model", "x", "idx", "val", "rows", "indptr"}
+var wireNames = [...]string{"model", "x", "idx", "val", "indptr"}
 
 // fieldOf matches a key the way encoding/json matches struct fields:
-// exactly, else under Unicode simple case folding ("IDX", and "rowſ"
-// for "rows"). Zero means no field has that name.
+// exactly, else under Unicode simple case folding ("IDX", "Indptr").
+// Zero means no field has that name.
 func fieldOf(key string) wireField {
 	for k, name := range wireNames {
 		if key == name {
@@ -105,19 +103,12 @@ func (a *array[T]) close() {
 	a.high = max(a.high, len(a.v))
 }
 
-// span is the bytes body[start:end] of one "rows" element, validated as
-// one JSON value and decoded later by the scoring worker it falls to.
-type span struct{ start, end int }
-
 // wireRequest is a decoded request: the union of the two routes'
-// fields (a route's mask says which it accepts), also used per worker
-// for the x/idx/val of one "rows" element.
+// fields (a route's mask says which it accepts).
 type wireRequest struct {
 	model       string
 	x, val      array[float64]
 	idx, indptr array[int]
-	rows        []span
-	rowsSet     bool
 }
 
 func (req *wireRequest) reset() {
@@ -126,11 +117,9 @@ func (req *wireRequest) reset() {
 	req.val.clear()
 	req.idx.clear()
 	req.indptr.clear()
-	req.rows, req.rowsSet = req.rows[:0], false
 }
 
-// row is the request's (or "rows" element's) example as Model.Score
-// takes it.
+// row is the /predict request's example as Model.Score takes it.
 func (req *wireRequest) row() Row {
 	return Row{X: req.x.slice(), Idx: req.idx.slice(), Val: req.val.slice()}
 }
@@ -148,17 +137,6 @@ func (req *wireRequest) decode(body []byte, fields wireField) error {
 	}
 	return nil
 }
-
-// decodeRow parses one element of "rows" out of the request body.
-func (req *wireRequest) decodeRow(body []byte, at span) error {
-	req.reset()
-	p := parser{b: body[:at.end], i: at.start}
-	return p.object(req, rowFields)
-}
-
-// maxDepth is encoding/json's nesting limit, which only an element of
-// "rows" can reach: every other field rejects a nested value outright.
-const maxDepth = 10000
 
 // parser is a cursor over the request bytes. Every method starts at
 // p.i and leaves p.i after what it consumed; an error leaves p.i
@@ -232,8 +210,8 @@ func (p *parser) literal(lit string) error {
 	return nil
 }
 
-// object parses the request object, or an element of "rows", into req.
-// null is accepted and sets nothing, as it is for a struct.
+// object parses the request object into req. null is accepted and sets
+// nothing, as it is for a struct.
 func (p *parser) object(req *wireRequest, fields wireField) error {
 	switch p.peek() {
 	case 'n':
@@ -278,8 +256,6 @@ func (p *parser) value(req *wireRequest, f wireField) error {
 		return p.ints(&req.idx)
 	case fieldIndptr:
 		return p.ints(&req.indptr)
-	case fieldRows:
-		return p.rows(req)
 	}
 	if p.peek() == 'n' {
 		return p.literal("null") // leaves "model" as it was
@@ -310,28 +286,6 @@ func (p *parser) element(first bool) (more, null bool, err error) {
 		return true, true, p.literal("null")
 	}
 	return more, false, err
-}
-
-// rows parses the value of "rows": each element is validated as JSON
-// and kept as a span.
-func (p *parser) rows(req *wireRequest) error {
-	isArray, err := p.array()
-	req.rows, req.rowsSet = req.rows[:0], isArray
-	if !isArray {
-		return err
-	}
-	for first := true; ; first = false {
-		more, err := p.next(first, ']')
-		if err != nil || !more {
-			return err
-		}
-		start := p.i
-		// The request object and this array are the two levels above.
-		if err := p.skip(2); err != nil {
-			return err
-		}
-		req.rows = append(req.rows, span{start, p.i})
-	}
 }
 
 // floats parses the value of a []float64 field.
@@ -491,57 +445,13 @@ func (p *parser) str() (string, error) {
 	return "", p.unexpected(len(b))
 }
 
-// skip validates one JSON value of any shape — an element of "rows" —
-// without decoding it. depth counts the arrays and objects around it.
-func (p *parser) skip(depth int) error {
-	switch c := p.peek(); {
-	case c == '"':
-		_, err := p.str()
-		return err
-	case c == '-' || c-'0' <= 9:
-		end, err := p.number()
-		p.i = end
-		return err
-	case c == 't':
-		return p.literal("true")
-	case c == 'f':
-		return p.literal("false")
-	case c == 'n':
-		return p.literal("null")
-	case c == '[' || c == '{':
-		if depth++; depth > maxDepth {
-			return p.errorf(p.i, "exceeded max depth")
-		}
-		p.i++
-		for first := true; ; first = false {
-			more, err := p.next(first, c+2) // ']' is '['+2 and '}' is '{'+2
-			if err != nil || !more {
-				return err
-			}
-			if c == '{' {
-				if _, err := p.str(); err != nil {
-					return err
-				}
-				if p.peek() != ':' {
-					return p.unexpected(p.i)
-				}
-				p.i++
-			}
-			if err := p.skip(depth); err != nil {
-				return err
-			}
-		}
-	}
-	return p.unexpected(p.i)
-}
-
 // stringView is b as a string without a copy, for strconv, key matching
 // and prefix tests: none keeps its argument, and the body b points into
 // is neither written nor recycled before the handler returns.
 func stringView(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// scratch is the working memory of one scoring request — body, decoded
-// fields, labels, reply — or of one worker decoding "rows" elements.
+// scratch is the working memory of one scoring request: body, decoded
+// fields, labels, reply.
 type scratch struct {
 	body   []byte
 	req    wireRequest
@@ -568,7 +478,7 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 // the body, the decoded arrays and the reply bytes are all dead.
 func putScratch(sc *scratch) {
 	r := &sc.req
-	held := cap(sc.body) + cap(sc.reply) + 16*cap(r.rows) +
+	held := cap(sc.body) + cap(sc.reply) +
 		8*(cap(sc.labels)+cap(r.x.v)+cap(r.val.v)+cap(r.idx.v)+cap(r.indptr.v))
 	if held <= maxPooledScratch {
 		scratchPool.Put(sc)

@@ -28,11 +28,10 @@ type predictResponse struct {
 }
 
 type batchRequest struct {
-	Model  string            `json:"model,omitempty"`
-	Rows   []json.RawMessage `json:"rows,omitempty"`
-	Indptr []int             `json:"indptr,omitempty"`
-	Idx    []int             `json:"idx,omitempty"`
-	Val    []float64         `json:"val,omitempty"`
+	Model  string    `json:"model,omitempty"`
+	Indptr []int     `json:"indptr,omitempty"`
+	Idx    []int     `json:"idx,omitempty"`
+	Val    []float64 `json:"val,omitempty"`
 }
 
 type batchResponse struct {
@@ -73,89 +72,39 @@ func oraclePredict(s *Server, body []byte) (int, []float64) {
 	return http.StatusOK, []float64{y}
 }
 
-// oracleBatch is the old handleBatch without canary routing.
+// oracleBatch is the old handleBatch without canary routing, with the
+// one batch form: a body without a columnar batch is a 400.
 func oracleBatch(s *Server, body []byte) (int, []float64) {
 	var req batchRequest
-	if oracleDecode(body, &req) != nil {
+	if oracleDecode(body, &req) != nil || len(req.Indptr) < 2 {
 		return http.StatusBadRequest, nil
 	}
-	csr := req.Indptr != nil || req.Idx != nil || req.Val != nil
-	if csr && req.Rows != nil {
-		return http.StatusBadRequest, nil
-	}
-	n := len(req.Rows)
-	if csr {
-		if len(req.Indptr) == 0 {
-			return http.StatusBadRequest, nil
-		}
-		n = len(req.Indptr) - 1
-	}
-	if n <= 0 {
-		return http.StatusBadRequest, nil
-	}
-	if n > s.cfg.MaxBatch {
+	if len(req.Indptr)-1 > s.cfg.MaxBatch {
 		return http.StatusRequestEntityTooLarge, nil
 	}
 	m, code, err := s.model(req.Model)
 	if err != nil {
 		return code, nil
 	}
-	var labels []float64
-	if csr {
-		labels, err = m.scoreBatchCSR(context.Background(), nil, req.Indptr, req.Idx, req.Val, s.cfg.Workers, !s.cfg.Float64Batch, nil)
-	} else {
-		labels, err = oracleScoreBatchRaw(m, req.Rows)
-	}
+	labels, err := m.scoreBatchCSR(context.Background(), nil, req.Indptr, req.Idx, req.Val, s.cfg.Workers, !s.cfg.Float64Batch, nil)
 	if err != nil {
 		return http.StatusBadRequest, nil
 	}
 	return http.StatusOK, labels
 }
 
-// oracleScoreBatchRaw is the old scoreBatchRaw: a strict json.Decoder
-// per row.
-func oracleScoreBatchRaw(m *Model, rows []json.RawMessage) ([]float64, error) {
-	labels := make([]float64, len(rows))
-	for i := range rows {
-		var row Row
-		dec := json.NewDecoder(bytes.NewReader(rows[i]))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&row); err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		y, err := m.Score(&row)
-		if err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		labels[i] = y
-	}
-	return labels, nil
-}
-
 // sameFields reports how the codec's decoded request differs from the
 // oracle's: nil-ness, lengths and every element by its bits.
-func sameFields(got *wireRequest, model string, x, val []float64, idx, indptr []int, rows []json.RawMessage, body []byte) error {
+func sameFields(got *wireRequest, model string, x, val []float64, idx, indptr []int) error {
 	if got.model != model {
 		return fmt.Errorf("model %q, oracle %q", got.model, model)
 	}
 	intBits := func(v int) uint64 { return uint64(v) }
-	err := errors.Join(
+	return errors.Join(
 		sameSlice("x", got.x.slice(), x, math.Float64bits),
 		sameSlice("val", got.val.slice(), val, math.Float64bits),
 		sameSlice("idx", got.idx.slice(), idx, intBits),
 		sameSlice("indptr", got.indptr.slice(), indptr, intBits))
-	if err != nil {
-		return err
-	}
-	if got.rowsSet != (rows != nil) || len(got.rows) != len(rows) {
-		return fmt.Errorf("rows set=%v len=%d, oracle set=%v len=%d", got.rowsSet, len(got.rows), rows != nil, len(rows))
-	}
-	for i, at := range got.rows {
-		if !bytes.Equal(body[at.start:at.end], rows[i]) {
-			return fmt.Errorf("rows[%d] = %q, oracle %q", i, body[at.start:at.end], rows[i])
-		}
-	}
-	return nil
 }
 
 func sameSlice[T int | float64](name string, got, want []T, bits func(T) uint64) error {

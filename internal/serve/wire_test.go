@@ -13,8 +13,9 @@ import (
 )
 
 // wireSeeds are the fuzz seeds of FuzzScoreRequestDiff: every body
-// server_test.go sends, then the corners where a hand-written JSON
-// reader and encoding/json are likeliest to part.
+// the tests send, then the corners where a hand-written JSON reader and
+// encoding/json are likeliest to part. The bodies of the deleted
+// row-object batch form ("rows") stay as seeds of the reject path.
 var wireSeeds = []string{
 	// server_test.go, /predict
 	`{"x":[1,0,0,0]}`, `{"x":[0,0,1,0]}`, `{"idx":[0],"val":[2]}`, `{"idx":[3,0],"val":[1,3]}`,
@@ -67,6 +68,12 @@ var wireSeeds = []string{
 	// strings
 	"{\"model\":\"ov\xff\",\"x\":[1,1]}", `{"model":"ova","x":[1,1]}`, `{"model":"😀"}`, `{"model":"\ud83d"}`,
 	`{"model":"a\"b"}`, `{"model":"a\\"}`, `{"model":"a\`, `{"model":"\u12"}`, `{"model":"\q"}`, `{"model":"<ova>&"}`,
+	// the columnar bodies that replaced the tests' "rows" bodies
+	`{"indptr":[0,1,2,4],"idx":[0,2,3,0],"val":[1,1,1,3]}`, `{"indptr":[0,1],"idx":[0],"vals":[1]}`,
+	`{"indptr":[0,1,2,3],"idx":[0,0,0],"val":[1,1,1]}`, `{"indptr":[0,1,2],"idx":[0,9],"val":[1,1]}`,
+	`{"indptr":[0,1],"idx":[0],"val":[1]}{"model":"ova"}`, `{"indptr":[0,2,4],"idx":[0,3,1,3],"val":[1,1,1,1]}`,
+	`{"model":"stable","indptr":[0,1],"idx":[0],"val":[1]}`, `{"indptr":[0,1],"idx":[null],"val":[null]}`,
+	`{"indptr":[0,2],"idx":[null,null],"val":[null,null]}`, `{"INDPTR":[0,1],"Idx":[0],"VAL":[1]}`,
 }
 
 // FuzzScoreRequestDiff holds the codec to encoding/json on any body, on
@@ -93,11 +100,11 @@ func FuzzScoreRequestDiff(f *testing.F) {
 		if batch {
 			var o batchRequest
 			fields, oracleErr = batchFields, oracleDecode(body, &o)
-			same = func() error { return sameFields(&sc.req, o.Model, nil, o.Val, o.Idx, o.Indptr, o.Rows, body) }
+			same = func() error { return sameFields(&sc.req, o.Model, nil, o.Val, o.Idx, o.Indptr) }
 		} else {
 			var o predictRequest
 			oracleErr = oracleDecode(body, &o)
-			same = func() error { return sameFields(&sc.req, o.Model, o.X, o.Val, o.Idx, nil, nil, body) }
+			same = func() error { return sameFields(&sc.req, o.Model, o.X, o.Val, o.Idx, nil) }
 		}
 		err := sc.req.decode(body, fields)
 		if (err == nil) != (oracleErr == nil) {
@@ -188,9 +195,8 @@ func TestReplyBytesMatchEncoder(t *testing.T) {
 // isolationBodies builds n distinct batch requests over the 4-feature
 // "lin" model (w = [1,1,-1,-1]) with their labels: request k holds
 // rows rows of one nonzero each, whose column — and so whose label —
-// depends on k and the row. Even k use the columnar form, odd k the
-// "rows" form with every other row dense. Row 0 always scores −1, so a
-// first slot left behind in scratch is one that flips a zero row's +1.
+// depends on k and the row. Row 0 always scores −1, so a first slot
+// left behind in scratch is one that flips a zero row's +1.
 func isolationBodies(n, rows int) (bodies []string, labels [][]float64) {
 	for k := 0; k < n; k++ {
 		var b strings.Builder
@@ -212,24 +218,12 @@ func isolationBodies(n, rows int) (bodies []string, labels [][]float64) {
 				b.WriteString(elem(i))
 			}
 		}
-		if k%2 == 0 {
-			b.WriteString(`{"indptr":[0,`)
-			list(func(i int) string { return fmt.Sprint(i + 1) })
-			b.WriteString(`],"idx":[`)
-			list(func(i int) string { return fmt.Sprint(cols[i]) })
-			b.WriteString(`],"val":[`)
-			list(func(int) string { return fmt.Sprintf("%d.5", k+1) })
-		} else {
-			b.WriteString(`{"rows":[`)
-			list(func(i int) string {
-				if i%2 == 0 {
-					x := []string{"0", "0", "0", "0"}
-					x[cols[i]] = fmt.Sprintf("%d.5", k+1)
-					return `{"x":[` + strings.Join(x, ",") + `]}`
-				}
-				return fmt.Sprintf(`{"idx":[%d],"val":[%d.5]}`, cols[i], k+1)
-			})
-		}
+		b.WriteString(`{"indptr":[0,`)
+		list(func(i int) string { return fmt.Sprint(i + 1) })
+		b.WriteString(`],"idx":[`)
+		list(func(i int) string { return fmt.Sprint(cols[i]) })
+		b.WriteString(`],"val":[`)
+		list(func(int) string { return fmt.Sprintf("%d.5", k+1) })
 		b.WriteString("]}")
 		bodies, labels = append(bodies, b.String()), append(labels, want)
 	}
@@ -256,8 +250,8 @@ func TestScratchIsolation(t *testing.T) {
 		{false, `{"idx":[null],"val":[null]}`},
 		{true, `{"indptr":[null,1],"idx":[null],"val":[null]}`},
 		{true, `{"indptr":[0,1],"idx":[3],"val":[2]}`},
-		{true, `{"rows":[{"x":[null,null,null,null]}]}`},
-		{true, `{"rows":[{"idx":[null],"val":[null]}]}`},
+		{true, `{"indptr":[0,1],"idx":[null],"val":[null]}`},
+		{true, `{"indptr":[0,2],"idx":[null,null],"val":[null,null]}`},
 	} {
 		for _, b := range big {
 			if w, _ := do(t, used, "POST", "/predict/batch", b); w.Code != http.StatusOK {
@@ -315,31 +309,26 @@ func (d *discard) WriteHeader(int)             {}
 func (d *discard) Write(b []byte) (int, error) { return len(b), nil }
 
 // TestBatchRequestAllocs: a batch request's allocation count does not
-// grow with its rows, in either form — the decoded arrays, the labels
-// and the reply live in pooled scratch, and a scoring worker has one
-// row header, not one per row.
+// grow with its rows — the decoded arrays, the labels and the reply
+// live in pooled scratch, and a scoring worker has one row header, not
+// one per row.
 func TestBatchRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under -race")
 	}
 	h, rows := kddWorkload(t, 2048)
-	for _, form := range []struct {
-		name   string
-		encode func(testing.TB, []Row, int) [][]byte
-	}{{"columnar", encodeCSRBatches}, {"rows", encodeBatches}} {
-		allocs := func(n int) float64 {
-			body := form.encode(t, rows[:n], n)[0]
-			w := &discard{h: http.Header{}}
-			return testing.AllocsPerRun(50, func() {
-				clear(w.h)
-				h.ServeHTTP(w, httptest.NewRequest("POST", "/predict/batch", bytes.NewReader(body)))
-			})
-		}
-		small, large := allocs(256), allocs(2048)
-		t.Logf("%s form: %v allocations at 256 rows, %v at 2048", form.name, small, large)
-		if large > small+2 {
-			t.Errorf("%s form: allocations grow with the rows: %v at 256, %v at 2048", form.name, small, large)
-		}
+	allocs := func(n int) float64 {
+		body := encodeCSRBatches(t, rows[:n], n)[0]
+		w := &discard{h: http.Header{}}
+		return testing.AllocsPerRun(50, func() {
+			clear(w.h)
+			h.ServeHTTP(w, httptest.NewRequest("POST", "/predict/batch", bytes.NewReader(body)))
+		})
+	}
+	small, large := allocs(256), allocs(2048)
+	t.Logf("%v allocations at 256 rows, %v at 2048", small, large)
+	if large > small+2 {
+		t.Errorf("allocations grow with the rows: %v at 256, %v at 2048", small, large)
 	}
 }
 
