@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -99,6 +100,35 @@ func TestSegmentDirShardViews(t *testing.T) {
 	wx, wy := d.At(75)
 	if y != wy || len(x) != len(wx) {
 		t.Fatalf("nested shard row 0 mismatch")
+	}
+}
+
+// TestDirShardBounds: a directory's Shard, and a shard's Shard in turn,
+// refuses a range outside its rows with the message Reader.Shard uses,
+// instead of serving misaligned rows or dying on a bare index panic.
+func TestDirShardBounds(t *testing.T) {
+	ds := data.SparseSynthetic(rand.New(rand.NewSource(14)), 100, 40, 5, 0)
+	dir := t.TempDir()
+	appendSlice(t, dir, ds, 0, 60, store.Options{ChunkRows: 16})
+	appendSlice(t, dir, ds, 60, 100, store.Options{ChunkRows: 16})
+	d := openDir(t, dir)
+	nested := d.Shard(10, 90).(engine.Sharder).Shard(5, 75).(engine.Sharder)
+	for _, c := range []struct {
+		name string
+		s    engine.Sharder
+		rows int
+	}{{"dir", d, 100}, {"shard of a shard", nested, 70}} {
+		for _, r := range [][2]int{{-3, 10}, {0, 105}} {
+			want := fmt.Sprintf("store: shard [%d,%d) out of bounds for %d rows", r[0], r[1], c.rows)
+			func() {
+				defer func() {
+					if got := recover(); got != want {
+						t.Fatalf("%s: Shard(%d,%d) panicked with %v, want %q", c.name, r[0], r[1], got, want)
+					}
+				}()
+				c.s.Shard(r[0], r[1])
+			}()
+		}
 	}
 }
 
