@@ -323,13 +323,13 @@ func FuzzReadStore(f *testing.F) {
 	})
 }
 
-// TestChunkTable pins the mapped path's O(1) chunk switch and the hint
-// that reads off it, structurally (no clock): a verified chunk's slices
-// are filed once and served again as the same memory — the labels
-// included, which a FlagLabels01 store remaps one row at a time instead
-// of copying a chunk's worth per switch — and the hint neither moves
-// the cursor nor visits a chunk the cursor has not verified. A
-// mapping-less reader's hint is inert.
+// TestChunkTable pins the mapped path's chunk lookup and the hint that
+// reads off it, structurally (no clock): a verified chunk's rows are
+// served from inside the mapping, out of the same chunk-table entry on
+// every access — the labels included, which a FlagLabels01 store
+// remaps one row at a time instead of copying a chunk's worth — and the
+// hint verifies nothing, on a Reader or on a fresh shard. A
+// mapping-less reader's hint is inert and leaves its arena alone.
 func TestChunkTable(t *testing.T) {
 	ds := data.SparseSynthetic(rand.New(rand.NewSource(17)), 300, 60, 7, 0.05)
 	for _, remap := range []bool{false, true} {
@@ -353,35 +353,44 @@ func TestChunkTable(t *testing.T) {
 			}
 			return y + vec.TouchSparse(x.Idx, x.Val)
 		}
-
-		if got := r.Touch(100); got != 0 || r.cur.cur != -1 || r.cur.tab[3].indptr != nil {
-			t.Fatalf("remap=%v: hint on an unverified chunk returned %v and left chunk %d loaded", remap, got, r.cur.cur)
+		// fromEntry reports whether row i of chunk e came back as e's own
+		// memory.
+		fromEntry := func(e *chunkCSR, x *vec.Sparse, i int) bool {
+			return &x.Val[0] == &e.val[e.indptr[i%32]] && &x.Idx[0] == &e.idx[e.indptr[i%32]]
 		}
-		_, y := r.AtSparse(100) // first visit: verifies chunk 3 and files it
+
+		e := &r.cur.tab[3]
+		if got := r.Touch(100); got != 0 || e.indptr != nil {
+			t.Fatalf("remap=%v: hint on an unverified chunk returned %v or verified it", remap, got)
+		}
+		x, y := r.AtSparse(100) // first visit: verifies chunk 3 and files it
 		if _, wy := ds.Row(100); y != wy {
 			t.Fatalf("remap=%v: row 100 label %v, want %v", remap, y, wy)
 		}
-		first := &r.cur.y[0]
-		if !inMapping(first) || &r.cur.tab[3].y[0] != first {
-			t.Fatalf("remap=%v: chunk 3's labels are not served out of the mapping via the chunk table", remap)
+		first := &e.y[0]
+		if !inMapping(first) || !inMapping(&x.Val[0]) || !fromEntry(e, x, 100) {
+			t.Fatalf("remap=%v: chunk 3's rows are not served out of the mapping via the chunk table", remap)
 		}
-		r.AtSparse(5) // switch away
-		if got, want := r.Touch(100), stored(100); got != want || r.cur.cur != 0 {
-			t.Fatalf("remap=%v: hint read %v (want %v) with chunk %d loaded (want 0: the hint must not move the cursor)", remap, got, want, r.cur.cur)
+		r.AtSparse(5) // another chunk
+		if got, want := r.Touch(100), stored(100); got != want {
+			t.Fatalf("remap=%v: hint read %v, want %v", remap, got, want)
 		}
-		r.AtSparse(101) // switch back: a table read, the same memory
-		if &r.cur.y[0] != first || &r.cur.indptr[0] != &r.cur.tab[3].indptr[0] {
-			t.Fatalf("remap=%v: switching back to a verified chunk re-derived its slices", remap)
+		if got := r.Touch(200); got != 0 || r.cur.tab[6].indptr != nil {
+			t.Fatalf("remap=%v: hint on unverified chunk 6 returned %v or verified it", remap, got)
+		}
+		x, _ = r.AtSparse(101) // back: the same entry, the same memory
+		if &e.y[0] != first || !fromEntry(e, x, 101) {
+			t.Fatalf("remap=%v: a second access to a verified chunk re-derived its slices", remap)
 		}
 
-		v := r.Shard(40, 120).(*view)
+		v := r.Shard(40, 120).(*span)
 		if got := v.Touch(79); got != 0 {
-			t.Fatalf("remap=%v: a fresh view's hint read %v before its own cursor verified the chunk", remap, got)
+			t.Fatalf("remap=%v: a fresh shard's hint read %v before its own cursor verified the chunk", remap, got)
 		}
 		v.AtSparse(79)
 		v.AtSparse(0)
 		if got, want := v.Touch(79), stored(119); got != want {
-			t.Fatalf("remap=%v: view hint at its last row read %v, want row 119's %v", remap, got, want)
+			t.Fatalf("remap=%v: shard hint at its last row read %v, want row 119's %v", remap, got, want)
 		}
 
 		a, err := openArena(path)
@@ -389,9 +398,9 @@ func TestChunkTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer a.Close()
-		a.AtSparse(100)
-		if got := a.Touch(100) + a.Touch(5); got != 0 || a.cur.cur != 3 || a.cur.tab != nil {
-			t.Fatalf("remap=%v: a mapping-less reader's hint read %v / moved to chunk %d", remap, got, a.cur.cur)
+		x, _ = a.AtSparse(100)
+		if got := a.Touch(100) + a.Touch(5); got != 0 || a.cur.n != 3 || a.cur.tab != nil || !fromEntry(&a.cur.arena, x, 100) {
+			t.Fatalf("remap=%v: a mapping-less reader's hint read %v / left chunk %d in the arena", remap, got, a.cur.n)
 		}
 	}
 }

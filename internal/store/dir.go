@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"boltondp/internal/sgd"
@@ -184,16 +183,16 @@ func nextSegName(dir string, ents []segEntry) string {
 // drops into every execution strategy (and the facade's TrainCtx)
 // exactly where a single-file Reader does.
 //
-// Like Reader, the root Dir's At/AtSparse share per-segment cursors
-// and are single-goroutine; Shard returns independent views backed by
-// fresh cursors for concurrent strategies.
+// The Dir's own row access is a span over every segment, with one
+// cursor per segment, and is single-goroutine like a Reader's; Shard
+// returns independent spans with fresh cursors for concurrent
+// strategies.
 type Dir struct {
 	dir  string
 	ents []segEntry
 	segs []*Reader
-	offs []int // offs[i] = global row index of segs[i]'s first row; len = len(segs)+1
+	root *span // rows [0, Len()) of segs
 
-	dim     int
 	classes int
 	nnz     int64
 }
@@ -220,7 +219,7 @@ func OpenDir(dir string) (*Dir, error) {
 	return d, nil
 }
 
-// open opens every manifest entry and rebuilds the union index.
+// open opens every manifest entry and rebuilds the root span.
 // d.segs may hold already-open readers from a previous load; matching
 // prefix entries are reused (segments are immutable), the rest are
 // opened fresh.
@@ -256,18 +255,20 @@ func (d *Dir) open() error {
 			old.Close()
 		}
 	}
-	d.segs = segs
-	d.offs = make([]int, len(segs)+1)
-	d.dim, d.classes, d.nnz = 0, 0, 0
+	rows := 0
+	for _, r := range segs {
+		rows += r.Len()
+	}
+	d.segs, d.root = segs, newSpan(segs, 0, rows)
+	d.classes, d.nnz = 0, 0
 	for i, r := range segs {
-		d.offs[i+1] = d.offs[i] + r.Len()
 		d.nnz += r.NNZ()
 		if i == 0 {
-			d.dim, d.classes = r.Dim(), r.Classes()
+			d.classes = r.Classes()
 			continue
 		}
-		if r.Dim() != d.dim {
-			return fmt.Errorf("store: segment %s has dim %d, directory has %d", d.ents[i].Name, r.Dim(), d.dim)
+		if r.Dim() != d.Dim() {
+			return fmt.Errorf("store: segment %s has dim %d, directory has %d", d.ents[i].Name, r.Dim(), d.Dim())
 		}
 		if r.Classes() != d.classes {
 			return fmt.Errorf("store: segment %s has %d classes, directory has %d", d.ents[i].Name, r.Classes(), d.classes)
@@ -308,10 +309,10 @@ func (d *Dir) Close() error {
 func (d *Dir) Path() string { return d.dir }
 
 // Len implements sgd.Samples: total rows across segments.
-func (d *Dir) Len() int { return d.offs[len(d.offs)-1] }
+func (d *Dir) Len() int { return d.root.Len() }
 
 // Dim implements sgd.Samples.
-func (d *Dir) Dim() int { return d.dim }
+func (d *Dir) Dim() int { return d.root.Dim() }
 
 // Classes returns the distinct-label count shared by every segment.
 func (d *Dir) Classes() int { return d.classes }
@@ -321,10 +322,10 @@ func (d *Dir) NNZ() int64 { return d.nnz }
 
 // Density returns nnz / (rows · dim) for the union.
 func (d *Dir) Density() float64 {
-	if d.Len() == 0 || d.dim == 0 {
+	if d.Len() == 0 || d.Dim() == 0 {
 		return 0
 	}
-	return float64(d.nnz) / (float64(d.Len()) * float64(d.dim))
+	return float64(d.nnz) / (float64(d.Len()) * float64(d.Dim()))
 }
 
 // Segments returns the number of segments the union spans.
@@ -339,92 +340,19 @@ func (d *Dir) SegmentNames() []string {
 	return names
 }
 
-// locate maps a global row index to (segment, local index).
-func (d *Dir) locate(i int) (int, int) {
-	// sort.Search over the cumulative offsets: first segment whose end
-	// exceeds i. Directories hold few segments, so this is ~2 probes.
-	k := sort.Search(len(d.segs), func(k int) bool { return d.offs[k+1] > i })
-	return k, i - d.offs[k]
-}
-
 // At implements sgd.Samples.
-func (d *Dir) At(i int) ([]float64, float64) {
-	k, j := d.locate(i)
-	return d.segs[k].At(j)
-}
+func (d *Dir) At(i int) ([]float64, float64) { return d.root.At(i) }
 
 // AtSparse implements sgd.SparseSamples.
-func (d *Dir) AtSparse(i int) (*vec.Sparse, float64) {
-	k, j := d.locate(i)
-	return d.segs[k].AtSparse(j)
-}
+func (d *Dir) AtSparse(i int) (*vec.Sparse, float64) { return d.root.AtSparse(i) }
 
-// Touch forwards the epoch loops' look-ahead hint to row i's segment.
-func (d *Dir) Touch(i int) float64 {
-	k, j := d.locate(i)
-	return d.segs[k].Touch(j)
-}
+// Touch is the epoch loops' look-ahead hint for row i.
+func (d *Dir) Touch(i int) float64 { return d.root.Touch(i) }
 
-// Shard implements engine.Sharder: an independent [lo, hi) view backed
-// by fresh per-segment cursors, safe to use concurrently with other
-// shards (the contract the sharded strategy relies on).
-func (d *Dir) Shard(lo, hi int) sgd.Samples {
-	v := &dirView{d: d, lo: lo, hi: hi}
-	for k, r := range d.segs {
-		slo, shi := max(lo, d.offs[k]), min(hi, d.offs[k+1])
-		if slo >= shi {
-			continue
-		}
-		v.subs = append(v.subs, r.Shard(slo-d.offs[k], shi-d.offs[k]))
-		v.ends = append(v.ends, shi-lo)
-	}
-	return v
-}
-
-// dirView is a [lo, hi) union view: the per-segment shard views that
-// cover the range, each with its own cursor.
-type dirView struct {
-	d      *Dir
-	lo, hi int
-	subs   []sgd.Samples
-	ends   []int // ends[k] = view-relative end row of subs[k]
-}
-
-func (v *dirView) Len() int { return v.hi - v.lo }
-func (v *dirView) Dim() int { return v.d.dim }
-
-func (v *dirView) locate(i int) (sgd.Samples, int) {
-	k := sort.Search(len(v.ends), func(k int) bool { return v.ends[k] > i })
-	start := 0
-	if k > 0 {
-		start = v.ends[k-1]
-	}
-	return v.subs[k], i - start
-}
-
-// At implements sgd.Samples.
-func (v *dirView) At(i int) ([]float64, float64) {
-	s, j := v.locate(i)
-	return s.At(j)
-}
-
-// AtSparse implements sgd.SparseSamples: every per-segment shard view
-// serves the sparse tier, so the union view does too.
-func (v *dirView) AtSparse(i int) (*vec.Sparse, float64) {
-	s, j := v.locate(i)
-	return s.(sgd.SparseSamples).AtSparse(j)
-}
-
-func (v *dirView) Touch(i int) float64 {
-	s, j := v.locate(i)
-	return s.(*view).Touch(j)
-}
-
-// Shard implements engine.Sharder by re-sharding from the root, so
-// nested shards get fresh cursors exactly like first-level ones.
-func (v *dirView) Shard(lo, hi int) sgd.Samples {
-	return v.d.Shard(v.lo+lo, v.lo+hi)
-}
+// Shard implements engine.Sharder: rows [lo, hi) as a span with fresh
+// per-segment cursors, safe to use concurrently with other shards (the
+// contract the sharded strategy relies on).
+func (d *Dir) Shard(lo, hi int) sgd.Samples { return d.root.Shard(lo, hi) }
 
 // Verify forces the full integrity check over every segment: the
 // manifest-pinned whole-file CRC32 plus Reader.Verify's chunk-payload

@@ -41,7 +41,7 @@ func (r *Reader) ChunkRef(c int) (ChunkRef, error) {
 	} else if _, err := r.f.ReadAt(hbuf[:], r.offsets[c]); err != nil {
 		return ChunkRef{}, fmt.Errorf("store: %s: chunk %d: %w", r.path, c, err)
 	}
-	rows, _, _, crc, err := r.cur.chunkGeom(c, hbuf[:])
+	rows, _, _, crc, err := r.chunkGeom(c, hbuf[:])
 	if err != nil {
 		return ChunkRef{}, err
 	}

@@ -13,23 +13,22 @@ import (
 // Reader is a random-access view of a store file implementing both
 // tiers of the engine's data contract (sgd.Samples, sgd.SparseSamples)
 // plus engine.Sharder, so every execution strategy trains from it
-// directly. Each scanning view holds one chunk's worth of decoded
-// state: sequential access (the Streaming strategy, risk evaluation,
-// batch scoring) touches each chunk once per pass, while permutation
-// access (the Sequential strategy) pays a chunk switch whenever it
-// crosses a chunk boundary — correct at any access pattern, fastest
-// on scans.
+// directly. Every row access finds its chunk the same way, by one
+// division (cursor.find), in any access order.
 //
 // On little-endian 64-bit unix hosts the file is memory-mapped and
-// rows are served as slices straight into the mapping: a chunk switch
-// is a CRC + invariant check the first time a view visits the chunk
-// and pure slice arithmetic after that. Elsewhere chunks are pread
-// into reused arenas. Training is bit-identical either way.
+// rows are served as slices straight into the mapping: a chunk is CRC-
+// and invariant-checked the first time a cursor visits it, and every
+// later access to it is one read of the cursor's chunk table.
+// Elsewhere chunks are pread and decoded into a reused arena whenever
+// the accessed chunk changes — once per chunk on a scan, once per
+// chunk crossing under a permutation. Training is bit-identical either
+// way.
 //
 // Like the other reused-buffer sources (bismarck.Table,
 // data.SparseDataset), a Reader must not be shared across concurrent
 // runs; the sharded engine goes through Shard, which hands each worker
-// an independent view over the same file handle (reads are pread /
+// an independent span over the same file handle (reads are pread /
 // read-only mapping accesses and never race).
 //
 // At and AtSparse implement interfaces without error returns, so on
@@ -139,7 +138,7 @@ func newReader(f *os.File, path string) (*Reader, error) {
 	return r, nil
 }
 
-// Close releases the file handle and mapping. Views handed out by
+// Close releases the file handle and mapping. Spans handed out by
 // Shard share them and become invalid.
 func (r *Reader) Close() error {
 	unmapFile(r.mm)
@@ -184,24 +183,18 @@ func (r *Reader) Density() float64 {
 func (r *Reader) At(i int) ([]float64, float64) { return r.cur.at(i) }
 
 // AtSparse implements sgd.SparseSamples: a view of row i, valid until
-// an access to a different chunk. It panics on I/O failure or
-// corruption (see the type comment).
+// the next AtSparse call. It panics on I/O failure or corruption (see
+// the type comment).
 func (r *Reader) AtSparse(i int) (*vec.Sparse, float64) { return r.cur.atSparse(i) }
 
 // Touch is the epoch loops' look-ahead hint; see cursor.touch.
 func (r *Reader) Touch(i int) float64 { return r.cur.touch(i) }
 
-// Shard implements engine.Sharder: an independent read-only view of
-// rows [lo, hi) with its own chunk state over the shared file, so
-// shards of one store can be scanned concurrently by the sharded
-// engine.
+// Shard implements engine.Sharder: rows [lo, hi) as a span with its
+// own cursor over the shared file, so shards of one store can be
+// scanned concurrently by the sharded engine.
 func (r *Reader) Shard(lo, hi int) sgd.Samples {
-	if lo < 0 || hi < lo || hi > r.hdr.rows {
-		panic(fmt.Sprintf("store: shard [%d,%d) out of bounds for %d rows", lo, hi, r.hdr.rows))
-	}
-	v := &view{lo: lo, hi: hi}
-	v.cur.init(r)
-	return v
+	return (&span{files: []*Reader{r}, hi: r.hdr.rows}).Shard(lo, hi)
 }
 
 // ChunkCSR loads chunk c and returns views of its CSR block:
@@ -214,10 +207,11 @@ func (r *Reader) ChunkCSR(c int) (indptr, idx []int, val, y []float64, err error
 	if c < 0 || c >= r.chunks {
 		return nil, nil, nil, nil, fmt.Errorf("store: chunk %d out of range [0,%d)", c, r.chunks)
 	}
-	if err := r.cur.load(c); err != nil {
+	e, err := r.cur.chunk(c)
+	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	y = r.cur.y
+	y = e.y
 	if r.hdr.flags&FlagLabels01 != 0 { // serving form: the one copy (the mapping is read-only)
 		y = append(r.cur.yArena[:0], y...)
 		for i, v := range y {
@@ -225,7 +219,7 @@ func (r *Reader) ChunkCSR(c int) (indptr, idx []int, val, y []float64, err error
 		}
 		r.cur.yArena = y
 	}
-	return r.cur.indptr, r.cur.idx, r.cur.val, y, nil
+	return e.indptr, e.idx, e.val, y, nil
 }
 
 // Verify loads every chunk, validating all checksums and CSR
@@ -240,66 +234,98 @@ func (r *Reader) Verify() error {
 	return nil
 }
 
-// view is a Shard row-range restriction of a Reader with a private
-// cursor, translating to parent coordinates like every other shard
-// view in the repository.
-type view struct {
-	cur    cursor
-	lo, hi int
+// span is rows [lo, hi) of the concatenation of files, read as one
+// dataset: what Reader.Shard and Dir.Shard return, and a Dir's own row
+// access. Each file the range covers gets a part with its own cursor,
+// so spans cut from the same files scan concurrently.
+type span struct {
+	files  []*Reader
+	lo, hi int // rows of the concatenation
+	parts  []part
 }
 
-func (v *view) Len() int { return v.hi - v.lo }
-func (v *view) Dim() int { return v.cur.r.hdr.dim }
+// part is a span's piece of one file: span row i < end is row i+shift
+// of the file.
+type part struct {
+	cur        cursor
+	end, shift int
+}
 
-func (v *view) At(i int) ([]float64, float64) {
-	if i < 0 || i >= v.hi-v.lo {
-		panic(fmt.Sprintf("store: shard row %d out of range [0,%d)", i, v.hi-v.lo))
+func newSpan(files []*Reader, lo, hi int) *span {
+	s := &span{files: files, lo: lo, hi: hi}
+	start := 0 // the file's first row in the concatenation
+	for _, r := range files {
+		if max(lo, start) < min(hi, start+r.hdr.rows) {
+			p := part{end: min(hi, start+r.hdr.rows) - lo, shift: lo - start}
+			p.cur.init(r)
+			s.parts = append(s.parts, p)
+		}
+		start += r.hdr.rows
 	}
-	return v.cur.at(v.lo + i)
+	return s
 }
 
-func (v *view) AtSparse(i int) (*vec.Sparse, float64) {
-	if i < 0 || i >= v.hi-v.lo {
-		panic(fmt.Sprintf("store: shard row %d out of range [0,%d)", i, v.hi-v.lo))
+func (s *span) Len() int { return s.hi - s.lo }
+
+func (s *span) Dim() int {
+	if len(s.files) == 0 {
+		return 0
 	}
-	return v.cur.atSparse(v.lo + i)
+	return s.files[0].hdr.dim
 }
 
-func (v *view) Touch(i int) float64 { return v.cur.touch(v.lo + i) }
-
-// Shard keeps views shardable in turn, translating to parent
-// coordinates so sharded runs over a row-range view stay race-free.
-func (v *view) Shard(lo, hi int) sgd.Samples {
-	if lo < 0 || hi < lo || hi > v.hi-v.lo {
-		panic(fmt.Sprintf("store: shard [%d,%d) out of bounds for %d rows", lo, hi, v.hi-v.lo))
+// locate returns the part holding span row i and i's row in the
+// part's file. Spans cover few files, so the part ends are scanned in
+// order.
+func (s *span) locate(i int) (*part, int) {
+	if uint(i) >= uint(s.hi-s.lo) {
+		panic(fmt.Sprintf("store: row %d out of range [0,%d)", i, s.hi-s.lo))
 	}
-	return v.cur.r.Shard(v.lo+lo, v.lo+hi)
+	k := 0
+	for i >= s.parts[k].end {
+		k++
+	}
+	return &s.parts[k], i + s.parts[k].shift
 }
 
-// cursor is one scanning view's chunk state. In the mapped path the
-// CSR slices point straight into the file mapping; each chunk is CRC-
-// and invariant-checked the first time this cursor visits it, which
-// also files its slices in the chunk table, after which a chunk switch
-// is one table read — zero work per row, zero allocations per chunk
-// (gated by TestStoreScanAllocs). In the fallback path chunks are pread
-// and decoded into the cursor's reused arenas on every switch.
+func (s *span) At(i int) ([]float64, float64) {
+	p, j := s.locate(i)
+	return p.cur.at(j)
+}
+
+func (s *span) AtSparse(i int) (*vec.Sparse, float64) {
+	p, j := s.locate(i)
+	return p.cur.atSparse(j)
+}
+
+func (s *span) Touch(i int) float64 {
+	p, j := s.locate(i)
+	return p.cur.touch(j)
+}
+
+// Shard implements engine.Sharder: rows [lo, hi) of the span, cut again
+// from the files so that nested shards get fresh cursors too.
+func (s *span) Shard(lo, hi int) sgd.Samples {
+	if lo < 0 || hi < lo || hi > s.hi-s.lo {
+		panic(fmt.Sprintf("store: shard [%d,%d) out of bounds for %d rows", lo, hi, s.hi-s.lo))
+	}
+	return newSpan(s.files, s.lo+lo, s.lo+hi)
+}
+
+// cursor reads the rows of one store file for one reader of them (a
+// Reader itself, or a span part). With a mapping, tab is its chunk
+// table: entry n holds chunk n's CSR slices into the mapping once this
+// cursor has verified the chunk, so every later access to it is one
+// read of the entry — no work per row, no allocation per chunk (gated
+// by TestStoreScanAllocs). Without one, tab is nil and the arena holds
+// the last chunk pread and decoded.
 type cursor struct {
 	r   *Reader
-	cur int // loaded chunk, -1 when none
-	// lo/hi are the loaded chunk's global row range. The hot-path row
-	// lookup is two compares against them (no division, no bounds
-	// re-check); lo = hi = 0 while no chunk is valid, which routes
-	// every access through the checked slow path.
-	lo, hi int
+	tab []chunkCSR
 
-	// tab is the mapped path's chunk table: entry n holds chunk n's
-	// aliased slices once this cursor has verified it (indptr non-nil),
-	// so a permuted epoch's chunk switches and the look-ahead hint index
-	// it instead of re-deriving the geometry per row.
-	tab      []chunkCSR
-	chunkCSR // the loaded chunk
-
-	raw    []byte    // fallback payload buffer
+	n      int // the chunk decoded in arena, -1 when none
+	arena  chunkCSR
+	raw    []byte    // the arena's payload buffer
 	yArena []float64 // ChunkCSR's remapped label copy (FlagLabels01)
 
 	scratch []float64 // dense At tier, allocated on first use
@@ -313,7 +339,7 @@ type chunkCSR struct {
 }
 
 func (c *cursor) init(r *Reader) {
-	*c = cursor{r: r, cur: -1}
+	*c = cursor{r: r, n: -1}
 	if r.mm != nil {
 		c.tab = make([]chunkCSR, r.chunks)
 	}
@@ -321,8 +347,7 @@ func (c *cursor) init(r *Reader) {
 
 // chunkGeom reads and validates chunk n's header, returning its row
 // count, nnz, payload length and CRC.
-func (c *cursor) chunkGeom(n int, hbuf []byte) (rows, nnz, plen int, crc uint32, err error) {
-	r := c.r
+func (r *Reader) chunkGeom(n int, hbuf []byte) (rows, nnz, plen int, crc uint32, err error) {
 	rows = int(binary.LittleEndian.Uint32(hbuf[0:4]))
 	nnz = int(binary.LittleEndian.Uint32(hbuf[4:8]))
 	plen = int(binary.LittleEndian.Uint32(hbuf[8:12]))
@@ -347,8 +372,7 @@ func (c *cursor) chunkGeom(n int, hbuf []byte) (rows, nnz, plen int, crc uint32,
 // validateCSR checks the decoded (or aliased) CSR block's invariants:
 // indptr monotone from 0 to nnz, indices in [0, dim) and strictly
 // increasing within each row.
-func (c *cursor) validateCSR(n, rows, nnz int, indptr, idx []int) error {
-	r := c.r
+func (r *Reader) validateCSR(n, rows, nnz int, indptr, idx []int) error {
 	prev := 0
 	for i, v := range indptr {
 		if (i == 0 && v != 0) || v < prev || v > nnz {
@@ -372,145 +396,134 @@ func (c *cursor) validateCSR(n, rows, nnz int, indptr, idx []int) error {
 	return nil
 }
 
-// load makes chunk n current.
-func (c *cursor) load(n int) error {
-	if c.cur == n {
-		return nil
-	}
+// find is the one row → chunk lookup: the chunk holding row i and the
+// row's index inside it. It panics on a row outside the file or a chunk
+// that fails its checks (see the Reader type comment).
+func (c *cursor) find(i int) (*chunkCSR, int) {
 	r := c.r
-	if r.mm != nil {
+	if uint(i) >= uint(r.hdr.rows) {
+		panic(fmt.Sprintf("store: row %d out of range [0,%d)", i, r.hdr.rows))
+	}
+	n := i / r.hdr.chunkRows
+	e, err := c.chunk(n)
+	if err != nil {
+		panic(err)
+	}
+	return e, i - n*r.hdr.chunkRows
+}
+
+// chunk returns chunk n's CSR block: with a mapping, the chunk table's
+// entry, verified on this cursor's first visit; without one, the
+// arena, decoded again only when n changes.
+func (c *cursor) chunk(n int) (*chunkCSR, error) {
+	if c.tab != nil {
+		if e := &c.tab[n]; e.indptr != nil {
+			return e, nil
+		}
 		return c.loadMapped(n)
+	}
+	if c.n == n {
+		return &c.arena, nil
 	}
 	return c.loadArena(n)
 }
 
-// loadMapped serves chunk n out of the file mapping: the CSR slices
-// alias the mapping, with CRC and CSR invariants checked on this
-// cursor's first visit and one chunk-table read after that.
-func (c *cursor) loadMapped(n int) error {
+// loadMapped checks chunk n inside the file mapping — CRC, then CSR
+// invariants — and files its slices, which alias the mapping, in the
+// chunk table.
+func (c *cursor) loadMapped(n int) (*chunkCSR, error) {
 	r := c.r
-	e := &c.tab[n]
-	if e.indptr == nil {
-		off := r.offsets[n]
-		rows, nnz, plen, crc, err := c.chunkGeom(n, r.mm[off:off+chunkHeaderSize])
-		if err != nil {
-			return err
-		}
-		p := r.mm[off+chunkHeaderSize : off+chunkHeaderSize+int64(plen)]
-		indptr := asInt(p[8*(nnz+rows) : 8*(nnz+rows+rows+1)])
-		idx := asInt(p[8*(nnz+rows+rows+1):])
-		if got := crc32.ChecksumIEEE(p); got != crc {
-			return fmt.Errorf("store: %s: chunk %d checksum mismatch (%08x != %08x)", r.path, n, got, crc)
-		}
-		if err := c.validateCSR(n, rows, nnz, indptr, idx); err != nil {
-			return err
-		}
-		*e = chunkCSR{indptr: indptr, idx: idx, val: asF64(p[:8*nnz]), y: asF64(p[8*nnz : 8*(nnz+rows)])}
+	off := r.offsets[n]
+	rows, nnz, plen, crc, err := r.chunkGeom(n, r.mm[off:off+chunkHeaderSize])
+	if err != nil {
+		return nil, err
 	}
-	c.chunkCSR = *e
-	c.cur = n
-	c.lo = n * r.hdr.chunkRows
-	c.hi = c.lo + len(e.y)
-	return nil
+	p := r.mm[off+chunkHeaderSize : off+chunkHeaderSize+int64(plen)]
+	indptr := asInt(p[8*(nnz+rows) : 8*(nnz+rows+rows+1)])
+	idx := asInt(p[8*(nnz+rows+rows+1):])
+	if got := crc32.ChecksumIEEE(p); got != crc {
+		return nil, fmt.Errorf("store: %s: chunk %d checksum mismatch (%08x != %08x)", r.path, n, got, crc)
+	}
+	if err := r.validateCSR(n, rows, nnz, indptr, idx); err != nil {
+		return nil, err
+	}
+	c.tab[n] = chunkCSR{indptr: indptr, idx: idx, val: asF64(p[:8*nnz]), y: asF64(p[8*nnz : 8*(nnz+rows)])}
+	return &c.tab[n], nil
 }
 
 // loadArena is the portable fallback: pread chunk n and decode it into
-// the cursor's reused arenas, validating CRC and invariants on every
+// the cursor's reused arena, validating CRC and invariants on every
 // load.
-func (c *cursor) loadArena(n int) error {
+func (c *cursor) loadArena(n int) (*chunkCSR, error) {
 	r := c.r
 	var hbuf [chunkHeaderSize]byte
 	if _, err := r.f.ReadAt(hbuf[:], r.offsets[n]); err != nil {
-		return fmt.Errorf("store: %s: chunk %d: %w", r.path, n, err)
+		return nil, fmt.Errorf("store: %s: chunk %d: %w", r.path, n, err)
 	}
-	rows, nnz, plen, crc, err := c.chunkGeom(n, hbuf[:])
+	rows, nnz, plen, crc, err := r.chunkGeom(n, hbuf[:])
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if cap(c.raw) < plen {
 		c.raw = make([]byte, plen)
 	}
 	p := c.raw[:plen]
 	if _, err := r.f.ReadAt(p, r.offsets[n]+chunkHeaderSize); err != nil {
-		return fmt.Errorf("store: %s: chunk %d: %w", r.path, n, err)
+		return nil, fmt.Errorf("store: %s: chunk %d: %w", r.path, n, err)
 	}
 	if got := crc32.ChecksumIEEE(p); got != crc {
-		return fmt.Errorf("store: %s: chunk %d checksum mismatch (%08x != %08x)", r.path, n, got, crc)
+		return nil, fmt.Errorf("store: %s: chunk %d checksum mismatch (%08x != %08x)", r.path, n, got, crc)
 	}
 
 	// Invalidate before decoding so a failed load can never be served.
-	c.cur = -1
-	c.lo, c.hi = 0, 0
-	if cap(c.val) < nnz {
-		c.val = make([]float64, nnz)
+	c.n = -1
+	a := &c.arena
+	if cap(a.val) < nnz {
+		a.val = make([]float64, nnz)
 	}
-	c.val = c.val[:nnz]
+	a.val = a.val[:nnz]
 	o := 0
 	for i := 0; i < nnz; i++ {
-		c.val[i] = getF64(p, o)
+		a.val[i] = getF64(p, o)
 		o += 8
 	}
-	if cap(c.y) < rows {
-		c.y = make([]float64, rows)
+	if cap(a.y) < rows {
+		a.y = make([]float64, rows)
 	}
-	c.y = c.y[:rows]
+	a.y = a.y[:rows]
 	for i := 0; i < rows; i++ {
-		c.y[i] = getF64(p, o)
+		a.y[i] = getF64(p, o)
 		o += 8
 	}
-	if cap(c.indptr) < rows+1 {
-		c.indptr = make([]int, rows+1)
+	if cap(a.indptr) < rows+1 {
+		a.indptr = make([]int, rows+1)
 	}
-	c.indptr = c.indptr[:rows+1]
+	a.indptr = a.indptr[:rows+1]
 	for i := 0; i <= rows; i++ {
-		c.indptr[i] = int(binary.LittleEndian.Uint64(p[o : o+8]))
+		a.indptr[i] = int(binary.LittleEndian.Uint64(p[o : o+8]))
 		o += 8
 	}
-	if cap(c.idx) < nnz {
-		c.idx = make([]int, nnz)
+	if cap(a.idx) < nnz {
+		a.idx = make([]int, nnz)
 	}
-	c.idx = c.idx[:nnz]
+	a.idx = a.idx[:nnz]
 	for i := 0; i < nnz; i++ {
-		c.idx[i] = int(binary.LittleEndian.Uint64(p[o : o+8]))
+		a.idx[i] = int(binary.LittleEndian.Uint64(p[o : o+8]))
 		o += 8
 	}
-	if err := c.validateCSR(n, rows, nnz, c.indptr, c.idx); err != nil {
-		return err
+	if err := r.validateCSR(n, rows, nnz, a.indptr, a.idx); err != nil {
+		return nil, err
 	}
-	c.cur = n
-	c.lo = n * r.hdr.chunkRows
-	c.hi = c.lo + rows
-	return nil
-}
-
-// locate maps global row i to its row-in-chunk. The fast path — row
-// inside the loaded chunk — is two compares and a subtraction, so
-// sequential scans pay no per-row arithmetic beyond them; chunk
-// switches go through locateSlow.
-func (c *cursor) locate(i int) int {
-	if i >= c.lo && i < c.hi {
-		return i - c.lo
-	}
-	return c.locateSlow(i)
-}
-
-func (c *cursor) locateSlow(i int) int {
-	r := c.r
-	if i < 0 || i >= r.hdr.rows {
-		panic(fmt.Sprintf("store: row %d out of range [0,%d)", i, r.hdr.rows))
-	}
-	if err := c.load(i / r.hdr.chunkRows); err != nil {
-		panic(err)
-	}
-	return i - c.lo
+	c.n = n
+	return a, nil
 }
 
 func (c *cursor) atSparse(i int) (*vec.Sparse, float64) {
-	j := c.locate(i)
-	lo, hi := c.indptr[j], c.indptr[j+1]
-	c.row.Idx = c.idx[lo:hi]
-	c.row.Val = c.val[lo:hi]
-	return &c.row, c.label(c.y[j])
+	e, j := c.find(i)
+	lo, hi := e.indptr[j], e.indptr[j+1]
+	c.row.Idx = e.idx[lo:hi]
+	c.row.Val = e.val[lo:hi]
+	return &c.row, c.label(e.y[j])
 }
 
 // label returns a stored label in serving form: a FlagLabels01 store
@@ -523,9 +536,10 @@ func (c *cursor) label(y float64) float64 {
 }
 
 // touch is the look-ahead hint (sgd's Touch contract): row i's indptr,
-// label and idx/val lines, read off the chunk table without moving the
-// cursor. A chunk this cursor has not verified (so every row without a
-// mapping) returns 0 untouched: its first visit reads every byte anyway.
+// label and idx/val lines, read off the chunk table without loading
+// anything. A chunk this cursor has not verified (so every row without
+// a mapping) returns 0 untouched: its first visit reads every byte
+// anyway.
 func (c *cursor) touch(i int) float64 {
 	n := i / c.r.hdr.chunkRows
 	if uint(n) >= uint(len(c.tab)) || c.tab[n].indptr == nil {
@@ -537,15 +551,15 @@ func (c *cursor) touch(i int) float64 {
 }
 
 func (c *cursor) at(i int) ([]float64, float64) {
-	j := c.locate(i)
+	e, j := c.find(i)
 	if c.scratch == nil {
 		c.scratch = make([]float64, c.r.hdr.dim)
 	}
 	for k := range c.scratch {
 		c.scratch[k] = 0
 	}
-	for k := c.indptr[j]; k < c.indptr[j+1]; k++ {
-		c.scratch[c.idx[k]] = c.val[k]
+	for k := e.indptr[j]; k < e.indptr[j+1]; k++ {
+		c.scratch[e.idx[k]] = e.val[k]
 	}
-	return c.scratch, c.label(c.y[j])
+	return c.scratch, c.label(e.y[j])
 }

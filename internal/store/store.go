@@ -9,10 +9,12 @@
 // an architectural assumption into a per-run choice: Reader implements
 // both tiers of the engine's data contract (sgd.Samples and
 // sgd.SparseSamples) plus engine.Sharder, so the Sequential, Sharded
-// and Streaming strategies all train straight from disk, holding one
-// decoded chunk per scanning view in memory. A Streaming run over a
-// store is genuinely single-pass O(d + chunk) memory at any number of
-// rows.
+// and Streaming strategies all train straight from disk. A stored row
+// is reached one way: a Reader's own rows and every shard of a Reader
+// or of a segment Dir go through a cursor per file, whose find is the
+// one row → chunk lookup; a shard (a span) is a row range over an
+// ordered list of files. A Streaming run over a store is genuinely
+// single-pass O(d + chunk) memory at any number of rows.
 //
 // # File format (little-endian throughout)
 //
@@ -40,7 +42,7 @@
 // On little-endian platforms the Reader memory-maps the file and
 // serves rows as slices straight into the mapping — a chunk "decode"
 // is a CRC + invariant check the first time a cursor visits the chunk
-// and pure slice arithmetic after that, with no allocation on a
+// and one chunk-table read after that, with no allocation on a
 // steady-state scan (TestStoreScanAllocs); what a store-backed training
 // epoch costs over an in-memory one is the benchmark's
 // store.train_over_mem row. Spending 8 bytes per column index instead of 4
@@ -93,7 +95,7 @@ const (
 	// defaultChunkRows is the chunk granularity Writers use unless
 	// overridden: large enough that per-chunk costs (one pread, one CRC,
 	// four array decodes) amortize to nothing per row, small enough that
-	// a scanning view's working set stays a few hundred KiB at KDD-like
+	// a cursor's decoded working set stays a few hundred KiB at KDD-like
 	// density.
 	defaultChunkRows = 4096
 
