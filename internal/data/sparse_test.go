@@ -176,7 +176,6 @@ func TestSparseGeneratorsRejectOverfullHalf(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(4))
 	mustPanic("SparseSynthetic", func() { SparseSynthetic(r, 10, 3, 2, 0) })
-	mustPanic("NewSparseStream", func() { NewSparseStream(1, 10, 4, 4, 0) })
 }
 
 func TestAtSparseMatchesAt(t *testing.T) {
@@ -320,53 +319,6 @@ func TestKDDSimSparse(t *testing.T) {
 	}
 }
 
-func TestSparseStreamDeterminismAndSharding(t *testing.T) {
-	s := NewSparseStream(3, 200, 500, 25, 0.01)
-	// Row regeneration is deterministic.
-	r1, y1 := s.AtSparse(17)
-	idx := append([]int(nil), r1.Idx...)
-	val := append([]float64(nil), r1.Val...)
-	r2, y2 := s.AtSparse(17)
-	if y1 != y2 || r2.NNZ() != len(idx) {
-		t.Fatal("row 17 not deterministic")
-	}
-	for k := range idx {
-		if r2.Idx[k] != idx[k] || r2.Val[k] != val[k] {
-			t.Fatal("row 17 coordinates not deterministic")
-		}
-	}
-	if r1.NNZ() != 25 {
-		t.Errorf("NNZ %d, want 25", r1.NNZ())
-	}
-	if n := r1.Norm(); n > 1+1e-12 {
-		t.Errorf("row norm %v", n)
-	}
-	// Shards preserve global row identity and stay in range.
-	sh := s.Shard(100, 150).(sgd.SparseSamples)
-	rowS, yS := sh.AtSparse(3)
-	rowG, yG := s.AtSparse(103)
-	if yS != yG || rowS.NNZ() != rowG.NNZ() {
-		t.Fatal("shard row 3 != stream row 103")
-	}
-	// At and AtSparse agree.
-	dense, dy := s.At(42)
-	row, sy := s.AtSparse(42)
-	if dy != sy {
-		t.Fatal("At/AtSparse label mismatch")
-	}
-	back := make([]float64, s.Dim())
-	row.Scatter(back)
-	if !vec.Equal(dense, back, 0) {
-		t.Fatal("At/AtSparse row mismatch")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("shard overrun not caught")
-		}
-	}()
-	sh.AtSparse(50)
-}
-
 // A SparseDataset must plug directly into the private trainer — the
 // whole point of implementing sgd.Samples.
 func TestSparseDatasetTrainsPrivately(t *testing.T) {
@@ -439,11 +391,8 @@ func TestLookAheadHint(t *testing.T) {
 		t.Fatal("fixture rows are indistinguishable")
 	}
 
-	st, sst := NewStream(1, 100, 8, 0.3, 0), NewSparseStream(1, 100, 50, 5, 0)
-	for name, s := range map[string]sgd.Samples{
-		"Stream": st, "Stream shard": st.Shard(0, 50),
-		"SparseStream": sst, "SparseStream shard": sst.Shard(0, 50),
-	} {
+	st := NewStream(1, 100, 8, 0.3, 0)
+	for name, s := range map[string]sgd.Samples{"Stream": st, "Stream shard": st.Shard(0, 50)} {
 		if _, ok := s.(toucher); ok {
 			t.Errorf("%s computes its rows and must not offer the hint", name)
 		}

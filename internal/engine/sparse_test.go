@@ -114,11 +114,10 @@ func TestShardViewsPreserveSparseTier(t *testing.T) {
 	view.AtSparse(30)
 }
 
-// A lazily generated sparse stream must train under every strategy
-// without materializing rows, and streaming must match the sequential
-// single-pass natural-order run exactly.
+// A sparse source must train under every strategy, and streaming must
+// match the sequential single-pass natural-order run exactly.
 func TestSparseStreamAcrossStrategies(t *testing.T) {
-	s := data.NewSparseStream(5, 4000, 1000, 30, 0.01)
+	s := data.SparseSynthetic(rand.New(rand.NewSource(5)), 4000, 1000, 30, 0.01)
 	f := loss.NewLogistic(1e-2, 0)
 	p := f.Params()
 	base := sgd.Config{
@@ -154,7 +153,7 @@ func TestSparseStreamAcrossStrategies(t *testing.T) {
 	if len(resShard.ShardModels) != 4 {
 		t.Fatalf("want 4 shard models, got %d", len(resShard.ShardModels))
 	}
-	// The trained model must actually separate the stream's classes.
+	// The trained model must actually separate the classes.
 	correct := 0
 	probe := 500
 	for i := 0; i < probe; i++ {
@@ -164,6 +163,6 @@ func TestSparseStreamAcrossStrategies(t *testing.T) {
 		}
 	}
 	if acc := float64(correct) / float64(probe); acc < 0.8 {
-		t.Errorf("sharded sparse-stream accuracy %v", acc)
+		t.Errorf("sharded sparse accuracy %v", acc)
 	}
 }

@@ -24,11 +24,11 @@ type sparseTouchLog struct {
 
 func (l *sparseTouchLog) Touch(i int) float64 { l.rows = append(l.rows, i); return 1 }
 
-// TestLookAheadFollowsThePermutation: under a sampled permutation both
-// epoch drivers touch every row exactly once per pass, in the order the
-// kernel will visit them (so FreshPerm is followed pass by pass), for
-// every batch size and with or without a batch executor; in-order and
-// Poisson runs never call the hint.
+// TestLookAheadFollowsThePermutation: under a sampled permutation Run's
+// epoch loop touches every row exactly once per pass, over either
+// kernel, in the order the kernel will visit them (so FreshPerm is
+// followed pass by pass), for every batch size and with or without a
+// batch executor; in-order and Poisson runs never call the hint.
 func TestLookAheadFollowsThePermutation(t *testing.T) {
 	const m, k = 157, 3
 	sp, de := randomSparseSamples(rand.New(rand.NewSource(4)), m, 20, 4)

@@ -19,7 +19,7 @@ import (
 // The returned vector (like At's dense slice) may be backed by storage
 // that is reused or invalidated by the next AtSparse call on the same
 // receiver; the engine never retains it across calls. Implementations
-// include data.SparseDataset, data.SparseStream and SparseSliceSamples.
+// include data.SparseDataset, the store's readers and SparseSliceSamples.
 type SparseSamples interface {
 	Samples
 	// AtSparse returns the i-th example in sparse form. The label
@@ -262,10 +262,9 @@ func (st *sparseState) batch(s SparseSamples, perm []int, start, end int, eta fl
 	n := end - start
 	if n == 1 {
 		// Single-example fast path: the margin row is still valid at
-		// apply time (no intervening AtSparse call), so fetch it once.
-		// Lazily generated sources (data.SparseStream) rebuild rows on
-		// every access, and b = 1 is the paper's default, so this
-		// halves their dominant per-update cost.
+		// apply time (no intervening AtSparse call), so fetch it once:
+		// b = 1 is the paper's default, and a source that locates its
+		// rows (a store's chunk lookup) pays that once per update.
 		x, y := s.AtSparse(row(perm, start))
 		c := st.f.Deriv(st.alpha*x.Dot(st.v), y)
 		st.shrink(eta)
