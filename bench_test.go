@@ -5,23 +5,18 @@ package boltondp
 // small scale with trimmed grids so the full suite stays minutes, not
 // hours. Use the CLI with -scale for paper-sized runs.
 //
-// Micro-benchmarks for the hot substrate operations (gradient update,
-// noise sampling, page scan, UDA epoch) follow.
+// Micro-benchmarks for the substrate operations the benchmark harness
+// has no row for (noise sampling, page scan) follow.
 
 import (
-	"context"
 	"io"
 	"math/rand"
 	"testing"
 
 	"boltondp/internal/bismarck"
-	"boltondp/internal/core"
 	"boltondp/internal/data"
-	"boltondp/internal/dp"
 	"boltondp/internal/experiments"
-	"boltondp/internal/loss"
 	"boltondp/internal/rng"
-	"boltondp/internal/sgd"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -87,42 +82,6 @@ func BenchmarkAblationFreshPerm(b *testing.B)      { benchExperiment(b, "ablatio
 // Micro-benchmarks.
 // ---------------------------------------------------------------------
 
-// BenchmarkSGDPass measures one pass of plain PSGD (m=10k, d=50, b=50)
-// — the black box every private algorithm shares.
-func BenchmarkSGDPass(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	ds := data.ScaleSim(1, 10000, 50)
-	f := loss.NewLogistic(1e-3, 0)
-	p := f.Params()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := sgd.Run(ds, sgd.Config{
-			Loss: f, Step: sgd.StronglyConvexPaper(p.Beta, p.Gamma),
-			Passes: 1, Batch: 50, Rand: r,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(10000 * 50 * 8))
-}
-
-// BenchmarkOutputPerturbation measures the entire bolt-on privacy step
-// (sensitivity + one noise vector) — the paper's "virtually no
-// overhead" claim in microbenchmark form.
-func BenchmarkOutputPerturbation(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	w := make([]float64, 50)
-	budget := dp.Budget{Epsilon: 0.1}
-	sens := dp.SensitivityStronglyConvex(2, 1e-3, 10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := budget.Perturb(r, w, sens); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPerBatchNoise measures one SCS13-style per-batch noise draw
 // (d=50): multiply by T = km/b to see the white-box overhead.
 func BenchmarkPerBatchNoise(b *testing.B) {
@@ -163,41 +122,4 @@ func BenchmarkTableScan(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(tab.NumPages() * bismarck.PageSize))
-}
-
-// BenchmarkUDAEpoch measures one SGD epoch through the UDA architecture
-// (transition-per-tuple), the unit of Figure 5's x-axis.
-func BenchmarkUDAEpoch(b *testing.B) {
-	ds := data.ScaleSim(3, 20000, 50)
-	tab := bismarck.NewMemTable("bench", 50)
-	if err := tab.InsertAll(ds); err != nil {
-		b.Fatal(err)
-	}
-	f := loss.NewLogistic(1e-3, 0)
-	p := f.Params()
-	agg := bismarck.NewSGDAgg(50, f, sgd.StronglyConvexPaper(p.Beta, p.Gamma), 10, 1e3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drv := &bismarck.Driver{Table: tab, Agg: agg, Epochs: 1}
-		if _, _, err := drv.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPrivateTrainEndToEnd measures a complete Algorithm 2 run
-// (m=10k, d=50, k=5, b=50) including the output perturbation.
-func BenchmarkPrivateTrainEndToEnd(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	ds := data.ScaleSim(4, 10000, 50)
-	f := loss.NewLogistic(1e-3, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := core.TrainCtx(context.Background(), ds, f,
-			core.WithBudget(dp.Budget{Epsilon: 0.1}),
-			core.WithPasses(5), core.WithBatch(50), core.WithRadius(1000), core.WithRand(r))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }

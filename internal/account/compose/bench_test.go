@@ -1,10 +1,6 @@
 package compose
 
-import (
-	"testing"
-
-	"boltondp/internal/dp"
-)
+import "testing"
 
 // BenchmarkRDPConvert times the ε(δ) conversion over the full order
 // grid — the hot path of every RDP-rule Spent/Reserve (it runs once per
@@ -33,36 +29,6 @@ func BenchmarkSGMRDPCurve(b *testing.B) {
 			if SGMRDP(kddSigma, kddBatch/kddRows, a) < 0 {
 				b.Fatal("negative curve")
 			}
-		}
-	}
-}
-
-// BenchmarkRDPReservePrice times the full trial-price of one more
-// reservation under the RDP rule: clone, add, spend.
-func BenchmarkRDPReservePrice(b *testing.B) {
-	total := dp.Budget{Epsilon: 10, Delta: kddDelta}
-	c, err := New(RuleRDP)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.Add(kddEvent())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := c.Clone()
-		t.Add(Pure(0.01))
-		if s := t.Spent(total); s.Epsilon <= 0 {
-			b.Fatal("price collapsed")
-		}
-	}
-}
-
-// BenchmarkSolveSGMSigma times the gradperturb calibration map: the
-// bisection solving σ̃ from (ε, δ, q, T) under the RDP rule.
-func BenchmarkSolveSGMSigma(b *testing.B) {
-	budget := dp.Budget{Epsilon: 2, Delta: kddDelta}
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveSGMSigma(RuleRDP, kddBatch/kddRows, kddSteps, budget); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
