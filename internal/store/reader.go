@@ -255,12 +255,13 @@ func newSpan(files []*Reader, lo, hi int) *span {
 	s := &span{files: files, lo: lo, hi: hi}
 	start := 0 // the file's first row in the concatenation
 	for _, r := range files {
-		if max(lo, start) < min(hi, start+r.hdr.rows) {
-			p := part{end: min(hi, start+r.hdr.rows) - lo, shift: lo - start}
+		end := start + r.hdr.rows
+		if max(lo, start) < min(hi, end) {
+			p := part{end: min(hi, end) - lo, shift: lo - start}
 			p.cur.init(r)
 			s.parts = append(s.parts, p)
 		}
-		start += r.hdr.rows
+		start = end
 	}
 	return s
 }
