@@ -192,7 +192,8 @@ func (r *Reader) Touch(i int) float64 { return r.cur.touch(i) }
 
 // Shard implements engine.Sharder: rows [lo, hi) as a span with its
 // own cursor over the shared file, so shards of one store can be
-// scanned concurrently by the sharded engine.
+// scanned concurrently by the sharded engine. span.Shard checks the
+// range; the whole-file span it is cut from holds no cursor.
 func (r *Reader) Shard(lo, hi int) sgd.Samples {
 	return (&span{files: []*Reader{r}, hi: r.hdr.rows}).Shard(lo, hi)
 }
