@@ -382,17 +382,11 @@ func BST14(s Samples, f LossFunction, opt BaselineOptions) (*BaselineResult, err
 // Accuracy returns the fraction of s that c classifies correctly.
 func Accuracy(s Samples, c Classifier) float64 { return eval.Accuracy(s, c) }
 
-// TrainOneVsAll builds a multiclass model from per-class binary
+// TrainOneVsAllCtx builds a multiclass model from per-class binary
 // trainers; callers should split the privacy budget across classes —
 // preferably with Accountant.Split (enforced), or with Budget.Split
-// (caller-trusted).
-func TrainOneVsAll(s Samples, classes int, train eval.BinaryTrainer) (*OneVsAllClassifier, error) {
-	return eval.TrainOneVsAll(s, classes, train)
-}
-
-// TrainOneVsAllCtx is TrainOneVsAll made cancellable: ctx is checked
-// before each per-class run (and inside each run when the trainer uses
-// TrainCtx with the same ctx).
+// (caller-trusted). ctx is checked before each per-class run (and
+// inside each run when the trainer uses TrainCtx with the same ctx).
 func TrainOneVsAllCtx(ctx context.Context, s Samples, classes int, train eval.BinaryTrainer) (*OneVsAllClassifier, error) {
 	return eval.TrainOneVsAllCtx(ctx, s, classes, train)
 }
@@ -451,12 +445,7 @@ func NewModelServer(reg *ModelRegistry, opt ServeOptions) *ModelServer { return 
 // λ ∈ {1e-4, 1e-3, 1e-2}.
 func PaperTuningGrid() []TuningParams { return tuning.PaperGrid() }
 
-// PrivateTune is the private hyperparameter tuner (Algorithm 3).
-func PrivateTune(d *Dataset, grid []TuningParams, budget Budget, train tuning.TrainFunc, r *rand.Rand) (*TuningResult, error) {
-	return tuning.Private(d, grid, budget, train, r)
-}
-
-// PrivateTuneCtx is PrivateTune made cancellable and accountable: ctx
+// PrivateTuneCtx is the private hyperparameter tuner (Algorithm 3). ctx
 // is checked before each candidate's training run, and when acct is
 // non-nil the tuner's own spend — the ε of the exponential-mechanism
 // pick — is reserved against it (fail-closed) before any work. Pass a

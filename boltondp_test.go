@@ -94,7 +94,7 @@ func TestFacadeMulticlassWithProjection(t *testing.T) {
 		t.Fatalf("Split: %v", per)
 	}
 	lambda := 0.05
-	model, err := TrainOneVsAll(train, 10, func(view Samples, class int) ([]float64, error) {
+	model, err := TrainOneVsAllCtx(context.Background(), train, 10, func(view Samples, class int) ([]float64, error) {
 		res, err := TrainCtx(context.Background(), view, NewLogisticLoss(lambda),
 			WithBudget(per), WithPasses(5), WithBatch(50), WithRadius(1/lambda), WithRand(r),
 			// The tiny test-scale m makes the sound bound's noise
@@ -126,7 +126,7 @@ func TestFacadeTuning(t *testing.T) {
 		}
 		return &LinearClassifier{W: res.W}, nil
 	}
-	priv, err := PrivateTune(train, PaperTuningGrid(), budget, fit, r)
+	priv, err := PrivateTuneCtx(context.Background(), train, PaperTuningGrid(), budget, nil, fit, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +188,8 @@ func TestFacadeLIBSVMRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	train, _ := ProteinSim(r, 0.002)
 	path := filepath.Join(t.TempDir(), "x.libsvm")
-	// SaveLIBSVM is internal; exercise the public loader against a file
-	// we write through the internal package via a tiny inline fixture.
+	// Exercise the public loader against a file written by a tiny
+	// inline fixture.
 	if err := writeLIBSVMFixture(path, train); err != nil {
 		t.Fatal(err)
 	}

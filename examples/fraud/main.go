@@ -44,7 +44,7 @@ func main() {
 	}
 
 	// Now tune (k, λ) privately with Algorithm 3 over the paper's grid.
-	tuned, err := boltondp.PrivateTune(train, boltondp.PaperTuningGrid(), budget,
+	tuned, err := boltondp.PrivateTuneCtx(context.Background(), train, boltondp.PaperTuningGrid(), budget, nil,
 		func(part *boltondp.Dataset, p boltondp.TuningParams) (boltondp.Classifier, error) {
 			res, err := boltondp.TrainCtx(context.Background(), part, boltondp.NewLogisticLoss(p.Lambda),
 				boltondp.WithBudget(budget), boltondp.WithPasses(p.K), boltondp.WithBatch(p.B), boltondp.WithRadius(1/p.Lambda), boltondp.WithRand(r))

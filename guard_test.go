@@ -111,3 +111,85 @@ func TestNoClockGates(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// uncalledAllowed names the methods the standard library calls through
+// an interface, so no identifier in the module need name them.
+var uncalledAllowed = map[string]string{
+	"Error":  "the error interface: fmt, log and errors call it",
+	"String": "fmt.Stringer: fmt calls it",
+	"Unwrap": "errors.Is and errors.As call it on a wrapping error",
+}
+
+// TestNoUncalledCode keeps internal/ at the code something runs. A
+// non-test func or method declared under internal/ counts as called
+// when its name appears as an identifier other than its own
+// declaration, either in a non-test file anywhere in the module
+// (benchmark/, cmd/, examples/ and the facade included) or in a
+// _test.go file of another directory: a helper that tests of several
+// packages share cannot live in a _test.go file. Its own package's
+// tests do not count. The match is by name, so a collision makes the
+// guard lenient, never flaky.
+func TestNoUncalledCode(t *testing.T) {
+	type decl struct {
+		pos  token.Position
+		name string
+		dir  string
+	}
+	var decls []decl
+	declIdent := map[*ast.Ident]bool{}
+	calledOutsideTests := map[string]bool{}
+	testDirsNaming := map[string]map[string]bool{} // name → dirs of _test.go files naming it
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir, test := filepath.Dir(path), strings.HasSuffix(path, "_test.go")
+		if !test && strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+			for _, dd := range f.Decls {
+				if fd, ok := dd.(*ast.FuncDecl); ok && fd.Name.Name != "init" {
+					declIdent[fd.Name] = true
+					decls = append(decls, decl{fset.Position(fd.Name.Pos()), fd.Name.Name, dir})
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok || declIdent[id] {
+				return true
+			}
+			if !test {
+				calledOutsideTests[id.Name] = true
+			} else if testDirsNaming[id.Name] == nil {
+				testDirsNaming[id.Name] = map[string]bool{dir: true}
+			} else {
+				testDirsNaming[id.Name][dir] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range decls {
+		dirs := testDirsNaming[d.name]
+		if calledOutsideTests[d.name] || uncalledAllowed[d.name] != "" || len(dirs) > 1 || len(dirs) == 1 && !dirs[d.dir] {
+			continue
+		}
+		t.Errorf("%s: %s is called only by its own package's tests, or by nothing; delete it", d.pos, d.name)
+	}
+}

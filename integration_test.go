@@ -81,7 +81,7 @@ func TestTuneSaveLoadLoop(t *testing.T) {
 	r := rand.New(rand.NewSource(300))
 	train, test := KDDSim(r, 0.02)
 	budget := Budget{Epsilon: 0.5}
-	res, err := PrivateTune(train, PaperTuningGrid(), budget,
+	res, err := PrivateTuneCtx(context.Background(), train, PaperTuningGrid(), budget, nil,
 		func(part *Dataset, p TuningParams) (Classifier, error) {
 			tr, err := TrainCtx(context.Background(), part, NewLogisticLoss(p.Lambda),
 				WithBudget(budget), WithPasses(p.K), WithBatch(p.B), WithRadius(1/p.Lambda), WithRand(r),

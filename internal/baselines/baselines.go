@@ -231,28 +231,14 @@ func bst14Noise(eps, delta float64, k, m, b int) (T int, sigma float64) {
 	return T, sigma
 }
 
-// BST14Convex is Algorithm 4 ("Convex BST14 with Constant Epochs"): T
-// uniformly-with-replacement sampled mini-batches, per-iteration
-// Gaussian noise N(0, σ²I_d) added to the summed batch gradient, and
-// step size η_t = 2R/(G√t) with G = √(dσ² + b²L²). Requires δ > 0 and
+// BST14 is Algorithm 4 ("Convex BST14 with Constant Epochs") for a
+// convex loss and Algorithm 5 for a strongly convex one, mirroring
+// core.TrainCtx's dispatch: T uniformly-with-replacement sampled
+// mini-batches, per-iteration Gaussian noise N(0, σ²I_d) added to the
+// summed batch gradient, and step size η_t = 2R/(G√t) with
+// G = √(dσ² + b²L²) (Alg 4) or η_t = 1/(γt) (Alg 5). Requires δ > 0 and
 // a positive Radius (W must be bounded for the step size to exist).
-func BST14Convex(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	return bst14(s, f, opt, false)
-}
-
-// BST14StronglyConvex is Algorithm 5: identical noise derivation, step
-// size η_t = 1/(γt). Requires a strongly convex loss, δ > 0 and a
-// positive Radius.
-func BST14StronglyConvex(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	return bst14(s, f, opt, true)
-}
-
-// BST14 dispatches on the loss's strong convexity, mirroring core.TrainCtx.
 func BST14(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	return bst14(s, f, opt, f.Params().StronglyConvex())
-}
-
-func bst14(s sgd.Samples, f loss.Function, opt Options, stronglyConvex bool) (*Result, error) {
 	o := opt.withDefaults()
 	if o.Strategy != engine.Sequential || o.Workers > 1 {
 		return nil, errors.New("baselines: BST14 injects per-iteration noise and is sequential-only; Strategy/Workers do not apply")
@@ -274,9 +260,6 @@ func bst14(s sgd.Samples, f loss.Function, opt Options, stronglyConvex bool) (*R
 		return nil, errors.New("baselines: empty training set")
 	}
 	p := f.Params()
-	if stronglyConvex && !p.StronglyConvex() {
-		return nil, fmt.Errorf("baselines: loss %q is not strongly convex", f.Name())
-	}
 	d := s.Dim()
 	b := o.Batch
 	if b > m {
@@ -313,7 +296,7 @@ func bst14(s sgd.Samples, f loss.Function, opt Options, stronglyConvex bool) (*R
 		draws++
 		vec.Axpy(grad, 1, z)
 		var eta float64
-		if stronglyConvex {
+		if p.StronglyConvex() {
 			eta = 1 / (p.Gamma * float64(t)) // Alg 5, line 12
 		} else {
 			eta = 2 * o.Radius / (G * math.Sqrt(float64(t))) // Alg 4, line 12

@@ -117,7 +117,7 @@ func TestSCS13NoiseShrinksWithBatch(t *testing.T) {
 func TestBST14RequiresDelta(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	s := separable(r, 100, 3)
-	_, err := BST14Convex(s, loss.NewLogistic(0, 0), Options{
+	_, err := BST14(s, loss.NewLogistic(0, 0), Options{
 		Budget: dp.Budget{Epsilon: 1}, Radius: 1, Rand: r,
 	})
 	if err == nil {
@@ -128,7 +128,7 @@ func TestBST14RequiresDelta(t *testing.T) {
 func TestBST14RequiresRadius(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	s := separable(r, 100, 3)
-	_, err := BST14Convex(s, loss.NewLogistic(0, 0), Options{
+	_, err := BST14(s, loss.NewLogistic(0, 0), Options{
 		Budget: dp.Budget{Epsilon: 1, Delta: 1e-6}, Rand: r,
 	})
 	if err == nil {
@@ -139,7 +139,7 @@ func TestBST14RequiresRadius(t *testing.T) {
 func TestBST14ConvexRuns(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	s := separable(r, 2000, 5)
-	res, err := BST14Convex(s, loss.NewLogistic(0, 0), Options{
+	res, err := BST14(s, loss.NewLogistic(0, 0), Options{
 		Budget: dp.Budget{Epsilon: 2, Delta: 1e-6},
 		Passes: 2, Batch: 50, Radius: 10, Rand: r,
 	})
@@ -162,7 +162,7 @@ func TestBST14StronglyConvexRuns(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	s := separable(r, 2000, 5)
 	lambda := 1e-2
-	res, err := BST14StronglyConvex(s, loss.NewLogistic(lambda, 0), Options{
+	res, err := BST14(s, loss.NewLogistic(lambda, 0), Options{
 		Budget: dp.Budget{Epsilon: 2, Delta: 1e-6},
 		Passes: 2, Batch: 50, Radius: 1 / lambda, Rand: r,
 	})
@@ -171,17 +171,6 @@ func TestBST14StronglyConvexRuns(t *testing.T) {
 	}
 	if res.Updates != 2*2000/50 {
 		t.Errorf("Updates = %d", res.Updates)
-	}
-}
-
-func TestBST14StronglyConvexRejectsConvexLoss(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	s := separable(r, 100, 3)
-	_, err := BST14StronglyConvex(s, loss.NewLogistic(0, 0), Options{
-		Budget: dp.Budget{Epsilon: 1, Delta: 1e-6}, Radius: 1, Rand: r,
-	})
-	if err == nil {
-		t.Error("γ=0 loss accepted")
 	}
 }
 
@@ -237,12 +226,12 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := SCS13(s, f, Options{Budget: dp.Budget{Epsilon: 1}}); err == nil {
 		t.Error("SCS13 accepted nil Rand")
 	}
-	if _, err := BST14Convex(empty, f, Options{
+	if _, err := BST14(empty, f, Options{
 		Budget: dp.Budget{Epsilon: 1, Delta: 1e-6}, Radius: 1, Rand: r,
 	}); err == nil {
 		t.Error("BST14 accepted empty data")
 	}
-	if _, err := BST14Convex(s, f, Options{
+	if _, err := BST14(s, f, Options{
 		Budget: dp.Budget{Epsilon: 1, Delta: 1e-6}, Radius: 1,
 	}); err == nil {
 		t.Error("BST14 accepted nil Rand")

@@ -91,15 +91,6 @@ func (p *bufferPool) get(id int) ([]byte, error) {
 	return buf, nil
 }
 
-// invalidate drops all cached pages (used after the table is rewritten
-// by Shuffle).
-func (p *bufferPool) invalidate() {
-	p.mu.Lock()
-	p.pages = make(map[int]*list.Element)
-	p.lru.Init()
-	p.mu.Unlock()
-}
-
 // snapshotStats returns a copy of the counters.
 func (p *bufferPool) snapshotStats() PoolStats {
 	p.mu.Lock()

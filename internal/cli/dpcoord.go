@@ -131,14 +131,10 @@ func coordPublishName(cfg *DPCoordConfig) string {
 	return modelStem(cfg.StorePath)
 }
 
-// RunDPCoord executes a parsed config, writing the report to out.
-func RunDPCoord(cfg *DPCoordConfig, out io.Writer) error {
-	return RunDPCoordCtx(context.Background(), cfg, out)
-}
-
-// RunDPCoordCtx is RunDPCoord under a context: cancellation (plus
-// cfg.Timeout, when set) aborts the epoch loop fail-closed — workers
-// keep no authoritative state, so an aborted run releases nothing.
+// RunDPCoordCtx executes a parsed config, writing the report to out.
+// Cancellation of ctx (plus cfg.Timeout, when set) aborts the epoch
+// loop fail-closed — workers keep no authoritative state, so an aborted
+// run releases nothing.
 func RunDPCoordCtx(ctx context.Context, cfg *DPCoordConfig, out io.Writer) error {
 	if cfg.Timeout > 0 {
 		var cancel context.CancelFunc

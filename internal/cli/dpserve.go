@@ -99,7 +99,7 @@ func ParseDPServe(args []string, stderr io.Writer) (*DPServeConfig, error) {
 }
 
 // BuildDPServe assembles the registry and prediction service for a
-// validated config — the testable core of RunDPServe, stopping just
+// validated config — the testable core of RunDPServeCtx, stopping just
 // short of binding a socket.
 func BuildDPServe(cfg *DPServeConfig) (*serve.Registry, *serve.Server, error) {
 	var reg *serve.Registry
@@ -157,14 +157,9 @@ func modelStem(path string) string {
 	return strings.TrimSuffix(base, filepath.Ext(base))
 }
 
-// RunDPServe executes a parsed config: it builds the service, binds
+// RunDPServeCtx executes a parsed config: it builds the service, binds
 // cfg.Addr, announces the bound address on out and serves until the
-// listener fails.
-func RunDPServe(cfg *DPServeConfig, out io.Writer) error {
-	return RunDPServeCtx(context.Background(), cfg, out)
-}
-
-// RunDPServeCtx is RunDPServe under a context: when ctx is cancelled
+// listener fails or ctx is cancelled. When ctx is cancelled
 // (SIGINT/SIGTERM in cmd/dpserve) the server shuts down gracefully —
 // the listener closes, in-flight requests get a drain window, and the
 // per-request contexts of any still-running batch scorings are

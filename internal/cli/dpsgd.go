@@ -190,15 +190,10 @@ var simGenerators = map[string]func(*rand.Rand, float64) (*data.Dataset, *data.D
 // the threshold CSR indices cost more than they save.
 const sparseDensityThreshold = 0.25
 
-// RunDPSGD executes a parsed config, writing the report to out.
-func RunDPSGD(cfg *DPSGDConfig, out io.Writer) error {
-	return RunDPSGDCtx(context.Background(), cfg, out)
-}
-
-// RunDPSGDCtx is RunDPSGD under a context: ctx (plus cfg.Timeout, when
-// set) cancels the training run through the engine's per-update checks
-// — the command exits within one epoch slice of a SIGINT or deadline
-// instead of finishing the remaining passes.
+// RunDPSGDCtx executes a parsed config, writing the report to out. ctx
+// (plus cfg.Timeout, when set) cancels the training run through the
+// engine's per-update checks — the command exits within one epoch slice
+// of a SIGINT or deadline instead of finishing the remaining passes.
 func RunDPSGDCtx(ctx context.Context, cfg *DPSGDConfig, out io.Writer) error {
 	if cfg.Timeout > 0 {
 		var cancel context.CancelFunc

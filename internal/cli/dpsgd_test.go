@@ -144,7 +144,7 @@ func runQuick(t *testing.T, mutate func(*DPSGDConfig)) (string, error) {
 		mutate(cfg)
 	}
 	var out bytes.Buffer
-	err = RunDPSGD(cfg, &out)
+	err = RunDPSGDCtx(context.Background(), cfg, &out)
 	return out.String(), err
 }
 

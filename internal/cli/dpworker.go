@@ -33,14 +33,9 @@ func ParseDPWorker(args []string, stderr io.Writer) (*DPWorkerConfig, error) {
 	return cfg, nil
 }
 
-// RunDPWorker executes a parsed config: it binds cfg.Addr, announces
+// RunDPWorkerCtx executes a parsed config: it binds cfg.Addr, announces
 // the bound address on out and serves shard-training requests until
-// the listener fails.
-func RunDPWorker(cfg *DPWorkerConfig, out io.Writer) error {
-	return RunDPWorkerCtx(context.Background(), cfg, out)
-}
-
-// RunDPWorkerCtx is RunDPWorker under a context: when ctx is cancelled
+// the listener fails or ctx is cancelled. When ctx is cancelled
 // (SIGINT/SIGTERM in cmd/dpworker) the worker shuts down gracefully —
 // the listener closes, in-flight epoch requests get a drain window,
 // and every installed shard's store reader is closed on the way out.

@@ -111,7 +111,6 @@ type config struct {
 	passes int       // WithPasses: k (default 1)
 	batch  int       // WithBatch: b (default 1); plan clamps it to the per-shard size
 	radius float64   // WithRadius
-	tol    float64   // WithTol
 	w0     []float64 // WithWarmStart
 
 	convexity             Convexity        // WithConvexity
@@ -240,8 +239,8 @@ func (c *config) fillBudget() error {
 //
 // Algorithm 2 (ConvexityStronglyConvex, or ConvexityAuto on a γ > 0
 // loss) steps at η_t = min(1/β, 1/(γt)) with Δ₂ = 2L/(γm) (Lemma 8,
-// sound batch-aware form) — independent of k, so Tol early stopping is
-// allowed (§4.3 "the number of passes k is oblivious to private SGD").
+// sound batch-aware form) — independent of k (§4.3 "the number of
+// passes k is oblivious to private SGD").
 // Algorithm 1 runs the selected convex family:
 //
 //	Δ₂ = 2kLη/b                               (constant, Corollary 1)
@@ -292,9 +291,6 @@ func (c *config) plan(f loss.Function, m int) (dist.StepSpec, float64, error) {
 			return spec, dp.SensitivityStronglyConvexPaperBatch(p.L, p.Gamma, n, c.batch) / float64(workers), nil
 		}
 		return spec, dp.SensitivityShardedStronglyConvex(p.L, p.Gamma, n, workers), nil
-	}
-	if c.tol > 0 {
-		return spec, 0, errors.New("core: Tol-based early stopping is not private in the convex case (noise depends on k); fix the pass count instead")
 	}
 	var sens float64
 	switch c.step {
@@ -362,7 +358,6 @@ func (c *config) run(ctx context.Context, s sgd.Samples, f loss.Function, step s
 			FreshPerm:     c.freshPerm,
 			KernelWorkers: c.kernelWorkers,
 			Rand:          c.rand,
-			Tol:           c.tol,
 			Ctx:           ctx,
 			Progress:      c.progress,
 			W0:            c.w0,

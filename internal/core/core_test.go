@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"boltondp/internal/dp"
@@ -105,16 +104,6 @@ func TestPrivateConvexEtaClamped(t *testing.T) {
 	}
 }
 
-func TestPrivateConvexRejectsTol(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	s := separable(r, 50, 2)
-	_, err := TrainCtx(context.Background(), s, loss.NewLogistic(0, 0), WithConvexity(ConvexityConvex),
-		WithBudget(dp.Budget{Epsilon: 1}), WithTol(1e-3), WithRand(r))
-	if err == nil || !strings.Contains(err.Error(), "not private") {
-		t.Errorf("convex Tol should be rejected, got %v", err)
-	}
-}
-
 func TestPrivateStronglyConvexPSGDBasic(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	s := separable(r, 3000, 5)
@@ -194,24 +183,6 @@ func TestStronglyConvexRequiresStrongConvexity(t *testing.T) {
 		WithBudget(dp.Budget{Epsilon: 1}), WithRand(r))
 	if err == nil {
 		t.Error("γ=0 loss accepted by the strongly convex algorithm")
-	}
-}
-
-func TestStronglyConvexTolEarlyStop(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	s := separable(r, 500, 4)
-	f := loss.NewLogistic(1e-2, 0)
-	res, err := TrainCtx(context.Background(), s, f, WithConvexity(ConvexityStronglyConvex),
-		WithBudget(dp.Budget{Epsilon: 1}),
-		WithPasses(100),
-		WithBatch(10),
-		WithTol(1e-4),
-		WithRand(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passes >= 100 {
-		t.Error("Tol early stopping did not trigger")
 	}
 }
 

@@ -30,7 +30,7 @@ var jobSeq atomic.Uint64
 // Options the wire cannot honour are rejected before any reservation:
 // gradient perturbation (Sequential-only), and those that require
 // mid-run access to the whole dataset or change the randomness schedule
-// — Tol and Progress (per-epoch risk needs every row), AverageTail (not
+// — Progress (per-epoch risk needs every row), AverageTail (not
 // supported under Sharded), and FreshPerm (the sharded executor
 // resamples per-shard permutations every epoch already; the flag only
 // has meaning for multi-pass sequential runs, whose distributed form
@@ -44,8 +44,6 @@ func TrainDistributed(ctx context.Context, coord *dist.Coordinator, src *dist.So
 	switch {
 	case c.gradPerturb != nil:
 		return nil, errors.New("core: gradient perturbation is Sequential-only (per-step accounting assumes one update stream); not available distributed")
-	case c.tol > 0:
-		return nil, errors.New("core: Tol-based early stopping needs per-epoch risk over the whole dataset; not available distributed")
 	case c.progress != nil:
 		return nil, errors.New("core: Progress needs per-epoch risk over the whole dataset; not available distributed")
 	case c.averageTail:

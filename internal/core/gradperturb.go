@@ -59,16 +59,13 @@ type gradPerturbSpec struct {
 // Result.NonPrivate is nil and WithAverage / WithAverageTail act on
 // private iterates. The strategy is Sequential-only (the
 // subsampled-Gaussian accounting assumes one update stream), and every
-// data-dependent side channel is rejected: Tol would invalidate the
-// calibrated T, and the Progress hook would release the exact per-pass
-// empirical risk outside the accounted budget. FreshPerm does not apply
+// data-dependent side channel is rejected: the Progress hook would
+// release the exact per-pass empirical risk outside the accounted
+// budget. FreshPerm does not apply
 // — there is no permutation to resample.
 func (c *config) trainGradPerturb(ctx context.Context, s sgd.Samples, f loss.Function) (*Result, error) {
 	if c.strategy != engine.Sequential {
 		return nil, fmt.Errorf("core: gradient perturbation is Sequential-only (per-step accounting assumes one update stream), got %v", c.strategy)
-	}
-	if c.tol > 0 {
-		return nil, errors.New("core: gradient perturbation fixes the step count at calibration time; Tol-based early stopping is not allowed")
 	}
 	if c.progress != nil {
 		return nil, errors.New("core: gradient perturbation rejects the Progress hook — the per-pass empirical risk is an exact, unaccounted data-dependent release (only the noisy iterates are covered by the budget)")

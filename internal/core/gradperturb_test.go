@@ -280,7 +280,6 @@ func TestGradPerturbValidationCore(t *testing.T) {
 		want string
 	}{
 		{"sharded", WithStrategy(engine.Sharded, 2), "Sequential-only"},
-		{"tol", WithTol(1e-3), "Tol"},
 		{"progress", WithProgress(func(int, float64) {}), "Progress"},
 		{"freshperm", WithFreshPerm(), "FreshPerm"},
 		{"pure budget", WithBudget(dp.Budget{Epsilon: 2}), "δ > 0"},

@@ -98,15 +98,6 @@ func WithProgress(fn func(epoch int, risk float64)) Option {
 	return func(c *config) { c.progress = fn }
 }
 
-// WithTol enables the §4.3 "oblivious k" early-stopping rule: run until
-// the per-pass risk decrease falls below tol or the pass count is
-// reached. Only legal for Algorithm 2, whose sensitivity does not
-// depend on k; Algorithm 1 rejects it because its noise must be fixed
-// in advance.
-func WithTol(tol float64) Option {
-	return func(c *config) { c.tol = tol }
-}
-
 // WithAccounting names the composition rule ("simple", "advanced",
 // "rdp") the run is priced under. Unset defers to the accountant's rule
 // (or "simple" stand-alone; "rdp" for gradient perturbation, the rule

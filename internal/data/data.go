@@ -1,7 +1,7 @@
 // Package data provides the training data substrate: an in-memory
 // Dataset type implementing sgd.Samples, synthetic generators standing
 // in for the paper's benchmark datasets (Table 3 plus Appendix C), a
-// LIBSVM-format reader/writer so real datasets can be swapped in, and
+// LIBSVM-format reader so real datasets can be swapped in, and
 // the unit-ball normalization preprocessing the sensitivity analysis
 // assumes (§2).
 //
@@ -14,12 +14,8 @@
 package data
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand"
-	"os"
-	"sort"
-	"strings"
 
 	"boltondp/internal/vec"
 )
@@ -284,51 +280,11 @@ func LoadLIBSVM(path string, dim int) (*Dataset, error) {
 	return d, nil
 }
 
-// SaveLIBSVM writes the dataset in LIBSVM sparse format.
-func SaveLIBSVM(path string, d *Dataset) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("data: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	for i, x := range d.X {
-		fmt.Fprintf(w, "%g", d.Y[i])
-		for j, v := range x {
-			if v != 0 {
-				fmt.Fprintf(w, " %d:%g", j+1, v)
-			}
-		}
-		fmt.Fprintln(w)
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("data: %w", err)
-	}
-	return f.Close()
-}
-
-// ClassCounts returns the number of examples per label, sorted by
-// label, for reporting (Table 3 style dataset summaries).
+// ClassCounts returns the number of examples per label.
 func (d *Dataset) ClassCounts() map[float64]int {
 	out := map[float64]int{}
 	for _, y := range d.Y {
 		out[y]++
 	}
 	return out
-}
-
-// Summary returns a one-line Table 3 style description.
-func (d *Dataset) Summary() string {
-	counts := d.ClassCounts()
-	keys := make([]float64, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Float64s(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%g:%d", k, counts[k])
-	}
-	return fmt.Sprintf("%s: m=%d d=%d classes=%d maxnorm=%.3f [%s]",
-		d.Name, d.Len(), d.Dim(), d.Classes, d.MaxNorm(), strings.Join(parts, " "))
 }

@@ -115,36 +115,6 @@ func (c *Coordinator) Workers() []string {
 	return out
 }
 
-// RegistrationHandler returns the coordinator's own HTTP surface, for
-// deployments where workers dial in (cmd/dpcoord):
-//
-//	POST /register {"url": "<worker base url>"} — register a worker
-//	GET  /healthz                               — liveness + pool size
-func (c *Coordinator) RegistrationHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/register", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			URL string `json:"url"`
-		}
-		if !decodeRequest(w, r, &req) {
-			return
-		}
-		if err := c.Register(r.Context(), req.URL); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"workers": len(c.Workers())})
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "workers": len(c.Workers())})
-	})
-	return mux
-}
-
 // Job describes one distributed training run.
 type Job struct {
 	// ID names the run on the wire; every shard and epoch request

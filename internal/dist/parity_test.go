@@ -244,7 +244,6 @@ func TestTrainDistributedRejections(t *testing.T) {
 		opt core.Option
 		f   loss.Function
 	}{
-		"tol":                              {core.WithTol(1e-3), f},
 		"progress":                         {core.WithProgress(func(int, float64) {}), f},
 		"averagetail":                      {core.WithAverageTail(), f},
 		"freshperm":                        {core.WithFreshPerm(), f},

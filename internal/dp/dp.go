@@ -194,27 +194,6 @@ func SensitivityStronglyConvexPaperBatch(L, gamma float64, m, b int) float64 {
 	return SensitivityStronglyConvex(L, gamma, m) / float64(b)
 }
 
-// SensitivityStronglyConvexConstant is Lemma 7 made batch-aware: for
-// γ-strongly convex losses at constant step η ≤ 1/β and U = m/b
-// updates per pass, Δ₂ = 2ηL / (b·(1−(1−ηγ)^(m/b))). (At b = 1 this is
-// the paper's 2ηL/(1−(1−ηγ)^m); for larger b the geometric series runs
-// over U per-pass contractions, so the exponent must shrink with b —
-// the same correction as SensitivityStronglyConvex.)
-func SensitivityStronglyConvexConstant(L, gamma, eta float64, m, b int) float64 {
-	if L < 0 || gamma <= 0 || eta <= 0 {
-		panic(fmt.Sprintf("dp: bad L=%v gamma=%v eta=%v", L, gamma, eta))
-	}
-	if eta*gamma >= 1 {
-		// (1−ηγ) ≤ 0: every pass fully contracts; the bound degenerates
-		// to the single-update bound 2ηL/b.
-		return 2 * eta * L / float64(b)
-	}
-	checkKMB(1, m, b)
-	updatesPerPass := float64(m) / float64(b)
-	den := 1 - math.Pow(1-eta*gamma, updatesPerPass)
-	return 2 * eta * L / (float64(b) * den)
-}
-
 // ---------------------------------------------------------------------
 // Sharded (parallel) sensitivity — the engine's averaged-model bounds.
 //

@@ -2,8 +2,8 @@ package dp
 
 // Brute-force empirical validation of the remaining sensitivity bounds:
 // Corollary 2 (decreasing convex steps), Corollary 3 (square-root
-// convex steps), Lemma 7 (strongly convex constant steps), and the
-// growth recursion of Lemma 4 that underlies all of them.
+// convex steps), and the growth recursion of Lemma 4 that underlies
+// them.
 
 import (
 	"math"
@@ -62,26 +62,6 @@ func TestEmpiricalSensitivityConvexSqrtProperty(t *testing.T) {
 		Sp := neighbor(r, S, r.Intn(m))
 		d := runPair(t, f, sgd.SqrtConvex(p.Beta, m, c), S, Sp, k, b, 0, r.Perm(m))
 		return d <= SensitivityConvexSqrt(p.L, p.Beta, k, m, b, c)+1e-9
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEmpiricalSensitivityStronglyConvexConstantProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		lambda := []float64{0.02, 0.05, 0.1}[r.Intn(3)]
-		f := loss.NewLogistic(lambda, 0)
-		p := f.Params()
-		m := 20 + r.Intn(30)
-		k := 1 + r.Intn(3)
-		b := 1 + r.Intn(2)
-		eta := (0.2 + 0.8*r.Float64()) / p.Beta // η ≤ 1/β (Lemma 7)
-		S := randomSet(r, m, 3)
-		Sp := neighbor(r, S, r.Intn(m))
-		d := runPair(t, f, sgd.Constant(eta), S, Sp, k, b, 1/lambda, r.Perm(m))
-		return d <= SensitivityStronglyConvexConstant(p.L, p.Gamma, eta, m, b)+1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

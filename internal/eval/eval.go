@@ -197,25 +197,19 @@ func (b *sparseBinaryView) AtSparse(i int) (*vec.Sparse, float64) {
 }
 
 // BinaryTrainer trains one binary model on the given (already
-// relabeled) view. TrainOneVsAll passes the class index so trainers can
-// split privacy budgets or log progress.
+// relabeled) view. TrainOneVsAllCtx passes the class index so trainers
+// can split privacy budgets or log progress.
 type BinaryTrainer func(view sgd.Samples, class int) ([]float64, error)
 
-// TrainOneVsAll builds a one-vs-all multiclass model by invoking the
+// TrainOneVsAllCtx builds a one-vs-all multiclass model by invoking the
 // trainer once per class on the relabeled views. The trainer is
 // responsible for using a per-class budget of ε/classes, as §4.3
 // prescribes for MNIST — draw the per-class shares from a privacy-
 // budget accountant (account.Accountant.Split, enforced) or from
-// dp.Budget.Split (caller-trusted).
-func TrainOneVsAll(s sgd.Samples, classes int, train BinaryTrainer) (*OneVsAll, error) {
-	return TrainOneVsAllCtx(context.Background(), s, classes, train)
-}
-
-// TrainOneVsAllCtx is TrainOneVsAll made cancellable: ctx is checked
-// before each per-class training run, and a trainer that hands the same
-// ctx to core.TrainCtx also stops mid-run, so cancelling a ten-class
-// build never waits for the current class to finish its remaining
-// passes.
+// dp.Budget.Split (caller-trusted). ctx is checked before each
+// per-class training run, and a trainer that hands the same ctx to
+// core.TrainCtx also stops mid-run, so cancelling a ten-class build
+// never waits for the current class to finish its remaining passes.
 func TrainOneVsAllCtx(ctx context.Context, s sgd.Samples, classes int, train BinaryTrainer) (*OneVsAll, error) {
 	if classes < 2 {
 		return nil, fmt.Errorf("eval: need >= 2 classes, got %d", classes)
@@ -240,33 +234,4 @@ func TrainOneVsAllCtx(ctx context.Context, s sgd.Samples, classes int, train Bin
 		model.W[c] = w
 	}
 	return model, nil
-}
-
-// ConfusionMatrix returns counts[actual][predicted] for a multiclass
-// classifier over s. Labels must be integers in [0, classes). Sparse
-// sources are scored through the sparse tier when the classifier
-// supports it.
-func ConfusionMatrix(s sgd.Samples, c Classifier, classes int) [][]int {
-	out := make([][]int, classes)
-	for i := range out {
-		out[i] = make([]int, classes)
-	}
-	record := func(p int, y float64) {
-		a := int(y)
-		if a >= 0 && a < classes && p >= 0 && p < classes {
-			out[a][p]++
-		}
-	}
-	if ss, sc, ok := sparseScoring(s, c); ok {
-		for i := 0; i < ss.Len(); i++ {
-			x, y := ss.AtSparse(i)
-			record(int(sc.PredictSparse(x)), y)
-		}
-		return out
-	}
-	for i := 0; i < s.Len(); i++ {
-		x, y := s.At(i)
-		record(int(c.Predict(x)), y)
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -88,7 +89,7 @@ func TestTrainOneVsAll(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	d := data.Synthetic(r, data.GenConfig{Name: "t", M: 600, D: 6, Classes: 3, Spread: 0.3})
 	classSeen := map[int]bool{}
-	model, err := TrainOneVsAll(d, 3, func(view sgd.Samples, class int) ([]float64, error) {
+	model, err := TrainOneVsAllCtx(context.Background(), d, 3, func(view sgd.Samples, class int) ([]float64, error) {
 		classSeen[class] = true
 		// Trivial trainer: mean of positive examples (a crude centroid
 		// classifier that is still far better than chance here).
@@ -122,33 +123,21 @@ func TestTrainOneVsAll(t *testing.T) {
 func TestTrainOneVsAllErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	d := data.Synthetic(r, data.GenConfig{Name: "t", M: 30, D: 2, Classes: 3, Spread: 0.3})
-	if _, err := TrainOneVsAll(d, 1, nil); err == nil {
+	if _, err := TrainOneVsAllCtx(context.Background(), d, 1, nil); err == nil {
 		t.Error("classes < 2 accepted")
 	}
-	if _, err := TrainOneVsAll(d, 3, nil); err == nil {
+	if _, err := TrainOneVsAllCtx(context.Background(), d, 3, nil); err == nil {
 		t.Error("nil trainer accepted")
 	}
 	boom := errors.New("boom")
-	if _, err := TrainOneVsAll(d, 3, func(sgd.Samples, int) ([]float64, error) {
+	if _, err := TrainOneVsAllCtx(context.Background(), d, 3, func(sgd.Samples, int) ([]float64, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Errorf("trainer error not propagated: %v", err)
 	}
-	if _, err := TrainOneVsAll(d, 3, func(sgd.Samples, int) ([]float64, error) {
+	if _, err := TrainOneVsAllCtx(context.Background(), d, 3, func(sgd.Samples, int) ([]float64, error) {
 		return []float64{1}, nil // wrong dim
 	}); err == nil {
 		t.Error("wrong model dim accepted")
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	s := &sgd.SliceSamples{
-		X: [][]float64{{1, 0}, {0, 1}, {1, 0}},
-		Y: []float64{0, 1, 1},
-	}
-	m := &OneVsAll{W: [][]float64{{1, 0}, {0, 1}}}
-	cm := ConfusionMatrix(s, m, 2)
-	if cm[0][0] != 1 || cm[1][1] != 1 || cm[1][0] != 1 {
-		t.Errorf("confusion = %v", cm)
 	}
 }

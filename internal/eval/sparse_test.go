@@ -43,13 +43,11 @@ func TestSparseScoringParity(t *testing.T) {
 	if got, want := Errors(spM, ova), Errors(deM, ova); got != want {
 		t.Errorf("one-vs-all Errors: sparse %d dense %d", got, want)
 	}
-	cmS := ConfusionMatrix(spM, ova, 4)
-	cmD := ConfusionMatrix(deM, ova, 4)
-	for a := range cmS {
-		for p := range cmS[a] {
-			if cmS[a][p] != cmD[a][p] {
-				t.Fatalf("confusion[%d][%d]: sparse %d dense %d", a, p, cmS[a][p], cmD[a][p])
-			}
+	for i := 0; i < spM.Len(); i++ {
+		xs, _ := spM.AtSparse(i)
+		xd, _ := deM.At(i)
+		if ps, pd := ova.PredictSparse(xs), ova.Predict(xd); ps != pd {
+			t.Fatalf("row %d: sparse predicts %v, dense %v", i, ps, pd)
 		}
 	}
 

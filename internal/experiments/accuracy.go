@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -26,7 +27,7 @@ func classifierFor(train *data.Dataset, spec trainSpec) (eval.Classifier, error)
 	}
 	sub := spec
 	sub.budget = spec.budget.Split(train.Classes)
-	return eval.TrainOneVsAll(train, train.Classes, func(view sgd.Samples, class int) ([]float64, error) {
+	return eval.TrainOneVsAllCtx(context.Background(), train, train.Classes, func(view sgd.Samples, class int) ([]float64, error) {
 		return trainBinary(view, sub)
 	})
 }
@@ -93,7 +94,7 @@ func runTuned(train, test *data.Dataset, sc scenario, budget dp.Budget, algo str
 		}
 		return eval.Accuracy(test, m), nil
 	case "private":
-		res, err := tuning.Private(train, tuningGrid(sc.strongly), budget, fit, r)
+		res, err := tuning.PrivateCtx(context.Background(), train, tuningGrid(sc.strongly), budget, nil, fit, r)
 		if err != nil {
 			return 0, err
 		}

@@ -162,12 +162,3 @@ func SnapshotFromMeta(meta map[string]string) (snap Snapshot, ok bool, err error
 	}
 	return snap, true, nil
 }
-
-// WindowFromMeta extracts the stamped window index (0 when absent).
-func WindowFromMeta(meta map[string]string) int {
-	n, err := strconv.Atoi(meta[MetaWindow])
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}

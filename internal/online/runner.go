@@ -159,11 +159,3 @@ func (r *Runner) Ingest(ctx context.Context, src sgd.SparseSamples, opt store.Op
 func (r *Runner) Promote() (*serve.Model, error) {
 	return r.Registry.PromoteCanary()
 }
-
-// Rollback ends the staged rollout without promoting; the previous
-// live model keeps serving. The spent window is NOT refunded — the
-// canary model was released to the serving tier, so its budget is
-// gone either way (the conservative reading the accountant enforces).
-func (r *Runner) Rollback() {
-	r.Registry.ClearCanary()
-}

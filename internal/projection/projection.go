@@ -39,9 +39,6 @@ func New(r *rand.Rand, d, p int) *Projector {
 	return &Projector{T: t}
 }
 
-// InDim returns the input dimension d.
-func (p *Projector) InDim() int { return p.T.Cols }
-
 // OutDim returns the projected dimension p.
 func (p *Projector) OutDim() int { return p.T.Rows }
 

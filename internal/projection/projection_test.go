@@ -12,8 +12,8 @@ import (
 func TestNewShapes(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	p := New(r, 784, 50)
-	if p.InDim() != 784 || p.OutDim() != 50 {
-		t.Fatalf("dims %d -> %d", p.InDim(), p.OutDim())
+	if p.T.Cols != 784 || p.OutDim() != 50 {
+		t.Fatalf("dims %d -> %d", p.T.Cols, p.OutDim())
 	}
 }
 

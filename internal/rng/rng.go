@@ -1,8 +1,8 @@
 // Package rng provides the random samplers the privacy mechanisms and
 // the PSGD engine need: Gamma variates (for the ε-DP noise magnitude of
 // the paper's Theorem 1 / Appendix E), uniform unit-sphere directions,
-// per-component Gaussians (Theorem 3), Laplace variates, and
-// permutations (the "P" in PSGD).
+// per-component Gaussians (Theorem 3), and permutations (the "P" in
+// PSGD).
 //
 // Every function takes an explicit *rand.Rand so that callers control
 // seeding; nothing in this package reads global state. This keeps the
@@ -113,25 +113,6 @@ func GaussianVec(r *rand.Rand, dst []float64, sigma float64) {
 	}
 }
 
-// Laplace draws one sample from the Laplace distribution with location
-// 0 and the given scale b (density (1/2b)·exp(-|x|/b)).
-func Laplace(r *rand.Rand, scale float64) float64 {
-	if scale <= 0 {
-		panic(fmt.Sprintf("rng: Laplace requires scale>0, got %v", scale))
-	}
-	u := r.Float64() - 0.5
-	// Inverse CDF; guard the log against u = ±0.5 exactly.
-	a := 1 - 2*math.Abs(u)
-	for a <= 0 {
-		u = r.Float64() - 0.5
-		a = 1 - 2*math.Abs(u)
-	}
-	if u < 0 {
-		return scale * math.Log(a)
-	}
-	return -scale * math.Log(a)
-}
-
 // Perm returns a uniformly random permutation of [0, n) — the
 // permutation τ sampled once at the start of PSGD (§2).
 func Perm(r *rand.Rand, n int) []int {
@@ -151,15 +132,4 @@ func GaussianSigma(sensitivity, epsilon, delta float64) float64 {
 		panic("rng: negative sensitivity")
 	}
 	return math.Sqrt(2*math.Log(1.25/delta)) * sensitivity / epsilon
-}
-
-// GammaNoiseTail returns the bound of Theorem 2: with probability at
-// least 1-γ the ε-DP noise norm satisfies ‖κ‖ ≤ d·ln(d/γ)·Δ₂/ε.
-// Exposed so tests and the experiment harness can check the tail.
-func GammaNoiseTail(d int, gamma, sensitivity, epsilon float64) float64 {
-	if d <= 0 || gamma <= 0 || gamma >= 1 || epsilon <= 0 {
-		panic("rng: GammaNoiseTail parameter out of range")
-	}
-	df := float64(d)
-	return df * math.Log(df/gamma) * sensitivity / epsilon
 }

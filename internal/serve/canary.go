@@ -14,7 +14,6 @@ import (
 //
 //	inactive --SetCanary(name,pct)--> active(name,pct)
 //	active --PromoteCanary--> inactive   (canary becomes live)
-//	active --ClearCanary--> inactive     (manual rollback)
 //	active --error-rate > threshold--> inactive (automatic rollback,
 //	         recorded in the rollback counter and /metrics)
 //
@@ -71,11 +70,6 @@ func (r *Registry) Canary() (model *Model, pct int, rows, errs uint64) {
 		return nil, 0, 0, 0
 	}
 	return cs.model, cs.pct, cs.rows.Load(), cs.errors.Load()
-}
-
-// ClearCanary ends the rollout without promoting (manual rollback).
-func (r *Registry) ClearCanary() {
-	r.canary.Store(nil)
 }
 
 // PromoteCanary ends the rollout by making the canary version live

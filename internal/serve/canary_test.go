@@ -241,14 +241,6 @@ func TestCanaryPromoteClearAndValidation(t *testing.T) {
 	if err := reg.SetCanary("cand", 25); err != nil {
 		t.Fatal(err)
 	}
-	reg.ClearCanary()
-	if cm, _, _, _ := reg.Canary(); cm != nil {
-		t.Error("ClearCanary left the rollout active")
-	}
-
-	if err := reg.SetCanary("cand", 25); err != nil {
-		t.Fatal(err)
-	}
 	m, err := reg.PromoteCanary()
 	if err != nil {
 		t.Fatal(err)

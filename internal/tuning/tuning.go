@@ -65,24 +65,19 @@ type Result struct {
 	Index int
 }
 
-// Private is Algorithm 3 ("Private Tuning Algorithm for SGD"): split S
-// into l+1 equal portions, train hypothesis w_i on portion i with
+// PrivateCtx is Algorithm 3 ("Private Tuning Algorithm for SGD"): split
+// S into l+1 equal portions, train hypothesis w_i on portion i with
 // parameters θ_i, count validation errors χ_i on portion l+1, and
 // release w_i with probability proportional to exp(−ε·χ_i/2). The
 // selection is differentially private because each candidate is trained
 // on disjoint data (parallel composition) and the pick is the
 // exponential mechanism with sensitivity-1 score χ.
-func Private(d *data.Dataset, grid []Params, budget dp.Budget, train TrainFunc, r *rand.Rand) (*Result, error) {
-	return PrivateCtx(context.Background(), d, grid, budget, nil, train, r)
-}
-
-// PrivateCtx is Algorithm 3 made cancellable and accountable: the
-// context is checked before each candidate's training run (and flows
-// into the runs themselves when train calls core.TrainCtx with it), and
-// when
-// acct is non-nil the tuner's own spend — the ε of the exponential-
-// mechanism pick, line 5 — is reserved against it before any work,
-// failing closed on overdraw.
+//
+// The context is checked before each candidate's training run (and
+// flows into the runs themselves when train calls core.TrainCtx with
+// it), and when acct is non-nil the tuner's own spend — the ε of the
+// exponential-mechanism pick, line 5 — is reserved against it before
+// any work, failing closed on overdraw.
 //
 // The candidates' training budgets are the TrainFunc's responsibility:
 // Algorithm 3 trains each candidate on a DISJOINT portion, so parallel

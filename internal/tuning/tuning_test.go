@@ -62,7 +62,7 @@ func TestPrivateTuning(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	d := data.Synthetic(r, data.GenConfig{Name: "t", M: 3000, D: 5, Classes: 2, Spread: 0.4})
 	grid := PaperGrid()
-	res, err := Private(d, grid, dp.Budget{Epsilon: 1}, centroid, r)
+	res, err := PrivateCtx(context.Background(), d, grid, dp.Budget{Epsilon: 1}, nil, centroid, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,24 +86,24 @@ func TestPrivateTuningErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	d := data.Synthetic(r, data.GenConfig{Name: "t", M: 100, D: 3, Classes: 2, Spread: 0.4})
 	grid := PaperGrid()
-	if _, err := Private(d, nil, dp.Budget{Epsilon: 1}, centroid, r); err == nil {
+	if _, err := PrivateCtx(context.Background(), d, nil, dp.Budget{Epsilon: 1}, nil, centroid, r); err == nil {
 		t.Error("empty grid accepted")
 	}
-	if _, err := Private(d, grid, dp.Budget{Epsilon: 0}, centroid, r); err == nil {
+	if _, err := PrivateCtx(context.Background(), d, grid, dp.Budget{Epsilon: 0}, nil, centroid, r); err == nil {
 		t.Error("bad budget accepted")
 	}
-	if _, err := Private(d, grid, dp.Budget{Epsilon: 1}, nil, r); err == nil {
+	if _, err := PrivateCtx(context.Background(), d, grid, dp.Budget{Epsilon: 1}, nil, nil, r); err == nil {
 		t.Error("nil trainer accepted")
 	}
-	if _, err := Private(d, grid, dp.Budget{Epsilon: 1}, centroid, nil); err == nil {
+	if _, err := PrivateCtx(context.Background(), d, grid, dp.Budget{Epsilon: 1}, nil, centroid, nil); err == nil {
 		t.Error("nil rand accepted")
 	}
 	tiny := data.Synthetic(r, data.GenConfig{Name: "t", M: 8, D: 2, Classes: 2, Spread: 0.4})
-	if _, err := Private(tiny, grid, dp.Budget{Epsilon: 1}, centroid, r); err == nil {
+	if _, err := PrivateCtx(context.Background(), tiny, grid, dp.Budget{Epsilon: 1}, nil, centroid, r); err == nil {
 		t.Error("too-small dataset accepted")
 	}
 	boom := errors.New("boom")
-	if _, err := Private(d, []Params{{K: 1, B: 1, Lambda: 0}}, dp.Budget{Epsilon: 1},
+	if _, err := PrivateCtx(context.Background(), d, []Params{{K: 1, B: 1, Lambda: 0}}, dp.Budget{Epsilon: 1}, nil,
 		func(*data.Dataset, Params) (eval.Classifier, error) { return nil, boom }, r); !errors.Is(err, boom) {
 		t.Errorf("trainer error not propagated: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestExponentialMechanismConcentration(t *testing.T) {
 	}
 	picks := [2]int{}
 	for trial := 0; trial < 50; trial++ {
-		res, err := Private(d, grid, dp.Budget{Epsilon: 10}, train, r)
+		res, err := PrivateCtx(context.Background(), d, grid, dp.Budget{Epsilon: 10}, nil, train, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestPrivateTuningWithPrivateSGD(t *testing.T) {
 		}
 		return &eval.Linear{W: res.W}, nil
 	}
-	res, err := Private(d, PaperGrid(), budget, train, r)
+	res, err := PrivateCtx(context.Background(), d, PaperGrid(), budget, nil, train, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestEngineTrainFunc(t *testing.T) {
 			strategy = engine.Sharded
 		}
 		fit := engineFit(context.Background(), core.WithBudget(budget), core.WithStrategy(strategy, workers), core.WithRand(r))
-		res, err := Private(d, PaperGrid(), budget, fit, r)
+		res, err := PrivateCtx(context.Background(), d, PaperGrid(), budget, nil, fit, r)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -243,7 +243,7 @@ func TestEngineTrainFunc(t *testing.T) {
 	// A candidate failure must surface with the tuple attached: workers
 	// exceeding the portion size make core reject the run.
 	fit := engineFit(context.Background(), core.WithBudget(budget), core.WithStrategy(engine.Sharded, 10000), core.WithRand(r))
-	if _, err := Private(d, PaperGrid(), budget, fit, r); err == nil {
+	if _, err := PrivateCtx(context.Background(), d, PaperGrid(), budget, nil, fit, r); err == nil {
 		t.Error("oversized worker count did not error")
 	}
 }

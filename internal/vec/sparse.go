@@ -138,26 +138,6 @@ func (s *Sparse) Scatter(dst []float64) {
 	}
 }
 
-// SparseDot returns the inner product of two sparse vectors by merging
-// their index lists.
-func SparseDot(a, b *Sparse) float64 {
-	var sum float64
-	i, j := 0, 0
-	for i < len(a.Idx) && j < len(b.Idx) {
-		switch {
-		case a.Idx[i] == b.Idx[j]:
-			sum += a.Val[i] * b.Val[j]
-			i++
-			j++
-		case a.Idx[i] < b.Idx[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return sum
-}
-
 // SortedCopy returns a canonicalized copy of possibly-unsorted
 // coordinate pairs (duplicates summed) — the forgiving constructor for
 // parser output.

@@ -68,19 +68,6 @@ func TestSparseDotMatchesDense(t *testing.T) {
 	}
 }
 
-func TestSparseDotSparse(t *testing.T) {
-	a := DenseToSparse([]float64{1, 0, 2, 0, 3})
-	b := DenseToSparse([]float64{0, 5, 4, 0, 1})
-	// overlap at 2 (2*4) and 4 (3*1) = 11.
-	if got := SparseDot(a, b); math.Abs(got-11) > 1e-12 {
-		t.Errorf("SparseDot = %v, want 11", got)
-	}
-	empty := &Sparse{}
-	if SparseDot(a, empty) != 0 {
-		t.Error("dot with empty should be 0")
-	}
-}
-
 func TestSparseNormScaleNNZ(t *testing.T) {
 	s := DenseToSparse([]float64{3, 0, 4})
 	if s.NNZ() != 2 {

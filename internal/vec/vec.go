@@ -40,26 +40,6 @@ func Norm(a []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Norm1 returns the L1 norm of a.
-func Norm1(a []float64) float64 {
-	var s float64
-	for _, ai := range a {
-		s += math.Abs(ai)
-	}
-	return s
-}
-
-// NormInf returns the L-infinity norm of a.
-func NormInf(a []float64) float64 {
-	var s float64
-	for _, ai := range a {
-		if v := math.Abs(ai); v > s {
-			s = v
-		}
-	}
-	return s
-}
-
 // Dist returns the Euclidean distance between a and b.
 // It panics if the lengths differ.
 func Dist(a, b []float64) float64 {
@@ -138,13 +118,6 @@ func Touch(a []float64) float64 {
 func Zero(a []float64) {
 	for i := range a {
 		a[i] = 0
-	}
-}
-
-// Fill sets every element of a to v.
-func Fill(a []float64, v float64) {
-	for i := range a {
-		a[i] = v
 	}
 }
 

@@ -38,12 +38,6 @@ func TestNorms(t *testing.T) {
 	if got := Norm(a); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Norm = %v, want 5", got)
 	}
-	if got := Norm1(a); math.Abs(got-7) > 1e-12 {
-		t.Errorf("Norm1 = %v, want 7", got)
-	}
-	if got := NormInf(a); math.Abs(got-4) > 1e-12 {
-		t.Errorf("NormInf = %v, want 4", got)
-	}
 	if got := Norm(nil); got != 0 {
 		t.Errorf("Norm(nil) = %v, want 0", got)
 	}
@@ -106,10 +100,6 @@ func TestZeroFill(t *testing.T) {
 	Zero(a)
 	if !Equal(a, []float64{0, 0}, 0) {
 		t.Errorf("Zero = %v", a)
-	}
-	Fill(a, 7)
-	if !Equal(a, []float64{7, 7}, 0) {
-		t.Errorf("Fill = %v", a)
 	}
 }
 
