@@ -22,6 +22,9 @@ var libsvmSeeds = []string{
 	"1 -2:5\n",
 	"1 x:1\n",
 	"1 99999999999999999999:1\n",
+	// A 13-digit index parses as an int but is past the column cap: the
+	// loaders once sized a dense scratch by it and died out of memory.
+	"1 9999999991999:-9\n",
 	// Out-of-order and duplicate columns (both loaders accept; the
 	// sparse loader canonicalizes through vec.SortedCopy).
 	"1 5:1 2:1\n",

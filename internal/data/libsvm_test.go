@@ -317,3 +317,34 @@ func TestScanLIBSVMLongLine(t *testing.T) {
 		}
 	}
 }
+
+// TestLIBSVMColumnCap: a column index past the cap is an error naming
+// the file and the line, from the scanner and from both loaders, which
+// would otherwise size a dense scratch by it (a 13-digit index asked
+// for 80 TB and killed the process). An index at the cap is a row.
+func TestLIBSVMColumnCap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wide.libsvm")
+	write := func(content string) {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("1 1:1\n-1 33554432:0.5\n")
+	rows, err := collectRows(ScanLIBSVM, path)
+	if err != nil || len(rows) != 2 || rows[1].idx[0] != 33554431 {
+		t.Fatalf("index at the cap: %d rows, err %v", len(rows), err)
+	}
+	for _, line := range []string{"1 33554433:1", "1 9999999991999:-9"} {
+		write("1 1:1\n" + line + "\n")
+		rows, err := collectRows(ScanLIBSVM, path)
+		if want := fmt.Sprintf("data: %s:2: ", path); err == nil || !strings.HasPrefix(err.Error(), want) || len(rows) != 1 {
+			t.Fatalf("%q: %d rows, err %v; want 1 row and an error starting %q", line, len(rows), err, want)
+		}
+		if _, err := LoadLIBSVM(path, 0); err == nil || !strings.Contains(err.Error(), path+":2: ") {
+			t.Fatalf("%q: LoadLIBSVM err %v", line, err)
+		}
+		if _, err := LoadLIBSVMSparse(path, 0); err == nil || !strings.Contains(err.Error(), path+":2: ") {
+			t.Fatalf("%q: LoadLIBSVMSparse err %v", line, err)
+		}
+	}
+}
