@@ -18,6 +18,11 @@ const (
 	libsvmBlockBytes = 64 << 10 // file bytes per read; a block is cut at its last newline
 	libsvmMaxLine    = 16 << 20 // a line of this many bytes or more is an error
 	libsvmMaxParsers = 4        // the in-order emitter is the limit well before this many
+	// libsvmMaxColumns caps a column index. The loaders size a dense
+	// scratch by the widest index, so an index from a corrupt file must
+	// fail here, as an error, not later as a fatal out-of-memory. The
+	// widest public LIBSVM set, kdd2010, has about 29.9M columns.
+	libsvmMaxColumns = 1 << 25
 )
 
 // libsvmBlock is the unit of ScanLIBSVM's pipeline: a run of whole
@@ -191,7 +196,8 @@ func libsvmToken(ln []byte, i int) (start, end int) {
 
 // parseLine appends the row ln spells, if it spells one (blank lines
 // and comments do not). The checks and their order are the grammar:
-// label, then per feature its colon, its index ≥ 1, its value.
+// label, then per feature its colon, its index in [1, libsvmMaxColumns],
+// its value.
 func (b *libsvmBlock) parseLine(ln []byte) error {
 	start, end := libsvmToken(ln, 0)
 	if start == end || ln[start] == '#' {
@@ -214,6 +220,9 @@ func (b *libsvmBlock) parseLine(ln []byte) error {
 		ix, ok := parseIndex(kv[:colon])
 		if !ok || ix < 1 {
 			return fmt.Errorf("bad index %q", kv)
+		}
+		if ix > libsvmMaxColumns {
+			return fmt.Errorf("index %q past the %d-column cap", kv, libsvmMaxColumns)
 		}
 		v, err := strconv.ParseFloat(stringView(kv[colon+1:]), 64)
 		if err != nil {

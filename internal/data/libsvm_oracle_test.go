@@ -11,9 +11,11 @@ import (
 )
 
 // scanLIBSVMOracle is ScanLIBSVM's body as it stood before the
-// block-parallel pipeline, kept verbatim as the reference the
-// differential tests compare against: one goroutine, one line at a
-// time, strings.Fields + strconv + vec.SortedCopy on every row.
+// block-parallel pipeline, kept as the reference the differential tests
+// compare against: one goroutine, one line at a time, strings.Fields +
+// strconv + vec.SortedCopy on every row. Its one later change is the
+// column cap (libsvmMaxColumns), which both sides check in the same
+// place.
 func scanLIBSVMOracle(path string, fn func(row *vec.Sparse, y float64) error) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -47,6 +49,9 @@ func scanLIBSVMOracle(path string, fn func(row *vec.Sparse, y float64) error) er
 			ix, err := strconv.Atoi(kv[:colon])
 			if err != nil || ix < 1 {
 				return fmt.Errorf("data: %s:%d: bad index %q", path, lineNo, kv)
+			}
+			if ix > libsvmMaxColumns {
+				return fmt.Errorf("data: %s:%d: index %q past the %d-column cap", path, lineNo, kv, libsvmMaxColumns)
 			}
 			v, err := strconv.ParseFloat(kv[colon+1:], 64)
 			if err != nil {

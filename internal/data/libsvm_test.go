@@ -329,12 +329,12 @@ func TestLIBSVMColumnCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write("1 1:1\n-1 33554432:0.5\n")
+	write(fmt.Sprintf("1 1:1\n-1 %d:0.5\n", libsvmMaxColumns))
 	rows, err := collectRows(ScanLIBSVM, path)
-	if err != nil || len(rows) != 2 || rows[1].idx[0] != 33554431 {
+	if err != nil || len(rows) != 2 || rows[1].idx[0] != libsvmMaxColumns-1 {
 		t.Fatalf("index at the cap: %d rows, err %v", len(rows), err)
 	}
-	for _, line := range []string{"1 33554433:1", "1 9999999991999:-9"} {
+	for _, line := range []string{fmt.Sprintf("1 %d:1", libsvmMaxColumns+1), "1 9999999991999:-9"} {
 		write("1 1:1\n" + line + "\n")
 		rows, err := collectRows(ScanLIBSVM, path)
 		if want := fmt.Sprintf("data: %s:2: ", path); err == nil || !strings.HasPrefix(err.Error(), want) || len(rows) != 1 {
