@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -402,5 +403,56 @@ func TestChunkTable(t *testing.T) {
 		if got := a.Touch(100) + a.Touch(5); got != 0 || a.cur.n != 3 || a.cur.tab != nil || !fromEntry(&a.cur.arena, x, 100) {
 			t.Fatalf("remap=%v: a mapping-less reader's hint read %v / left chunk %d in the arena", remap, got, a.cur.n)
 		}
+	}
+}
+
+// TestArenaDecodeOnce pins the pread fallback's decode count without a
+// clock: a chunk is read and decoded once per visit, not once per row.
+// Once row 0 has loaded chunk 0, its payload is overwritten in the
+// file. The rest of chunk 0 must still read its original bits out of
+// the arena; only a later visit, after chunk 1, reads the file again,
+// and that read must fail the chunk's checksum.
+func TestArenaDecodeOnce(t *testing.T) {
+	const chunkRows = 32
+	ds := data.SparseSynthetic(rand.New(rand.NewSource(19)), 3*chunkRows, 30, 5, 0)
+	path := writeFixture(t, ds, Options{ChunkRows: chunkRows})
+	r, err := openArena(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	// read checks row i against ds and returns the panic it raised, if any.
+	read := func(i int) (msg string) {
+		defer func() {
+			if e := recover(); e != nil {
+				msg = fmt.Sprint(e)
+			}
+		}()
+		got, gy := r.AtSparse(i)
+		want, wy := ds.AtSparse(i)
+		sameRow(t, fmt.Sprintf("row %d", i), got, gy, want, wy)
+		return ""
+	}
+	if msg := read(0); msg != "" {
+		t.Fatal(msg)
+	}
+
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, 64), r.offsets[0]+chunkHeaderSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= chunkRows; i++ { // the rest of chunk 0, then chunk 1
+		if msg := read(i); msg != "" {
+			t.Fatalf("row %d after chunk 0 was overwritten: %s; the arena was decoded again", i, msg)
+		}
+	}
+	if msg := read(0); !strings.Contains(msg, "chunk 0 checksum mismatch") {
+		t.Fatalf("revisiting the overwritten chunk: panic %q, want its checksum mismatch", msg)
 	}
 }
