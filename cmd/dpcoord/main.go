@@ -11,12 +11,14 @@
 //	dpcoord -workers http://a:8090 -store train.bolt -shards 4 -save model.json
 //	dpcoord -workers http://a:8090 -publish ./registry   # then: dpserve -models ./registry
 //
-// With -store, workers open the same store file themselves and the
-// wire carries only chunk ranges and CRCs; otherwise the simulator
-// dataset ships inline in the shard-install requests. Worker failures
-// are retried, then the shard is reassigned to a live worker whose
-// deterministic rewind preserves bit-parity; with no live worker left
-// the run aborts fail-closed — no model, single budget reservation.
+// Workers open the store file themselves and the wire carries only
+// chunk ranges and CRCs: -store names the file, and a -sim dataset is
+// first written to a temp store under $TMPDIR, which the workers must
+// be able to open (a shared mount, or workers on loopback). Worker
+// failures are retried, then the shard is reassigned to a live worker
+// whose deterministic rewind preserves bit-parity; with no live worker
+// left the run aborts fail-closed — no model, single budget
+// reservation.
 // See internal/dist and DESIGN.md §8.
 package main
 

@@ -173,11 +173,12 @@ func TestNoUncalledCode(t *testing.T) {
 			}
 			if !test {
 				calledOutsideTests[id.Name] = true
-			} else if testDirsNaming[id.Name] == nil {
-				testDirsNaming[id.Name] = map[string]bool{dir: true}
-			} else {
-				testDirsNaming[id.Name][dir] = true
+				return true
 			}
+			if testDirsNaming[id.Name] == nil {
+				testDirsNaming[id.Name] = map[string]bool{}
+			}
+			testDirsNaming[id.Name][dir] = true
 			return true
 		})
 		return nil

@@ -61,8 +61,8 @@ type gradPerturbSpec struct {
 // subsampled-Gaussian accounting assumes one update stream), and every
 // data-dependent side channel is rejected: the Progress hook would
 // release the exact per-pass empirical risk outside the accounted
-// budget. FreshPerm does not apply
-// — there is no permutation to resample.
+// budget. FreshPerm does not apply — there is no permutation to
+// resample.
 func (c *config) trainGradPerturb(ctx context.Context, s sgd.Samples, f loss.Function) (*Result, error) {
 	if c.strategy != engine.Sequential {
 		return nil, fmt.Errorf("core: gradient perturbation is Sequential-only (per-step accounting assumes one update stream), got %v", c.strategy)

@@ -24,10 +24,10 @@ type Classifier interface {
 
 // SparseClassifier is the second tier of the scoring contract: a
 // classifier that can score a sparse row directly. Both classifiers in
-// this package implement it; the scoring helpers (Accuracy, Errors,
-// ConfusionMatrix) dispatch on it so sparse test sets are scored with
-// one O(nnz) row visit — all class margins included — instead of
-// scattering each row into a dense buffer first.
+// this package implement it; the scoring helpers (Accuracy, Errors)
+// dispatch on it so sparse test sets are scored with one O(nnz) row
+// visit — all class margins included — instead of scattering each row
+// into a dense buffer first.
 type SparseClassifier interface {
 	PredictSparse(x *vec.Sparse) float64
 }

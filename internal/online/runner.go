@@ -89,9 +89,9 @@ func (r *Runner) baseline(w []float64, oldLen int, meta map[string]string) (Snap
 // visible), runs the drift detector over the new segment under the
 // live model, and — when it fires — spends one continual window on a
 // warm-started retrain and publishes the result as a canary version
-// "<live>-w<k>" at CanaryPct traffic. Promotion or rollback of that
-// canary is a separate decision (Promote / Rollback), mirroring the
-// operator workflow.
+// "<live>-w<k>" at CanaryPct traffic. Promoting that canary is a
+// separate operator decision (Promote); until then the registry's
+// automatic rollback or the next window's canary can end it.
 //
 // The returned Report carries the drift decision whether or not it
 // fired; rep.Fired && err == nil means a canary is now staged.
