@@ -334,6 +334,19 @@ func TestLIBSVMColumnCap(t *testing.T) {
 	if err != nil || len(rows) != 2 || rows[1].idx[0] != libsvmMaxColumns-1 {
 		t.Fatalf("index at the cap: %d rows, err %v", len(rows), err)
 	}
+	// Four rows at the cap hold four values: loading them must not cost
+	// a dense row of 2²⁵ floats (256 MB) before any dense access asks.
+	write(strings.Repeat(fmt.Sprintf("1 %d:1\n-1 %d:0.5\n", libsvmMaxColumns, libsvmMaxColumns), 2))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sd, err := LoadLIBSVMSparse(path, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil || sd.Len() != 4 || sd.Dim() != libsvmMaxColumns {
+		t.Fatalf("four rows at the cap: err %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+		t.Fatalf("LoadLIBSVMSparse of four rows at the cap allocated %d MB, want < 16", got>>20)
+	}
 	for _, line := range []string{fmt.Sprintf("1 %d:1", libsvmMaxColumns+1), "1 9999999991999:-9"} {
 		write("1 1:1\n" + line + "\n")
 		rows, err := collectRows(ScanLIBSVM, path)
