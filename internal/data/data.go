@@ -270,6 +270,9 @@ func ScaleSim(seed int64, m, d int) *Dataset {
 // the file uses ±1 (0/1 files are remapped to ±1 as a convenience).
 // Duplicate column entries on one line are summed (the canonical form
 // every LIBSVM consumer in this repository shares via ScanLIBSVM).
+// The result is dense: it costs rows × dim floats however few values
+// the file holds, so a sparse file belongs in LoadLIBSVMSparse, whose
+// cost is the file's.
 func LoadLIBSVM(path string, dim int) (*Dataset, error) {
 	s, err := LoadLIBSVMSparse(path, dim)
 	if err != nil {

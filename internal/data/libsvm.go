@@ -18,10 +18,12 @@ const (
 	libsvmBlockBytes = 64 << 10 // file bytes per read; a block is cut at its last newline
 	libsvmMaxLine    = 16 << 20 // a line of this many bytes or more is an error
 	libsvmMaxParsers = 4        // the in-order emitter is the limit well before this many
-	// libsvmMaxColumns caps a column index. The loaders size a dense
-	// scratch by the widest index, so an index from a corrupt file must
-	// fail here, as an error, not later as a fatal out-of-memory. The
-	// widest public LIBSVM set, kdd2010, has about 29.9M columns.
+	// libsvmMaxColumns caps a column index. A dense row is as wide as
+	// the widest index (LoadLIBSVM holds rows × dim floats; a sparse
+	// dataset's first dense At allocates one such row), so an index from
+	// a corrupt file must fail here, as an error, not later as a fatal
+	// out-of-memory. The widest public LIBSVM set, kdd2010, has about
+	// 29.9M columns.
 	libsvmMaxColumns = 1 << 25
 )
 

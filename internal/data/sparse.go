@@ -32,7 +32,7 @@ type SparseDataset struct {
 	val    []float64
 	y      []float64
 
-	scratch []float64
+	scratch []float64  // At's dense row, allocated by the first At
 	row     vec.Sparse // reused AtSparse header (no per-row allocation)
 }
 
@@ -44,7 +44,7 @@ func NewSparseDataset(name string, dim int) *SparseDataset {
 	}
 	return &SparseDataset{
 		Name: name, Classes: 2, dim: dim,
-		indptr: []int{0}, scratch: make([]float64, dim),
+		indptr: []int{0},
 	}
 }
 
@@ -83,12 +83,18 @@ func (d *SparseDataset) Dim() int { return d.dim }
 // At implements sgd.Samples; the returned slice is valid until the next
 // At call.
 func (d *SparseDataset) At(i int) ([]float64, float64) {
-	return d.at(i, d.scratch)
+	return d.at(i, &d.scratch)
 }
 
 // at scatters row i into the given scratch buffer, so independent shard
-// views can scan concurrently.
-func (d *SparseDataset) at(i int, scratch []float64) ([]float64, float64) {
+// views can scan concurrently. The buffer is allocated by its first
+// use: a dataset only the sparse tier reads never holds a dense row,
+// whose width is the widest column, not anything the file holds.
+func (d *SparseDataset) at(i int, buf *[]float64) ([]float64, float64) {
+	if *buf == nil {
+		*buf = make([]float64, d.dim)
+	}
+	scratch := *buf
 	for j := range scratch {
 		scratch[j] = 0
 	}
@@ -117,11 +123,12 @@ func (d *SparseDataset) Touch(i int) float64 {
 }
 
 // Shard implements engine.Sharder: an independent read-only view of
-// rows [lo, hi) with its own dense scratch, so shards of one
+// rows [lo, hi) with its own dense scratch (allocated by its first
+// At, as the dataset's is), so shards of one
 // SparseDataset can be scanned concurrently by the sharded engine (the
 // CSR arrays themselves are immutable during training).
 func (d *SparseDataset) Shard(lo, hi int) sgd.Samples {
-	return &sparseShard{d: d, lo: lo, hi: hi, scratch: make([]float64, d.dim)}
+	return &sparseShard{d: d, lo: lo, hi: hi}
 }
 
 type sparseShard struct {
@@ -139,7 +146,7 @@ func (v *sparseShard) At(i int) ([]float64, float64) {
 		// interior overrun must fail loudly, not read a neighbor's row.
 		panic(fmt.Sprintf("data: shard row %d out of range [0,%d)", i, v.hi-v.lo))
 	}
-	return v.d.at(v.lo+i, v.scratch)
+	return v.d.at(v.lo+i, &v.scratch)
 }
 
 // AtSparse keeps shard views on the sparse fast path. The CSR arrays
