@@ -55,14 +55,18 @@ type Function interface {
 //
 //	∇_w ℓ = Deriv(⟨w,x⟩, y)·x + λ·w
 //
-// — a scalar times the example plus a uniform shrink. This is the
-// contract the sparse execution kernel (internal/sgd) is built on: the
-// per-example work is one sparse dot to get p = ⟨w,x⟩, one scalar
-// Deriv call, and one sparse axpy, touching only the non-zeros of x,
-// while the λ·w term becomes an O(1) rescale under the scaled-weight
-// representation. Grad and Eval are implemented on top of Deriv and
-// EvalDot, so the dense and sparse paths share the exact same scalar
-// arithmetic.
+// — a scalar times the example plus a uniform shrink. Both execution
+// kernels of internal/sgd are built on this contract and call Deriv.
+// The sparse kernel's per-example work is one sparse dot to get
+// p = ⟨w,x⟩, one scalar Deriv call, and one sparse axpy, touching only
+// the non-zeros of x, while the λ·w term becomes an O(1) rescale under
+// the scaled-weight representation. The dense kernel's sequential
+// executor takes four rows' margins in one sweep over w, calls Deriv
+// for each and folds Deriv·x + Reg·w into the batch gradient without
+// calling Grad; its parallel executor calls Grad. Grad and Eval are
+// implemented on top of Deriv and EvalDot, and Grad writes exactly
+// Deriv(⟨w,x⟩, y)·x[i] + λ·w[i], so every path shares the exact same
+// scalar arithmetic.
 //
 // A loss that cannot be factored this way (no current example) simply
 // does not implement Linear and trains on the dense path.

@@ -20,8 +20,9 @@ package sgd
 //     column-parallel: each worker owns a contiguous column slab and
 //     folds grad[c] = Σ_j g_j[c] over examples in index order j =
 //     0..n-1 — the same fold, in the same order, as the sequential
-//     loop's vec.Axpy(grad, 1, gbuf) accumulation (dst += 1*x is exact
-//     in IEEE arithmetic). The scale, noise-hook, step, projection and
+//     block executor's (denseState.block; dst += 1*x is exact in IEEE
+//     arithmetic, and a loss.Linear's Grad writes the c·x + λw the
+//     block computes from Deriv and Reg). The scale, noise-hook, step, projection and
 //     averaging stages then run on one thread, untouched.
 //
 //   - Sparse kernel: only the Deriv phase of sparseState.batch is
@@ -207,7 +208,7 @@ func newDenseKernel(s Samples, workers, maxBatch, d int, f loss.Function, w, gra
 func (dk *denseKernel) close() { dk.pool.close() }
 
 // batch computes grad = (Σ_j ∇ℓ(w; z_{rows(start..start+n)})) exactly
-// as the sequential accumulation loop would, using every worker.
+// as the sequential block executor would, using every worker.
 func (dk *denseKernel) batch(perm []int, start, end int) {
 	dk.perm, dk.start, dk.n = perm, start, end-start
 	splitRange(dk.rowLo, dk.rowHi, dk.n)
@@ -228,8 +229,8 @@ func (dk *denseKernel) gradPhase(k int) {
 }
 
 // reducePhase folds worker k's column slab over examples in index
-// order — the exact order (and therefore the exact rounding) of the
-// sequential kernel's per-example vec.Axpy(grad, 1, gbuf) chain.
+// order — the exact order (and therefore the exact rounding) in which
+// the sequential block executor adds each row's gradient to grad.
 func (dk *denseKernel) reducePhase(k int) {
 	lo, hi := dk.colLo[k], dk.colHi[k]
 	if lo == hi {

@@ -183,7 +183,7 @@ type Config struct {
 	// per-example phase of every large-enough mini-batch — dense
 	// gradients, sparse margin derivatives — across W goroutines and
 	// reduces in example-index order, so the result is BIT-IDENTICAL to
-	// the sequential row loop for every W (see parallel.go for the
+	// the sequential block executor for every W (see parallel.go for the
 	// determinism argument). It composes with the engine's Sharded
 	// strategy (P shards × W workers) and sits inside either kernel,
 	// below Run's one epoch loop and its look-ahead. It is a pinned
@@ -214,8 +214,8 @@ type Config struct {
 	// injection point as GradNoise. Incompatible with GradNoise (one
 	// noise authority per run) and with the sparse and parallel kernels
 	// (clipping needs each example's dense gradient, materialized
-	// sequentially) — Run silently falls back to the sequential dense
-	// kernel.
+	// sequentially) — Run silently falls back to the dense kernel's
+	// sequential block executor.
 	GradPerturb *GradPerturb
 
 	// W0 is the starting point; nil means the origin.
@@ -492,8 +492,10 @@ func Run(s Samples, cfg Config) (*Result, error) {
 // the look-ahead, the ctx poll, the update counter, the averaging
 // window, Tol/Progress and the averaging divide — and calls a kernel
 // once per batch or pass, never per row; inside update, a kernel's row
-// loop keeps its state in locals (DESIGN.md §2). The parallel batch
-// executors of parallel.go (denseKernel, sparseKernel) sit inside.
+// loop keeps its state in locals (DESIGN.md §2). The dense kernel's row
+// loop takes four rows at a time (denseState.block); the parallel batch
+// executors of parallel.go (denseKernel, sparseKernel) sit inside, next
+// to each kernel's sequential one.
 type kernel interface {
 	// update applies update t to the batch rows(start..end), through
 	// perm when it is non-nil (a Poisson kernel draws its own batch).
@@ -507,30 +509,42 @@ type kernel interface {
 	close() // releases the parallel executor, if any
 }
 
-// denseState is the dense kernel: the iterate as a plain d-vector, one
-// Grad per example. It alone serves clipping, GradPerturb noise,
-// Poisson sampling and the GradNoise hook, which need each example's or
-// each batch's gradient materialized.
+// denseState is the dense kernel: the iterate as a plain d-vector, and
+// a sequential executor that takes a batch blockRows rows at a time
+// (block). It alone serves clipping, GradPerturb noise, Poisson
+// sampling and the GradNoise hook, which need each example's or each
+// batch's gradient materialized.
 type denseState struct {
 	s   Samples
 	cfg Config
 	b   int // the clamped batch size: a Poisson draw's expected lot
 
-	w, grad, gbuf []float64
-	wsum          []float64 // nil unless averaging
-	noise         []float64 // nil unless GradPerturb.Sigma > 0
-	drawn         []int     // a Poisson draw's rows, capacity m; nil unless Poisson
+	w, grad []float64
+	blk     [blockRows][]float64 // the block's rows: copies of the source rows, or their gradients
+	lin     loss.Linear          // nil when the loss does not factor; block then fills blk with Grad
+	wsum    []float64            // nil unless averaging
+	noise   []float64            // nil unless GradPerturb.Sigma > 0
+	drawn   []int                // a Poisson draw's rows, capacity m; nil unless Poisson
 
 	par *denseKernel // nil unless KernelWorkers engages (parallel.go)
 }
 
+// blockRows is how many rows the sequential dense executor takes at
+// once: their margins come from one sweep over w with independent
+// accumulators, and their contributions go into grad in one sweep.
+const blockRows = 4
+
 func newDenseState(s Samples, cfg *Config, b, maxBatch int) *denseState {
 	d := s.Dim()
-	scratch := make([]float64, 2*d) // grad and gbuf share one allocation, so k costs none in sgd.epoch_allocs
+	scratch := make([]float64, (1+blockRows)*d) // grad and the block share one allocation, so k costs none in sgd.epoch_allocs
 	k := &denseState{
 		s: s, cfg: *cfg, b: b,
-		w: make([]float64, d), grad: scratch[:d:d], gbuf: scratch[d:],
+		w: make([]float64, d), grad: scratch[:d:d],
 	}
+	for r := range k.blk {
+		k.blk[r] = scratch[(r+1)*d : (r+2)*d : (r+2)*d]
+	}
+	k.lin, _ = cfg.Loss.(loss.Linear)
 	copy(k.w, cfg.W0) // W0 == nil starts at the origin
 	if cfg.Average || cfg.AverageTail {
 		k.wsum = make([]float64, d)
@@ -543,7 +557,7 @@ func newDenseState(s Samples, cfg *Config, b, maxBatch int) *denseState {
 		k.drawn = make([]int, 0, s.Len())
 	}
 	// Clipping needs every example's gradient materialized in order, so
-	// gradient-perturbation runs stay on the sequential loop.
+	// gradient-perturbation runs stay on the sequential executor.
 	if gp == nil {
 		k.par = newDenseKernel(s, cfg.KernelWorkers, maxBatch, d, cfg.Loss, k.w, k.grad)
 	}
@@ -551,7 +565,7 @@ func newDenseState(s Samples, cfg *Config, b, maxBatch int) *denseState {
 }
 
 func (k *denseState) update(perm []int, start, end, t int) {
-	s, f, w, grad, gbuf, gp := k.s, k.cfg.Loss, k.w, k.grad, k.gbuf, k.cfg.GradPerturb
+	grad, gp := k.grad, k.cfg.GradPerturb
 	lot := float64(end - start)
 	if gp != nil && gp.Poisson {
 		// One independent Poisson draw per update: each example joins
@@ -571,18 +585,13 @@ func (k *denseState) update(perm []int, start, end, t int) {
 		perm, start, end, lot = drawn, 0, len(drawn), float64(k.b)
 	}
 	if k.par != nil && end-start >= minParBatch {
-		// Bit-identical to the sequential accumulation below — see
+		// Bit-identical to the sequential blocks below — see
 		// parallel.go — so per-batch dispatch never changes a result.
 		k.par.batch(perm, start, end)
 	} else {
 		vec.Zero(grad)
-		for i := start; i < end; i++ {
-			x, y := s.At(row(perm, i))
-			f.Grad(gbuf, w, x, y)
-			if gp != nil {
-				clipTo(gbuf, gp.Clip)
-			}
-			vec.Axpy(grad, 1, gbuf)
+		for i := start; i < end; i += blockRows {
+			k.block(perm, i, min(i+blockRows, end))
 		}
 	}
 	if k.noise != nil {
@@ -595,8 +604,109 @@ func (k *denseState) update(perm []int, start, end, t int) {
 	if k.cfg.GradNoise != nil {
 		k.cfg.GradNoise(t, grad)
 	}
-	vec.Axpy(w, -k.cfg.Step.Eta(t), grad)
-	vec.ProjectBall(w, k.cfg.Radius)
+	vec.Axpy(k.w, -k.cfg.Step.Eta(t), grad)
+	vec.ProjectBall(k.w, k.cfg.Radius)
+}
+
+// block adds the gradients of the batch slots i..end (at most
+// blockRows of them) to grad, in slot order. It copies each row At
+// returns into its own block row (At may reuse one buffer), so the
+// whole block is at hand at once. Under a loss.Linear with no clip, a
+// full block is four margins from one sweep over w (margins4), four
+// Deriv calls and one fused fold (fold4); clipping materializes each
+// gradient c·x + λw in its block row first, and a loss that does not
+// factor fills the rows with Grad. A tail of one to three rows takes
+// the same arithmetic a row at a time.
+//
+// It is bit-identical to one Grad per row followed by
+// vec.Axpy(grad, 1, g): every margin reads the pre-update w, so taking
+// four before folding any changes no value; each margin sums left to
+// right as vec.Dot does; each grad[j] adds the rows in slot order; and
+// 1·g == g exactly.
+func (k *denseState) block(perm []int, i, end int) {
+	n, w, grad, blk, gp := end-i, k.w, k.grad, &k.blk, k.cfg.GradPerturb
+	var c, y [blockRows]float64
+	for r := 0; r < n; r++ {
+		x, yr := k.s.At(row(perm, i+r))
+		if k.lin == nil {
+			k.cfg.Loss.Grad(blk[r], w, x, yr)
+		} else {
+			copy(blk[r], x)
+			y[r] = yr
+		}
+	}
+	if k.lin != nil {
+		if n == blockRows {
+			c = margins4(w, blk)
+		} else {
+			for r := 0; r < n; r++ {
+				c[r] = vec.Dot(w, blk[r])
+			}
+		}
+		for r := 0; r < n; r++ {
+			c[r] = k.lin.Deriv(c[r], y[r])
+		}
+		lam := k.lin.Reg()
+		switch {
+		case gp == nil && n == blockRows:
+			fold4(grad, w, lam, &c, blk)
+			return
+		case gp == nil:
+			for r := 0; r < n; r++ {
+				foldRow(grad, w, lam, c[r], blk[r])
+			}
+			return
+		}
+		for r := 0; r < n; r++ {
+			x := blk[r][:len(w)]
+			for j, wj := range w {
+				x[j] = c[r]*x[j] + lam*wj // the gradient, as Grad writes it
+			}
+		}
+	}
+	for r := 0; r < n; r++ {
+		if gp != nil {
+			clipTo(blk[r], gp.Clip)
+		}
+		vec.Axpy(grad, 1, blk[r])
+	}
+}
+
+// margins4 returns ⟨w, x_r⟩ for the four block rows from one sweep
+// over w: four independent sums, each in vec.Dot's order.
+func margins4(w []float64, x *[blockRows][]float64) (p [blockRows]float64) {
+	x0, x1, x2, x3 := x[0][:len(w)], x[1][:len(w)], x[2][:len(w)], x[3][:len(w)]
+	var p0, p1, p2, p3 float64
+	for j, wj := range w {
+		p0 += wj * x0[j]
+		p1 += wj * x1[j]
+		p2 += wj * x2[j]
+		p3 += wj * x3[j]
+	}
+	return [blockRows]float64{p0, p1, p2, p3}
+}
+
+// fold4 adds the four gradients c_r·x_r + λw to grad in one sweep, in
+// row order: each term rounds as Grad writes it and each sum as
+// vec.Axpy(grad, 1, ·) adds it.
+func fold4(grad, w []float64, lam float64, c *[blockRows]float64, x *[blockRows][]float64) {
+	grad = grad[:len(w)]
+	x0, x1, x2, x3 := x[0][:len(w)], x[1][:len(w)], x[2][:len(w)], x[3][:len(w)]
+	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	for j, wj := range w {
+		g := grad[j] + (c0*x0[j] + lam*wj)
+		g += c1*x1[j] + lam*wj
+		g += c2*x2[j] + lam*wj
+		grad[j] = g + (c3*x3[j] + lam*wj)
+	}
+}
+
+// foldRow is fold4 for one row.
+func foldRow(grad, w []float64, lam, c float64, x []float64) {
+	grad, x = grad[:len(w)], x[:len(w)]
+	for j, wj := range w {
+		grad[j] += c*x[j] + lam*wj
+	}
 }
 
 func (k *denseState) addIterate()           { vec.Axpy(k.wsum, 1, k.w) }
