@@ -188,8 +188,9 @@ type Config struct {
 	// strategy (P shards × W workers) and sits inside either kernel,
 	// below Run's one epoch loop and its look-ahead. It is a pinned
 	// mechanism, not a measured speed-up: on the two-core benchmark box
-	// W=2 runs 1.17–1.64× SLOWER than W=1 (sgd.*_kw2_over_kw1); W=4 is
-	// unmeasured there.
+	// W=2 runs SLOWER than W=1 (sgd.*_kw2_over_kw1: dense 1.68–1.83
+	// since the sequential executor takes four rows at a time, sparse
+	// 1.38–1.64); W=4 is unmeasured there.
 	KernelWorkers int
 
 	// T0 offsets the 1-based update counter: the first update of this
@@ -647,13 +648,13 @@ func (k *denseState) block(perm []int, i, end int) {
 			c[r] = k.lin.Deriv(c[r], y[r])
 		}
 		lam := k.lin.Reg()
-		switch {
-		case gp == nil && n == blockRows:
-			fold4(grad, w, lam, &c, blk)
-			return
-		case gp == nil:
-			for r := 0; r < n; r++ {
-				foldRow(grad, w, lam, c[r], blk[r])
+		if gp == nil {
+			if n == blockRows {
+				fold4(grad, w, lam, &c, blk)
+			} else {
+				for r := 0; r < n; r++ {
+					foldRow(grad, w, lam, c[r], blk[r])
+				}
 			}
 			return
 		}
