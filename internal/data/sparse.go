@@ -123,10 +123,10 @@ func (d *SparseDataset) Touch(i int) float64 {
 }
 
 // Shard implements engine.Sharder: an independent read-only view of
-// rows [lo, hi) with its own dense scratch (allocated by its first
-// At, as the dataset's is), so shards of one
-// SparseDataset can be scanned concurrently by the sharded engine (the
-// CSR arrays themselves are immutable during training).
+// rows [lo, hi) with its own dense scratch (allocated by its first At,
+// as the dataset's is), so shards of one SparseDataset can be scanned
+// concurrently by the sharded engine (the CSR arrays themselves are
+// immutable during training).
 func (d *SparseDataset) Shard(lo, hi int) sgd.Samples {
 	return &sparseShard{d: d, lo: lo, hi: hi}
 }

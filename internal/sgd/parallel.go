@@ -22,8 +22,9 @@ package sgd
 //     0..n-1 — the same fold, in the same order, as the sequential
 //     block executor's (denseState.block; dst += 1*x is exact in IEEE
 //     arithmetic, and a loss.Linear's Grad writes the c·x + λw the
-//     block computes from Deriv and Reg). The scale, noise-hook, step, projection and
-//     averaging stages then run on one thread, untouched.
+//     block computes from Deriv and Reg). The scale, noise-hook, step,
+//     projection and averaging stages then run on one thread,
+//     untouched.
 //
 //   - Sparse kernel: only the Deriv phase of sparseState.batch is
 //     fanned out — c_j = Deriv(α·⟨x_j, v⟩, y_j) writes disjoint cbuf
