@@ -312,8 +312,10 @@ func TestSGDAggMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vec.Equal(udaW, res.W, 1e-12) {
-		t.Errorf("UDA model %v != engine model %v", udaW[:3], res.W[:3])
+	for j := range udaW {
+		if math.Float64bits(udaW[j]) != math.Float64bits(res.W[j]) {
+			t.Fatalf("UDA model differs from the engine's at coordinate %d: %v != %v", j, udaW[j], res.W[j])
+		}
 	}
 	if agg.Updates() != res.Updates {
 		t.Errorf("UDA updates %d != engine %d", agg.Updates(), res.Updates)
