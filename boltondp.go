@@ -88,8 +88,10 @@ type (
 	// SparseSamples — the right representation for one-hot-heavy and
 	// text-like data.
 	SparseDataset = data.SparseDataset
-	// LossFunction is a convex per-example loss with its (L, β, γ)
-	// constants.
+	// LossFunction is a convex per-example loss of a linear model with
+	// its (L, β, γ) constants, in factored form g(⟨w,x⟩, y) + (λ/2)‖w‖².
+	// A caller's loss implements five methods: Name, Params (L, β, γ),
+	// Deriv (∂g/∂p at p = ⟨w,x⟩), EvalDot (g itself) and Reg (λ).
 	LossFunction = loss.Function
 	// TrainOption is a functional option for TrainCtx (WithBudget,
 	// WithAccountant, WithStrategy, WithProgress, …).

@@ -10,7 +10,9 @@
 // Bismarck's transition function that Figure 1(C) illustrates. BST14
 // cannot reuse the PSGD engine at all because it samples examples
 // uniformly with replacement rather than by permutation, so it carries
-// its own update loop.
+// its own update loop; its batch gradient is still summed by the
+// engine's row fold (sgd.Fold), the same one the dense kernel and the
+// Bismarck aggregate use.
 //
 // All permutation-based runs here execute through internal/engine:
 // Noiseless honors Options.Strategy/Workers (so it remains the
@@ -275,7 +277,7 @@ func BST14(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
 
 	w := make([]float64, d)
 	grad := make([]float64, d)
-	gbuf := make([]float64, d)
+	fold := sgd.NewFold(f, d)
 	z := make([]float64, d)
 	draws := 0
 	for t := 1; t <= T; t++ {
@@ -288,9 +290,9 @@ func BST14(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
 		for i := 0; i < b; i++ {
 			// Line 10: i_t ~ [m] uniformly (with replacement).
 			x, y := s.At(o.Rand.Intn(m))
-			f.Grad(gbuf, w, x, y)
-			vec.Axpy(grad, 1, gbuf)
+			fold.Add(grad, w, x, y)
 		}
+		fold.Flush(grad, w)
 		// Line 11: z ~ N(0, σ²·ι·I_d), ι = 1 for logistic regression.
 		rng.GaussianVec(o.Rand, z, sigma)
 		draws++

@@ -254,7 +254,7 @@ func TestAvgAgg(t *testing.T) {
 	for _, v := range vals {
 		tab.Insert([]float64{0, 0}, v)
 	}
-	drv := &Driver{Table: tab, Agg: &AvgAgg{}, Epochs: 1}
+	drv := &driver{table: tab, agg: &avgAgg{}, epochs: 1}
 	out, epochs, err := drv.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestAvgAgg(t *testing.T) {
 		t.Errorf("AVG = %v, want 2.5", got)
 	}
 	// Empty table average is 0 by convention.
-	a := &AvgAgg{}
+	a := &avgAgg{}
 	a.Initialize(nil)
 	if a.Terminate().(float64) != 0 {
 		t.Error("empty AVG should be 0")
@@ -293,9 +293,9 @@ func TestSGDAggMatchesEngine(t *testing.T) {
 	p := f.Params()
 	step := sgd.StronglyConvexPaper(p.Beta, p.Gamma)
 
-	agg := NewSGDAgg(d, f, step, b, 1e2)
+	agg := newSGDAgg(d, f, step, b, 1e2)
 	agg.SetEpochRows(m) // merge the 157 mod 10 remainder like the engine
-	drv := &Driver{Table: tab, Agg: agg, Epochs: k}
+	drv := &driver{table: tab, agg: agg, epochs: k}
 	out, _, err := drv.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -327,8 +327,8 @@ func TestDriverConvergenceTol(t *testing.T) {
 	fillTable(t, tab, 200, 3, 11)
 	f := loss.NewLogistic(1e-1, 0)
 	p := f.Params()
-	agg := NewSGDAgg(3, f, sgd.StronglyConvexPaper(p.Beta, p.Gamma), 10, 10)
-	drv := &Driver{Table: tab, Agg: agg, Epochs: 500, Tol: 1e-6}
+	agg := newSGDAgg(3, f, sgd.StronglyConvexPaper(p.Beta, p.Gamma), 10, 10)
+	drv := &driver{table: tab, agg: agg, epochs: 500, tol: 1e-6}
 	_, epochs, err := drv.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -339,12 +339,12 @@ func TestDriverConvergenceTol(t *testing.T) {
 }
 
 func TestDriverValidation(t *testing.T) {
-	if _, _, err := (&Driver{}).Run(); err == nil {
+	if _, _, err := (&driver{}).Run(); err == nil {
 		t.Error("nil table/agg accepted")
 	}
 	tab := NewMemTable("t", 1)
 	tab.Insert([]float64{1}, 1)
-	if _, _, err := (&Driver{Table: tab, Agg: &AvgAgg{}}).Run(); err == nil {
+	if _, _, err := (&driver{table: tab, agg: &avgAgg{}}).Run(); err == nil {
 		t.Error("zero epochs accepted")
 	}
 }

@@ -14,44 +14,44 @@ import (
 	"boltondp/internal/vec"
 )
 
-// Driver is the front-end controller of Figure 1(A) (Bismarck's Python
+// driver is the front-end controller of Figure 1(A) (Bismarck's Python
 // controller): it issues one aggregate "query" (a full table scan
 // through the UDA) per epoch, feeds the previous epoch's model back via
 // Initialize, and applies the convergence test.
-type Driver struct {
-	Table  *Table
-	Agg    Agg
-	Epochs int
-	// Tol, when positive and the aggregate returns a []float64 model,
-	// stops early once the model moves less than Tol in L2 between
+type driver struct {
+	table  *Table
+	agg    aggregate
+	epochs int
+	// tol, when positive and the aggregate returns a []float64 model,
+	// stops early once the model moves less than tol in L2 between
 	// epochs.
-	Tol float64
+	tol float64
 }
 
-// Run executes up to Epochs scans and returns the final aggregate value
+// Run executes up to epochs scans and returns the final aggregate value
 // and the number of epochs actually run.
-func (d *Driver) Run() (any, int, error) {
-	if d.Table == nil || d.Agg == nil {
-		return nil, 0, errors.New("bismarck: Driver needs a Table and an Agg")
+func (d *driver) Run() (any, int, error) {
+	if d.table == nil || d.agg == nil {
+		return nil, 0, errors.New("bismarck: the driver needs a Table and an aggregate")
 	}
-	if d.Epochs < 1 {
-		return nil, 0, fmt.Errorf("bismarck: Epochs = %d", d.Epochs)
+	if d.epochs < 1 {
+		return nil, 0, fmt.Errorf("bismarck: epochs = %d", d.epochs)
 	}
 	var prev any
 	var prevW []float64
 	epochs := 0
-	for e := 0; e < d.Epochs; e++ {
-		d.Agg.Initialize(prev)
-		if err := d.Table.Scan(func(x []float64, y float64) error {
-			d.Agg.Transition(x, y)
+	for e := 0; e < d.epochs; e++ {
+		d.agg.Initialize(prev)
+		if err := d.table.Scan(func(x []float64, y float64) error {
+			d.agg.Transition(x, y)
 			return nil
 		}); err != nil {
 			return nil, epochs, err
 		}
-		prev = d.Agg.Terminate()
+		prev = d.agg.Terminate()
 		epochs++
-		if w, ok := prev.([]float64); ok && d.Tol > 0 {
-			if prevW != nil && vec.Dist(w, prevW) < d.Tol {
+		if w, ok := prev.([]float64); ok && d.tol > 0 {
+			if prevW != nil && vec.Dist(w, prevW) < d.tol {
 				break
 			}
 			prevW = vec.Copy(w)
@@ -107,9 +107,9 @@ type TrainConfig struct {
 	// 2L/(γmb) instead of the sound 2L/(γm). For reproducing the
 	// paper's figures only.
 	PaperBatchSensitivity bool
-	// Shuffle controls whether the table is materialized in random
-	// order first (Figure 1's Shuffle step). Defaults to true; tests
-	// may disable it for determinism.
+	// NoShuffle skips Figure 1's Shuffle step, which materializes the
+	// table in random order first: the zero value shuffles. Tests set
+	// it for determinism.
 	NoShuffle bool
 	Rand      *rand.Rand
 }
@@ -201,7 +201,7 @@ func TrainUDA(t *Table, f loss.Function, cfg TrainConfig) (*TrainResult, error) 
 		return nil, fmt.Errorf("bismarck: unknown algorithm %v", cfg.Algorithm)
 	}
 
-	agg := NewSGDAgg(d, f, step, cfg.Batch, cfg.Radius)
+	agg := newSGDAgg(d, f, step, cfg.Batch, cfg.Radius)
 	agg.SetEpochRows(m)
 	draws := 0
 	noise := make([]float64, d)
@@ -209,7 +209,7 @@ func TrainUDA(t *Table, f loss.Function, cfg TrainConfig) (*TrainResult, error) 
 	case AlgSCS13:
 		perPass := cfg.Budget.Split(cfg.Passes)
 		sensIter := 2 * p.L / float64(cfg.Batch)
-		agg.NoiseInject = func(tt int, grad []float64) {
+		agg.noiseInject = func(tt int, grad []float64) {
 			if perPass.Pure() {
 				rng.GammaSphere(cfg.Rand, noise, sensIter, perPass.Epsilon)
 			} else {
@@ -221,7 +221,7 @@ func TrainUDA(t *Table, f loss.Function, cfg TrainConfig) (*TrainResult, error) 
 		}
 	case AlgBST14:
 		_, sigma := baselines.BST14NoiseParams(cfg.Budget.Epsilon, cfg.Budget.Delta, cfg.Passes, m, cfg.Batch)
-		agg.NoiseInject = func(tt int, grad []float64) {
+		agg.noiseInject = func(tt int, grad []float64) {
 			rng.GaussianVec(cfg.Rand, noise, sigma)
 			draws++
 			vec.Axpy(grad, 1, noise)
@@ -234,7 +234,7 @@ func TrainUDA(t *Table, f loss.Function, cfg TrainConfig) (*TrainResult, error) 
 		}
 	}
 
-	drv := &Driver{Table: t, Agg: agg, Epochs: cfg.Passes, Tol: cfg.Tol}
+	drv := &driver{table: t, agg: agg, epochs: cfg.Passes, tol: cfg.Tol}
 	out, epochs, err := drv.Run()
 	if err != nil {
 		return nil, err

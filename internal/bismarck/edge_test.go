@@ -83,7 +83,7 @@ func TestAvgAggCarriesNoStateBetweenEpochs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tab.Insert([]float64{0}, float64(i)) // labels 0..3, mean 1.5
 	}
-	drv := &Driver{Table: tab, Agg: &AvgAgg{}, Epochs: 3}
+	drv := &driver{table: tab, agg: &avgAgg{}, epochs: 3}
 	out, epochs, err := drv.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -106,8 +106,8 @@ func TestSGDAggStatePersistsAcrossEpochs(t *testing.T) {
 	}
 	f := loss.NewLogistic(1e-2, 0)
 	p := f.Params()
-	agg := NewSGDAgg(2, f, sgd.StronglyConvexPaper(p.Beta, p.Gamma), 5, 10)
-	drv := &Driver{Table: tab, Agg: agg, Epochs: 3}
+	agg := newSGDAgg(2, f, sgd.StronglyConvexPaper(p.Beta, p.Gamma), 5, 10)
+	drv := &driver{table: tab, agg: agg, epochs: 3}
 	if _, _, err := drv.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,8 @@
 //   - (B) bolt-on output perturbation — the driver perturbs the final
 //     model after all epochs; the UDA code is untouched.
 //   - (C) white-box per-batch noise — SCS13/BST14 must inject noise
-//     inside the transition function, via SGDAgg.NoiseInject.
+//     inside the transition function, via the SGD aggregate's
+//     noiseInject hook.
 package bismarck
 
 import (

@@ -108,10 +108,10 @@ func TestGrowthRecursionLemma(t *testing.T) {
 		for pass := 0; pass < 2; pass++ {
 			for _, i := range perm {
 				x, y := S.At(i)
-				f.Grad(g, w1, x, y)
+				loss.Grad(f, g, w1, x, y)
 				vec.Axpy(w1, -eta, g)
 				x, y = Sp.At(i)
-				f.Grad(g, w2, x, y)
+				loss.Grad(f, g, w2, x, y)
 				vec.Axpy(w2, -eta, g)
 				cur := vec.Dist(w1, w2)
 				var bound float64

@@ -38,8 +38,8 @@
 //
 // The engine is also representation-blind: every strategy funnels into
 // sgd.Run, which executes on the sparse-native kernel whenever the
-// source implements sgd.SparseSamples and the loss factors through
-// loss.Linear. Shard views preserve the source's tier (Sharder
+// source implements sgd.SparseSamples and no white-box hook needs a
+// dense gradient. Shard views preserve the source's tier (Sharder
 // implementations hand out sparse views; RangeView wraps sparse
 // sources in sparse views), so Sequential, Sharded and Streaming all
 // take the same fast path on the same data — pinned per strategy by

@@ -34,44 +34,31 @@ type Params struct {
 // StronglyConvex reports whether the loss is γ-strongly convex for γ>0.
 func (p Params) StronglyConvex() bool { return p.Gamma > 0 }
 
-// Function is a per-example loss ℓ(w; (x, y)) with gradient in w.
-// Implementations must be convex in w for every example, as required by
-// the paper's privacy analysis.
-type Function interface {
-	// Name identifies the loss in logs and experiment output.
-	Name() string
-	// Eval returns ℓ(w; (x, y)).
-	Eval(w, x []float64, y float64) float64
-	// Grad writes ∇_w ℓ(w; (x, y)) into dst. dst must have len(w).
-	Grad(dst, w, x []float64, y float64)
-	// Params returns (L, β, γ) under the preprocessing assumptions
-	// ‖x‖ ≤ 1 and ‖w‖ ≤ R (the R used at construction).
-	Params() Params
-}
-
-// Linear is the factored form of a linear-model loss: every loss in
-// this package is g(⟨w,x⟩, y) + (λ/2)‖w‖² for a scalar data-fit term
-// g, so its gradient factors as
+// Function is a per-example loss ℓ(w; (x, y)) of a linear model, in
+// factored form: every loss in this package is g(⟨w,x⟩, y) + (λ/2)‖w‖²
+// for a scalar data-fit term g, so its gradient factors as
 //
 //	∇_w ℓ = Deriv(⟨w,x⟩, y)·x + λ·w
 //
 // — a scalar times the example plus a uniform shrink. Both execution
-// kernels of internal/sgd are built on this contract and call Deriv.
-// The sparse kernel's per-example work is one sparse dot to get
-// p = ⟨w,x⟩, one scalar Deriv call, and one sparse axpy, touching only
-// the non-zeros of x, while the λ·w term becomes an O(1) rescale under
-// the scaled-weight representation. The dense kernel's sequential
-// executor takes four rows' margins in one sweep over w, calls Deriv
-// for each and folds Deriv·x + Reg·w into the batch gradient without
-// calling Grad; its parallel executor calls Grad. Grad and Eval are
-// implemented on top of Deriv and EvalDot, and Grad writes exactly
-// Deriv(⟨w,x⟩, y)·x[i] + λ·w[i], so every path shares the exact same
-// scalar arithmetic.
+// kernels of internal/sgd are built on this contract. The sparse
+// kernel's per-example work is one sparse dot to get p = ⟨w,x⟩, one
+// scalar Deriv call, and one sparse axpy, touching only the non-zeros
+// of x, while the λ·w term becomes an O(1) rescale under the
+// scaled-weight representation. The dense kernel's row fold (sgd.Fold)
+// takes four rows' margins in one sweep over w, calls Deriv for each
+// and folds Deriv·x + Reg·w into the batch gradient. Eval and Grad
+// below compute the whole loss and gradient from the same three
+// methods, so every path shares the exact same scalar arithmetic.
 //
-// A loss that cannot be factored this way (no current example) simply
-// does not implement Linear and trains on the dense path.
-type Linear interface {
-	Function
+// Implementations must be convex in w for every example, as required
+// by the paper's privacy analysis.
+type Function interface {
+	// Name identifies the loss in logs and experiment output.
+	Name() string
+	// Params returns (L, β, γ) under the preprocessing assumptions
+	// ‖x‖ ≤ 1 and ‖w‖ ≤ R (the R used at construction).
+	Params() Params
 	// Deriv returns ∂g/∂p at p = ⟨w,x⟩ — the scalar c of the factored
 	// gradient c·x + λw. For margin losses this is y·g'(y·p) with g'
 	// the margin derivative.
@@ -82,6 +69,28 @@ type Linear interface {
 	// Reg returns the L2 regularization coefficient λ (0 when
 	// unregularized).
 	Reg() float64
+}
+
+// Eval returns ℓ(w; (x, y)) = g(⟨w,x⟩, y) + (λ/2)‖w‖².
+func Eval(f Function, w, x []float64, y float64) float64 {
+	base := f.EvalDot(vec.Dot(w, x), y)
+	if lambda := f.Reg(); lambda > 0 {
+		n := vec.Norm(w)
+		base += 0.5 * lambda * n * n
+	}
+	return base
+}
+
+// Grad writes ∇_w ℓ(w; (x, y)) = Deriv(⟨w,x⟩, y)·x + λw into dst, which
+// must have len(w).
+func Grad(f Function, dst, w, x []float64, y float64) {
+	if len(dst) != len(w) || len(w) != len(x) {
+		panic("loss: Grad length mismatch")
+	}
+	c, lambda := f.Deriv(vec.Dot(w, x), y), f.Reg()
+	for i := range dst {
+		dst[i] = c*x[i] + lambda*w[i]
+	}
 }
 
 // Logistic is the L2-regularized logistic loss of equation (1):
@@ -113,7 +122,7 @@ func (l *Logistic) Name() string {
 	return "logistic"
 }
 
-// EvalDot implements Linear: ln(1 + exp(−y·p)), stably.
+// EvalDot implements Function: ln(1 + exp(−y·p)), stably.
 func (l *Logistic) EvalDot(p, y float64) float64 {
 	z := -y * p
 	// log(1+e^z) computed stably for large |z|.
@@ -123,7 +132,7 @@ func (l *Logistic) EvalDot(p, y float64) float64 {
 	return math.Log1p(math.Exp(z))
 }
 
-// Deriv implements Linear: ∂g/∂p = −y·σ(−y·p), with σ the sigmoid.
+// Deriv implements Function: ∂g/∂p = −y·σ(−y·p), with σ the sigmoid.
 func (l *Logistic) Deriv(p, y float64) float64 {
 	z := y * p
 	// σ(−z) = 1/(1+e^z), computed stably.
@@ -136,30 +145,8 @@ func (l *Logistic) Deriv(p, y float64) float64 {
 	return -y * s
 }
 
-// Reg implements Linear.
+// Reg implements Function.
 func (l *Logistic) Reg() float64 { return l.Lambda }
-
-// Eval implements Function.
-func (l *Logistic) Eval(w, x []float64, y float64) float64 {
-	base := l.EvalDot(vec.Dot(w, x), y)
-	if l.Lambda > 0 {
-		n := vec.Norm(w)
-		base += 0.5 * l.Lambda * n * n
-	}
-	return base
-}
-
-// Grad implements Function:
-// ∇ℓ = −y·σ(−y⟨w,x⟩)·x + λw, with σ the sigmoid.
-func (l *Logistic) Grad(dst, w, x []float64, y float64) {
-	if len(dst) != len(w) || len(w) != len(x) {
-		panic("loss: Grad length mismatch")
-	}
-	c := l.Deriv(vec.Dot(w, x), y)
-	for i := range dst {
-		dst[i] = c*x[i] + l.Lambda*w[i]
-	}
-}
 
 // Params implements Function, per the derivation in §2 of the paper.
 func (l *Logistic) Params() Params {
@@ -204,7 +191,7 @@ func (l *Huber) Name() string {
 	return fmt.Sprintf("huber(h=%g)", l.H)
 }
 
-// EvalDot implements Linear: the three-piece margin loss at z = y·p.
+// EvalDot implements Function: the three-piece margin loss at z = y·p.
 func (l *Huber) EvalDot(p, y float64) float64 {
 	z := y * p
 	switch {
@@ -218,7 +205,7 @@ func (l *Huber) EvalDot(p, y float64) float64 {
 	}
 }
 
-// Deriv implements Linear. dℓ/dz is 0, −(1+h−z)/(2h) or −1 on the
+// Deriv implements Function. dℓ/dz is 0, −(1+h−z)/(2h) or −1 on the
 // three pieces; the chain rule multiplies by y.
 func (l *Huber) Deriv(p, y float64) float64 {
 	z := y * p
@@ -234,30 +221,8 @@ func (l *Huber) Deriv(p, y float64) float64 {
 	return dz * y
 }
 
-// Reg implements Linear.
+// Reg implements Function.
 func (l *Huber) Reg() float64 { return l.Lambda }
-
-// Eval implements Function.
-func (l *Huber) Eval(w, x []float64, y float64) float64 {
-	base := l.EvalDot(vec.Dot(w, x), y)
-	if l.Lambda > 0 {
-		n := vec.Norm(w)
-		base += 0.5 * l.Lambda * n * n
-	}
-	return base
-}
-
-// Grad implements Function. The margin derivative comes from Deriv;
-// the loop adds the λw regularizer term.
-func (l *Huber) Grad(dst, w, x []float64, y float64) {
-	if len(dst) != len(w) || len(w) != len(x) {
-		panic("loss: Grad length mismatch")
-	}
-	c := l.Deriv(vec.Dot(w, x), y)
-	for i := range dst {
-		dst[i] = c*x[i] + l.Lambda*w[i]
-	}
-}
 
 // Params implements Function. Appendix B: L ≤ 1 and β ≤ 1/(2h) for the
 // unregularized Huber loss under ‖x‖ ≤ 1.
@@ -296,38 +261,17 @@ func NewLeastSquares(lambda, r float64) *LeastSquares {
 // Name implements Function.
 func (l *LeastSquares) Name() string { return fmt.Sprintf("leastsquares(λ=%g)", l.Lambda) }
 
-// EvalDot implements Linear: (p − y)²/2.
+// EvalDot implements Function: (p − y)²/2.
 func (l *LeastSquares) EvalDot(p, y float64) float64 {
 	e := p - y
 	return 0.5 * e * e
 }
 
-// Deriv implements Linear: ∂g/∂p = p − y.
+// Deriv implements Function: ∂g/∂p = p − y.
 func (l *LeastSquares) Deriv(p, y float64) float64 { return p - y }
 
-// Reg implements Linear.
+// Reg implements Function.
 func (l *LeastSquares) Reg() float64 { return l.Lambda }
-
-// Eval implements Function.
-func (l *LeastSquares) Eval(w, x []float64, y float64) float64 {
-	base := l.EvalDot(vec.Dot(w, x), y)
-	if l.Lambda > 0 {
-		n := vec.Norm(w)
-		base += 0.5 * l.Lambda * n * n
-	}
-	return base
-}
-
-// Grad implements Function: ∇ℓ = (⟨w,x⟩−y)·x + λw.
-func (l *LeastSquares) Grad(dst, w, x []float64, y float64) {
-	if len(dst) != len(w) || len(w) != len(x) {
-		panic("loss: Grad length mismatch")
-	}
-	e := l.Deriv(vec.Dot(w, x), y)
-	for i := range dst {
-		dst[i] = e*x[i] + l.Lambda*w[i]
-	}
-}
 
 // Params implements Function: |ℓ'(z)| = |z−y| ≤ R+1 on ‖w‖≤R, ‖x‖≤1,
 // |y|≤1; the Hessian is xxᵀ + λI with norm ≤ 1+λ.

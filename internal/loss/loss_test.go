@@ -16,9 +16,9 @@ func numericalGrad(f Function, w, x []float64, y float64) []float64 {
 	wp := vec.Copy(w)
 	for i := range w {
 		wp[i] = w[i] + h
-		fp := f.Eval(wp, x, y)
+		fp := Eval(f, wp, x, y)
 		wp[i] = w[i] - h
-		fm := f.Eval(wp, x, y)
+		fm := Eval(f, wp, x, y)
 		wp[i] = w[i]
 		g[i] = (fp - fm) / (2 * h)
 	}
@@ -46,7 +46,7 @@ func testGradMatchesNumeric(t *testing.T, f Function) {
 	for trial := 0; trial < 50; trial++ {
 		w, x, y := randomPoint(r, 4, 0.8)
 		got := make([]float64, 4)
-		f.Grad(got, w, x, y)
+		Grad(f, got, w, x, y)
 		want := numericalGrad(f, w, x, y)
 		if !vec.Equal(got, want, 1e-4) {
 			t.Fatalf("%s: analytic grad %v != numeric %v at w=%v x=%v y=%v",
@@ -130,7 +130,7 @@ func TestConvexityProperty(t *testing.T) {
 			for i := range mid {
 				mid[i] = 0.5 * (a[i] + b[i])
 			}
-			return f.Eval(mid, x, y) <= 0.5*(f.Eval(a, x, y)+f.Eval(b, x, y))+1e-9
+			return Eval(f, mid, x, y) <= 0.5*(Eval(f, a, x, y)+Eval(f, b, x, y))+1e-9
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 			t.Errorf("%s: convexity violated: %v", f.Name(), err)
@@ -150,7 +150,7 @@ func TestGradientNormBoundedByL(t *testing.T) {
 		g := make([]float64, 5)
 		for trial := 0; trial < 500; trial++ {
 			w, x, y := randomPoint(r, 5, 3)
-			f.Grad(g, w, x, y)
+			Grad(f, g, w, x, y)
 			if n := vec.Norm(g); n > L+1e-9 {
 				t.Fatalf("%s: ‖∇ℓ‖ = %v exceeds L = %v", f.Name(), n, L)
 			}
@@ -185,8 +185,8 @@ func TestSmoothnessProperty(t *testing.T) {
 			}
 			gu := make([]float64, d)
 			gv := make([]float64, d)
-			f.Grad(gu, u, x, y)
-			f.Grad(gv, v, x, y)
+			Grad(f, gu, u, x, y)
+			Grad(f, gv, v, x, y)
 			return vec.Dist(gu, gv) <= beta*vec.Dist(u, v)+1e-9
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
@@ -213,11 +213,11 @@ func TestStrongConvexityProperty(t *testing.T) {
 		vec.Normalize(x)
 		y := -1.0
 		g := make([]float64, d)
-		f.Grad(g, v, x, y)
+		Grad(f, g, v, x, y)
 		diff := make([]float64, d)
 		vec.Sub(diff, u, v)
-		lhs := f.Eval(u, x, y)
-		rhs := f.Eval(v, x, y) + vec.Dot(g, diff) + 0.5*gamma*vec.Dot(diff, diff)
+		lhs := Eval(f, u, x, y)
+		rhs := Eval(f, v, x, y) + vec.Dot(g, diff) + 0.5*gamma*vec.Dot(diff, diff)
 		return lhs >= rhs-1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
@@ -231,12 +231,12 @@ func TestLogisticEvalStability(t *testing.T) {
 	w := []float64{1000}
 	x := []float64{1}
 	for _, y := range []float64{1, -1} {
-		v := f.Eval(w, x, y)
+		v := Eval(f, w, x, y)
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Errorf("Eval(y=%v) = %v", y, v)
 		}
 		g := make([]float64, 1)
-		f.Grad(g, w, x, y)
+		Grad(f, g, w, x, y)
 		if math.IsNaN(g[0]) || math.IsInf(g[0], 0) {
 			t.Errorf("Grad(y=%v) = %v", y, g[0])
 		}
@@ -247,31 +247,31 @@ func TestHuberPieces(t *testing.T) {
 	f := NewHuber(0.1, 0, 0)
 	x := []float64{1}
 	// z > 1+h: zero loss, zero gradient.
-	if v := f.Eval([]float64{2}, x, 1); v != 0 {
+	if v := Eval(f, []float64{2}, x, 1); v != 0 {
 		t.Errorf("flat piece loss = %v", v)
 	}
 	g := make([]float64, 1)
-	f.Grad(g, []float64{2}, x, 1)
+	Grad(f, g, []float64{2}, x, 1)
 	if g[0] != 0 {
 		t.Errorf("flat piece grad = %v", g[0])
 	}
 	// z < 1-h: linear piece, loss = 1-z, grad = -y·x.
-	if v := f.Eval([]float64{0.5}, x, 1); math.Abs(v-0.5) > 1e-12 {
+	if v := Eval(f, []float64{0.5}, x, 1); math.Abs(v-0.5) > 1e-12 {
 		t.Errorf("linear piece loss = %v, want 0.5", v)
 	}
-	f.Grad(g, []float64{0.5}, x, 1)
+	Grad(f, g, []float64{0.5}, x, 1)
 	if math.Abs(g[0]+1) > 1e-12 {
 		t.Errorf("linear piece grad = %v, want -1", g[0])
 	}
 	// Quadratic piece continuity at the boundaries.
 	h := 0.1
 	eps := 1e-9
-	atLo := f.Eval([]float64{1 - h + eps}, x, 1)
-	atLoLin := f.Eval([]float64{1 - h - eps}, x, 1)
+	atLo := Eval(f, []float64{1 - h + eps}, x, 1)
+	atLoLin := Eval(f, []float64{1 - h - eps}, x, 1)
 	if math.Abs(atLo-atLoLin) > 1e-6 {
 		t.Errorf("discontinuity at z=1-h: %v vs %v", atLo, atLoLin)
 	}
-	atHi := f.Eval([]float64{1 + h - eps}, x, 1)
+	atHi := Eval(f, []float64{1 + h - eps}, x, 1)
 	if math.Abs(atHi) > 1e-6 {
 		t.Errorf("loss at z=1+h should approach 0, got %v", atHi)
 	}
@@ -328,7 +328,7 @@ func TestHuberGradBigH(t *testing.T) {
 	// h > 1: z=0 sits inside the quadratic piece |1-z| <= h.
 	f := NewHuber(1.5, 0, 0)
 	g := make([]float64, 1)
-	f.Grad(g, []float64{0}, []float64{1}, 1)
+	Grad(f, g, []float64{0}, []float64{1}, 1)
 	// dz = -(1+h-z)/(2h) = -2.5/3.
 	if math.Abs(g[0]+2.5/3) > 1e-12 {
 		t.Errorf("quadratic-piece grad %v", g[0])
@@ -344,7 +344,29 @@ func TestGradLengthMismatchPanics(t *testing.T) {
 					t.Errorf("%s: Grad length mismatch did not panic", f.Name())
 				}
 			}()
-			f.Grad(make([]float64, 2), make([]float64, 3), make([]float64, 3), 1)
+			Grad(f, make([]float64, 2), make([]float64, 3), make([]float64, 3), 1)
 		}()
+	}
+}
+
+// Deriv must be the analytic derivative of EvalDot in p.
+func TestDerivMatchesEvalDotNumerically(t *testing.T) {
+	losses := []Function{
+		NewLogistic(0, 0), NewHuber(0.1, 0, 0), NewLeastSquares(0, 0),
+	}
+	r := rand.New(rand.NewSource(9))
+	const h = 1e-6
+	for trial := 0; trial < 200; trial++ {
+		p := r.NormFloat64() * 2
+		y := 1.0
+		if r.Float64() < 0.5 {
+			y = -1
+		}
+		for _, f := range losses {
+			num := (f.EvalDot(p+h, y) - f.EvalDot(p-h, y)) / (2 * h)
+			if math.Abs(num-f.Deriv(p, y)) > 1e-5 {
+				t.Fatalf("%s: Deriv(%v,%v) = %v, numeric %v", f.Name(), p, y, f.Deriv(p, y), num)
+			}
+		}
 	}
 }

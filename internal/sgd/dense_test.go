@@ -9,17 +9,13 @@ import (
 	"boltondp/internal/vec"
 )
 
-// gradOnly hides a loss's Linear methods, so the dense kernel must fill
-// its block rows with Grad.
-type gradOnly struct{ loss.Function }
-
 // TestDenseBlockMatchesGradAxpy drives one sequential dense update
-// against the per-row loop the block executor replaced — Grad, clip,
+// against the per-row loop the Fold replaced — loss.Grad, clip,
 // vec.Axpy(grad, 1, g), then scale, step and project — for every batch
 // size from 1 to 9 (full blocks, tails and both together), with and
-// without clipping, under a loss with and without λ, one whose Deriv
-// calls math.Exp, and one that does not factor. The source's At reuses
-// one buffer, so a block that kept the returned slices fails here.
+// without clipping, under a loss with and without λ and one whose
+// Deriv calls math.Exp. The source's At reuses one buffer, so a Fold
+// that kept the returned slices fails here.
 func TestDenseBlockMatchesGradAxpy(t *testing.T) {
 	const m, d, eta, radius = 40, 13, 0.3, 2.0
 	r := rand.New(rand.NewSource(21))
@@ -34,7 +30,6 @@ func TestDenseBlockMatchesGradAxpy(t *testing.T) {
 		loss.NewLogistic(0, 0),
 		loss.NewHuber(0.1, 1e-2, 0),
 		loss.NewLeastSquares(1e-1, 0),
-		gradOnly{loss.NewHuber(0.1, 1e-2, 0)},
 	}
 	for li, f := range losses {
 		for _, clip := range []float64{0, 0.05} {
@@ -51,7 +46,7 @@ func TestDenseBlockMatchesGradAxpy(t *testing.T) {
 				want, grad, g := vec.Copy(w0), make([]float64, d), make([]float64, d)
 				for i := start; i < start+b; i++ {
 					x, y := sp.At(perm[i])
-					f.Grad(g, want, x, y)
+					loss.Grad(f, g, want, x, y)
 					if clip > 0 {
 						clipTo(g, clip)
 					}

@@ -14,17 +14,16 @@ package sgd
 // updates are. That holds by construction:
 //
 //   - Dense kernel: phase 1 computes the per-example gradients g_j =
-//     ∇ℓ(w; z_j) into disjoint row buffers (loss.Function.Grad fully
-//     overwrites its dst, so each buffer is a pure function of (w, z_j)
-//     regardless of which worker fills it). Phase 2 reduces them
-//     column-parallel: each worker owns a contiguous column slab and
-//     folds grad[c] = Σ_j g_j[c] over examples in index order j =
-//     0..n-1 — the same fold, in the same order, as the sequential
-//     block executor's (denseState.block; dst += 1*x is exact in IEEE
-//     arithmetic, and a loss.Linear's Grad writes the c·x + λw the
-//     block computes from Deriv and Reg). The scale, noise-hook, step,
-//     projection and averaging stages then run on one thread,
-//     untouched.
+//     ∇ℓ(w; z_j) into disjoint row buffers (loss.Grad fully overwrites
+//     its dst, so each buffer is a pure function of (w, z_j) regardless
+//     of which worker fills it). Phase 2 reduces them column-parallel:
+//     each worker owns a contiguous column slab and folds grad[c] =
+//     Σ_j g_j[c] over examples in index order j = 0..n-1 — the same
+//     fold, in the same order, as the sequential executor's Fold
+//     (dst += 1*x is exact in IEEE arithmetic, and loss.Grad writes the
+//     c·x + λw the Fold computes from Deriv and Reg). The scale,
+//     noise-hook, step, projection and averaging stages then run on one
+//     thread, untouched.
 //
 //   - Sparse kernel: only the Deriv phase of sparseState.batch is
 //     fanned out — c_j = Deriv(α·⟨x_j, v⟩, y_j) writes disjoint cbuf
@@ -168,7 +167,7 @@ func splitRange(lo, hi []int, n int) {
 // at 0 allocs (gated by TestParKernelAllocs).
 type denseKernel struct {
 	pool  *kernelPool
-	loss  loss.Function
+	f     loss.Function
 	w     []float64 // the run's iterate; read-only during both phases
 	grad  []float64 // the run's batch-gradient accumulator
 	views []Samples
@@ -190,7 +189,7 @@ func newDenseKernel(s Samples, workers, maxBatch, d int, f loss.Function, w, gra
 		return nil
 	}
 	dk := &denseKernel{
-		loss: f, w: w, grad: grad,
+		f: f, w: w, grad: grad,
 		views: workerViews(s, workers),
 		gbufs: make([][]float64, maxBatch),
 		rowLo: make([]int, workers), rowHi: make([]int, workers),
@@ -209,7 +208,7 @@ func newDenseKernel(s Samples, workers, maxBatch, d int, f loss.Function, w, gra
 func (dk *denseKernel) close() { dk.pool.close() }
 
 // batch computes grad = (Σ_j ∇ℓ(w; z_{rows(start..start+n)})) exactly
-// as the sequential block executor would, using every worker.
+// as the sequential Fold would, using every worker.
 func (dk *denseKernel) batch(perm []int, start, end int) {
 	dk.perm, dk.start, dk.n = perm, start, end-start
 	splitRange(dk.rowLo, dk.rowHi, dk.n)
@@ -225,13 +224,13 @@ func (dk *denseKernel) gradPhase(k int) {
 	s := dk.views[k]
 	for j := dk.rowLo[k]; j < dk.rowHi[k]; j++ {
 		x, y := s.At(row(dk.perm, dk.start+j))
-		dk.loss.Grad(dk.gbufs[j], dk.w, x, y)
+		loss.Grad(dk.f, dk.gbufs[j], dk.w, x, y)
 	}
 }
 
 // reducePhase folds worker k's column slab over examples in index
 // order — the exact order (and therefore the exact rounding) in which
-// the sequential block executor adds each row's gradient to grad.
+// the sequential Fold adds each row's gradient to grad.
 func (dk *denseKernel) reducePhase(k int) {
 	lo, hi := dk.colLo[k], dk.colHi[k]
 	if lo == hi {

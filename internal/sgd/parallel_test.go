@@ -44,7 +44,7 @@ func TestParKernelDenseBatchBitIdentical(t *testing.T) {
 	gbuf := make([]float64, d)
 	for i := start; i < start+n; i++ {
 		x, y := de.At(perm[i])
-		f.Grad(gbuf, w, x, y)
+		loss.Grad(f, gbuf, w, x, y)
 		vec.Axpy(want, 1, gbuf)
 	}
 
@@ -191,8 +191,7 @@ func TestParKernelDispatch(t *testing.T) {
 		dk.close()
 	}
 
-	var lf loss.Linear = loss.NewLogistic(1e-2, 0)
-	st := newSparseState(lf, 16, 64, 1.0, false, nil)
+	st := newSparseState(loss.NewLogistic(1e-2, 0), 16, 64, 1.0, false, nil)
 	if sk := newSparseKernel(sp, 1, 64, st); sk != nil {
 		sk.close()
 		t.Error("sparse kernel engaged at W=1")
@@ -243,8 +242,7 @@ func TestParKernelAllocs(t *testing.T) {
 		t.Errorf("steady-state dense parallel batch allocates: %v allocs/op", allocs)
 	}
 
-	var lf loss.Linear = loss.NewLogistic(1e-2, 0)
-	st := newSparseState(lf, 200, 16, 1.0, true, nil)
+	st := newSparseState(loss.NewLogistic(1e-2, 0), 200, 16, 1.0, true, nil)
 	sk := newSparseKernel(sp, 4, 16, st)
 	if sk == nil {
 		t.Fatal("sparse kernel did not engage")

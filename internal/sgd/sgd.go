@@ -183,7 +183,7 @@ type Config struct {
 	// per-example phase of every large-enough mini-batch — dense
 	// gradients, sparse margin derivatives — across W goroutines and
 	// reduces in example-index order, so the result is BIT-IDENTICAL to
-	// the sequential block executor for every W (see parallel.go for the
+	// the sequential Fold executor for every W (see parallel.go for the
 	// determinism argument). It composes with the engine's Sharded
 	// strategy (P shards × W workers) and sits inside either kernel,
 	// below Run's one epoch loop and its look-ahead. It is a pinned
@@ -216,7 +216,7 @@ type Config struct {
 	// noise authority per run) and with the sparse and parallel kernels
 	// (clipping needs each example's dense gradient, materialized
 	// sequentially) — Run silently falls back to the dense kernel's
-	// sequential block executor.
+	// sequential Fold executor.
 	GradPerturb *GradPerturb
 
 	// W0 is the starting point; nil means the origin.
@@ -374,13 +374,12 @@ func (r *Result) Model() []float64 {
 // model(s). It is deterministic given Config.Rand's state.
 //
 // Run is representation-blind: when the source implements
-// SparseSamples, the loss implements loss.Linear and no GradNoise hook
-// is installed, the run executes on the sparse-native kernel
-// (sparse.go), whose per-example cost is O(nnz) instead of O(d). The
-// two kernels apply the same update rule batch for batch and agree to
-// floating-point rounding; randomness consumption (permutations) is
-// identical, so a caller drawing noise from the same Rand afterwards
-// sees identical draws either way.
+// SparseSamples and neither GradNoise nor GradPerturb is set, the run
+// executes on the sparse-native kernel (sparse.go), whose per-example
+// cost is O(nnz) instead of O(d). The two kernels apply the same update
+// rule batch for batch and agree to floating-point rounding; randomness
+// consumption (permutations) is identical, so a caller drawing noise
+// from the same Rand afterwards sees identical draws either way.
 func Run(s Samples, cfg Config) (*Result, error) {
 	m := s.Len()
 	if err := cfg.validate(m); err != nil {
@@ -416,8 +415,8 @@ func Run(s Samples, cfg Config) (*Result, error) {
 		perm = cfg.Rand.Perm(m)
 	}
 	var k kernel
-	if ss, lf, ok := sparseCapable(s, &cfg); ok {
-		k = newSparseRun(ss, lf, &cfg, maxBatch)
+	if ss, ok := sparseCapable(s, &cfg); ok {
+		k = newSparseRun(ss, &cfg, maxBatch)
 	} else {
 		k = newDenseState(s, &cfg, b, maxBatch)
 	}
@@ -494,7 +493,7 @@ func Run(s Samples, cfg Config) (*Result, error) {
 // window, Tol/Progress and the averaging divide — and calls a kernel
 // once per batch or pass, never per row; inside update, a kernel's row
 // loop keeps its state in locals (DESIGN.md §2). The dense kernel's row
-// loop takes four rows at a time (denseState.block); the parallel batch
+// loop feeds a Fold, which takes four rows at a time; the parallel batch
 // executors of parallel.go (denseKernel, sparseKernel) sit inside, next
 // to each kernel's sequential one.
 type kernel interface {
@@ -511,41 +510,33 @@ type kernel interface {
 }
 
 // denseState is the dense kernel: the iterate as a plain d-vector, and
-// a sequential executor that takes a batch blockRows rows at a time
-// (block). It alone serves clipping, GradPerturb noise, Poisson
-// sampling and the GradNoise hook, which need each example's or each
-// batch's gradient materialized.
+// a sequential executor that sums a batch's gradients through a Fold.
+// It alone serves clipping, GradPerturb noise, Poisson sampling and the
+// GradNoise hook, which need each example's or each batch's gradient
+// materialized.
 type denseState struct {
 	s   Samples
 	cfg Config
 	b   int // the clamped batch size: a Poisson draw's expected lot
 
 	w, grad []float64
-	blk     [blockRows][]float64 // the block's rows: copies of the source rows, or their gradients
-	lin     loss.Linear          // nil when the loss does not factor; block then fills blk with Grad
-	wsum    []float64            // nil unless averaging
-	noise   []float64            // nil unless GradPerturb.Sigma > 0
-	drawn   []int                // a Poisson draw's rows, capacity m; nil unless Poisson
+	fold    Fold      // the batch's row-gradient sum; clips under GradPerturb
+	wsum    []float64 // nil unless averaging
+	noise   []float64 // nil unless GradPerturb.Sigma > 0
+	drawn   []int     // a Poisson draw's rows, capacity m; nil unless Poisson
 
 	par *denseKernel // nil unless KernelWorkers engages (parallel.go)
 }
 
-// blockRows is how many rows the sequential dense executor takes at
-// once: their margins come from one sweep over w with independent
-// accumulators, and their contributions go into grad in one sweep.
-const blockRows = 4
-
 func newDenseState(s Samples, cfg *Config, b, maxBatch int) *denseState {
 	d := s.Dim()
-	scratch := make([]float64, (1+blockRows)*d) // grad and the block share one allocation, so k costs none in sgd.epoch_allocs
+	scratch := make([]float64, (1+blockRows)*d) // grad and the fold's block share one allocation, so k costs none in sgd.epoch_allocs
 	k := &denseState{
 		s: s, cfg: *cfg, b: b,
 		w: make([]float64, d), grad: scratch[:d:d],
+		fold: Fold{f: cfg.Loss},
 	}
-	for r := range k.blk {
-		k.blk[r] = scratch[(r+1)*d : (r+2)*d : (r+2)*d]
-	}
-	k.lin, _ = cfg.Loss.(loss.Linear)
+	k.fold.carve(scratch[d:], d)
 	copy(k.w, cfg.W0) // W0 == nil starts at the origin
 	if cfg.Average || cfg.AverageTail {
 		k.wsum = make([]float64, d)
@@ -553,6 +544,9 @@ func newDenseState(s Samples, cfg *Config, b, maxBatch int) *denseState {
 	gp := cfg.GradPerturb
 	if gp != nil && gp.Sigma > 0 {
 		k.noise = make([]float64, d)
+	}
+	if gp != nil {
+		k.fold.clip = gp.Clip
 	}
 	if gp != nil && gp.Poisson {
 		k.drawn = make([]int, 0, s.Len())
@@ -586,14 +580,16 @@ func (k *denseState) update(perm []int, start, end, t int) {
 		perm, start, end, lot = drawn, 0, len(drawn), float64(k.b)
 	}
 	if k.par != nil && end-start >= minParBatch {
-		// Bit-identical to the sequential blocks below — see
+		// Bit-identical to the sequential fold below — see
 		// parallel.go — so per-batch dispatch never changes a result.
 		k.par.batch(perm, start, end)
 	} else {
 		vec.Zero(grad)
-		for i := start; i < end; i += blockRows {
-			k.block(perm, i, min(i+blockRows, end))
+		for i := start; i < end; i++ {
+			x, y := k.s.At(row(perm, i))
+			k.fold.Add(grad, k.w, x, y)
 		}
+		k.fold.Flush(grad, k.w)
 	}
 	if k.noise != nil {
 		// Noise on the SUM, then average with it — the DP-SGD update;
@@ -609,107 +605,6 @@ func (k *denseState) update(perm []int, start, end, t int) {
 	vec.ProjectBall(k.w, k.cfg.Radius)
 }
 
-// block adds the gradients of the batch slots i..end (at most
-// blockRows of them) to grad, in slot order. It copies each row At
-// returns into its own block row (At may reuse one buffer), so the
-// whole block is at hand at once. Under a loss.Linear with no clip, a
-// full block is four margins from one sweep over w (margins4), four
-// Deriv calls and one fused fold (fold4); clipping materializes each
-// gradient c·x + λw in its block row first, and a loss that does not
-// factor fills the rows with Grad. A tail of one to three rows takes
-// the same arithmetic a row at a time.
-//
-// It is bit-identical to one Grad per row followed by
-// vec.Axpy(grad, 1, g): every margin reads the pre-update w, so taking
-// four before folding any changes no value; each margin sums left to
-// right as vec.Dot does; each grad[j] adds the rows in slot order; and
-// 1·g == g exactly.
-func (k *denseState) block(perm []int, i, end int) {
-	n, w, grad, blk, gp := end-i, k.w, k.grad, &k.blk, k.cfg.GradPerturb
-	var c, y [blockRows]float64
-	for r := 0; r < n; r++ {
-		x, yr := k.s.At(row(perm, i+r))
-		if k.lin == nil {
-			k.cfg.Loss.Grad(blk[r], w, x, yr)
-		} else {
-			copy(blk[r], x)
-			y[r] = yr
-		}
-	}
-	if k.lin != nil {
-		if n == blockRows {
-			c = margins4(w, blk)
-		} else {
-			for r := 0; r < n; r++ {
-				c[r] = vec.Dot(w, blk[r])
-			}
-		}
-		for r := 0; r < n; r++ {
-			c[r] = k.lin.Deriv(c[r], y[r])
-		}
-		lam := k.lin.Reg()
-		if gp == nil {
-			if n == blockRows {
-				fold4(grad, w, lam, &c, blk)
-			} else {
-				for r := 0; r < n; r++ {
-					foldRow(grad, w, lam, c[r], blk[r])
-				}
-			}
-			return
-		}
-		for r := 0; r < n; r++ {
-			x := blk[r][:len(w)]
-			for j, wj := range w {
-				x[j] = c[r]*x[j] + lam*wj // the gradient, as Grad writes it
-			}
-		}
-	}
-	for r := 0; r < n; r++ {
-		if gp != nil {
-			clipTo(blk[r], gp.Clip)
-		}
-		vec.Axpy(grad, 1, blk[r])
-	}
-}
-
-// margins4 returns ⟨w, x_r⟩ for the four block rows from one sweep
-// over w: four independent sums, each in vec.Dot's order.
-func margins4(w []float64, x *[blockRows][]float64) (p [blockRows]float64) {
-	x0, x1, x2, x3 := x[0][:len(w)], x[1][:len(w)], x[2][:len(w)], x[3][:len(w)]
-	var p0, p1, p2, p3 float64
-	for j, wj := range w {
-		p0 += wj * x0[j]
-		p1 += wj * x1[j]
-		p2 += wj * x2[j]
-		p3 += wj * x3[j]
-	}
-	return [blockRows]float64{p0, p1, p2, p3}
-}
-
-// fold4 adds the four gradients c_r·x_r + λw to grad in one sweep, in
-// row order: each term rounds as Grad writes it and each sum as
-// vec.Axpy(grad, 1, ·) adds it.
-func fold4(grad, w []float64, lam float64, c *[blockRows]float64, x *[blockRows][]float64) {
-	grad = grad[:len(w)]
-	x0, x1, x2, x3 := x[0][:len(w)], x[1][:len(w)], x[2][:len(w)], x[3][:len(w)]
-	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
-	for j, wj := range w {
-		g := grad[j] + (c0*x0[j] + lam*wj)
-		g += c1*x1[j] + lam*wj
-		g += c2*x2[j] + lam*wj
-		grad[j] = g + (c3*x3[j] + lam*wj)
-	}
-}
-
-// foldRow is fold4 for one row.
-func foldRow(grad, w []float64, lam, c float64, x []float64) {
-	grad, x = grad[:len(w)], x[:len(w)]
-	for j, wj := range w {
-		grad[j] += c*x[j] + lam*wj
-	}
-}
-
 func (k *denseState) addIterate()           { vec.Axpy(k.wsum, 1, k.w) }
 func (k *denseState) endPass()              {}
 func (k *denseState) iterate() []float64    { return k.w }
@@ -721,34 +616,22 @@ func (k *denseState) close() {
 	}
 }
 
-// clipTo scales g down to l2 norm c when it exceeds it — the DP-SGD
-// per-example clip, which caps each example's contribution to the batch
-// sum at c regardless of the loss's own Lipschitz constant.
-func clipTo(g []float64, c float64) {
-	n := vec.Norm(g)
-	if n > c {
-		vec.Scale(g, c/n)
-	}
-}
-
 // EmpiricalRisk returns L_S(w) = (1/m) Σ ℓ(w; z_i), the quantity whose
 // excess the paper's convergence theorems bound. Like Run it is
-// representation-blind: sparse sources with a factored loss are scored
-// via sparse dot products, without densifying any row.
+// representation-blind: sparse sources are scored via sparse dot
+// products, without densifying any row.
 func EmpiricalRisk(s Samples, f loss.Function, w []float64) float64 {
 	m := s.Len()
 	if m == 0 {
 		return 0
 	}
 	if ss, ok := s.(SparseSamples); ok {
-		if lf, ok2 := f.(loss.Linear); ok2 {
-			return sparseEmpiricalRisk(ss, lf, w)
-		}
+		return sparseEmpiricalRisk(ss, f, w)
 	}
 	var sum float64
 	for i := 0; i < m; i++ {
 		x, y := s.At(i)
-		sum += f.Eval(w, x, y)
+		sum += loss.Eval(f, w, x, y)
 	}
 	return sum / float64(m)
 }

@@ -166,7 +166,7 @@ func TestFullBatchEqualsGradientDescent(t *testing.T) {
 	gb := make([]float64, 3)
 	for i := 0; i < 30; i++ {
 		x, y := s.At(i)
-		f.Grad(gb, w, x, y)
+		loss.Grad(f, gb, w, x, y)
 		vec.Axpy(g, 1.0/30, gb)
 	}
 	vec.Axpy(w, -0.5, g)
@@ -204,7 +204,7 @@ func TestAveragingMatchesManual(t *testing.T) {
 	g := make([]float64, 2)
 	for t1 := 0; t1 < 20; t1++ {
 		x, y := s.At(perm[t1])
-		f.Grad(g, w, x, y)
+		loss.Grad(f, g, w, x, y)
 		vec.Axpy(w, -0.2, g)
 		vec.Axpy(sum, 1, w)
 	}
@@ -316,8 +316,8 @@ func TestConvexUpdateIsOneExpansiveProperty(t *testing.T) {
 		y := math.Copysign(1, r.NormFloat64())
 		gu := make([]float64, d)
 		gv := make([]float64, d)
-		f.Grad(gu, u, x, y)
-		f.Grad(gv, v, x, y)
+		loss.Grad(f, gu, u, x, y)
+		loss.Grad(f, gv, v, x, y)
 		before := vec.Dist(u, v)
 		vec.Axpy(u, -eta, gu)
 		vec.Axpy(v, -eta, gv)
@@ -348,8 +348,8 @@ func TestStronglyConvexContractionProperty(t *testing.T) {
 		y := math.Copysign(1, r.NormFloat64())
 		gu := make([]float64, d)
 		gv := make([]float64, d)
-		f.Grad(gu, u, x, y)
-		f.Grad(gv, v, x, y)
+		loss.Grad(f, gu, u, x, y)
+		loss.Grad(f, gv, v, x, y)
 		before := vec.Dist(u, v)
 		vec.Axpy(u, -eta, gu)
 		vec.Axpy(v, -eta, gv)
@@ -376,7 +376,7 @@ func TestBoundednessProperty(t *testing.T) {
 		vec.Normalize(x)
 		y := math.Copysign(1, r.NormFloat64())
 		g := make([]float64, d)
-		f.Grad(g, w, x, y)
+		loss.Grad(f, g, w, x, y)
 		return eta*vec.Norm(g) <= eta*L+1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {

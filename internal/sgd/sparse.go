@@ -11,10 +11,10 @@ import (
 // SparseSamples is the second tier of the engine's data contract: a
 // row source that can hand out examples in sparse coordinate form
 // without materializing them. Run executes on the sparse-native update
-// kernel whenever the source implements this interface and the loss
-// implements loss.Linear; otherwise it falls back to the dense kernel,
-// so implementing SparseSamples is purely an optimization and never a
-// correctness requirement.
+// kernel whenever the source implements this interface and no white-box
+// hook needs a dense gradient; otherwise it falls back to the dense
+// kernel, so implementing SparseSamples is purely an optimization and
+// never a correctness requirement.
 //
 // The returned vector (like At's dense slice) may be backed by storage
 // that is reused or invalidated by the next AtSparse call on the same
@@ -78,26 +78,19 @@ func (s *SparseSliceSamples) Shard(lo, hi int) Samples {
 }
 
 // sparseCapable reports whether a Run over (s, cfg) takes the sparse
-// fast path: the source must expose sparse rows, the loss must factor
-// through loss.Linear, and the white-box GradNoise hook — which needs a
-// materialized dense gradient — must be unset.
-func sparseCapable(s Samples, cfg *Config) (SparseSamples, loss.Linear, bool) {
+// fast path: the source must expose sparse rows, and the white-box
+// GradNoise and GradPerturb hooks — which need a materialized dense
+// gradient — must be unset.
+func sparseCapable(s Samples, cfg *Config) (SparseSamples, bool) {
 	ss, ok := s.(SparseSamples)
-	if !ok || cfg.GradNoise != nil || cfg.GradPerturb != nil {
-		return nil, nil, false
-	}
-	lf, ok := cfg.Loss.(loss.Linear)
-	if !ok {
-		return nil, nil, false
-	}
-	return ss, lf, true
+	return ss, ok && cfg.GradNoise == nil && cfg.GradPerturb == nil
 }
 
 // UsesSparseKernel reports whether Run(s, cfg) would execute on the
 // sparse-native kernel. Exported for strategy-blindness tests and for
 // experiment reporting; it never changes behavior.
 func UsesSparseKernel(s Samples, cfg Config) bool {
-	_, _, ok := sparseCapable(s, &cfg)
+	_, ok := sparseCapable(s, &cfg)
 	return ok
 }
 
@@ -128,7 +121,7 @@ func UsesSparseKernel(s Samples, cfg Config) bool {
 // keeps every intermediate within ~1e4 of w's own scale, making the
 // lazy sum as accurate as the dense running sum.
 type sparseState struct {
-	f      loss.Linear
+	f      loss.Function
 	lambda float64
 	radius float64
 
@@ -159,7 +152,7 @@ type sparseState struct {
 // newSparseState initializes the representation at w0 (nil = origin).
 // maxBatch bounds every batch the run will apply (the remainder-merged
 // final batch included) so the steady state never allocates.
-func newSparseState(f loss.Linear, d, maxBatch int, radius float64, avg bool, w0 []float64) *sparseState {
+func newSparseState(f loss.Function, d, maxBatch int, radius float64, avg bool, w0 []float64) *sparseState {
 	st := &sparseState{
 		f: f, lambda: f.Reg(), radius: radius,
 		foldLo: 1e-100, foldHi: 1e100,
@@ -183,8 +176,8 @@ func newSparseState(f loss.Linear, d, maxBatch int, radius float64, avg bool, w0
 // newSparseRun builds the sparse kernel of a Run over s (see kernel in
 // sgd.go): the scaled-weight state and, when KernelWorkers engages, its
 // Deriv executor.
-func newSparseRun(s SparseSamples, lf loss.Linear, cfg *Config, maxBatch int) *sparseState {
-	st := newSparseState(lf, s.Dim(), maxBatch, cfg.Radius, cfg.Average || cfg.AverageTail, cfg.W0)
+func newSparseRun(s SparseSamples, cfg *Config, maxBatch int) *sparseState {
+	st := newSparseState(cfg.Loss, s.Dim(), maxBatch, cfg.Radius, cfg.Average || cfg.AverageTail, cfg.W0)
 	st.src, st.step, st.w = s, cfg.Step, make([]float64, len(st.v))
 	st.par = newSparseKernel(s, cfg.KernelWorkers, maxBatch, st)
 	return st
@@ -330,7 +323,7 @@ func (st *sparseState) project() {
 // sparseEmpiricalRisk is EmpiricalRisk over sparse rows: one sparse
 // dot per example and the (λ/2)‖w‖² regularizer computed once instead
 // of per row.
-func sparseEmpiricalRisk(s SparseSamples, f loss.Linear, w []float64) float64 {
+func sparseEmpiricalRisk(s SparseSamples, f loss.Function, w []float64) float64 {
 	m := s.Len() // > 0: EmpiricalRisk returns 0 for an empty source
 	var reg float64
 	if lambda := f.Reg(); lambda > 0 {

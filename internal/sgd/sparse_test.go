@@ -212,8 +212,7 @@ func TestSparseEmpiricalRiskParity(t *testing.T) {
 func TestSparseUpdateAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	sp, _ := randomSparseSamples(r, 512, 800, 40)
-	var f loss.Linear = loss.NewLogistic(1e-2, 0)
-	st := newSparseState(f, 800, 16, 1.0, true, nil)
+	st := newSparseState(loss.NewLogistic(1e-2, 0), 800, 16, 1.0, true, nil)
 	st.cs = 1 // exercise the iterate-sum maintenance branch too
 	eta := 0.05
 	start := 0

@@ -33,7 +33,7 @@ func TestAverageTailMatchesManual(t *testing.T) {
 	cnt := 0
 	for tt := 1; tt <= T; tt++ {
 		x, y := s.At(perm[(tt-1)%m])
-		f.Grad(g, w, x, y)
+		loss.Grad(f, g, w, x, y)
 		vec.Axpy(w, -0.2, g)
 		if tt >= T-n+1 {
 			vec.Axpy(sum, 1, w)
