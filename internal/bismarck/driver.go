@@ -109,7 +109,8 @@ type TrainConfig struct {
 	PaperBatchSensitivity bool
 	// NoShuffle skips Figure 1's Shuffle step, which materializes the
 	// table in random order first: the zero value shuffles. Tests set
-	// it for determinism.
+	// it for determinism, and the runtime experiments to time the
+	// epochs without the one-off shuffle.
 	NoShuffle bool
 	Rand      *rand.Rand
 }

@@ -8,10 +8,10 @@ import (
 	"boltondp/internal/vec"
 )
 
-// aggregate is the user-defined-aggregate contract of §4.2: "The developer
-// has to provide implementations of three functions in the UDA's C API:
-// initialize, transition, and terminate, all of which operate on the
-// aggregation state."
+// aggregate is the user-defined-aggregate contract of §4.2: "The
+// developer has to provide implementations of three functions in the
+// UDA's C API: initialize, transition, and terminate, all of which
+// operate on the aggregation state."
 //
 // Initialize receives the previous epoch's output (nil on the first
 // epoch); Transition consumes one tuple; Terminate returns the epoch's
@@ -94,11 +94,9 @@ func newSGDAgg(d int, f loss.Function, step sgd.Schedule, batch int, radius floa
 	}
 }
 
-// Initialize implements aggregate: "for SGD, it sets w to the value given by
-// the Python controller (the previous epoch's output model)". Rows a
-// failed scan left in the fold are dropped with the batch they joined.
+// Initialize implements aggregate: "for SGD, it sets w to the value
+// given by the Python controller (the previous epoch's output model)".
 func (a *sgdAgg) Initialize(prev any) {
-	a.fold.Flush(a.acc, a.w)
 	if prev != nil {
 		copy(a.w, prev.([]float64))
 	}
@@ -107,11 +105,11 @@ func (a *sgdAgg) Initialize(prev any) {
 	a.seen = 0
 }
 
-// Transition implements aggregate: add the tuple's gradient to the batch;
-// when the mini-batch is full, apply the (possibly noise-injected)
-// update. If the epoch's row count is known and fewer than batch rows
-// remain, they are merged into the current batch (applied at
-// Terminate).
+// Transition implements aggregate: add the tuple's gradient to the
+// batch; when the mini-batch is full, apply the (possibly
+// noise-injected) update. If the epoch's row count is known and fewer
+// than batch rows remain, they are merged into the current batch
+// (applied at Terminate).
 func (a *sgdAgg) Transition(x []float64, y float64) {
 	a.fold.Add(a.acc, a.w, x, y)
 	a.inAcc++
@@ -124,8 +122,8 @@ func (a *sgdAgg) Transition(x []float64, y float64) {
 	}
 }
 
-// Terminate implements aggregate: flush a trailing partial batch and return
-// the epoch's model (a copy, so the driver owns it).
+// Terminate implements aggregate: flush a trailing partial batch and
+// return the epoch's model (a copy, so the driver owns it).
 func (a *sgdAgg) Terminate() any {
 	if a.inAcc > 0 {
 		a.applyBatch()

@@ -68,7 +68,7 @@ func ParseDPCoord(args []string, stderr io.Writer) (*DPCoordConfig, error) {
 	fs.StringVar(&cfg.LossName, "loss", "logistic", "logistic|huber")
 	fs.Float64Var(&cfg.Lambda, "lambda", 1e-3, "L2 regularization λ (0 = convex case)")
 	fs.Float64Var(&cfg.HuberH, "huber-h", 0.1, "Huber smoothing width")
-	fs.Float64Var(&cfg.Eps, "eps", 0.1, "privacy budget ε")
+	fs.Float64Var(&cfg.Eps, "eps", 0.1, "privacy budget ε (with -delta > 0, the classical Gaussian σ of output perturbation is proven (ε,δ)-DP only for ε ≤ 1, and is not (ε,δ)-DP above ε ≈ 9 at δ = 1e-5)")
 	fs.Float64Var(&cfg.Delta, "delta", 0, "privacy budget δ (0 = pure ε-DP)")
 	fs.IntVar(&cfg.Passes, "passes", 10, "passes over the data (k)")
 	fs.IntVar(&cfg.Batch, "batch", 50, "mini-batch size (b)")

@@ -120,10 +120,11 @@ func Perm(r *rand.Rand, n int) []int {
 }
 
 // GaussianSigma returns the Gaussian-mechanism standard deviation of
-// Theorem 3: sigma = sqrt(2 ln(1.25/δ)) · Δ₂ / ε. It panics on
-// parameters outside the theorem's range (ε ∈ (0,1] is the stated
-// hypothesis; we accept any positive ε since the bound remains a valid
-// (ε,δ) guarantee for ε < 1 and is the universal convention for ε ≥ 1).
+// Theorem 3: sigma = sqrt(2 ln(1.25/δ)) · Δ₂ / ε. Theorem 3 proves the
+// release (ε,δ)-DP for ε ≤ 1 only. A larger ε is accepted, but there
+// the classical σ carries no proof, and above about ε ≈ 9 at δ = 1e-5
+// it is not (ε,δ)-DP: a stated ε = 16 is really 18.9. It panics on a
+// non-positive ε, a δ outside (0,1) or a negative sensitivity.
 func GaussianSigma(sensitivity, epsilon, delta float64) float64 {
 	if epsilon <= 0 || delta <= 0 || delta >= 1 {
 		panic(fmt.Sprintf("rng: GaussianSigma requires epsilon>0, delta in (0,1), got ε=%v δ=%v", epsilon, delta))

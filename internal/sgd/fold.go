@@ -6,25 +6,22 @@ import (
 )
 
 // Fold sums per-row gradients ∇ℓ(w; (x, y)) = Deriv(⟨w,x⟩, y)·x + λw
-// into a batch gradient, blockRows rows at a time. It is the one
-// row-gradient sum of the module: the dense kernel's sequential
-// executor, the Bismarck SGD aggregate and BST14 all feed it a row at a
-// time (Add) and flush it at the batch end (Flush).
+// into a batch gradient, blockRows rows at a time: the one row-gradient
+// sum of the dense kernel, the Bismarck SGD aggregate and BST14. Each
+// feeds it a row at a time (Add) and flushes it at the batch end
+// (Flush).
 //
-// Add copies x into one of its block rows (a source may reuse the
-// buffer it returned), and every blockRows-th row folds the block into
-// grad: four margins from one sweep over w (margins4), four Deriv calls
-// and one fused fold (fold4). Flush folds the one to three rows left
-// the same way, a row at a time. The result is bit-identical to one
-// loss.Grad per row followed by vec.Axpy(grad, 1, g): every margin of a
-// block reads the same w, so taking four before folding any changes no
-// value; each margin sums left to right as vec.Dot does; each grad[j]
-// adds the rows in the order they were added; and 1·g == g exactly.
+// Add copies x (a source may reuse the buffer it returned); every
+// blockRows-th row folds the block into grad: four margins from one
+// sweep over w (margins4), four Deriv calls and one fused sweep
+// (fold4). Flush folds the one to three rows left a row at a time. The
+// sum is bit-identical to one loss.Grad per row followed by
+// vec.Axpy(grad, 1, g): each margin sums in vec.Dot's order, each
+// grad[j] adds the rows in the order they came, and 1·g == g exactly.
 //
-// That needs one condition of the caller: w must not change between a
-// row's Add and the fold that reads it — so flush before every update
-// of w. Rows held across a change of w would take their margins at the
-// new w.
+// The caller must not change w between a row's Add and the fold that
+// reads it, so it flushes before every update of w: a held row would
+// otherwise take its margin at the new w.
 type Fold struct {
 	f   loss.Function
 	blk [blockRows][]float64 // the held rows: copies of the caller's x
@@ -32,8 +29,8 @@ type Fold struct {
 	n   int // rows held, < blockRows between calls
 
 	// clip, when positive, scales each row's gradient down to this l2
-	// norm before it is added: the per-example clip of GradPerturb,
-	// which only the dense kernel sets.
+	// norm before it is added: GradPerturb's per-example clip, which
+	// only the dense kernel sets.
 	clip float64
 }
 
@@ -56,8 +53,8 @@ func (fo *Fold) carve(buf []float64, d int) {
 	}
 }
 
-// Add adds the gradient of row (x, y) at w to grad, which it may defer
-// to a later Add or to Flush (see Fold for the condition on w).
+// Add adds the gradient of row (x, y) at w to grad, now or at a later
+// Add or Flush.
 func (fo *Fold) Add(grad, w, x []float64, y float64) {
 	copy(fo.blk[fo.n], x)
 	fo.y[fo.n] = y
@@ -73,9 +70,8 @@ func (fo *Fold) Flush(grad, w []float64) {
 	}
 }
 
-// fold adds the held rows' gradients to grad in the order they were
-// added and empties the block. Without a clip a full block is one
-// fused sweep (fold4); a clip materializes each gradient c·x + λw in its
+// fold adds the held rows' gradients to grad in order and empties the
+// block. Under a clip each gradient c·x + λw is materialized in its
 // block row first, as loss.Grad writes it.
 func (fo *Fold) fold(grad, w []float64) {
 	n, blk := fo.n, &fo.blk
