@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"boltondp/internal/data"
 	"boltondp/internal/dp"
 	"boltondp/internal/loss"
 	"boltondp/internal/sgd"
@@ -262,5 +263,35 @@ func TestSCS13DegradesWithSmallEpsilon(t *testing.T) {
 	hi, lo := avg(4), avg(0.01)
 	if hi <= lo {
 		t.Errorf("accuracy at ε=4 (%v) should exceed accuracy at ε=0.01 (%v)", hi, lo)
+	}
+}
+
+// TestSCS13BatchAboveRows pins SCS13's noise to the batch the engine
+// runs. sgd.Run clamps b to m, so at b = 4m every update averages the
+// same m rows as at b = m and must get the same noise: the same seed
+// gives the same W bit for bit and the same number of draws. Noise
+// calibrated to the unclamped b would be 4× too small.
+func TestSCS13BatchAboveRows(t *testing.T) {
+	train, _ := data.CovtypeSim(rand.New(rand.NewSource(3)), 0.001)
+	m := train.Len()
+	run := func(b int) *Result {
+		res, err := SCS13(train, loss.NewLogistic(1e-3, 0), Options{
+			Budget: dp.Budget{Epsilon: 1}, Passes: 2, Batch: b, Radius: 1000,
+			Rand: rand.New(rand.NewSource(5)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	atM, above := run(m), run(4*m)
+	if above.NoiseDraws != atM.NoiseDraws {
+		t.Errorf("b=4m drew noise %d times, b=m %d times", above.NoiseDraws, atM.NoiseDraws)
+	}
+	for j := range atM.W {
+		if math.Float64bits(above.W[j]) != math.Float64bits(atM.W[j]) {
+			t.Fatalf("b=4m: W[%d] = %v, b=m: %v; the noise is not calibrated to the batch the engine runs (m=%d)",
+				j, above.W[j], atM.W[j], m)
+		}
 	}
 }
