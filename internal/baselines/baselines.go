@@ -87,15 +87,23 @@ func (o *Options) reserve(label string) error {
 	return o.Accountant.Reserve(label, o.Budget)
 }
 
-func (o *Options) withDefaults() Options {
+// withDefaults rejects a negative Passes or Batch and sets a zero one
+// to 1.
+func (o *Options) withDefaults() (Options, error) {
 	out := *o
+	if out.Passes < 0 {
+		return out, fmt.Errorf("baselines: negative Passes (%d)", out.Passes)
+	}
+	if out.Batch < 0 {
+		return out, fmt.Errorf("baselines: negative Batch (%d)", out.Batch)
+	}
 	if out.Passes == 0 {
 		out.Passes = 1
 	}
 	if out.Batch == 0 {
 		out.Batch = 1
 	}
-	return out
+	return out, nil
 }
 
 // Result reports a baseline training run.
@@ -116,7 +124,10 @@ type Result struct {
 // and accuracy baseline for the engine's sharded and streaming private
 // runs.
 func Noiseless(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	o := opt.withDefaults()
+	o, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if o.Rand == nil {
 		return nil, errors.New("baselines: Options.Rand is required")
 	}
@@ -130,7 +141,6 @@ func Noiseless(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
 	p := f.Params()
 	n := m // schedule size: the smallest shard for sharded runs
 	if o.Strategy == engine.Sharded && o.Workers > 1 {
-		var err error
 		if n, err = engine.ShardSize(m, o.Workers); err != nil {
 			return nil, err
 		}
@@ -163,7 +173,10 @@ func Noiseless(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
 // parallel composition charges each pass once, and simple composition
 // sums the k passes. The step size is 1/√t (Table 4).
 func SCS13(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	o := opt.withDefaults()
+	o, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if o.Strategy != engine.Sequential || o.Workers > 1 {
 		return nil, errors.New("baselines: SCS13 injects per-batch noise and is sequential-only; Strategy/Workers do not apply")
 	}
@@ -182,7 +195,9 @@ func SCS13(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
 	}
 	p := f.Params()
 	perPass := o.Budget.Split(o.Passes)
-	sens := 2 * p.L / float64(o.Batch)
+	// sgd.Run clamps the batch to m, and the noise is calibrated to the
+	// batch it averages.
+	sens := 2 * p.L / float64(min(o.Batch, m))
 
 	draws := 0
 	noise := make([]float64, s.Dim())
@@ -241,7 +256,10 @@ func bst14Noise(eps, delta float64, k, m, b int) (T int, sigma float64) {
 // G = √(dσ² + b²L²) (Alg 4) or η_t = 1/(γt) (Alg 5). Requires δ > 0 and
 // a positive Radius (W must be bounded for the step size to exist).
 func BST14(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	o := opt.withDefaults()
+	o, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if o.Strategy != engine.Sequential || o.Workers > 1 {
 		return nil, errors.New("baselines: BST14 injects per-iteration noise and is sequential-only; Strategy/Workers do not apply")
 	}
@@ -263,10 +281,7 @@ func BST14(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
 	}
 	p := f.Params()
 	d := s.Dim()
-	b := o.Batch
-	if b > m {
-		b = m
-	}
+	b := min(o.Batch, m)
 	if err := o.reserve("bst14"); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package baselines
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"boltondp/internal/data"
@@ -292,6 +293,29 @@ func TestSCS13BatchAboveRows(t *testing.T) {
 		if math.Float64bits(above.W[j]) != math.Float64bits(atM.W[j]) {
 			t.Fatalf("b=4m: W[%d] = %v, b=m: %v; the noise is not calibrated to the batch the engine runs (m=%d)",
 				j, above.W[j], atM.W[j], m)
+		}
+	}
+}
+
+// TestNegativePassesOrBatch: every baseline rejects a negative Passes
+// or Batch with an error naming the field, where SCS13 used to panic
+// splitting the budget and BST14 to run one update at the full ε.
+func TestNegativePassesOrBatch(t *testing.T) {
+	r := rand.New(rand.NewSource(20))
+	s := separable(r, 50, 3)
+	f := loss.NewLogistic(1e-2, 0)
+	algs := map[string]func(sgd.Samples, loss.Function, Options) (*Result, error){
+		"noiseless": Noiseless, "scs13": SCS13, "bst14": BST14,
+	}
+	for name, run := range algs {
+		for field, o := range map[string]Options{
+			"Passes": {Passes: -1, Batch: 5},
+			"Batch":  {Passes: 2, Batch: -1},
+		} {
+			o.Budget, o.Radius, o.Rand = dp.Budget{Epsilon: 1, Delta: 1e-5}, 10, r
+			if _, err := run(s, f, o); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s with negative %s: err = %v, want one naming %s", name, field, err, field)
+			}
 		}
 	}
 }
