@@ -288,9 +288,9 @@ func (a *Accountant) Split(label string, n int) ([]dp.Budget, error) {
 // Ledger serialization: the auditable record a released model carries.
 // ---------------------------------------------------------------------
 
-// MetaKey is the model-metadata key under which the ledger is persisted
+// metaKey is the model-metadata key under which the ledger is persisted
 // (eval.SaveClassifier meta, serve registry files, /modelz responses).
-const MetaKey = "dp.ledger"
+const metaKey = "dp.ledger"
 
 // Ledger is the serializable snapshot of an accountant: the composition
 // rule, the total budget, the cumulative composed spend, every granted
@@ -368,7 +368,7 @@ func (a *Accountant) Ledger() *Ledger {
 }
 
 // StampMeta records the accountant's ledger (and a human-readable
-// summary of the spend) into a model-metadata map, under MetaKey. Pass
+// summary of the spend) into a model-metadata map, under metaKey. Pass
 // the result to eval.SaveClassifier or serve.Registry.Publish so the
 // released model file carries its audited privacy statement; /modelz
 // round-trips it.
@@ -378,7 +378,7 @@ func (a *Accountant) StampMeta(meta map[string]string) error {
 	if err != nil {
 		return fmt.Errorf("account: %w", err)
 	}
-	meta[MetaKey] = string(data)
+	meta[metaKey] = string(data)
 	meta["dp.total"] = l.Total().String()
 	meta["dp.spent"] = l.Spent().String()
 	return nil
@@ -453,8 +453,8 @@ func close2(a, b float64) bool {
 	return d <= 1e-9*m+1e-12
 }
 
-// ParseLedger decodes a ledger serialized by StampMeta.
-func ParseLedger(s string) (*Ledger, error) {
+// parseLedger decodes a ledger serialized by StampMeta.
+func parseLedger(s string) (*Ledger, error) {
 	var l Ledger
 	if err := json.Unmarshal([]byte(s), &l); err != nil {
 		return nil, fmt.Errorf("account: parsing ledger: %w", err)
@@ -465,11 +465,11 @@ func ParseLedger(s string) (*Ledger, error) {
 // LedgerFromMeta extracts and decodes the ledger a StampMeta-stamped
 // metadata map carries. ok is false when the map holds no ledger.
 func LedgerFromMeta(meta map[string]string) (l *Ledger, ok bool, err error) {
-	s, ok := meta[MetaKey]
+	s, ok := meta[metaKey]
 	if !ok {
 		return nil, false, nil
 	}
-	l, err = ParseLedger(s)
+	l, err = parseLedger(s)
 	if err != nil {
 		return nil, true, err
 	}

@@ -191,7 +191,7 @@ func TestLedgerMetaRoundTrip(t *testing.T) {
 	if _, ok, err := LedgerFromMeta(map[string]string{}); ok || err != nil {
 		t.Errorf("empty meta: ok=%v err=%v", ok, err)
 	}
-	if _, ok, err := LedgerFromMeta(map[string]string{MetaKey: "{broken"}); !ok || err == nil {
+	if _, ok, err := LedgerFromMeta(map[string]string{metaKey: "{broken"}); !ok || err == nil {
 		t.Errorf("corrupt ledger: ok=%v err=%v", ok, err)
 	}
 }

@@ -9,11 +9,11 @@ func BenchmarkRDPConvert(b *testing.B) {
 	orders := Orders()
 	curve := make([]float64, len(orders))
 	for i, a := range orders {
-		curve[i] = float64(kddSteps) * SGMRDP(kddSigma, kddBatch/kddRows, a)
+		curve[i] = float64(kddSteps) * sgmRDP(kddSigma, kddBatch/kddRows, a)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if eps := ConvertRDP(orders, curve, kddDelta); eps <= 0 {
+		if eps := convertRDP(orders, curve, kddDelta); eps <= 0 {
 			b.Fatal("conversion collapsed")
 		}
 	}
@@ -26,7 +26,7 @@ func BenchmarkSGMRDPCurve(b *testing.B) {
 	orders := Orders()
 	for i := 0; i < b.N; i++ {
 		for _, a := range orders {
-			if SGMRDP(kddSigma, kddBatch/kddRows, a) < 0 {
+			if sgmRDP(kddSigma, kddBatch/kddRows, a) < 0 {
 				b.Fatal("negative curve")
 			}
 		}

@@ -96,15 +96,15 @@ func TestEventValidate(t *testing.T) {
 // order; a bound that dips would be unsound to minimize over).
 func TestRDPCurveMonotoneInAlpha(t *testing.T) {
 	curves := map[string]func(alpha float64) float64{
-		"gaussian σ̃=1":        func(a float64) float64 { return GaussianRDP(1, a) },
-		"gaussian σ̃=4":        func(a float64) float64 { return GaussianRDP(4, a) },
-		"pure ε=0.1":           func(a float64) float64 { return PureRDP(0.1, a) },
-		"pure ε=2":             func(a float64) float64 { return PureRDP(2, a) },
-		"sgm σ̃=1 q=1e-4":      func(a float64) float64 { return SGMRDP(1, 1e-4, a) },
-		"sgm σ̃=1 q=0.01":      func(a float64) float64 { return SGMRDP(1, 0.01, a) },
-		"sgm σ̃=0.7 q=0.05":    func(a float64) float64 { return SGMRDP(0.7, 0.05, a) },
-		"sgm σ̃=4 q=0.2":       func(a float64) float64 { return SGMRDP(4, 0.2, a) },
-		"sgm σ̃=2 q=1 (gauss)": func(a float64) float64 { return SGMRDP(2, 1, a) },
+		"gaussian σ̃=1":        func(a float64) float64 { return gaussianRDP(1, a) },
+		"gaussian σ̃=4":        func(a float64) float64 { return gaussianRDP(4, a) },
+		"pure ε=0.1":           func(a float64) float64 { return pureRDP(0.1, a) },
+		"pure ε=2":             func(a float64) float64 { return pureRDP(2, a) },
+		"sgm σ̃=1 q=1e-4":      func(a float64) float64 { return sgmRDP(1, 1e-4, a) },
+		"sgm σ̃=1 q=0.01":      func(a float64) float64 { return sgmRDP(1, 0.01, a) },
+		"sgm σ̃=0.7 q=0.05":    func(a float64) float64 { return sgmRDP(0.7, 0.05, a) },
+		"sgm σ̃=4 q=0.2":       func(a float64) float64 { return sgmRDP(4, 0.2, a) },
+		"sgm σ̃=2 q=1 (gauss)": func(a float64) float64 { return sgmRDP(2, 1, a) },
 	}
 	for name, f := range curves {
 		prev := math.Inf(-1)
@@ -124,16 +124,16 @@ func TestRDPCurveMonotoneInAlpha(t *testing.T) {
 func TestSGMRDPLimits(t *testing.T) {
 	// q = 1 is the unsubsampled Gaussian.
 	for _, a := range []float64{2, 8, 64} {
-		if got, want := SGMRDP(1.5, 1, a), GaussianRDP(1.5, a); got != want {
-			t.Errorf("SGMRDP(q=1) at α=%v: %v, want Gaussian %v", a, got, want)
+		if got, want := sgmRDP(1.5, 1, a), gaussianRDP(1.5, a); got != want {
+			t.Errorf("sgmRDP(q=1) at α=%v: %v, want Gaussian %v", a, got, want)
 		}
 	}
 	// Subsampling amplifies: at q < 1 the curve must sit strictly below
 	// the unsubsampled Gaussian, and shrink as q shrinks.
 	for _, a := range []float64{2, 16, 128} {
-		full := GaussianRDP(1, a)
-		atQ1 := SGMRDP(1, 0.1, a)
-		atQ2 := SGMRDP(1, 0.001, a)
+		full := gaussianRDP(1, a)
+		atQ1 := sgmRDP(1, 0.1, a)
+		atQ2 := sgmRDP(1, 0.001, a)
 		if !(atQ2 < atQ1 && atQ1 < full) {
 			t.Errorf("α=%v: want SGM(q=0.001)=%v < SGM(q=0.1)=%v < Gaussian=%v", a, atQ2, atQ1, full)
 		}
@@ -144,17 +144,17 @@ func TestConvertRDPEdges(t *testing.T) {
 	orders := Orders()
 	curve := make([]float64, len(orders))
 	for i, a := range orders {
-		curve[i] = GaussianRDP(1, a)
+		curve[i] = gaussianRDP(1, a)
 	}
-	if eps := ConvertRDP(orders, curve, 0); !math.IsInf(eps, 1) {
-		t.Errorf("ConvertRDP at δ=0 = %v, want +Inf", eps)
+	if eps := convertRDP(orders, curve, 0); !math.IsInf(eps, 1) {
+		t.Errorf("convertRDP at δ=0 = %v, want +Inf", eps)
 	}
-	if eps := ConvertRDP(orders, curve, 1); !math.IsInf(eps, 1) {
-		t.Errorf("ConvertRDP at δ=1 = %v, want +Inf", eps)
+	if eps := convertRDP(orders, curve, 1); !math.IsInf(eps, 1) {
+		t.Errorf("convertRDP at δ=1 = %v, want +Inf", eps)
 	}
 	// Tighter δ costs more ε.
-	loose := ConvertRDP(orders, curve, 1e-3)
-	tight := ConvertRDP(orders, curve, 1e-9)
+	loose := convertRDP(orders, curve, 1e-3)
+	tight := convertRDP(orders, curve, 1e-9)
 	if !(0 < loose && loose < tight) {
 		t.Errorf("want 0 < ε(δ=1e-3)=%v < ε(δ=1e-9)=%v", loose, tight)
 	}

@@ -53,17 +53,17 @@ func (r *rdp) Add(e Event) {
 	case KindPure:
 		r.haveCurve = true
 		for i, a := range rdpOrders {
-			r.curve[i] += PureRDP(e.Eps, a)
+			r.curve[i] += pureRDP(e.Eps, a)
 		}
 	case KindGaussian:
 		r.haveCurve = true
 		for i, a := range rdpOrders {
-			r.curve[i] += float64(e.Steps) * GaussianRDP(e.Sigma, a)
+			r.curve[i] += float64(e.Steps) * gaussianRDP(e.Sigma, a)
 		}
 	case KindSGM:
 		r.haveCurve = true
 		for i, a := range rdpOrders {
-			r.curve[i] += float64(e.Steps) * SGMRDP(e.Sigma, e.Q, a)
+			r.curve[i] += float64(e.Steps) * sgmRDP(e.Sigma, e.Q, a)
 		}
 	default: // fixed: no usable curve — linear side sums
 		r.fixedEps += e.Eps
@@ -81,7 +81,7 @@ func (r *rdp) Spent(total dp.Budget) dp.Budget {
 	// a pure-ε total) prices the curve at +Inf and the Advanced
 	// fallback decides.
 	deltaConv := total.Delta - r.fixedDel
-	eps := r.fixedEps + ConvertRDP(rdpOrders, r.curve, deltaConv)
+	eps := r.fixedEps + convertRDP(rdpOrders, r.curve, deltaConv)
 	if adv.Epsilon <= eps {
 		return adv
 	}
@@ -117,21 +117,21 @@ func (r *rdp) Clone() Composer {
 // property wall (and the experiment harness) can test them directly.
 // ---------------------------------------------------------------------
 
-// GaussianRDP is the exact Rényi divergence of the Gaussian mechanism
+// gaussianRDP is the exact Rényi divergence of the Gaussian mechanism
 // at noise multiplier sigma = σ/Δ₂: ε(α) = α / (2σ̃²).
-func GaussianRDP(sigma, alpha float64) float64 {
+func gaussianRDP(sigma, alpha float64) float64 {
 	return alpha / (2 * sigma * sigma)
 }
 
-// PureRDP bounds the Rényi curve of a pure ε-DP mechanism:
+// pureRDP bounds the Rényi curve of a pure ε-DP mechanism:
 // ε(α) ≤ min(ε, α·ε²/2). The second term is the Bun–Steinke zCDP bound
 // (ε-DP ⟹ (ε²/2)-zCDP); the first is the universal Rényi ≤ max
 // divergence bound.
-func PureRDP(eps, alpha float64) float64 {
+func pureRDP(eps, alpha float64) float64 {
 	return math.Min(eps, alpha*eps*eps/2)
 }
 
-// SGMRDP bounds the Rényi curve of ONE subsampled-Gaussian step at
+// sgmRDP bounds the Rényi curve of ONE subsampled-Gaussian step at
 // sampling fraction q and noise multiplier sigma, at integer order
 // alpha ≥ 2 — the Mironov–Talwar–Zhang closed form
 //
@@ -141,9 +141,9 @@ func PureRDP(eps, alpha float64) float64 {
 // well inside the order grid). Non-integer α is rounded up to the next
 // integer, which can only increase the bound (Rényi divergence is
 // non-decreasing in the order).
-func SGMRDP(sigma, q, alpha float64) float64 {
+func sgmRDP(sigma, q, alpha float64) float64 {
 	if q >= 1 {
-		return GaussianRDP(sigma, alpha)
+		return gaussianRDP(sigma, alpha)
 	}
 	n := int(math.Ceil(alpha))
 	if n < 2 {
@@ -181,7 +181,7 @@ func logComb(n, k int) float64 {
 	return ln - lk - lnk
 }
 
-// ConvertRDP converts a composed Rényi curve into an (ε, δ)-DP
+// convertRDP converts a composed Rényi curve into an (ε, δ)-DP
 // statement at target δ, minimizing the improved conversion of
 // Balle–Barthe–Gaboardi–Hsu–Sato (the bound Opacus and TF-Privacy
 // ship) over the order grid:
@@ -190,7 +190,7 @@ func logComb(n, k int) float64 {
 //
 // A non-positive target δ cannot be converted at and prices +Inf — the
 // caller's overdraw check fails closed on it.
-func ConvertRDP(orders, curve []float64, delta float64) float64 {
+func convertRDP(orders, curve []float64, delta float64) float64 {
 	if delta <= 0 || delta >= 1 {
 		return math.Inf(1)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -322,22 +323,6 @@ func TestSGDAggMatchesEngine(t *testing.T) {
 	}
 }
 
-func TestDriverConvergenceTol(t *testing.T) {
-	tab := NewMemTable("t", 3)
-	fillTable(t, tab, 200, 3, 11)
-	f := loss.NewLogistic(1e-1, 0)
-	p := f.Params()
-	agg := newSGDAgg(3, f, sgd.StronglyConvexPaper(p.Beta, p.Gamma), 10, 10)
-	drv := &driver{table: tab, agg: agg, epochs: 500, tol: 1e-6}
-	_, epochs, err := drv.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epochs >= 500 {
-		t.Error("convergence test never triggered")
-	}
-}
-
 func TestDriverValidation(t *testing.T) {
 	if _, _, err := (&driver{}).Run(); err == nil {
 		t.Error("nil table/agg accepted")
@@ -425,11 +410,6 @@ func TestTrainUDAErrors(t *testing.T) {
 	}); err == nil {
 		t.Error("BST14 without radius accepted")
 	}
-	if _, err := TrainUDA(tab, f, TrainConfig{
-		Algorithm: OutputPerturb, Budget: dp.Budget{Epsilon: 1}, Tol: 1e-3, Rand: r,
-	}); err == nil {
-		t.Error("convex bolt-on with Tol accepted")
-	}
 	if _, err := TrainUDA(tab, f, TrainConfig{Algorithm: Algorithm(42), Rand: r}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
@@ -468,4 +448,25 @@ func TestAlgorithmString(t *testing.T) {
 
 func TestTableSamplesInterface(t *testing.T) {
 	var _ sgd.Samples = (*Table)(nil)
+}
+
+// TestTrainUDANegativePassesOrBatch: TrainUDA rejects a negative Passes
+// or Batch under every algorithm, with an error naming the field, where
+// AlgSCS13 used to panic splitting the budget.
+func TestTrainUDANegativePassesOrBatch(t *testing.T) {
+	f := loss.NewLogistic(1e-2, 0)
+	tab := NewMemTable("t", 3)
+	fillTable(t, tab, 50, 3, 21)
+	for _, alg := range []Algorithm{Noiseless, OutputPerturb, AlgSCS13, AlgBST14} {
+		for field, cfg := range map[string]TrainConfig{
+			"Passes": {Passes: -1, Batch: 5},
+			"Batch":  {Passes: 2, Batch: -1},
+		} {
+			cfg.Algorithm, cfg.Budget, cfg.Radius = alg, dp.Budget{Epsilon: 1, Delta: 1e-5}, 10
+			cfg.NoShuffle, cfg.Rand = true, rand.New(rand.NewSource(22))
+			if _, err := TrainUDA(tab, f, cfg); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%v with negative %s: err = %v, want one naming %s", alg, field, err, field)
+			}
+		}
+	}
 }

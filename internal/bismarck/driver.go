@@ -17,19 +17,15 @@ import (
 // driver is the front-end controller of Figure 1(A) (Bismarck's Python
 // controller): it issues one aggregate "query" (a full table scan
 // through the UDA) per epoch, feeds the previous epoch's model back via
-// Initialize, and applies the convergence test.
+// Initialize.
 type driver struct {
 	table  *Table
 	agg    aggregate
 	epochs int
-	// tol, when positive and the aggregate returns a []float64 model,
-	// stops early once the model moves less than tol in L2 between
-	// epochs.
-	tol float64
 }
 
-// Run executes up to epochs scans and returns the final aggregate value
-// and the number of epochs actually run.
+// Run executes epochs scans and returns the final aggregate value and
+// the number of epochs that completed.
 func (d *driver) Run() (any, int, error) {
 	if d.table == nil || d.agg == nil {
 		return nil, 0, errors.New("bismarck: the driver needs a Table and an aggregate")
@@ -38,7 +34,6 @@ func (d *driver) Run() (any, int, error) {
 		return nil, 0, fmt.Errorf("bismarck: epochs = %d", d.epochs)
 	}
 	var prev any
-	var prevW []float64
 	epochs := 0
 	for e := 0; e < d.epochs; e++ {
 		d.agg.Initialize(prev)
@@ -50,12 +45,6 @@ func (d *driver) Run() (any, int, error) {
 		}
 		prev = d.agg.Terminate()
 		epochs++
-		if w, ok := prev.([]float64); ok && d.tol > 0 {
-			if prevW != nil && vec.Dist(w, prevW) < d.tol {
-				break
-			}
-			prevW = vec.Copy(w)
-		}
 	}
 	return prev, epochs, nil
 }
@@ -101,7 +90,6 @@ type TrainConfig struct {
 	Passes    int       // epochs k (default 1)
 	Batch     int       // mini-batch size b (default 1)
 	Radius    float64   // projection radius (required for AlgBST14)
-	Tol       float64   // optional convergence threshold (model L2 move)
 	// PaperBatchSensitivity mirrors core.WithPaperBatchSensitivity:
 	// calibrate the strongly convex OutputPerturb noise to the paper's
 	// 2L/(γmb) instead of the sound 2L/(γm). For reproducing the
@@ -136,6 +124,12 @@ func TrainUDA(t *Table, f loss.Function, cfg TrainConfig) (*TrainResult, error) 
 	}
 	if t.Len() == 0 {
 		return nil, errors.New("bismarck: empty table")
+	}
+	if cfg.Passes < 0 {
+		return nil, fmt.Errorf("bismarck: negative Passes (%d)", cfg.Passes)
+	}
+	if cfg.Batch < 0 {
+		return nil, fmt.Errorf("bismarck: negative Batch (%d)", cfg.Batch)
 	}
 	if cfg.Passes == 0 {
 		cfg.Passes = 1
@@ -177,9 +171,6 @@ func TrainUDA(t *Table, f loss.Function, cfg TrainConfig) (*TrainResult, error) 
 			eta := math.Min(1/math.Sqrt(float64(m)), 2/p.Beta)
 			step = sgd.Constant(eta)
 			sens = dp.SensitivityConvexConstant(p.L, eta, cfg.Passes, cfg.Batch)
-			if cfg.Tol > 0 {
-				return nil, errors.New("bismarck: convergence-based stopping is not private for the convex bolt-on algorithm")
-			}
 		}
 	case AlgSCS13, AlgBST14:
 		step = sgd.InvSqrtT(1)
@@ -235,7 +226,7 @@ func TrainUDA(t *Table, f loss.Function, cfg TrainConfig) (*TrainResult, error) 
 		}
 	}
 
-	drv := &driver{table: t, agg: agg, epochs: cfg.Passes, tol: cfg.Tol}
+	drv := &driver{table: t, agg: agg, epochs: cfg.Passes}
 	out, epochs, err := drv.Run()
 	if err != nil {
 		return nil, err

@@ -152,7 +152,7 @@ func TestDPCoordTrainPublishServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, srv, err := BuildDPServe(scfg)
+	reg, srv, err := buildDPServe(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}

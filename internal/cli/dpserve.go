@@ -98,10 +98,10 @@ func ParseDPServe(args []string, stderr io.Writer) (*DPServeConfig, error) {
 	return cfg, nil
 }
 
-// BuildDPServe assembles the registry and prediction service for a
+// buildDPServe assembles the registry and prediction service for a
 // validated config — the testable core of RunDPServeCtx, stopping just
 // short of binding a socket.
-func BuildDPServe(cfg *DPServeConfig) (*serve.Registry, *serve.Server, error) {
+func buildDPServe(cfg *DPServeConfig) (*serve.Registry, *serve.Server, error) {
 	var reg *serve.Registry
 	switch {
 	case cfg.ModelsDir != "":
@@ -165,7 +165,7 @@ func modelStem(path string) string {
 // per-request contexts of any still-running batch scorings are
 // cancelled so they release their workers immediately.
 func RunDPServeCtx(ctx context.Context, cfg *DPServeConfig, out io.Writer) error {
-	reg, srv, err := BuildDPServe(cfg)
+	reg, srv, err := buildDPServe(cfg)
 	if err != nil {
 		return err
 	}
@@ -189,17 +189,26 @@ func RunDPServeCtx(ctx context.Context, cfg *DPServeConfig, out io.Writer) error
 		}
 		fmt.Fprintf(out, "dpserve: watching %s every %v for publishes and live-swaps\n", cfg.ModelsDir, every)
 	}
+	return serveHTTP(ctx, ln, srv.Handler(), out, "dpserve")
+}
+
+// serveHTTP serves h on ln until the listener fails or ctx is
+// cancelled, then shuts down gracefully: the listener closes, in-flight
+// requests get a 5 s drain window, and their contexts, which inherit
+// ctx, are cancelled with it. A shutdown that ctx triggered returns
+// nil. name prefixes the shutdown line on out.
+func serveHTTP(ctx context.Context, ln net.Listener, h http.Handler, out io.Writer, name string) error {
 	hs := &http.Server{
-		Handler: srv.Handler(),
-		// A serving process must survive slow or stalled clients:
-		// without these, each slowloris-style connection pins a
-		// goroutine and fd forever (MaxBytesReader only guards the
+		Handler: h,
+		// A long-lived network process must survive slow or stalled
+		// clients: without these, each slowloris-style connection pins
+		// a goroutine and fd forever (MaxBytesReader only guards the
 		// body once headers arrive).
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       time.Minute,
 		IdleTimeout:       2 * time.Minute,
 		// Request contexts inherit ctx, so shutdown (and anything else
-		// that cancels ctx) propagates into in-flight batch scorings.
+		// that cancels ctx) propagates into in-flight requests.
 		BaseContext: func(net.Listener) context.Context { return ctx },
 	}
 	serveDone := make(chan struct{})
@@ -208,14 +217,14 @@ func RunDPServeCtx(ctx context.Context, cfg *DPServeConfig, out io.Writer) error
 		defer close(shutdownDone)
 		select {
 		case <-ctx.Done():
-			fmt.Fprintln(out, "dpserve: shutting down")
+			fmt.Fprintf(out, "%s: shutting down\n", name)
 			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			hs.Shutdown(sctx) //nolint:errcheck // best-effort drain; Serve's error is the report
 		case <-serveDone:
 		}
 	}()
-	err = hs.Serve(ln)
+	err := hs.Serve(ln)
 	close(serveDone)
 	<-shutdownDone // a triggered Shutdown finishes draining before we return
 	if errors.Is(err, http.ErrServerClosed) && ctx.Err() != nil {

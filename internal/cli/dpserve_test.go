@@ -109,12 +109,12 @@ func TestBuildDPServeErrors(t *testing.T) {
 		"missing model file": {ModelPath: filepath.Join(empty, "nope.json")},
 	}
 	for name, cfg := range cases {
-		if _, _, err := BuildDPServe(cfg); err == nil {
+		if _, _, err := buildDPServe(cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// The same multi-model registry works once -live picks a version.
-	reg, srv, err := BuildDPServe(&DPServeConfig{ModelsDir: multi, Live: "b", Workers: 1})
+	reg, srv, err := buildDPServe(&DPServeConfig{ModelsDir: multi, Live: "b", Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestBuildDPServeCanaryAndAdmission(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reg, srv, err := BuildDPServe(&DPServeConfig{
+	reg, srv, err := buildDPServe(&DPServeConfig{
 		ModelsDir: dir, Live: "stable", Workers: 1,
 		Canary: "cand", CanaryPct: 20, MaxInflight: 2,
 	})
@@ -156,7 +156,7 @@ func TestBuildDPServeCanaryAndAdmission(t *testing.T) {
 		t.Errorf("admission gate not wired: %s", w.Body.String())
 	}
 	// An unknown canary name fails the build, not the first request.
-	if _, _, err := BuildDPServe(&DPServeConfig{ModelsDir: dir, Live: "stable", Canary: "nope", CanaryPct: 20}); err == nil {
+	if _, _, err := buildDPServe(&DPServeConfig{ModelsDir: dir, Live: "stable", Canary: "nope", CanaryPct: 20}); err == nil {
 		t.Error("unknown canary name accepted")
 	}
 }
@@ -179,7 +179,7 @@ func TestTrainPublishServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, srv, err := BuildDPServe(cfg)
+	reg, srv, err := buildDPServe(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

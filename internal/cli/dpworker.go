@@ -2,13 +2,10 @@ package cli
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
-	"time"
 
 	"boltondp/internal/dist"
 )
@@ -47,33 +44,5 @@ func RunDPWorkerCtx(ctx context.Context, cfg *DPWorkerConfig, out io.Writer) err
 		return fmt.Errorf("cli: %w", err)
 	}
 	fmt.Fprintf(out, "dpworker: protocol v%d, listening on %s\n", dist.ProtocolVersion, ln.Addr())
-	hs := &http.Server{
-		Handler: wk.Handler(),
-		// Same slow-client hardening as dpserve: a training worker is
-		// a long-lived network process and must survive stalled peers.
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		IdleTimeout:       2 * time.Minute,
-		BaseContext:       func(net.Listener) context.Context { return ctx },
-	}
-	serveDone := make(chan struct{})
-	shutdownDone := make(chan struct{})
-	go func() {
-		defer close(shutdownDone)
-		select {
-		case <-ctx.Done():
-			fmt.Fprintln(out, "dpworker: shutting down")
-			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			hs.Shutdown(sctx) //nolint:errcheck // best-effort drain; Serve's error is the report
-		case <-serveDone:
-		}
-	}()
-	err = hs.Serve(ln)
-	close(serveDone)
-	<-shutdownDone // a triggered Shutdown finishes draining before we return
-	if errors.Is(err, http.ErrServerClosed) && ctx.Err() != nil {
-		return nil
-	}
-	return err
+	return serveHTTP(ctx, ln, wk.Handler(), out, "dpworker")
 }

@@ -213,7 +213,7 @@ func TestConvexityValidation(t *testing.T) {
 		t.Errorf("out-of-range Convexity: %v", err)
 	}
 	for c, want := range map[Convexity]string{
-		ConvexityAuto: "auto", ConvexityConvex: "convex",
+		convexityAuto: "auto", ConvexityConvex: "convex",
 		ConvexityStronglyConvex: "strongly-convex", Convexity(9): "Convexity(9)",
 	} {
 		if got := c.String(); got != want {

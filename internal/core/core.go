@@ -63,15 +63,15 @@ func (k StepKind) String() string {
 }
 
 // Convexity selects which of the paper's two algorithms a TrainCtx run
-// uses. The zero value (ConvexityAuto) derives it from the loss — the
+// uses. The zero value (convexityAuto) derives it from the loss — the
 // right choice everywhere outside reproduction studies that need
 // Algorithm 1's noise on a strongly convex objective.
 type Convexity int
 
 const (
-	// ConvexityAuto derives the algorithm from the loss: Algorithm 2
+	// convexityAuto derives the algorithm from the loss: Algorithm 2
 	// when f.Params().StronglyConvex(), Algorithm 1 otherwise.
-	ConvexityAuto Convexity = iota
+	convexityAuto Convexity = iota
 	// ConvexityConvex forces Algorithm 1 (the convex trainer). Legal
 	// for any convex loss, including strongly convex ones — Algorithm 2
 	// would give strictly less noise there, which is exactly why a
@@ -85,7 +85,7 @@ const (
 // String implements fmt.Stringer.
 func (c Convexity) String() string {
 	switch c {
-	case ConvexityAuto:
+	case convexityAuto:
 		return "auto"
 	case ConvexityConvex:
 		return "convex"
@@ -203,7 +203,7 @@ func (c *config) validate() error {
 	if c.workers > 1 && c.strategy != engine.Sharded {
 		return fmt.Errorf("core: %d workers require the Sharded strategy, got %v", c.workers, c.strategy)
 	}
-	if c.convexity < ConvexityAuto || c.convexity > ConvexityStronglyConvex {
+	if c.convexity < convexityAuto || c.convexity > ConvexityStronglyConvex {
 		return fmt.Errorf("core: unknown Convexity %v", c.convexity)
 	}
 	if _, err := c.accountingRule(); err != nil {
@@ -237,7 +237,7 @@ func (c *config) fillBudget() error {
 // the resolved numbers of an sgd schedule constructor — so a local run
 // (spec.Build()) and a distributed one (the wire) consume one value.
 //
-// Algorithm 2 (ConvexityStronglyConvex, or ConvexityAuto on a γ > 0
+// Algorithm 2 (ConvexityStronglyConvex, or convexityAuto on a γ > 0
 // loss) steps at η_t = min(1/β, 1/(γt)) with Δ₂ = 2L/(γm) (Lemma 8,
 // sound batch-aware form) — independent of k (§4.3 "the number of
 // passes k is oblivious to private SGD").
@@ -271,7 +271,7 @@ func (c *config) plan(f loss.Function, m int) (dist.StepSpec, float64, error) {
 	}
 	p := f.Params()
 	strongly := c.gradPerturb == nil &&
-		(c.convexity == ConvexityStronglyConvex || c.convexity == ConvexityAuto && p.StronglyConvex())
+		(c.convexity == ConvexityStronglyConvex || c.convexity == convexityAuto && p.StronglyConvex())
 	if strongly && !p.StronglyConvex() {
 		return spec, 0, fmt.Errorf("core: loss %q is not strongly convex (γ=0); use the convex algorithm (WithConvexity(ConvexityConvex))", f.Name())
 	}

@@ -75,8 +75,8 @@ func TestTrainCtxCancelMidRunPerStrategy(t *testing.T) {
 			// "Within one epoch slice": the run must not have plowed
 			// through anywhere near all passes·m row accesses after the
 			// cancel. Two epochs of slack absorbs the in-flight epoch
-			// (sharded workers finish their current pass) plus Tol/
-			// progress-style full-set evaluations.
+			// (sharded workers finish their current pass) plus Progress-style
+			// full-set evaluations.
 			if got := src.count.Load(); got > src.n+2*m {
 				t.Errorf("run continued after cancel: %d row accesses (cancel at %d, m=%d)", got, src.n, m)
 			}

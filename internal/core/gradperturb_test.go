@@ -260,7 +260,7 @@ func TestGradPerturbRuleDefaultsAndMismatch(t *testing.T) {
 	}
 }
 
-// TestGradPerturbValidationCore: Sequential-only, no Tol, δ > 0, and a
+// TestGradPerturbValidationCore: Sequential-only, δ > 0, and a
 // usable noise multiplier.
 func TestGradPerturbValidationCore(t *testing.T) {
 	s := separable(rand.New(rand.NewSource(71)), 200, 4)

@@ -123,7 +123,7 @@ func WithGradPerturb(clip, noiseMultiplier float64) Option {
 }
 
 // WithConvexity pins TrainCtx/TrainDistributed dispatch to one of the
-// paper's two algorithms. The default (ConvexityAuto) derives the algorithm from
+// paper's two algorithms. The default (convexityAuto) derives the algorithm from
 // the loss: Algorithm 2 when it is strongly convex, Algorithm 1
 // otherwise. Forcing ConvexityConvex on a strongly convex loss is legal
 // (at strictly more noise); forcing ConvexityStronglyConvex on a merely

@@ -82,7 +82,7 @@ func (c *Coordinator) Register(ctx context.Context, baseURL string) error {
 	if _, err := url.Parse(baseURL); err != nil || baseURL == "" {
 		return fmt.Errorf("dist: worker url %q invalid", baseURL)
 	}
-	var h HealthResponse
+	var h healthResponse
 	if err := c.get(ctx, baseURL+PathHealthz, &h); err != nil {
 		return fmt.Errorf("dist: worker %s handshake: %w", baseURL, err)
 	}
@@ -231,7 +231,7 @@ func (c *Coordinator) Train(ctx context.Context, src *Source, job Job, r *rand.R
 // call over the shipped permutation, consuming no randomness of its
 // own, so the iterate-average arithmetic is the sequential one.
 func (c *Coordinator) trainSingle(ctx context.Context, job Job, sh *shard, d int) (*engine.Result, error) {
-	resp, err := c.epoch(ctx, job, sh, &EpochRequest{
+	resp, err := c.epoch(ctx, job, sh, &epochRequest{
 		Version: ProtocolVersion, Job: job.ID, Shard: 0,
 		Epoch: 0, Passes: job.Passes, T0: 0, W: encodeW0(job.W0, d),
 	})
@@ -253,7 +253,7 @@ func (c *Coordinator) trainSingle(ctx context.Context, job Job, sh *shard, d int
 // holding it, and every worker an install of it was ever sent to.
 type shard struct {
 	index    int
-	manifest *ShardManifest
+	manifest *shardManifest
 	seed     int64
 	perm     []int
 	worker   *workerRef
@@ -264,9 +264,9 @@ type shard struct {
 // and each shard's epoch is one request to the worker holding it.
 func (c *Coordinator) trainSharded(ctx context.Context, job Job, shards []*shard, plan *engine.Plan, d int) (*engine.Result, error) {
 	return plan.Merge(ctx, job.Passes, job.W0, d, job.Spec.Average, func(i, e int, w []float64, t0 int) (*sgd.Result, error) {
-		resp, err := c.epoch(ctx, job, shards[i], &EpochRequest{
+		resp, err := c.epoch(ctx, job, shards[i], &epochRequest{
 			Version: ProtocolVersion, Job: job.ID, Shard: i,
-			Epoch: e, Passes: 1, T0: t0, W: EncodeVec(w),
+			Epoch: e, Passes: 1, T0: t0, W: encodeVec(w),
 		})
 		if err != nil {
 			return nil, err
@@ -304,7 +304,7 @@ func (c *Coordinator) release(ctx context.Context, id string, shards []*shard) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_ = c.post(ctx, wr.url+PathRelease, &ReleaseRequest{Version: ProtocolVersion, Job: id}, &ReleaseResponse{}) // best effort, as above
+				_ = c.post(ctx, wr.url+pathRelease, &releaseRequest{Version: ProtocolVersion, Job: id}, &releaseResponse{}) // best effort, as above
 			}()
 		}
 	}
@@ -312,16 +312,16 @@ func (c *Coordinator) release(ctx context.Context, id string, shards []*shard) {
 }
 
 // encodeW0 encodes the starting model (origin when nil).
-func encodeW0(w0 []float64, d int) Vec {
+func encodeW0(w0 []float64, d int) wireVec {
 	if w0 == nil {
 		w0 = make([]float64, d)
 	}
-	return EncodeVec(w0)
+	return encodeVec(w0)
 }
 
 // decodeModels unpacks and validates an epoch response's model
 // vector(s).
-func decodeModels(resp *EpochResponse, d int, average bool) (w, wavg []float64, err error) {
+func decodeModels(resp *epochResponse, d int, average bool) (w, wavg []float64, err error) {
 	w, err = resp.W.Decode()
 	if err != nil {
 		return nil, nil, err
@@ -359,7 +359,7 @@ func (e *terminalError) Unwrap() error { return e.err }
 // assign installs sh on a live worker, moving to the next live worker
 // on failure. On success sh.worker holds the assignment.
 func (c *Coordinator) assign(ctx context.Context, job Job, sh *shard) error {
-	req := &ShardRequest{
+	req := &shardRequest{
 		Version: ProtocolVersion, Job: job.ID, Manifest: *sh.manifest,
 		Spec: job.Spec, Seed: sh.seed, Perm: sh.perm,
 	}
@@ -369,8 +369,8 @@ func (c *Coordinator) assign(ctx context.Context, job Job, sh *shard) error {
 			return fmt.Errorf("dist: job %s: no live workers left to hold shard %d — aborting fail-closed", job.ID, sh.index)
 		}
 		sh.sentTo = append(sh.sentTo, wr)
-		var resp ShardResponse
-		err := c.callWorker(ctx, wr, PathShard, req, &resp)
+		var resp shardResponse
+		err := c.callWorker(ctx, wr, pathShard, req, &resp)
 		if err == nil {
 			if resp.Job != job.ID || resp.Shard != sh.index {
 				err = &terminalError{fmt.Errorf("dist: worker %s acknowledged (job=%q shard=%d), want (job=%q shard=%d)",
@@ -399,15 +399,15 @@ func (c *Coordinator) assign(ctx context.Context, job Job, sh *shard) error {
 // (whose deterministic rewind reproduces the lost state exactly). All
 // response echoes are validated fail-closed: a stale or misrouted model
 // never enters an average.
-func (c *Coordinator) epoch(ctx context.Context, job Job, sh *shard, req *EpochRequest) (*EpochResponse, error) {
+func (c *Coordinator) epoch(ctx context.Context, job Job, sh *shard, req *epochRequest) (*epochResponse, error) {
 	for {
 		if sh.worker == nil || c.isDead(sh.worker) {
 			if err := c.assign(ctx, job, sh); err != nil {
 				return nil, err
 			}
 		}
-		var resp EpochResponse
-		err := c.callWorker(ctx, sh.worker, PathEpoch, req, &resp)
+		var resp epochResponse
+		err := c.callWorker(ctx, sh.worker, pathEpoch, req, &resp)
 		if err == nil {
 			if resp.Job != req.Job || resp.Shard != req.Shard || resp.Epoch != req.Epoch {
 				// A wrong echo is the stale-model hazard — reject the
@@ -536,7 +536,7 @@ func (c *Coordinator) do(req *http.Request, out any) error {
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		var e ErrorResponse
+		var e errorResponse
 		json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&e)
 		err := fmt.Errorf("dist: %s %s: http %d: %s", req.Method, req.URL, resp.StatusCode, e.Error)
 		if resp.StatusCode >= 400 && resp.StatusCode < 500 {

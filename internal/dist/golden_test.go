@@ -29,20 +29,20 @@ func goldenMessages() []struct {
 	file string
 	msg  any
 } {
-	wv := EncodeVec([]float64{0.5, -1.25, 0, 3.5})
-	av := EncodeVec([]float64{0.25, 0.25, -0.5, 1})
+	wv := encodeVec([]float64{0.5, -1.25, 0, 3.5})
+	av := encodeVec([]float64{0.25, 0.25, -0.5, 1})
 	return []struct {
 		file string
 		msg  any
 	}{
 		{
 			file: "shard_request_store.golden.json",
-			msg: &ShardRequest{
+			msg: &shardRequest{
 				Version: ProtocolVersion,
 				Job:     "train-logistic-1-9f86d081884c7d65",
-				Manifest: ShardManifest{
+				Manifest: shardManifest{
 					Shard: 1, Lo: 100, Hi: 200,
-					Store: StoreManifest{
+					Store: storeManifest{
 						Path: "/data/train.bolt", Rows: 400, Dim: 4, ChunkRows: 64, Flags: 1,
 						Chunks: []store.ChunkRef{
 							{Index: 1, Rows: 64, CRC: 0xdeadbeef},
@@ -52,7 +52,7 @@ func goldenMessages() []struct {
 					},
 				},
 				Spec: TrainSpec{
-					Loss:    LossSpec{Kind: LossLogistic, Lambda: 0.001, R: 1000},
+					Loss:    LossSpec{Kind: lossLogistic, Lambda: 0.001, R: 1000},
 					Step:    StepSpec{Kind: StepStronglyConvex, Beta: 0.25, Gamma: 0.001},
 					Batch:   50,
 					Radius:  1000,
@@ -65,18 +65,18 @@ func goldenMessages() []struct {
 			// A single-shard (P = 1) install: the explicit permutation
 			// and the Huber/sqrt spec fields.
 			file: "shard_request_perm.golden.json",
-			msg: &ShardRequest{
+			msg: &shardRequest{
 				Version: ProtocolVersion,
 				Job:     "train-huber-2-00c0ffee00c0ffee",
-				Manifest: ShardManifest{
+				Manifest: shardManifest{
 					Shard: 0, Lo: 0, Hi: 2,
-					Store: StoreManifest{
+					Store: storeManifest{
 						Path: "/data/small.bolt", Rows: 2, Dim: 4, ChunkRows: 4096,
 						Chunks: []store.ChunkRef{{Index: 0, Rows: 2, CRC: 0x0badf00d}},
 					},
 				},
 				Spec: TrainSpec{
-					Loss:          LossSpec{Kind: LossHuber, Lambda: 0.0001, H: 0.1, R: 10000},
+					Loss:          LossSpec{Kind: lossHuber, Lambda: 0.0001, H: 0.1, R: 10000},
 					Step:          StepSpec{Kind: StepSqrt, Beta: 0.25, M: 100, C: 0.5},
 					Batch:         1,
 					KernelWorkers: 2,
@@ -86,42 +86,42 @@ func goldenMessages() []struct {
 		},
 		{
 			file: "shard_response.golden.json",
-			msg: &ShardResponse{
+			msg: &shardResponse{
 				Version: ProtocolVersion, Job: "train-logistic-1-9f86d081884c7d65",
 				Shard: 1, Rows: 100, Dim: 4,
 			},
 		},
 		{
 			file: "epoch_request.golden.json",
-			msg: &EpochRequest{
+			msg: &epochRequest{
 				Version: ProtocolVersion, Job: "train-logistic-1-9f86d081884c7d65",
 				Shard: 1, Epoch: 2, Passes: 1, T0: 200, W: wv,
 			},
 		},
 		{
 			file: "epoch_response.golden.json",
-			msg: &EpochResponse{
+			msg: &epochResponse{
 				Version: ProtocolVersion, Job: "train-logistic-1-9f86d081884c7d65",
 				Shard: 1, Epoch: 2, W: wv, WAvg: &av, Updates: 100, Passes: 1,
 			},
 		},
 		{
 			file: "release_request.golden.json",
-			msg:  &ReleaseRequest{Version: ProtocolVersion, Job: "train-logistic-1-9f86d081884c7d65"},
+			msg:  &releaseRequest{Version: ProtocolVersion, Job: "train-logistic-1-9f86d081884c7d65"},
 		},
 		{
 			file: "release_response.golden.json",
-			msg:  &ReleaseResponse{Version: ProtocolVersion, Job: "train-logistic-1-9f86d081884c7d65", Shards: 2},
+			msg:  &releaseResponse{Version: ProtocolVersion, Job: "train-logistic-1-9f86d081884c7d65", Shards: 2},
 		},
 		{
 			file: "health_response.golden.json",
-			msg: &HealthResponse{
+			msg: &healthResponse{
 				Version: ProtocolVersion, Status: "ok", Jobs: 1, Shards: 2,
 			},
 		},
 		{
 			file: "error_response.golden.json",
-			msg:  &ErrorResponse{Error: "dist: vector checksum mismatch (0000002a != 0000002b)"},
+			msg:  &errorResponse{Error: "dist: vector checksum mismatch (0000002a != 0000002b)"},
 		},
 	}
 }

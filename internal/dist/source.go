@@ -30,14 +30,14 @@ func (s *Source) Rows() int { return s.r.Len() }
 func (s *Source) Dim() int { return s.r.Dim() }
 
 // manifest cuts rows [lo, hi) into shard's manifest.
-func (s *Source) manifest(shard, lo, hi int) (*ShardManifest, error) {
+func (s *Source) manifest(shard, lo, hi int) (*shardManifest, error) {
 	refs, err := s.r.ChunkRefsForRows(lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardManifest{
+	return &shardManifest{
 		Shard: shard, Lo: lo, Hi: hi,
-		Store: StoreManifest{
+		Store: storeManifest{
 			Path:      s.r.Path(),
 			Rows:      s.r.Len(),
 			Dim:       s.r.Dim(),
@@ -52,7 +52,7 @@ func (s *Source) manifest(shard, lo, hi int) (*ShardManifest, error) {
 // everything the manifest claims — geometry, row range, the CRC of
 // every chunk the shard touches — before a row is served. The caller
 // owns the returned reader.
-func openShard(m *ShardManifest) (*store.Reader, error) {
+func openShard(m *shardManifest) (*store.Reader, error) {
 	sm := &m.Store
 	if m.Lo < 0 || m.Hi <= m.Lo {
 		return nil, fmt.Errorf("dist: shard range [%d,%d) invalid", m.Lo, m.Hi)

@@ -17,9 +17,9 @@ const (
 
 // Loss-spec kinds — the wire names of the internal/loss types.
 const (
-	LossLogistic     = "logistic"
-	LossHuber        = "huber"
-	LossLeastSquares = "leastsquares"
+	lossLogistic     = "logistic"
+	lossHuber        = "huber"
+	lossLeastSquares = "leastsquares"
 )
 
 // LossSpecFor derives the wire form of f. Only the three internal/loss
@@ -28,11 +28,11 @@ const (
 func LossSpecFor(f loss.Function) (LossSpec, error) {
 	switch l := f.(type) {
 	case *loss.Logistic:
-		return LossSpec{Kind: LossLogistic, Lambda: l.Lambda, R: l.R}, nil
+		return LossSpec{Kind: lossLogistic, Lambda: l.Lambda, R: l.R}, nil
 	case *loss.Huber:
-		return LossSpec{Kind: LossHuber, Lambda: l.Lambda, H: l.H, R: l.R}, nil
+		return LossSpec{Kind: lossHuber, Lambda: l.Lambda, H: l.H, R: l.R}, nil
 	case *loss.LeastSquares:
-		return LossSpec{Kind: LossLeastSquares, Lambda: l.Lambda, R: l.R}, nil
+		return LossSpec{Kind: lossLeastSquares, Lambda: l.Lambda, R: l.R}, nil
 	default:
 		return LossSpec{}, fmt.Errorf("dist: loss %q has no wire form (want one of the internal/loss types)", f.Name())
 	}
@@ -43,12 +43,12 @@ func LossSpecFor(f loss.Function) (LossSpec, error) {
 // arithmetic-identical to the coordinator's — no re-defaulting of R.
 func (s LossSpec) Build() (loss.Function, error) {
 	switch s.Kind {
-	case LossLogistic:
+	case lossLogistic:
 		if s.Lambda < 0 {
 			return nil, fmt.Errorf("dist: negative lambda %v", s.Lambda)
 		}
 		return &loss.Logistic{Lambda: s.Lambda, R: s.R}, nil
-	case LossHuber:
+	case lossHuber:
 		if s.H <= 0 {
 			return nil, fmt.Errorf("dist: huber loss needs h > 0, got %v", s.H)
 		}
@@ -56,7 +56,7 @@ func (s LossSpec) Build() (loss.Function, error) {
 			return nil, fmt.Errorf("dist: negative lambda %v", s.Lambda)
 		}
 		return &loss.Huber{H: s.H, Lambda: s.Lambda, R: s.R}, nil
-	case LossLeastSquares:
+	case lossLeastSquares:
 		if s.Lambda < 0 {
 			return nil, fmt.Errorf("dist: negative lambda %v", s.Lambda)
 		}

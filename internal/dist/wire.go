@@ -79,33 +79,33 @@ const ProtocolVersion = 2
 const (
 	// PathHealthz is the worker liveness/handshake endpoint (GET).
 	PathHealthz = "/dist/healthz"
-	// PathShard installs a shard assignment on a worker (POST).
-	PathShard = "/dist/shard"
-	// PathEpoch runs one epoch of an installed shard (POST).
-	PathEpoch = "/dist/epoch"
-	// PathRelease frees every shard a worker holds for one job (POST).
-	PathRelease = "/dist/release"
+	// pathShard installs a shard assignment on a worker (POST).
+	pathShard = "/dist/shard"
+	// pathEpoch runs one epoch of an installed shard (POST).
+	pathEpoch = "/dist/epoch"
+	// pathRelease frees every shard a worker holds for one job (POST).
+	pathRelease = "/dist/release"
 )
 
-// Vec is a model vector on the wire: the base64 encoding of the
+// wireVec is a model vector on the wire: the base64 encoding of the
 // little-endian IEEE-754 bits, with an element count and a CRC32 over
 // the raw bytes. Encoding the bits — rather than decimal JSON numbers —
 // is what makes the parity contract unconditional: no formatting or
 // parsing sits between what one side computed and what the other side
 // averages.
-type Vec struct {
+type wireVec struct {
 	N   int    `json:"n"`
 	B64 string `json:"b64"`
 	CRC uint32 `json:"crc"`
 }
 
-// EncodeVec packs w into its wire form.
-func EncodeVec(w []float64) Vec {
+// encodeVec packs w into its wire form.
+func encodeVec(w []float64) wireVec {
 	raw := make([]byte, 8*len(w))
 	for i, v := range w {
 		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
 	}
-	return Vec{
+	return wireVec{
 		N:   len(w),
 		B64: base64.StdEncoding.EncodeToString(raw),
 		CRC: crc32.ChecksumIEEE(raw),
@@ -116,7 +116,7 @@ func EncodeVec(w []float64) Vec {
 // (bad base64, length mismatch, checksum mismatch). The length check
 // divides rather than multiplies, so no claimed N — negative, or large
 // enough that 8·N wraps — can reach the allocation.
-func (v Vec) Decode() ([]float64, error) {
+func (v wireVec) Decode() ([]float64, error) {
 	raw, err := base64.StdEncoding.DecodeString(v.B64)
 	if err != nil {
 		return nil, fmt.Errorf("dist: vector payload: %w", err)
@@ -134,13 +134,13 @@ func (v Vec) Decode() ([]float64, error) {
 	return out, nil
 }
 
-// StoreManifest references shard data living in a store file the
+// storeManifest references shard data living in a store file the
 // worker can open itself (shared filesystem or local copy): the path,
 // the geometry the worker must find there, and the CRCs of every chunk
 // the shard's row range touches. The worker verifies all of it before
 // training — a stale or rewritten file under the same name is an
 // error, never silently different data.
-type StoreManifest struct {
+type storeManifest struct {
 	Path      string           `json:"path"`
 	Rows      int              `json:"rows"`
 	Dim       int              `json:"dim"`
@@ -149,14 +149,14 @@ type StoreManifest struct {
 	Chunks    []store.ChunkRef `json:"chunks"`
 }
 
-// ShardManifest describes one shard: its index, its global row range,
+// shardManifest describes one shard: its index, its global row range,
 // and the store file holding its rows. It never carries rows — a
 // worker opens the file itself and checks it against the manifest.
-type ShardManifest struct {
+type shardManifest struct {
 	Shard int           `json:"shard"`
 	Lo    int           `json:"lo"`
 	Hi    int           `json:"hi"`
-	Store StoreManifest `json:"store"`
+	Store storeManifest `json:"store"`
 }
 
 // LossSpec is the wire form of a loss function: the struct fields of
@@ -209,13 +209,13 @@ type TrainSpec struct {
 	KernelWorkers int `json:"kernelWorkers,omitempty"`
 }
 
-// ShardRequest installs one shard assignment on a worker. Re-sending
+// shardRequest installs one shard assignment on a worker. Re-sending
 // the same (job, shard) replaces the previous installation — that is
 // how a shard moves to a new worker after a failure.
-type ShardRequest struct {
+type shardRequest struct {
 	Version  int           `json:"version"`
 	Job      string        `json:"job"`
-	Manifest ShardManifest `json:"manifest"`
+	Manifest shardManifest `json:"manifest"`
 	Spec     TrainSpec     `json:"spec"`
 	// Seed seeds the shard's permutation generator (multi-shard runs):
 	// the worker consumes it exactly as an in-process sharded worker
@@ -229,8 +229,8 @@ type ShardRequest struct {
 	Perm []int `json:"perm,omitempty"`
 }
 
-// ShardResponse acknowledges a validated installation.
-type ShardResponse struct {
+// shardResponse acknowledges a validated installation.
+type shardResponse struct {
 	Version int    `json:"version"`
 	Job     string `json:"job"`
 	Shard   int    `json:"shard"`
@@ -238,70 +238,70 @@ type ShardResponse struct {
 	Dim     int    `json:"dim"`
 }
 
-// EpochRequest asks a worker to advance one installed shard: run
+// epochRequest asks a worker to advance one installed shard: run
 // Passes passes of noiseless PSGD from the shared model W, with the
 // update counter starting at T0 (the engine's cross-epoch schedule
 // continuation).
-type EpochRequest struct {
+type epochRequest struct {
 	Version int    `json:"version"`
 	Job     string `json:"job"`
 	Shard   int    `json:"shard"`
 	// Epoch is the 0-based merge-epoch number. A worker whose local
 	// state is at a different epoch rewinds deterministically before
 	// running, so retries and reassignments cannot skew the randomness.
-	Epoch  int `json:"epoch"`
-	Passes int `json:"passes"`
-	T0     int `json:"t0"`
-	W      Vec `json:"w"`
+	Epoch  int     `json:"epoch"`
+	Passes int     `json:"passes"`
+	T0     int     `json:"t0"`
+	W      wireVec `json:"w"`
 }
 
-// EpochResponse returns the shard's post-epoch model. The coordinator
+// epochResponse returns the shard's post-epoch model. The coordinator
 // rejects any response whose echoes (job, shard, epoch) do not match
 // the request — a stale or misrouted model never enters an average.
-type EpochResponse struct {
-	Version int    `json:"version"`
-	Job     string `json:"job"`
-	Shard   int    `json:"shard"`
-	Epoch   int    `json:"epoch"`
-	W       Vec    `json:"w"`
+type epochResponse struct {
+	Version int     `json:"version"`
+	Job     string  `json:"job"`
+	Shard   int     `json:"shard"`
+	Epoch   int     `json:"epoch"`
+	W       wireVec `json:"w"`
 	// WAvg is the shard's uniform iterate average (present iff the
 	// spec asked for averaging).
-	WAvg *Vec `json:"w_avg,omitempty"`
+	WAvg *wireVec `json:"w_avg,omitempty"`
 	// Updates is the number of gradient updates this epoch performed —
 	// the coordinator advances the shard's T0 by it.
 	Updates int `json:"updates"`
 	Passes  int `json:"passes"`
 }
 
-// ReleaseRequest tells a worker a job is over: it frees every shard it
+// releaseRequest tells a worker a job is over: it frees every shard it
 // holds for Job. The coordinator sends it when Train returns — on
 // success, failure or cancel. Releasing a job the worker does not hold
 // frees nothing and succeeds.
-type ReleaseRequest struct {
+type releaseRequest struct {
 	Version int    `json:"version"`
 	Job     string `json:"job"`
 }
 
-// ReleaseResponse acknowledges a release with the number of shards
+// releaseResponse acknowledges a release with the number of shards
 // freed.
-type ReleaseResponse struct {
+type releaseResponse struct {
 	Version int    `json:"version"`
 	Job     string `json:"job"`
 	Shards  int    `json:"shards"`
 }
 
-// HealthResponse is the worker handshake: protocol version plus a
+// healthResponse is the worker handshake: protocol version plus a
 // liveness summary. The coordinator validates the version at
 // registration and on every heartbeat.
-type HealthResponse struct {
+type healthResponse struct {
 	Version int    `json:"version"`
 	Status  string `json:"status"`
 	Jobs    int    `json:"jobs"`
 	Shards  int    `json:"shards"`
 }
 
-// ErrorResponse is the JSON body of every non-2xx worker reply.
-type ErrorResponse struct {
+// errorResponse is the JSON body of every non-2xx worker reply.
+type errorResponse struct {
 	Error string `json:"error"`
 }
 

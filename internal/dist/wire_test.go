@@ -30,7 +30,7 @@ func TestVecRoundTrip(t *testing.T) {
 	}
 	cases = append(cases, big)
 	for _, w := range cases {
-		got, err := EncodeVec(w).Decode()
+		got, err := encodeVec(w).Decode()
 		if err != nil {
 			t.Fatalf("Decode: %v", err)
 		}
@@ -45,11 +45,11 @@ func TestVecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVecFailClosed: any inconsistency between the three Vec fields is
+// TestVecFailClosed: any inconsistency between the three wireVec fields is
 // an error, never a silently wrong vector.
 func TestVecFailClosed(t *testing.T) {
-	v := EncodeVec([]float64{1, 2, 3})
-	cases := map[string]Vec{
+	v := encodeVec([]float64{1, 2, 3})
+	cases := map[string]wireVec{
 		"bad base64":     {N: v.N, B64: "!!!not base64!!!", CRC: v.CRC},
 		"short count":    {N: 2, B64: v.B64, CRC: v.CRC},
 		"long count":     {N: 4, B64: v.B64, CRC: v.CRC},
@@ -77,8 +77,8 @@ func FuzzVecDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		var msg struct {
-			W    Vec  `json:"w"`
-			WAvg *Vec `json:"w_avg"`
+			W    wireVec  `json:"w"`
+			WAvg *wireVec `json:"w_avg"`
 		}
 		if err := json.Unmarshal(raw, &msg); err != nil {
 			f.Fatal(err)
@@ -90,14 +90,14 @@ func FuzzVecDecode(f *testing.F) {
 	}
 	f.Add(1<<61, "", uint32(0))
 	f.Fuzz(func(t *testing.T, n int, b64 string, crc uint32) {
-		out, err := Vec{N: n, B64: b64, CRC: crc}.Decode()
+		out, err := wireVec{N: n, B64: b64, CRC: crc}.Decode()
 		if err != nil {
 			return
 		}
 		if len(out) != n {
 			t.Fatalf("decoded %d elements, N says %d", len(out), n)
 		}
-		back, err := EncodeVec(out).Decode()
+		back, err := encodeVec(out).Decode()
 		if err != nil {
 			t.Fatalf("re-encoded vector rejected: %v", err)
 		}

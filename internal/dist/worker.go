@@ -74,9 +74,9 @@ type shardState struct {
 func (wk *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathHealthz, wk.handleHealthz)
-	mux.HandleFunc(PathShard, wk.handleShard)
-	mux.HandleFunc(PathEpoch, wk.handleEpoch)
-	mux.HandleFunc(PathRelease, wk.handleRelease)
+	mux.HandleFunc(pathShard, wk.handleShard)
+	mux.HandleFunc(pathEpoch, wk.handleEpoch)
+	mux.HandleFunc(pathRelease, wk.handleRelease)
 	return mux
 }
 
@@ -133,13 +133,13 @@ func (wk *Worker) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		shards += len(m)
 	}
 	wk.mu.Unlock()
-	writeJSON(w, http.StatusOK, HealthResponse{
+	writeJSON(w, http.StatusOK, healthResponse{
 		Version: ProtocolVersion, Status: "ok", Jobs: jobs, Shards: shards,
 	})
 }
 
 func (wk *Worker) handleShard(w http.ResponseWriter, r *http.Request) {
-	var req ShardRequest
+	var req shardRequest
 	if !decodeRequest(w, r, &req) {
 		return
 	}
@@ -201,14 +201,14 @@ func (wk *Worker) handleShard(w http.ResponseWriter, r *http.Request) {
 		old.free()
 	}
 
-	writeJSON(w, http.StatusOK, ShardResponse{
+	writeJSON(w, http.StatusOK, shardResponse{
 		Version: ProtocolVersion, Job: req.Job, Shard: m.Shard,
 		Rows: rows, Dim: st.dim,
 	})
 }
 
 func (wk *Worker) handleEpoch(w http.ResponseWriter, r *http.Request) {
-	var req EpochRequest
+	var req epochRequest
 	if !decodeRequest(w, r, &req) {
 		return
 	}
@@ -222,7 +222,7 @@ func (wk *Worker) handleEpoch(w http.ResponseWriter, r *http.Request) {
 // serveEpoch runs req on st, the state the request's (job, shard) named
 // when it was looked up. A shard released or replaced since then is no
 // longer installed once the epoch holds its lock, and answers 404.
-func (wk *Worker) serveEpoch(ctx context.Context, w http.ResponseWriter, req *EpochRequest, st *shardState) {
+func (wk *Worker) serveEpoch(ctx context.Context, w http.ResponseWriter, req *epochRequest, st *shardState) {
 	if st == nil {
 		httpError(w, http.StatusNotFound, "dist: no shard %d installed for job %q", req.Shard, req.Job)
 		return
@@ -253,12 +253,12 @@ func (wk *Worker) serveEpoch(ctx context.Context, w http.ResponseWriter, req *Ep
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp := EpochResponse{
+	resp := epochResponse{
 		Version: ProtocolVersion, Job: req.Job, Shard: req.Shard, Epoch: req.Epoch,
-		W: EncodeVec(res.W), Updates: res.Updates, Passes: res.Passes,
+		W: encodeVec(res.W), Updates: res.Updates, Passes: res.Passes,
 	}
 	if res.WAvg != nil {
-		v := EncodeVec(res.WAvg)
+		v := encodeVec(res.WAvg)
 		resp.WAvg = &v
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -267,7 +267,7 @@ func (wk *Worker) serveEpoch(ctx context.Context, w http.ResponseWriter, req *Ep
 // handleRelease drops the job from the table, then frees its shards —
 // each after any epoch running on it has finished.
 func (wk *Worker) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req ReleaseRequest
+	var req releaseRequest
 	if !decodeRequest(w, r, &req) {
 		return
 	}
@@ -283,7 +283,7 @@ func (wk *Worker) handleRelease(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ReleaseResponse{Version: ProtocolVersion, Job: req.Job, Shards: len(shards)})
+	writeJSON(w, http.StatusOK, releaseResponse{Version: ProtocolVersion, Job: req.Job, Shards: len(shards)})
 }
 
 // runEpoch advances the shard under its own lock. Two modes, mirroring
@@ -302,7 +302,7 @@ func (wk *Worker) handleRelease(w http.ResponseWriter, r *http.Request) {
 //
 // ctx is the request's: an epoch the coordinator gave up on stops at
 // the next update instead of holding the shard lock to the end.
-func (st *shardState) runEpoch(ctx context.Context, req *EpochRequest, w0 []float64) (*sgd.Result, error) {
+func (st *shardState) runEpoch(ctx context.Context, req *epochRequest, w0 []float64) (*sgd.Result, error) {
 	cfg := sgd.Config{
 		Loss:          st.lossFn,
 		Step:          st.step,
@@ -381,5 +381,5 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
+	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }

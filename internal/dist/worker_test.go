@@ -16,7 +16,7 @@ import (
 
 // testShard returns an install request for one whole-set shard of a
 // temp-store training set under job, and the matching epoch-0 request.
-func testShard(t *testing.T, job string) (*ShardRequest, *EpochRequest) {
+func testShard(t *testing.T, job string) (*shardRequest, *epochRequest) {
 	t.Helper()
 	ds := data.Synthetic(rand.New(rand.NewSource(5)), data.GenConfig{M: 60, D: 6, Classes: 2, Spread: 1})
 	man, err := NewStoreSource(TempStore(t, data.FromDense(ds))).manifest(0, 0, ds.Len())
@@ -27,12 +27,12 @@ func testShard(t *testing.T, job string) (*ShardRequest, *EpochRequest) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &ShardRequest{
+	return &shardRequest{
 			Version: ProtocolVersion, Job: job, Manifest: *man, Seed: 77,
 			Spec: TrainSpec{Loss: lossSpec, Step: StepSpec{Kind: StepConstant, Eta: 0.1}, Batch: 4, Radius: 50},
-		}, &EpochRequest{
+		}, &epochRequest{
 			Version: ProtocolVersion, Job: job, Shard: 0,
-			Epoch: 0, Passes: 1, W: EncodeVec(make([]float64, ds.Dim())),
+			Epoch: 0, Passes: 1, W: encodeVec(make([]float64, ds.Dim())),
 		}
 }
 
@@ -59,19 +59,19 @@ func TestEpochHonoursRequestContext(t *testing.T) {
 	defer cancelled.Close()
 	defer fresh.Close()
 	for _, wk := range []*Worker{cancelled, fresh} {
-		if rec := post(t, wk, context.Background(), PathShard, install); rec.Code != http.StatusOK {
+		if rec := post(t, wk, context.Background(), pathShard, install); rec.Code != http.StatusOK {
 			t.Fatalf("install: %d %s", rec.Code, rec.Body)
 		}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if rec := post(t, cancelled, ctx, PathEpoch, epoch0); rec.Code == http.StatusOK {
+	if rec := post(t, cancelled, ctx, pathEpoch, epoch0); rec.Code == http.StatusOK {
 		t.Fatalf("epoch with a cancelled context answered 200: %s", rec.Body)
 	}
 
-	got := post(t, cancelled, context.Background(), PathEpoch, epoch0)
-	want := post(t, fresh, context.Background(), PathEpoch, epoch0)
+	got := post(t, cancelled, context.Background(), pathEpoch, epoch0)
+	want := post(t, fresh, context.Background(), pathEpoch, epoch0)
 	if got.Code != http.StatusOK || want.Code != http.StatusOK {
 		t.Fatalf("epoch 0: %d %s / %d %s", got.Code, got.Body, want.Code, want.Body)
 	}
@@ -88,7 +88,7 @@ func TestReleaseDuringEpoch(t *testing.T) {
 	wk := NewWorker()
 	defer wk.Close()
 	install, epoch0 := testShard(t, "rel")
-	if rec := post(t, wk, context.Background(), PathShard, install); rec.Code != http.StatusOK {
+	if rec := post(t, wk, context.Background(), pathShard, install); rec.Code != http.StatusOK {
 		t.Fatalf("install: %d %s", rec.Code, rec.Body)
 	}
 	st := wk.shard("rel", 0)
@@ -100,11 +100,11 @@ func TestReleaseDuringEpoch(t *testing.T) {
 		wk.serveEpoch(context.Background(), rec, epoch0, st)
 		epoch <- rec
 	}()
-	body, _ := json.Marshal(&ReleaseRequest{Version: ProtocolVersion, Job: "rel"}) // a plain struct: cannot fail
+	body, _ := json.Marshal(&releaseRequest{Version: ProtocolVersion, Job: "rel"}) // a plain struct: cannot fail
 	release := make(chan *httptest.ResponseRecorder)
 	go func() {
 		rec := httptest.NewRecorder()
-		wk.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathRelease, bytes.NewReader(body)))
+		wk.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, pathRelease, bytes.NewReader(body)))
 		release <- rec
 	}()
 	for wk.shard("rel", 0) != nil {
@@ -116,7 +116,7 @@ func TestReleaseDuringEpoch(t *testing.T) {
 		t.Fatalf("epoch on a released shard: %d %s, want 404", rec.Code, rec.Body)
 	}
 	rec := <-release
-	var resp ReleaseResponse
+	var resp releaseResponse
 	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil || resp.Shards != 1 {
 		t.Fatalf("release: %d %s, want 200 freeing 1 shard", rec.Code, rec.Body)
 	}

@@ -123,14 +123,14 @@ func SensitivityConvexConstant(L, eta float64, k, b int) float64 {
 	return 2 * float64(k) * L * eta / float64(b)
 }
 
-// SensitivityConvexDecreasing is Corollary 2 made batch-aware: for
+// sensitivityConvexDecreasing is Corollary 2 made batch-aware: for
 // step sizes η_t = 2/(β(t+m^c)) with t counting mini-batch updates,
 // Δ₂ = (4L/β)(1/(b·m^c) + ln k / m). At b = 1 this is the paper's
 // (4L/β)(1/m^c + ln k/m); for larger b only the first-pass term gains
 // the full 1/b (later passes hit the differing batch at t ≥ j·m/b, so
 // the 1/b of the additive term cancels against the b-fold earlier
 // position — the same phenomenon as SensitivityStronglyConvex).
-func SensitivityConvexDecreasing(L, beta float64, k, m, b int, c float64) float64 {
+func sensitivityConvexDecreasing(L, beta float64, k, m, b int, c float64) float64 {
 	if L < 0 || beta <= 0 || c < 0 || c >= 1 {
 		panic(fmt.Sprintf("dp: bad L=%v beta=%v c=%v", L, beta, c))
 	}
@@ -139,12 +139,12 @@ func SensitivityConvexDecreasing(L, beta float64, k, m, b int, c float64) float6
 	return 4 * L / beta * (1/(float64(b)*mc) + math.Log(float64(k))/float64(m))
 }
 
-// SensitivityConvexSqrt is Corollary 3 made batch-aware: for step
+// sensitivityConvexSqrt is Corollary 3 made batch-aware: for step
 // sizes η_t = 2/(β(√t+m^c)) with t counting mini-batch updates,
 // Δ₂ = (4L/(bβ)) Σ_{j=0}^{k-1} 1/√(j·m/b + 1 + m^c). (The exact finite
 // sum is used rather than the big-O simplification; at b = 1 it is the
 // paper's Σ 1/√(jm+1+m^c).)
-func SensitivityConvexSqrt(L, beta float64, k, m, b int, c float64) float64 {
+func sensitivityConvexSqrt(L, beta float64, k, m, b int, c float64) float64 {
 	if L < 0 || beta <= 0 || c < 0 || c >= 1 {
 		panic(fmt.Sprintf("dp: bad L=%v beta=%v c=%v", L, beta, c))
 	}
@@ -245,25 +245,25 @@ func SensitivityShardedConvexConstant(L, eta float64, k, b, workers int) float64
 // sharding, evaluated at the smallest shard: Δ_shard(minShard)/P.
 func SensitivityShardedConvexDecreasing(L, beta float64, k, minShard, b int, c float64, workers int) float64 {
 	checkWorkers(workers)
-	return SensitivityConvexDecreasing(L, beta, k, minShard, b, c) / float64(workers)
+	return sensitivityConvexDecreasing(L, beta, k, minShard, b, c) / float64(workers)
 }
 
 // SensitivityShardedConvexSqrt is Corollary 3 under P-way sharding,
 // evaluated at the smallest shard: Δ_shard(minShard)/P.
 func SensitivityShardedConvexSqrt(L, beta float64, k, minShard, b int, c float64, workers int) float64 {
 	checkWorkers(workers)
-	return SensitivityConvexSqrt(L, beta, k, minShard, b, c) / float64(workers)
+	return sensitivityConvexSqrt(L, beta, k, minShard, b, c) / float64(workers)
 }
 
 // ---------------------------------------------------------------------
 // Composition.
 // ---------------------------------------------------------------------
 
-// AdvancedCompositionEpsilon returns the total privacy cost
+// advancedCompositionEpsilon returns the total privacy cost
 // ε_total = T·ε₁·(e^{ε₁}−1) + √(2T·ln(1/δ′))·ε₁ of running T
 // ε₁-DP steps, per the advanced composition theorem used by BST14
 // (line 5 of Algorithms 4 and 5).
-func AdvancedCompositionEpsilon(eps1 float64, T int, deltaPrime float64) float64 {
+func advancedCompositionEpsilon(eps1 float64, T int, deltaPrime float64) float64 {
 	if eps1 < 0 || T < 0 || deltaPrime <= 0 || deltaPrime >= 1 {
 		panic(fmt.Sprintf("dp: bad advanced composition args eps1=%v T=%d δ'=%v", eps1, T, deltaPrime))
 	}
@@ -271,7 +271,7 @@ func AdvancedCompositionEpsilon(eps1 float64, T int, deltaPrime float64) float64
 	return tf*eps1*(math.Exp(eps1)-1) + math.Sqrt(2*tf*math.Log(1/deltaPrime))*eps1
 }
 
-// SolveEps1 inverts AdvancedCompositionEpsilon: it returns the largest
+// SolveEps1 inverts advancedCompositionEpsilon: it returns the largest
 // per-step ε₁ such that T compositions cost at most eps under advanced
 // composition with slack δ′. This is exactly line 5 of Algorithms 4–5
 // ("ε₁ ← Solution of ε = Tε₁(e^{ε₁}−1) + √(2T ln(1/δ₁))ε₁"), solved by
@@ -282,7 +282,7 @@ func SolveEps1(eps float64, T int, deltaPrime float64) float64 {
 		panic(fmt.Sprintf("dp: bad SolveEps1 args eps=%v T=%d δ'=%v", eps, T, deltaPrime))
 	}
 	lo, hi := 0.0, 1.0
-	for AdvancedCompositionEpsilon(hi, T, deltaPrime) < eps {
+	for advancedCompositionEpsilon(hi, T, deltaPrime) < eps {
 		hi *= 2
 		if hi > 1e6 {
 			return hi // eps absurdly large; caller gets an effectively noiseless run
@@ -290,7 +290,7 @@ func SolveEps1(eps float64, T int, deltaPrime float64) float64 {
 	}
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
-		if AdvancedCompositionEpsilon(mid, T, deltaPrime) < eps {
+		if advancedCompositionEpsilon(mid, T, deltaPrime) < eps {
 			lo = mid
 		} else {
 			hi = mid

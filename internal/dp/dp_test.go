@@ -157,7 +157,7 @@ func TestSensitivityClosedForms(t *testing.T) {
 	L, beta := 1.0, 1.0
 	k, m, c := 4, 100, 0.5
 	want := 4 * L / beta * (1/math.Sqrt(100) + math.Log(4)/100)
-	if got := SensitivityConvexDecreasing(L, beta, k, m, 1, c); math.Abs(got-want) > 1e-12 {
+	if got := sensitivityConvexDecreasing(L, beta, k, m, 1, c); math.Abs(got-want) > 1e-12 {
 		t.Errorf("convex decreasing = %v, want %v", got, want)
 	}
 	// Corollary 3 exact sum.
@@ -166,7 +166,7 @@ func TestSensitivityClosedForms(t *testing.T) {
 		sum += 1 / math.Sqrt(float64(j*m)+1+math.Sqrt(100))
 	}
 	want = 4 * L / beta * sum
-	if got := SensitivityConvexSqrt(L, beta, k, m, 1, c); math.Abs(got-want) > 1e-12 {
+	if got := sensitivityConvexSqrt(L, beta, k, m, 1, c); math.Abs(got-want) > 1e-12 {
 		t.Errorf("convex sqrt = %v, want %v", got, want)
 	}
 }
@@ -189,8 +189,8 @@ func TestSensitivityPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"convex constant eta=0": func() { SensitivityConvexConstant(1, 0, 1, 1) },
 		"convex constant k=0":   func() { SensitivityConvexConstant(1, 0.1, 0, 1) },
-		"decreasing c=1":        func() { SensitivityConvexDecreasing(1, 1, 1, 10, 1, 1) },
-		"sqrt beta=0":           func() { SensitivityConvexSqrt(1, 0, 1, 10, 1, 0.5) },
+		"decreasing c=1":        func() { sensitivityConvexDecreasing(1, 1, 1, 10, 1, 1) },
+		"sqrt beta=0":           func() { sensitivityConvexSqrt(1, 0, 1, 10, 1, 0.5) },
 		"strongly gamma=0":      func() { SensitivityStronglyConvex(1, 0, 10) },
 	} {
 		func() {
@@ -215,7 +215,7 @@ func TestSolveEps1Inverse(t *testing.T) {
 		{4, 100, 1e-6},
 	} {
 		e1 := SolveEps1(c.eps, c.T, c.delta1)
-		back := AdvancedCompositionEpsilon(e1, c.T, c.delta1)
+		back := advancedCompositionEpsilon(e1, c.T, c.delta1)
 		if math.Abs(back-c.eps) > 1e-6*c.eps {
 			t.Errorf("SolveEps1(%v,%d,%v) = %v composes back to %v", c.eps, c.T, c.delta1, e1, back)
 		}
@@ -229,7 +229,7 @@ func TestSolveEps1Inverse(t *testing.T) {
 func TestAdvancedCompositionMonotone(t *testing.T) {
 	prev := 0.0
 	for _, e := range []float64{0.001, 0.01, 0.1, 0.5, 1} {
-		cur := AdvancedCompositionEpsilon(e, 1000, 1e-8)
+		cur := advancedCompositionEpsilon(e, 1000, 1e-8)
 		if cur <= prev {
 			t.Errorf("composition not increasing at ε₁=%v", e)
 		}

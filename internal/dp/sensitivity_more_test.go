@@ -42,7 +42,7 @@ func TestEmpiricalSensitivityConvexDecreasingProperty(t *testing.T) {
 		S := randomSet(r, m, 3)
 		Sp := neighbor(r, S, r.Intn(m))
 		d := runPair(t, f, sgd.DecreasingConvex(p.Beta, m, c), S, Sp, k, b, 0, r.Perm(m))
-		return d <= SensitivityConvexDecreasing(p.L, p.Beta, k, m, b, c)+1e-9
+		return d <= sensitivityConvexDecreasing(p.L, p.Beta, k, m, b, c)+1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -61,7 +61,7 @@ func TestEmpiricalSensitivityConvexSqrtProperty(t *testing.T) {
 		S := randomSet(r, m, 3)
 		Sp := neighbor(r, S, r.Intn(m))
 		d := runPair(t, f, sgd.SqrtConvex(p.Beta, m, c), S, Sp, k, b, 0, r.Perm(m))
-		return d <= SensitivityConvexSqrt(p.L, p.Beta, k, m, b, c)+1e-9
+		return d <= sensitivityConvexSqrt(p.L, p.Beta, k, m, b, c)+1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

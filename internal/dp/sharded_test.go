@@ -1,16 +1,14 @@
-package dp_test
+package dp
 
-// External test package: exercises the sharded (averaged-model)
-// sensitivity bounds against real engine runs. It lives outside
-// package dp so it can drive internal/engine, which sits above dp in
-// the import graph.
+// These tests exercise the sharded (averaged-model) sensitivity bounds
+// against real engine runs; internal/engine does not import dp, so
+// they can drive it from inside the package.
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
-	"boltondp/internal/dp"
 	"boltondp/internal/engine"
 	"boltondp/internal/loss"
 	"boltondp/internal/sgd"
@@ -24,29 +22,29 @@ func TestShardedSensitivityFormulas(t *testing.T) {
 	// sequential bound at the full size — the privacy-free parallelism
 	// identity.
 	m, workers := 1000, 5
-	got := dp.SensitivityShardedStronglyConvex(L, gamma, m/workers, workers)
-	want := dp.SensitivityStronglyConvex(L, gamma, m)
+	got := SensitivityShardedStronglyConvex(L, gamma, m/workers, workers)
+	want := SensitivityStronglyConvex(L, gamma, m)
 	if math.Abs(got-want) > 1e-15 {
 		t.Errorf("sharded strongly convex %v != sequential %v", got, want)
 	}
 
 	// Convex constant: exactly the sequential bound divided by P.
-	if got, want := dp.SensitivityShardedConvexConstant(L, 0.01, 3, 10, 4),
-		dp.SensitivityConvexConstant(L, 0.01, 3, 10)/4; math.Abs(got-want) > 1e-18 {
+	if got, want := SensitivityShardedConvexConstant(L, 0.01, 3, 10, 4),
+		SensitivityConvexConstant(L, 0.01, 3, 10)/4; math.Abs(got-want) > 1e-18 {
 		t.Errorf("sharded convex constant %v, want %v", got, want)
 	}
-	if got, want := dp.SensitivityShardedConvexDecreasing(L, beta, 3, 200, 10, 0.5, 4),
-		dp.SensitivityConvexDecreasing(L, beta, 3, 200, 10, 0.5)/4; math.Abs(got-want) > 1e-18 {
+	if got, want := SensitivityShardedConvexDecreasing(L, beta, 3, 200, 10, 0.5, 4),
+		sensitivityConvexDecreasing(L, beta, 3, 200, 10, 0.5)/4; math.Abs(got-want) > 1e-18 {
 		t.Errorf("sharded convex decreasing %v, want %v", got, want)
 	}
-	if got, want := dp.SensitivityShardedConvexSqrt(L, beta, 3, 200, 10, 0.5, 4),
-		dp.SensitivityConvexSqrt(L, beta, 3, 200, 10, 0.5)/4; math.Abs(got-want) > 1e-18 {
+	if got, want := SensitivityShardedConvexSqrt(L, beta, 3, 200, 10, 0.5, 4),
+		sensitivityConvexSqrt(L, beta, 3, 200, 10, 0.5)/4; math.Abs(got-want) > 1e-18 {
 		t.Errorf("sharded convex sqrt %v, want %v", got, want)
 	}
 
 	// Workers = 1 must be the plain bound.
-	if got, want := dp.SensitivityShardedStronglyConvex(L, gamma, m, 1),
-		dp.SensitivityStronglyConvex(L, gamma, m); got != want {
+	if got, want := SensitivityShardedStronglyConvex(L, gamma, m, 1),
+		SensitivityStronglyConvex(L, gamma, m); got != want {
 		t.Errorf("workers=1 %v != plain %v", got, want)
 	}
 
@@ -55,7 +53,7 @@ func TestShardedSensitivityFormulas(t *testing.T) {
 			t.Error("workers=0 did not panic")
 		}
 	}()
-	dp.SensitivityShardedStronglyConvex(L, gamma, m, 0)
+	SensitivityShardedStronglyConvex(L, gamma, m, 0)
 }
 
 // The averaged-model sensitivity property, brute force: run the sharded
@@ -74,7 +72,7 @@ func TestShardedEmpiricalSensitivityProperty(t *testing.T) {
 		batch   = 2
 	)
 	step := sgd.StronglyConvexPaper(p.Beta, p.Gamma)
-	bound := dp.SensitivityShardedStronglyConvex(p.L, p.Gamma, m/workers, workers)
+	bound := SensitivityShardedStronglyConvex(p.L, p.Gamma, m/workers, workers)
 
 	for seed := int64(0); seed < 25; seed++ {
 		r := rand.New(rand.NewSource(300 + seed))
@@ -135,7 +133,7 @@ func TestShardedEmpiricalSensitivityConvex(t *testing.T) {
 	)
 	eta := math.Min(1/math.Sqrt(float64(m/workers)), 2/p.Beta)
 	step := sgd.Constant(eta)
-	bound := dp.SensitivityShardedConvexConstant(p.L, eta, passes, batch, workers)
+	bound := SensitivityShardedConvexConstant(p.L, eta, passes, batch, workers)
 
 	for seed := int64(0); seed < 15; seed++ {
 		r := rand.New(rand.NewSource(600 + seed))

@@ -50,7 +50,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -300,7 +299,8 @@ func shardView(s sgd.Samples, lo, hi int) sgd.Samples {
 // RangeView wraps a concurrency-safe source in a read-only row-range
 // view of [lo, hi). It is what the engine builds for sources without a
 // Sharder implementation; wrappers that relabel or restrict another
-// source (eval.BinaryView) reuse it rather than duplicating the type.
+// source (eval's one-vs-all binary view) reuse it rather than
+// duplicating the type.
 //
 // The view preserves the source's tier: when the wrapped source
 // implements sgd.SparseSamples, so does the view, so restricting a
@@ -420,19 +420,12 @@ func runSharded(s sgd.Samples, cfg Config) (*Result, error) {
 		rngs[i] = rand.New(rand.NewSource(c.Rand.Int63()))
 	}
 
-	// Tol and Progress act on the merged model, once per epoch; the
-	// shard runs never see them.
-	var after func(pass int, w []float64) bool
-	if c.Tol > 0 || c.Progress != nil {
-		prevRisk := math.Inf(1)
-		after = func(pass int, w []float64) bool {
-			risk := sgd.EmpiricalRisk(s, c.Loss, w)
-			if c.Progress != nil {
-				c.Progress(pass, risk)
-			}
-			stop := c.Tol > 0 && prevRisk-risk < c.Tol
-			prevRisk = risk
-			return stop
+	// Progress acts on the merged model, once per epoch; the shard runs
+	// never see it.
+	var after func(pass int, w []float64)
+	if c.Progress != nil {
+		after = func(pass int, w []float64) {
+			c.Progress(pass, sgd.EmpiricalRisk(s, c.Loss, w))
 		}
 	}
 	return plan.Merge(c.Ctx, c.Passes, c.W0, d, c.Average, func(i, _ int, w []float64, t0 int) (*sgd.Result, error) {
@@ -470,9 +463,8 @@ type ShardEpoch func(i, e int, w []float64, t0 int) (*sgd.Result, error)
 //
 // The first error in shard order fails the run, as does a ctx (nil is
 // allowed) done before an epoch starts. after, when non-nil, sees the
-// merged model after each epoch (pass counts from 1); returning true
-// ends the run there.
-func (p *Plan) Merge(ctx context.Context, passes int, w0 []float64, d int, average bool, epoch ShardEpoch, after func(pass int, w []float64) bool) (*Result, error) {
+// merged model after each epoch (pass counts from 1).
+func (p *Plan) Merge(ctx context.Context, passes int, w0 []float64, d int, average bool, epoch ShardEpoch, after func(pass int, w []float64)) (*Result, error) {
 	P := p.Workers
 	w := make([]float64, d)
 	copy(w, w0)
@@ -526,8 +518,8 @@ func (p *Plan) Merge(ctx context.Context, passes int, w0 []float64, d int, avera
 			vec.Axpy(wsum, float64(epochUpdates), epochAvg)
 		}
 		out.Passes++
-		if after != nil && after(out.Passes, w) {
-			break
+		if after != nil {
+			after(out.Passes, w)
 		}
 	}
 

@@ -223,23 +223,6 @@ func TestShardViewsCoverSource(t *testing.T) {
 	}
 }
 
-// Tol-based early stopping applies at merge granularity: with a huge
-// tolerance the run must stop before exhausting Passes.
-func TestShardedTolStopsEarly(t *testing.T) {
-	ds := synth(7, 600, 4)
-	f := loss.NewLogistic(1e-2, 0)
-	c := stronglyConvexCfg(f, 17)
-	c.Passes = 20
-	c.Tol = 10 // any decrease is below this
-	res, err := Run(ds, Config{Strategy: Sharded, Workers: 3, SGD: c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passes >= 20 {
-		t.Errorf("Tol did not stop the run (passes=%d)", res.Passes)
-	}
-}
-
 func TestRejections(t *testing.T) {
 	ds := synth(8, 100, 3)
 	f := loss.NewLogistic(1e-2, 0)

@@ -152,27 +152,26 @@ func TestMergeCtxCancelledBeforeEpoch(t *testing.T) {
 	}
 }
 
-// TestMergeAfterStops: after sees each merged model with its 1-based
-// pass; returning true ends the run with Passes equal to the epochs run.
-func TestMergeAfterStops(t *testing.T) {
+// TestMergeAfterSeesEveryPass: after sees every merged model with its
+// 1-based pass, and the run's Passes counts every epoch.
+func TestMergeAfterSeesEveryPass(t *testing.T) {
 	f := newFakeEpochs(5, 2, func(i, e int, w []float64) (*sgd.Result, error) {
 		return &sgd.Result{W: []float64{w[0] + 1}, Updates: 2}, nil
 	})
 	var seen []float64
-	res, err := mustPlan(t, 10, 2).Merge(context.Background(), 5, nil, 1, false, f.epoch, func(pass int, w []float64) bool {
+	res, err := mustPlan(t, 10, 2).Merge(context.Background(), 5, nil, 1, false, f.epoch, func(pass int, w []float64) {
 		if pass != len(seen)+1 {
 			t.Errorf("after called with pass %d, want %d", pass, len(seen)+1)
 		}
 		seen = append(seen, w[0])
-		return pass == 2
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seen, []float64{1, 2}) {
-		t.Fatalf("after saw merged models %v, want [1 2]", seen)
+	if !reflect.DeepEqual(seen, []float64{1, 2, 3, 4, 5}) {
+		t.Fatalf("after saw merged models %v, want [1 2 3 4 5]", seen)
 	}
-	if res.Passes != 2 || res.Updates != 8 || res.W[0] != 2 || f.ran(2) != 0 {
-		t.Fatalf("passes=%d updates=%d W=%v epoch-2 shards=%d; want 2, 8, [2], 0", res.Passes, res.Updates, res.W, f.ran(2))
+	if res.Passes != 5 || res.Updates != 20 || res.W[0] != 5 || f.ran(4) != 2 {
+		t.Fatalf("passes=%d updates=%d W=%v epoch-4 shards=%d; want 5, 20, [5], 2", res.Passes, res.Updates, res.W, f.ran(4))
 	}
 }

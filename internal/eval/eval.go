@@ -130,36 +130,36 @@ func sparseScoring(s sgd.Samples, c Classifier) (sgd.SparseSamples, SparseClassi
 	return ss, sc, true
 }
 
-// BinaryView exposes a multiclass sample set as the binary
+// binaryView exposes a multiclass sample set as the binary
 // one-vs-all problem for a single class: the label is +1 where the
 // underlying label equals Class and −1 elsewhere.
 //
-// Construct views with NewBinaryView when the source may be sparse:
+// Construct views with newBinaryView when the source may be sparse:
 // the constructor preserves the source's access tier, so per-class
 // training over a sparse multiclass set runs on the sparse kernel
 // instead of re-densifying every row once per class.
-type BinaryView struct {
+type binaryView struct {
 	S     sgd.Samples
 	Class float64
 }
 
-// NewBinaryView builds the one-vs-all view for a class, keeping the
+// newBinaryView builds the one-vs-all view for a class, keeping the
 // source's sparse tier when it has one.
-func NewBinaryView(s sgd.Samples, class float64) sgd.Samples {
+func newBinaryView(s sgd.Samples, class float64) sgd.Samples {
 	if ss, ok := s.(sgd.SparseSamples); ok {
-		return &sparseBinaryView{BinaryView{S: s, Class: class}, ss}
+		return &sparseBinaryView{binaryView{S: s, Class: class}, ss}
 	}
-	return &BinaryView{S: s, Class: class}
+	return &binaryView{S: s, Class: class}
 }
 
 // Len implements sgd.Samples.
-func (b *BinaryView) Len() int { return b.S.Len() }
+func (b *binaryView) Len() int { return b.S.Len() }
 
 // Dim implements sgd.Samples.
-func (b *BinaryView) Dim() int { return b.S.Dim() }
+func (b *binaryView) Dim() int { return b.S.Dim() }
 
 // At implements sgd.Samples.
-func (b *BinaryView) At(i int) ([]float64, float64) {
+func (b *binaryView) At(i int) ([]float64, float64) {
 	x, y := b.S.At(i)
 	if y == b.Class {
 		return x, 1
@@ -172,18 +172,18 @@ func (b *BinaryView) At(i int) ([]float64, float64) {
 // wrapped source provides Shard, the view delegates to it; otherwise
 // it returns the engine's plain range view, exactly what the engine
 // would have built itself.
-func (b *BinaryView) Shard(lo, hi int) sgd.Samples {
+func (b *binaryView) Shard(lo, hi int) sgd.Samples {
 	if sh, ok := b.S.(engine.Sharder); ok {
-		return NewBinaryView(sh.Shard(lo, hi), b.Class)
+		return newBinaryView(sh.Shard(lo, hi), b.Class)
 	}
-	return NewBinaryView(engine.RangeView(b.S, lo, hi), b.Class)
+	return newBinaryView(engine.RangeView(b.S, lo, hi), b.Class)
 }
 
-// sparseBinaryView is the second-tier variant NewBinaryView returns
+// sparseBinaryView is the second-tier variant newBinaryView returns
 // for sparse sources: a distinct type (not an always-present method)
 // so a type assertion on sgd.SparseSamples stays truthful.
 type sparseBinaryView struct {
-	BinaryView
+	binaryView
 	ss sgd.SparseSamples
 }
 
@@ -224,7 +224,7 @@ func TrainOneVsAllCtx(ctx context.Context, s sgd.Samples, classes int, train Bin
 				return nil, err
 			}
 		}
-		w, err := train(NewBinaryView(s, float64(c)), c)
+		w, err := train(newBinaryView(s, float64(c)), c)
 		if err != nil {
 			return nil, fmt.Errorf("eval: class %d: %w", c, err)
 		}

@@ -59,7 +59,7 @@ func TestOneVsAllPredict(t *testing.T) {
 func TestBinaryView(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	d := data.Synthetic(r, data.GenConfig{Name: "t", M: 100, D: 4, Classes: 3, Spread: 0.4})
-	v := &BinaryView{S: d, Class: 1}
+	v := &binaryView{S: d, Class: 1}
 	if v.Len() != 100 || v.Dim() != 4 {
 		t.Fatalf("view shape %dx%d", v.Len(), v.Dim())
 	}

@@ -53,24 +53,24 @@ func TestSparseScoringParity(t *testing.T) {
 
 	// Binary: relabel class 0 as ±1 via the views.
 	lin := &Linear{W: ova.W[0]}
-	vs := NewBinaryView(spM, 0)
-	vd := NewBinaryView(deM, 0)
+	vs := newBinaryView(spM, 0)
+	vd := newBinaryView(deM, 0)
 	if got, want := Errors(vs, lin), Errors(vd, lin); got != want {
 		t.Errorf("binary Errors: sparse %d dense %d", got, want)
 	}
 }
 
-// NewBinaryView must preserve the source's tier truthfully, and its
+// newBinaryView must preserve the source's tier truthfully, and its
 // shard views must keep it.
 func TestNewBinaryViewTier(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	sp, de := sparseSet(r, 40, 10, 3)
 
-	vs := NewBinaryView(sp, 1)
+	vs := newBinaryView(sp, 1)
 	if _, ok := vs.(sgd.SparseSamples); !ok {
 		t.Fatal("sparse source produced a dense-only view")
 	}
-	vd := NewBinaryView(de, 1)
+	vd := newBinaryView(de, 1)
 	if _, ok := vd.(sgd.SparseSamples); ok {
 		t.Fatal("dense source produced a sparse-claiming view")
 	}

@@ -17,18 +17,18 @@ import (
 // paper artifacts under "ablation-*" IDs.
 
 func init() {
-	Registry["ablation-steps"] = AblationStepFamilies
-	Registry["ablation-averaging"] = AblationAveraging
-	Registry["ablation-noise"] = AblationNoiseDimension
-	Registry["ablation-freshperm"] = AblationFreshPermutation
+	Registry["ablation-steps"] = ablationStepFamilies
+	Registry["ablation-averaging"] = ablationAveraging
+	Registry["ablation-noise"] = ablationNoiseDimension
+	Registry["ablation-freshperm"] = ablationFreshPermutation
 }
 
-// AblationStepFamilies compares the three convex step-size families of
+// ablationStepFamilies compares the three convex step-size families of
 // Corollaries 1–3 at equal privacy: the decreasing and square-root
 // schedules buy a k-independent (or slower-growing) sensitivity at the
 // price of smaller steps. The run prints the calibrated Δ₂ and the test
 // accuracy per family and pass count.
-func AblationStepFamilies(cfg Config) error {
+func ablationStepFamilies(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Ablation: convex step families (Cor 1–3), ε-DP (Protein-sim) ==")
 	root := rand.New(rand.NewSource(cfg.Seed))
@@ -56,12 +56,12 @@ func AblationStepFamilies(cfg Config) error {
 	return w.Flush()
 }
 
-// AblationAveraging compares the model returned by Algorithm 2 under
+// ablationAveraging compares the model returned by Algorithm 2 under
 // the three release choices Lemma 10 covers: the last iterate, the
 // uniform iterate average and the tail (last ⌈ln T⌉) average — all at
 // identical sensitivity, so any accuracy difference is pure
 // optimization behavior.
-func AblationAveraging(cfg Config) error {
+func ablationAveraging(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Ablation: model averaging schemes (Lemma 10), strongly convex ε-DP (Covtype-sim) ==")
 	root := rand.New(rand.NewSource(cfg.Seed))
@@ -95,11 +95,11 @@ func AblationAveraging(cfg Config) error {
 	return w.Flush()
 }
 
-// AblationFreshPermutation compares shuffle-once PSGD against
+// ablationFreshPermutation compares shuffle-once PSGD against
 // resampling the permutation every pass (§3.2.3 "Fresh Permutation at
 // Each Pass": the sensitivity analysis is unchanged, so any accuracy
 // difference at equal ε is pure optimization variance).
-func AblationFreshPermutation(cfg Config) error {
+func ablationFreshPermutation(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Ablation: shuffle-once vs fresh permutation per pass, strongly convex ε-DP (Protein-sim) ==")
 	root := rand.New(rand.NewSource(cfg.Seed))
@@ -132,12 +132,12 @@ func AblationFreshPermutation(cfg Config) error {
 	return w.Flush()
 }
 
-// AblationNoiseDimension contrasts the two mechanisms' dimension
+// ablationNoiseDimension contrasts the two mechanisms' dimension
 // dependence (Theorems 1–3): pure ε-DP noise grows like d·ln d while
 // the Gaussian mechanism grows like √d — the reason §4.3 random-
 // projects MNIST before ε-DP training. Reports the mean realized ‖κ‖
 // at fixed sensitivity across dimensions.
-func AblationNoiseDimension(cfg Config) error {
+func ablationNoiseDimension(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Ablation: noise norm vs dimension at Δ₂=0.01, ε=0.1 (δ=1e-6 for Gaussian) ==")
 	root := rand.New(rand.NewSource(cfg.Seed))

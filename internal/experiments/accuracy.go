@@ -188,56 +188,56 @@ func accuracySweep(cfg Config, datasets []namedDataset, huber bool, tuner string
 	return nil
 }
 
-// Fig3AccuracyPublic reproduces Figure 3 (test accuracy when tuning
+// fig3AccuracyPublic reproduces Figure 3 (test accuracy when tuning
 // with public data; the caption fixes k = 10, b = 50, λ = 1e-4, which
 // is what every point uses).
-func Fig3AccuracyPublic(cfg Config) error {
+func fig3AccuracyPublic(cfg Config) error {
 	fmt.Fprintln(cfg.withDefaults().Out, "== Figure 3: accuracy vs ε, tuning with public data (k=10, b=50, λ=1e-4) ==")
 	return accuracySweep(cfg, figure3Datasets, false, "fixed")
 }
 
-// Fig6AccuracyPrivateTuning reproduces Figure 6 (test accuracy with
+// fig6AccuracyPrivateTuning reproduces Figure 6 (test accuracy with
 // the private tuning Algorithm 3 over the §4.3 grid).
-func Fig6AccuracyPrivateTuning(cfg Config) error {
+func fig6AccuracyPrivateTuning(cfg Config) error {
 	fmt.Fprintln(cfg.withDefaults().Out, "== Figure 6: accuracy vs ε, private tuning (Algorithm 3) ==")
 	return accuracySweep(cfg, figure3Datasets, false, "private")
 }
 
-// Fig7HuberSVM reproduces Figure 7 (Huber SVM, h = 0.1, private
+// fig7HuberSVM reproduces Figure 7 (Huber SVM, h = 0.1, private
 // tuning).
-func Fig7HuberSVM(cfg Config) error {
+func fig7HuberSVM(cfg Config) error {
 	fmt.Fprintln(cfg.withDefaults().Out, "== Figure 7: Huber SVM (h=0.1) accuracy vs ε, private tuning ==")
 	return accuracySweep(cfg, figure3Datasets, true, "private")
 }
 
-// Fig8LargeDatasetsPublic reproduces Figure 8 (HIGGS and KDDCup-99,
+// fig8LargeDatasetsPublic reproduces Figure 8 (HIGGS and KDDCup-99,
 // tuning with public data): at very large m, privacy is nearly free
 // for the bolt-on algorithms.
-func Fig8LargeDatasetsPublic(cfg Config) error {
+func fig8LargeDatasetsPublic(cfg Config) error {
 	fmt.Fprintln(cfg.withDefaults().Out, "== Figure 8: HIGGS/KDDCup-99 accuracy vs ε, public tuning ==")
 	return accuracySweep(cfg, figure8Datasets, false, "public")
 }
 
-// Fig9LargeDatasetsPrivate reproduces Figure 9 (HIGGS and KDDCup-99,
+// fig9LargeDatasetsPrivate reproduces Figure 9 (HIGGS and KDDCup-99,
 // private tuning).
-func Fig9LargeDatasetsPrivate(cfg Config) error {
+func fig9LargeDatasetsPrivate(cfg Config) error {
 	fmt.Fprintln(cfg.withDefaults().Out, "== Figure 9: HIGGS/KDDCup-99 accuracy vs ε, private tuning ==")
 	return accuracySweep(cfg, figure8Datasets, false, "private")
 }
 
-// Fig4aPassesConvex reproduces Figure 4(a): in the convex case more
+// fig4aPassesConvex reproduces Figure 4(a): in the convex case more
 // passes mean more noise (Δ₂ = 2kLη/b grows with k), so accuracy
 // degrades with k at fixed ε. MNIST simulation, batch 1, Test 1.
-func Fig4aPassesConvex(cfg Config) error {
+func fig4aPassesConvex(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Figure 4(a): passes vs accuracy, convex ε-DP, b=1 (MNIST-sim) ==")
 	return passSweep(cfg, false, 1, []int{1, 10, 20})
 }
 
-// Fig4bPassesStronglyConvex reproduces Figure 4(b): in the strongly
+// fig4bPassesStronglyConvex reproduces Figure 4(b): in the strongly
 // convex case Δ₂ is independent of k, so extra passes only help
 // convergence. MNIST simulation, batch 50, Test 3.
-func Fig4bPassesStronglyConvex(cfg Config) error {
+func fig4bPassesStronglyConvex(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Figure 4(b): passes vs accuracy, strongly convex ε-DP, b=50 (MNIST-sim) ==")
 	return passSweep(cfg, true, 50, []int{1, 10, 20})
@@ -274,10 +274,10 @@ func passSweep(cfg Config, strongly bool, batch int, passes []int) error {
 	return plot.Render(cfg.Out, "accuracy vs ε by pass count", grid, series, 10)
 }
 
-// Fig4cBatchConvex reproduces Figure 4(c): slightly enlarging the
+// fig4cBatchConvex reproduces Figure 4(c): slightly enlarging the
 // mini-batch drastically reduces the convex-case noise (Δ₂ ∝ 1/b),
 // rescuing the 20-pass run. MNIST simulation, Test 1.
-func Fig4cBatchConvex(cfg Config) error {
+func fig4cBatchConvex(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Figure 4(c): mini-batch size vs accuracy, convex ε-DP, k=20 (MNIST-sim) ==")
 	root := rand.New(rand.NewSource(cfg.Seed))
@@ -310,10 +310,10 @@ func Fig4cBatchConvex(cfg Config) error {
 	return plot.Render(cfg.Out, "accuracy vs ε by mini-batch size (k=20, convex ε-DP)", grid, series, 10)
 }
 
-// Fig10BatchSweep reproduces Figure 10 (Appendix D): batch sizes
+// fig10BatchSweep reproduces Figure 10 (Appendix D): batch sizes
 // 50–200, strongly convex (ε,δ)-DP on the MNIST simulation, all four
 // algorithms.
-func Fig10BatchSweep(cfg Config) error {
+func fig10BatchSweep(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Figure 10: mini-batch size 50–200 vs accuracy, strongly convex (ε,δ)-DP (MNIST-sim) ==")
 	root := rand.New(rand.NewSource(cfg.Seed))

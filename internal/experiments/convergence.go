@@ -14,14 +14,14 @@ import (
 	"boltondp/internal/sgd"
 )
 
-// Table2Convergence reproduces the shape of Table 2: the excess
+// table2Convergence reproduces the shape of Table 2: the excess
 // empirical risk of our private PSGD vs the extended BST14 under
 // (ε,δ)-DP with a constant number of passes, as the training-set size m
 // grows. The paper's claim is a rate of Õ(√d/√m) (convex) and
 // Õ(√d/m) (strongly convex) for ours, with extra log factors for
 // BST14; we report measured excess risk per m and the empirical decay
 // exponent α in risk ∝ m^(−α).
-func Table2Convergence(cfg Config) error {
+func table2Convergence(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Table 2: excess empirical risk vs m, (ε,δ)-DP, constant passes ==")
 	root := rand.New(rand.NewSource(cfg.Seed))
@@ -122,9 +122,9 @@ func approxMinRisk(ds *data.Dataset, f loss.Function, radius float64, r *rand.Ra
 	return sgd.EmpiricalRisk(ds, f, res.W)
 }
 
-// Table3Datasets reproduces Table 3: the dataset inventory, printed at
+// table3Datasets reproduces Table 3: the dataset inventory, printed at
 // the configured scale next to the paper's full-size numbers.
-func Table3Datasets(cfg Config) error {
+func table3Datasets(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintf(cfg.Out, "== Table 3: datasets (simulated at scale %g) ==\n", cfg.Scale)
 	root := rand.New(rand.NewSource(cfg.Seed))
@@ -148,10 +148,10 @@ func Table3Datasets(cfg Config) error {
 	return w.Flush()
 }
 
-// Table4StepSizes reproduces Table 4: the step-size schedule every
+// table4StepSizes reproduces Table 4: the step-size schedule every
 // algorithm uses in each test scenario, printed from the live schedule
 // objects so the table cannot drift from the code.
-func Table4StepSizes(cfg Config) error {
+func table4StepSizes(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Table 4: step sizes (C = convex, SC = strongly convex) ==")
 	w := newTab(cfg)

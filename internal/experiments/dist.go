@@ -20,7 +20,7 @@ import (
 	"boltondp/internal/store"
 )
 
-// DistLoopback measures the distributed coordinator/worker trainer
+// distLoopback measures the distributed coordinator/worker trainer
 // against the single-process Sharded(P) engine it is pinned to: same
 // task, same seed, P loopback workers behind real HTTP servers. Two
 // claims are on trial. First, the models are bit-identical — the dist
@@ -28,7 +28,7 @@ import (
 // costs little: shard installs carry only chunk ranges and CRCs of a
 // store file the workers open themselves, so dispatch cost is
 // independent of m and the per-epoch traffic is O(P·d).
-func DistLoopback(cfg Config) error {
+func distLoopback(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Distributed loopback: coordinator + P HTTP workers vs single-process Sharded(P) ==")
 

@@ -74,27 +74,27 @@ type Runner func(cfg Config) error
 
 // Registry maps experiment IDs (see DESIGN.md §3) to runners.
 var Registry = map[string]Runner{
-	"table2":  Table2Convergence,
-	"table3":  Table3Datasets,
-	"table4":  Table4StepSizes,
-	"fig1":    Fig1Integration,
-	"fig2a":   Fig2ScalabilityMemory,
-	"fig2b":   Fig2ScalabilityDisk,
-	"fig3":    Fig3AccuracyPublic,
-	"fig4a":   Fig4aPassesConvex,
-	"fig4b":   Fig4bPassesStronglyConvex,
-	"fig4c":   Fig4cBatchConvex,
-	"fig5":    Fig5Runtime,
-	"fig6":    Fig6AccuracyPrivateTuning,
-	"fig7":    Fig7HuberSVM,
-	"fig8":    Fig8LargeDatasetsPublic,
-	"fig9":    Fig9LargeDatasetsPrivate,
-	"fig10":   Fig10BatchSweep,
-	"dist":    DistLoopback,
-	"scaling": ScalingSharded,
-	"stream":  StreamingOnline,
-	"sparse":  SparseKernel,
-	"online":  OnlineContinual,
+	"table2":  table2Convergence,
+	"table3":  table3Datasets,
+	"table4":  table4StepSizes,
+	"fig1":    fig1Integration,
+	"fig2a":   fig2ScalabilityMemory,
+	"fig2b":   fig2ScalabilityDisk,
+	"fig3":    fig3AccuracyPublic,
+	"fig4a":   fig4aPassesConvex,
+	"fig4b":   fig4bPassesStronglyConvex,
+	"fig4c":   fig4cBatchConvex,
+	"fig5":    fig5Runtime,
+	"fig6":    fig6AccuracyPrivateTuning,
+	"fig7":    fig7HuberSVM,
+	"fig8":    fig8LargeDatasetsPublic,
+	"fig9":    fig9LargeDatasetsPrivate,
+	"fig10":   fig10BatchSweep,
+	"dist":    distLoopback,
+	"scaling": scalingSharded,
+	"stream":  streamingOnline,
+	"sparse":  sparseKernel,
+	"online":  onlineContinual,
 }
 
 // IDs returns the registered experiment IDs in sorted order.

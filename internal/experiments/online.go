@@ -14,7 +14,7 @@ import (
 	"boltondp/internal/store"
 )
 
-// OnlineContinual measures the continual-training trade-off (DESIGN.md
+// onlineContinual measures the continual-training trade-off (DESIGN.md
 // §12): under one FIXED total ε, how does accuracy evolve as data
 // arrives when the budget is split into N retraining windows? Few
 // windows buy low-noise models that go stale; many windows stay fresh
@@ -24,7 +24,7 @@ import (
 // batch, and reports test accuracy after every window, alongside the
 // one-shot baseline (all of ε on the initial half, never retrained)
 // and the noiseless upper bound on the full data.
-func OnlineContinual(cfg Config) error {
+func onlineContinual(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Online: continual private training on kdd-onehot, accuracy vs windows at fixed total ε ==")
 

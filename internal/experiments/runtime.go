@@ -63,14 +63,14 @@ func timeTrainRepeated(t *bismarck.Table, f loss.Function, cfg bismarck.TrainCon
 	return total / time.Duration(runs), max - min, res, nil
 }
 
-// Fig1Integration demonstrates the integration-effort contrast of
+// fig1Integration demonstrates the integration-effort contrast of
 // Figure 1 and §4.2: the bolt-on algorithm touches only the driver
 // (one Perturb call after all epochs — integration point B), while
 // SCS13/BST14 must hook the UDA's transition function and sample noise
 // on every mini-batch (integration point C). The run reports, per
 // algorithm, where noise is injected and how many times the sampling
 // code executes.
-func Fig1Integration(cfg Config) error {
+func fig1Integration(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Figure 1: UDA integration points and noise-sampling counts ==")
 	root := rand.New(rand.NewSource(cfg.Seed))
@@ -170,27 +170,27 @@ func scalabilitySweep(cfg Config, disk bool) error {
 	return w.Flush()
 }
 
-// Fig2ScalabilityMemory reproduces Figure 2(a): runtime per epoch vs
+// fig2ScalabilityMemory reproduces Figure 2(a): runtime per epoch vs
 // dataset size when the table fits in memory. All algorithms scale
 // linearly; SCS13/BST14 carry a linearly growing sampling overhead.
-func Fig2ScalabilityMemory(cfg Config) error {
+func fig2ScalabilityMemory(cfg Config) error {
 	fmt.Fprintln(cfg.withDefaults().Out, "== Figure 2(a): scalability, in-memory (b=1, ε=0.1, λ=1e-4, d=50) ==")
 	return scalabilitySweep(cfg, false)
 }
 
-// Fig2ScalabilityDisk reproduces Figure 2(b): runtime per epoch vs
+// fig2ScalabilityDisk reproduces Figure 2(b): runtime per epoch vs
 // dataset size when the table exceeds the buffer pool, so every scan
 // pays file I/O that affects all algorithms equally.
-func Fig2ScalabilityDisk(cfg Config) error {
+func fig2ScalabilityDisk(cfg Config) error {
 	fmt.Fprintln(cfg.withDefaults().Out, "== Figure 2(b): scalability, disk-based (pool = 10% of table) ==")
 	return scalabilitySweep(cfg, true)
 }
 
-// Fig5Runtime reproduces Figure 5: runtime of the Bismarck integrations
+// fig5Runtime reproduces Figure 5: runtime of the Bismarck integrations
 // on the three simulated datasets — varying the number of epochs at
 // batch size 10 (row 1) and varying the batch size for a single epoch
 // (row 2), strongly convex (ε,δ)-DP, ε = 0.1.
-func Fig5Runtime(cfg Config) error {
+func fig5Runtime(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Figure 5: runtime overhead (strongly convex, (ε,δ)-DP, ε=0.1) ==")
 	root := rand.New(rand.NewSource(cfg.Seed))

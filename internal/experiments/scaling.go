@@ -23,13 +23,13 @@ import (
 // never materialized (the in-RDBMS/online story). EXPERIMENTS.md
 // records the measured tables next to the claims.
 
-// ScalingSharded sweeps the sharded engine's worker count on one
+// scalingSharded sweeps the sharded engine's worker count on one
 // strongly convex private training task and reports wall time, speedup
 // over the sequential run, the calibrated sensitivity and the test
 // accuracy. The punchline is the Δ₂ column: constant in P (2L/(γm), the
 // sequential bound), so parallelism costs nothing in privacy; wall time
 // should fall until P exceeds the physical cores.
-func ScalingSharded(cfg Config) error {
+func scalingSharded(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintf(cfg.Out, "== Engine scaling: sharded workers sweep (strongly convex, ε=0.1, %d CPUs) ==\n", runtime.NumCPU())
 	root := rand.New(rand.NewSource(cfg.Seed))
@@ -69,13 +69,13 @@ func ScalingSharded(cfg Config) error {
 	return w.Flush()
 }
 
-// StreamingOnline trains a single-pass private model over a data.Stream
+// streamingOnline trains a single-pass private model over a data.Stream
 // source — rows are regenerated on the fly and never materialized, the
 // same role Bismarck's data synthesizer plays in the paper's
 // scalability runs — and compares it against a sequential one-pass run
 // on the materialized equivalent. The streamed run should match the
 // materialized accuracy at the same Δ₂ while allocating no O(m) state.
-func StreamingOnline(cfg Config) error {
+func streamingOnline(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Engine streaming: single-pass online training over a lazy stream ==")
 

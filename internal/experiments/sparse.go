@@ -14,7 +14,7 @@ import (
 	"boltondp/internal/sgd"
 )
 
-// SparseKernel measures the sparse-native execution kernel against the
+// sparseKernel measures the sparse-native execution kernel against the
 // dense path on the workloads it exists for: a density sweep over
 // synthetic high-dimensional data, and the paper's one-hot-heavy
 // KDDCup-99 intrusion-detection workload (Appendix C) in its natural
@@ -26,7 +26,7 @@ import (
 // function of (L, β, γ, m, strategy), never of the representation, and
 // the shared Rand is consumed identically), accuracy matches to noise
 // rounding, and the speedup approaches the inverse density.
-func SparseKernel(cfg Config) error {
+func sparseKernel(cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintln(cfg.Out, "== Sparse kernel: CSR vs dense execution, same seed, same noise ==")
 

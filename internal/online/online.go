@@ -7,7 +7,7 @@
 //
 //	AppendSegment      new rows become visible only after the
 //	                   integrity gate (store.AppendSegment)
-//	Detect             population statistics of the new segment —
+//	detect             population statistics of the new segment —
 //	                   label rate and mean margin under the live
 //	                   model — are compared against the training-time
 //	                   snapshot stamped into the live model's metadata
@@ -86,15 +86,15 @@ type Thresholds struct {
 	Margin float64
 }
 
-// DefaultThresholds are the Thresholds zero-value fallbacks.
-var DefaultThresholds = Thresholds{LabelRate: 0.2, Margin: 0.5}
+// defaultThresholds are the Thresholds zero-value fallbacks.
+var defaultThresholds = Thresholds{LabelRate: 0.2, Margin: 0.5}
 
 func (t Thresholds) withDefaults() Thresholds {
 	if t.LabelRate == 0 {
-		t.LabelRate = DefaultThresholds.LabelRate
+		t.LabelRate = defaultThresholds.LabelRate
 	}
 	if t.Margin == 0 {
-		t.Margin = DefaultThresholds.Margin
+		t.Margin = defaultThresholds.Margin
 	}
 	return t
 }
@@ -112,8 +112,8 @@ type Report struct {
 	Fired bool
 }
 
-// Detect compares a segment snapshot against the baseline under thr.
-func Detect(base, seg Snapshot, thr Thresholds) Report {
+// detect compares a segment snapshot against the baseline under thr.
+func detect(base, seg Snapshot, thr Thresholds) Report {
 	thr = thr.withDefaults()
 	r := Report{
 		Base:        base,
@@ -130,35 +130,35 @@ func Detect(base, seg Snapshot, thr Thresholds) Report {
 // new segments against the statistics of the data the live model was
 // actually trained on, not whatever happens to be in memory.
 const (
-	// MetaLabelRate and MetaMeanMargin persist the training snapshot.
-	MetaLabelRate  = "online.label_rate"
-	MetaMeanMargin = "online.mean_margin"
-	// MetaWindow records which continual window produced the model
+	// metaLabelRate and metaMeanMargin persist the training snapshot.
+	metaLabelRate  = "online.label_rate"
+	metaMeanMargin = "online.mean_margin"
+	// metaWindow records which continual window produced the model
 	// (0 = the initial full training run).
-	MetaWindow = "online.window"
+	metaWindow = "online.window"
 )
 
 // StampMeta records the training snapshot and window index into a
 // model-metadata map (alongside the accountant's ledger stamp).
 func StampMeta(meta map[string]string, snap Snapshot, window int) {
-	meta[MetaLabelRate] = strconv.FormatFloat(snap.LabelRate, 'g', -1, 64)
-	meta[MetaMeanMargin] = strconv.FormatFloat(snap.MeanMargin, 'g', -1, 64)
-	meta[MetaWindow] = strconv.Itoa(window)
+	meta[metaLabelRate] = strconv.FormatFloat(snap.LabelRate, 'g', -1, 64)
+	meta[metaMeanMargin] = strconv.FormatFloat(snap.MeanMargin, 'g', -1, 64)
+	meta[metaWindow] = strconv.Itoa(window)
 }
 
-// SnapshotFromMeta extracts a stamped training snapshot. ok is false
+// snapshotFromMeta extracts a stamped training snapshot. ok is false
 // when the map carries none.
-func SnapshotFromMeta(meta map[string]string) (snap Snapshot, ok bool, err error) {
-	lr, okL := meta[MetaLabelRate]
-	mm, okM := meta[MetaMeanMargin]
+func snapshotFromMeta(meta map[string]string) (snap Snapshot, ok bool, err error) {
+	lr, okL := meta[metaLabelRate]
+	mm, okM := meta[metaMeanMargin]
 	if !okL || !okM {
 		return Snapshot{}, false, nil
 	}
 	if snap.LabelRate, err = strconv.ParseFloat(lr, 64); err != nil {
-		return Snapshot{}, true, fmt.Errorf("online: parsing %s: %w", MetaLabelRate, err)
+		return Snapshot{}, true, fmt.Errorf("online: parsing %s: %w", metaLabelRate, err)
 	}
 	if snap.MeanMargin, err = strconv.ParseFloat(mm, 64); err != nil {
-		return Snapshot{}, true, fmt.Errorf("online: parsing %s: %w", MetaMeanMargin, err)
+		return Snapshot{}, true, fmt.Errorf("online: parsing %s: %w", metaMeanMargin, err)
 	}
 	return snap, true, nil
 }

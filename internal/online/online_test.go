@@ -317,40 +317,40 @@ func TestStatsAndDetect(t *testing.T) {
 		t.Errorf("empty Stats = %+v", got)
 	}
 
-	rep := Detect(snap, Snapshot{LabelRate: 0.9, MeanMargin: 1.1}, Thresholds{})
+	rep := detect(snap, Snapshot{LabelRate: 0.9, MeanMargin: 1.1}, Thresholds{})
 	if !rep.Fired || math.Abs(rep.LabelShift-0.4) > 1e-15 {
 		t.Errorf("label drift: %+v", rep)
 	}
-	rep = Detect(snap, Snapshot{LabelRate: 0.5, MeanMargin: -1}, Thresholds{})
+	rep = detect(snap, Snapshot{LabelRate: 0.5, MeanMargin: -1}, Thresholds{})
 	if !rep.Fired || rep.MarginShift != 2 {
 		t.Errorf("margin drift: %+v", rep)
 	}
-	rep = Detect(snap, Snapshot{LabelRate: 0.55, MeanMargin: 1.2}, Thresholds{})
+	rep = detect(snap, Snapshot{LabelRate: 0.55, MeanMargin: 1.2}, Thresholds{})
 	if rep.Fired {
 		t.Errorf("calm snapshot fired: %+v", rep)
 	}
-	rep = Detect(snap, Snapshot{LabelRate: 0.6, MeanMargin: 1}, Thresholds{LabelRate: 0.05})
+	rep = detect(snap, Snapshot{LabelRate: 0.6, MeanMargin: 1}, Thresholds{LabelRate: 0.05})
 	if !rep.Fired {
 		t.Errorf("tight threshold did not fire: %+v", rep)
 	}
 }
 
-// TestSnapshotMetaRoundTrip: StampMeta → SnapshotFromMeta is exact.
+// TestSnapshotMetaRoundTrip: StampMeta → snapshotFromMeta is exact.
 func TestSnapshotMetaRoundTrip(t *testing.T) {
 	snap := Snapshot{LabelRate: 1.0 / 3, MeanMargin: -0.12345678901234567}
 	meta := map[string]string{}
 	StampMeta(meta, snap, 4)
-	got, ok, err := SnapshotFromMeta(meta)
+	got, ok, err := snapshotFromMeta(meta)
 	if err != nil || !ok {
-		t.Fatalf("SnapshotFromMeta: ok=%v err=%v", ok, err)
+		t.Fatalf("snapshotFromMeta: ok=%v err=%v", ok, err)
 	}
 	if got != snap {
 		t.Errorf("round trip %+v != %+v", got, snap)
 	}
-	if _, ok, _ := SnapshotFromMeta(map[string]string{}); ok {
+	if _, ok, _ := snapshotFromMeta(map[string]string{}); ok {
 		t.Error("empty meta claims a snapshot")
 	}
-	if _, ok, err := SnapshotFromMeta(map[string]string{MetaLabelRate: "x", MetaMeanMargin: "1"}); !ok || err == nil {
+	if _, ok, err := snapshotFromMeta(map[string]string{metaLabelRate: "x", metaMeanMargin: "1"}); !ok || err == nil {
 		t.Error("corrupt snapshot not rejected")
 	}
 }

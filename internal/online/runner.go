@@ -32,11 +32,6 @@ type Runner struct {
 	Registry *serve.Registry
 	// Trainer draws one budget window per drift-triggered retrain.
 	Trainer *core.ContinualTrainer
-	// Probe, when non-nil, is the held-out probe set baselines are
-	// computed on when the live model's metadata carries no stamped
-	// snapshot. Falling back to the training union itself is sound but
-	// mixes the new segment into its own baseline on later ingests.
-	Probe sgd.Samples
 	// Thresholds configure the drift detector (zero = defaults).
 	Thresholds Thresholds
 	// CanaryPct is the traffic fraction a drift-triggered canary gets
@@ -69,17 +64,14 @@ func (r *Runner) liveLinear() (*serve.Model, []float64, error) {
 }
 
 // baseline resolves the snapshot new segments are compared against:
-// the one stamped into the live model's metadata, else Probe under the
-// live weights, else the pre-ingest training union.
+// the one stamped into the live model's metadata, else the pre-ingest
+// training union under the live weights.
 func (r *Runner) baseline(w []float64, oldLen int, meta map[string]string) (Snapshot, error) {
-	if snap, ok, err := SnapshotFromMeta(meta); ok {
+	if snap, ok, err := snapshotFromMeta(meta); ok {
 		if err != nil {
 			return Snapshot{}, err
 		}
 		return snap, nil
-	}
-	if r.Probe != nil {
-		return Stats(r.Probe, w), nil
 	}
 	return Stats(r.Dir.Shard(0, oldLen), w), nil
 }
@@ -115,7 +107,7 @@ func (r *Runner) Ingest(ctx context.Context, src sgd.SparseSamples, opt store.Op
 		return nil, err
 	}
 	cur := Stats(r.Dir.Shard(oldLen, r.Dir.Len()), w)
-	rep := Detect(base, cur, r.Thresholds)
+	rep := detect(base, cur, r.Thresholds)
 	rep.Segment = seg
 	if !rep.Fired {
 		r.logf("online: segment %s ingested, no drift (Δlabel=%.3f Δmargin=%.3f)", seg, rep.LabelShift, rep.MarginShift)

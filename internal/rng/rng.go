@@ -57,11 +57,11 @@ func Gamma(r *rand.Rand, shape, scale float64) float64 {
 	}
 }
 
-// UnitSphere fills dst with a point drawn uniformly at random from the
+// unitSphere fills dst with a point drawn uniformly at random from the
 // surface of the unit sphere in R^len(dst). This is the standard
 // normalize-a-Gaussian construction referenced by the paper's
 // Appendix E. A zero draw (probability 0) is retried.
-func UnitSphere(r *rand.Rand, dst []float64) {
+func unitSphere(r *rand.Rand, dst []float64) {
 	for {
 		var n float64
 		for i := range dst {
@@ -95,7 +95,7 @@ func GammaSphere(r *rand.Rand, dst []float64, sensitivity, epsilon float64) {
 		}
 		return
 	}
-	UnitSphere(r, dst)
+	unitSphere(r, dst)
 	l := Gamma(r, float64(len(dst)), sensitivity/epsilon)
 	for i := range dst {
 		dst[i] *= l

@@ -61,7 +61,7 @@ func TestUnitSphereNorm(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, d := range []int{1, 2, 5, 50, 784} {
 		v := make([]float64, d)
-		UnitSphere(r, v)
+		unitSphere(r, v)
 		if math.Abs(vec.Norm(v)-1) > 1e-9 {
 			t.Errorf("d=%d: ‖v‖ = %v, want 1", d, vec.Norm(v))
 		}
@@ -76,7 +76,7 @@ func TestUnitSphereIsotropy(t *testing.T) {
 	mean := make([]float64, d)
 	v := make([]float64, d)
 	for i := 0; i < n; i++ {
-		UnitSphere(r, v)
+		unitSphere(r, v)
 		vec.Axpy(mean, 1.0/n, v)
 	}
 	if vec.Norm(mean) > 0.02 {

@@ -16,7 +16,7 @@ import (
 
 // A model published through an accountant carries the audited ledger in
 // its metadata, and /modelz round-trips it (acceptance criterion of the
-// accountant tentpole): GET /modelz → meta["dp.ledger"] → ParseLedger
+// accountant tentpole): GET /modelz → meta["dp.ledger"] → LedgerFromMeta
 // must recover the exact spend record, both for an in-memory publish
 // and for a registry reloaded from disk.
 func TestModelzRoundTripsLedger(t *testing.T) {

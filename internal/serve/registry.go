@@ -202,11 +202,6 @@ type Registry struct {
 	live   atomic.Pointer[Model]
 	canary atomic.Pointer[canaryState]
 
-	// Logf, when non-nil, receives operational log lines (watch scan
-	// failures, canary rollbacks). Set it before starting Watch or
-	// serving traffic; nil logs through the standard library logger.
-	Logf func(format string, args ...any)
-
 	mu     sync.RWMutex
 	models map[string]*Model
 	seen   map[string]fileStamp // on-disk state the watch diff compares against
@@ -505,14 +500,4 @@ func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.models)
-}
-
-// logf routes operational log lines through Logf (or the standard
-// logger when unset).
-func (r *Registry) logf(format string, args ...any) {
-	if r.Logf != nil {
-		r.Logf(format, args...)
-		return
-	}
-	stdlog(format, args...)
 }

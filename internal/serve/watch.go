@@ -47,8 +47,8 @@ const DefaultWatchInterval = 2 * time.Second
 // Watch polls the registry directory until ctx is cancelled, folding
 // every observed change into the registry: new and republished model
 // files are loaded and registered, deleted files are dropped, and the
-// live designation file is followed. Scan errors are logged
-// (Registry.Logf) and do not stop the watcher. Watch returns ctx.Err()
+// live designation file is followed. Scan errors are logged through
+// the standard library logger and do not stop the watcher. Watch returns ctx.Err()
 // once the context dies. Watching an in-memory registry is an error.
 func (r *Registry) Watch(ctx context.Context) error {
 	return r.WatchEvery(ctx, DefaultWatchInterval)
@@ -71,7 +71,7 @@ func (r *Registry) WatchEvery(ctx context.Context, every time.Duration) error {
 			return ctx.Err()
 		case <-tick.C:
 			if err := r.Refresh(); err != nil {
-				r.logf("serve: watch scan of %s: %v", r.dir, err)
+				stdlog("serve: watch scan of %s: %v", r.dir, err)
 			}
 		}
 	}

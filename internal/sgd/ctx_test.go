@@ -132,8 +132,7 @@ func (c *countingCtx) Err() error {
 // TestCtxPolledOncePerUpdate pins the cost model Config.Ctx documents
 // as an exact count instead of a timing: Run polls Err exactly once per
 // update — never per row, never in the per-pass risk evaluation — on
-// both kernels, at b = 1 and b = 16, with and without Tol early
-// stopping.
+// both kernels, at b = 1 and b = 16.
 func TestCtxPolledOncePerUpdate(t *testing.T) {
 	sp, de := randomSparseSamples(rand.New(rand.NewSource(6)), 200, 50, 5)
 	f := loss.NewLogistic(1e-2, 0)
@@ -142,25 +141,20 @@ func TestCtxPolledOncePerUpdate(t *testing.T) {
 		s    Samples
 	}{{"sparse", sp}, {"dense", de}} {
 		for _, b := range []int{1, 16} {
-			for _, tol := range []float64{0, 1e-3} {
-				ctx := &countingCtx{Context: context.Background()}
-				cfg := Config{
-					Loss: f, Step: Constant(0.05), Passes: 30, Batch: b, Tol: tol,
-					Rand: rand.New(rand.NewSource(1)), Ctx: ctx,
-				}
-				if (src.name == "sparse") != UsesSparseKernel(src.s, cfg) {
-					t.Fatal("kernel dispatch mismatch")
-				}
-				res, err := Run(src.s, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tol > 0 && res.Passes == cfg.Passes {
-					t.Fatalf("%s b=%d: Tol never stopped the run; the case is vacuous", src.name, b)
-				}
-				if ctx.polls != res.Updates {
-					t.Errorf("%s b=%d tol=%g: %d Err polls for %d updates", src.name, b, tol, ctx.polls, res.Updates)
-				}
+			ctx := &countingCtx{Context: context.Background()}
+			cfg := Config{
+				Loss: f, Step: Constant(0.05), Passes: 30, Batch: b,
+				Rand: rand.New(rand.NewSource(1)), Ctx: ctx,
+			}
+			if (src.name == "sparse") != UsesSparseKernel(src.s, cfg) {
+				t.Fatal("kernel dispatch mismatch")
+			}
+			res, err := Run(src.s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ctx.polls != res.Updates {
+				t.Errorf("%s b=%d: %d Err polls for %d updates", src.name, b, ctx.polls, res.Updates)
 			}
 		}
 	}

@@ -35,10 +35,6 @@ func TestGradPerturbValidation(t *testing.T) {
 			c.GradPerturb = &GradPerturb{Clip: 1, Sigma: 1, Rand: r}
 			c.GradNoise = func(int, []float64) {}
 		}, "mutually exclusive"},
-		{"with tol", func(c *Config) {
-			c.GradPerturb = &GradPerturb{Clip: 1, Sigma: 1, Rand: r}
-			c.Tol = 1e-3
-		}, "Tol"},
 		{"with progress", func(c *Config) {
 			c.GradPerturb = &GradPerturb{Clip: 1, Sigma: 1, Rand: r}
 			c.Progress = func(int, float64) {}

@@ -152,8 +152,7 @@ type Config struct {
 	// iterates — the second averaging scheme Lemma 10 mentions ("the
 	// average of the last log T iterates"). Sensitivity is unchanged:
 	// the δ_t's are non-decreasing, so any convex combination of
-	// iterates is bounded by δ_T. Incompatible with Tol (T must be
-	// known in advance) and with Average.
+	// iterates is bounded by δ_T. Incompatible with Average.
 	AverageTail bool
 
 	// FreshPerm resamples the permutation at the start of every pass
@@ -222,14 +221,6 @@ type Config struct {
 	// W0 is the starting point; nil means the origin.
 	W0 []float64
 
-	// Tol, when positive, enables the early-stopping strategy of §4.3:
-	// after each pass the training risk is evaluated, and the run stops
-	// once the per-pass decrease falls below Tol (or Passes is
-	// reached). The paper notes this "oblivious k" strategy is only
-	// sound for the strongly convex private algorithm, whose noise does
-	// not depend on k; Run itself is noise-free so it simply honors it.
-	Tol float64
-
 	// Ctx, when non-nil, makes the run cancellable: it is checked once
 	// per mini-batch update (an allocation-free Err poll — one
 	// predictable branch plus an atomic load on the standard context
@@ -242,8 +233,7 @@ type Config struct {
 
 	// Progress, when non-nil, is called after every completed pass with
 	// the 1-based pass number and the empirical risk of the current
-	// iterate. The risk evaluation costs one extra pass over the data,
-	// and is shared with Tol's evaluation when both are set.
+	// iterate. The risk evaluation costs one extra pass over the data.
 	Progress func(pass int, risk float64)
 }
 
@@ -313,9 +303,6 @@ func (c *Config) validate(m int) error {
 	if c.AverageTail && c.Average {
 		return errors.New("sgd: Average and AverageTail are mutually exclusive")
 	}
-	if c.AverageTail && c.Tol > 0 {
-		return errors.New("sgd: AverageTail needs the total iteration count in advance; incompatible with Tol")
-	}
 	if gp := c.GradPerturb; gp != nil {
 		if c.GradNoise != nil {
 			return errors.New("sgd: GradPerturb and GradNoise are mutually exclusive (one noise authority per run)")
@@ -329,16 +316,11 @@ func (c *Config) validate(m int) error {
 		if gp.Sigma > 0 && gp.Rand == nil {
 			return errors.New("sgd: GradPerturb.Rand is required when Sigma > 0")
 		}
-		if c.Tol > 0 {
-			// A data-dependent stopping time changes the number of noisy
-			// updates after calibration, voiding the accountant's T.
-			return errors.New("sgd: GradPerturb is incompatible with Tol (the noise calibration fixes the update count)")
-		}
 		if c.Progress != nil {
-			// Same reasoning as Tol: the per-pass empirical risk is an
-			// exact, data-dependent value outside the accounted budget —
-			// in gradient-perturbation runs the only releasable values
-			// are the noisy iterates themselves.
+			// The per-pass empirical risk is an exact, data-dependent
+			// value outside the accounted budget — in
+			// gradient-perturbation runs the only releasable values are
+			// the noisy iterates themselves.
 			return errors.New("sgd: GradPerturb is incompatible with Progress (the per-pass risk is an exact, unaccounted data-dependent release)")
 		}
 		if gp.Poisson && (c.Perm != nil || c.NoPerm || c.FreshPerm) {
@@ -356,8 +338,7 @@ type Result struct {
 	WAvg []float64
 	// Updates is the number of gradient updates performed (batches).
 	Updates int
-	// Passes is the number of passes actually executed (may be fewer
-	// than Config.Passes when Tol-based early stopping triggers).
+	// Passes is the number of passes executed.
 	Passes int
 }
 
@@ -439,8 +420,6 @@ func Run(s Samples, cfg Config) (*Result, error) {
 	var la lookAhead
 	la.src, _ = s.(toucher)
 	t := cfg.T0
-	passes := 0
-	prevRisk := math.Inf(1)
 	for pass := 0; pass < cfg.Passes; pass++ {
 		if cfg.FreshPerm && pass > 0 {
 			perm = cfg.Rand.Perm(m)
@@ -464,17 +443,9 @@ func Run(s Samples, cfg Config) (*Result, error) {
 				k.addIterate()
 			}
 		}
-		passes++
 		k.endPass()
-		if cfg.Tol > 0 || cfg.Progress != nil {
-			risk := EmpiricalRisk(s, cfg.Loss, k.iterate())
-			if cfg.Progress != nil {
-				cfg.Progress(passes, risk)
-			}
-			if cfg.Tol > 0 && prevRisk-risk < cfg.Tol {
-				break
-			}
-			prevRisk = risk
+		if cfg.Progress != nil {
+			cfg.Progress(pass+1, EmpiricalRisk(s, cfg.Loss, k.iterate()))
 		}
 	}
 
@@ -483,14 +454,14 @@ func Run(s Samples, cfg Config) (*Result, error) {
 		// Every update after T0 and from avgFrom on was added.
 		vec.Scale(wsum, 1/float64(t-max(cfg.T0, avgFrom-1)))
 	}
-	return &Result{W: w, WAvg: wsum, Updates: t - cfg.T0, Passes: passes}, nil
+	return &Result{W: w, WAvg: wsum, Updates: t - cfg.T0, Passes: cfg.Passes}, nil
 }
 
 // kernel is one run's update rule over its own model representation:
 // denseState (below) or sparseState (sparse.go). Run owns everything
 // the two share — the batch clamp and remainder merge, permutations,
 // the look-ahead, the ctx poll, the update counter, the averaging
-// window, Tol/Progress and the averaging divide — and calls a kernel
+// window, Progress and the averaging divide — and calls a kernel
 // once per batch or pass, never per row; inside update, a kernel's row
 // loop keeps its state in locals (DESIGN.md §2). The dense kernel's row
 // loop feeds a Fold, which takes four rows at a time; the parallel batch

@@ -234,30 +234,6 @@ func TestModelWithoutAveraging(t *testing.T) {
 	}
 }
 
-func TestEarlyStoppingWithTol(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	s := separable(r, 300, 4)
-	f := loss.NewLogistic(1e-2, 0)
-	p := f.Params()
-	res, err := Run(s, Config{
-		Loss:   f,
-		Step:   StronglyConvexPaper(p.Beta, p.Gamma),
-		Passes: 200,
-		Batch:  10,
-		Rand:   r,
-		Tol:    1e-4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passes >= 200 {
-		t.Errorf("early stopping never triggered (ran %d passes)", res.Passes)
-	}
-	if res.Passes < 1 {
-		t.Errorf("Passes = %d", res.Passes)
-	}
-}
-
 func TestGradNoiseHookInvoked(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	s := separable(r, 40, 3)

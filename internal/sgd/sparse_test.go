@@ -132,7 +132,7 @@ func maxAbsDiff(a, b []float64) float64 {
 
 // Parity must also hold for the remaining Config features the engine
 // strategies exercise: NoPerm (streaming), T0 offsets (sharded epoch
-// continuation), W0 warm starts, fixed Perm and Tol early stopping.
+// continuation), W0 warm starts and fixed Perm.
 func TestSparseDenseParityEngineFeatures(t *testing.T) {
 	f := loss.NewLogistic(1e-2, 0)
 	p := f.Params()
@@ -150,8 +150,6 @@ func TestSparseDenseParityEngineFeatures(t *testing.T) {
 			Passes: 1, Batch: 4, NoPerm: true, T0: 57, Radius: 2, W0: w0},
 		"fixed-perm": {Loss: f, Step: StronglyConvexPaper(p.Beta, p.Gamma),
 			Passes: 2, Batch: 1, Perm: perm, Average: true},
-		"tol": {Loss: f, Step: StronglyConvexPaper(p.Beta, p.Gamma),
-			Passes: 50, Batch: 4, Perm: perm, Tol: 1e-5},
 	}
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {

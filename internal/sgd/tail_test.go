@@ -63,11 +63,6 @@ func TestAverageTailValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("Average+AverageTail accepted")
 	}
-	if _, err := Run(s, Config{
-		Loss: f, Step: Constant(0.1), Passes: 5, Rand: r, AverageTail: true, Tol: 1e-3,
-	}); err == nil {
-		t.Error("AverageTail+Tol accepted")
-	}
 }
 
 func TestAverageTailSingleUpdate(t *testing.T) {

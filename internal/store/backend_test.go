@@ -95,7 +95,7 @@ func sameRow(t *testing.T, tag string, got *vec.Sparse, gy float64, want *vec.Sp
 	}
 }
 
-// TestBackendParity: rows (under the FlagLabels01 remap), dense rows,
+// TestBackendParity: rows (under the flagLabels01 remap), dense rows,
 // shard views, raw chunk blocks and chunk refs come back bit-identical
 // from both backends, and a permuted multi-pass training run ends on
 // the same bits as the in-memory dataset.
@@ -125,7 +125,7 @@ func TestBackendParity(t *testing.T) {
 		}
 		defer r.Close()
 		rds = append(rds, r)
-		if r.Flags()&FlagLabels01 == 0 || r.Len() != ds.Len() || r.Dim() != ds.Dim() || int(r.NNZ()) != ds.NNZ() {
+		if r.Flags()&flagLabels01 == 0 || r.Len() != ds.Len() || r.Dim() != ds.Dim() || int(r.NNZ()) != ds.NNZ() {
 			t.Fatalf("%s: flags %x, %d rows, dim %d, %d nnz", b.name, r.Flags(), r.Len(), r.Dim(), r.NNZ())
 		}
 		for _, i := range rng.Perm(ds.Len()) { // shuffled: forces chunk reloads
@@ -327,7 +327,7 @@ func FuzzReadStore(f *testing.F) {
 // TestChunkTable pins the mapped path's chunk lookup and the hint that
 // reads off it, structurally (no clock): a verified chunk's rows are
 // served from inside the mapping, out of the same chunk-table entry on
-// every access — the labels included, which a FlagLabels01 store
+// every access — the labels included, which a flagLabels01 store
 // remaps one row at a time instead of copying a chunk's worth — and the
 // hint verifies nothing, on a Reader or on a fresh shard. A
 // mapping-less reader's hint is inert and leaves its arena alone.

@@ -21,7 +21,7 @@ type ChunkRef struct {
 	CRC uint32 `json:"crc"`
 }
 
-// Flags returns the header flag bits (FlagLabels01 and future flags) —
+// Flags returns the header flag bits (flagLabels01 and future flags) —
 // part of a file's manifest identity: two files that differ only in
 // flags serve different labels from identical payload bytes.
 func (r *Reader) Flags() uint32 { return r.hdr.flags }

@@ -213,7 +213,7 @@ func (r *Reader) ChunkCSR(c int) (indptr, idx []int, val, y []float64, err error
 		return nil, nil, nil, nil, err
 	}
 	y = e.y
-	if r.hdr.flags&FlagLabels01 != 0 { // serving form: the one copy (the mapping is read-only)
+	if r.hdr.flags&flagLabels01 != 0 { // serving form: the one copy (the mapping is read-only)
 		y = append(r.cur.yArena[:0], y...)
 		for i, v := range y {
 			y[i] = r.cur.label(v)
@@ -328,7 +328,7 @@ type cursor struct {
 	n      int // the chunk decoded in arena, -1 when none
 	arena  chunkCSR
 	raw    []byte    // the arena's payload buffer
-	yArena []float64 // ChunkCSR's remapped label copy (FlagLabels01)
+	yArena []float64 // ChunkCSR's remapped label copy (flagLabels01)
 
 	scratch []float64 // dense At tier, allocated on first use
 	row     vec.Sparse
@@ -528,10 +528,10 @@ func (c *cursor) atSparse(i int) (*vec.Sparse, float64) {
 	return &c.row, c.label(e.y[j])
 }
 
-// label returns a stored label in serving form: a FlagLabels01 store
+// label returns a stored label in serving form: a flagLabels01 store
 // serves ±1, remapping the one label a row access returns.
 func (c *cursor) label(y float64) float64 {
-	if c.r.hdr.flags&FlagLabels01 != 0 {
+	if c.r.hdr.flags&flagLabels01 != 0 {
 		return 2*y - 1
 	}
 	return y

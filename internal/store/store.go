@@ -65,7 +65,7 @@
 // invariant DESIGN.md §7 pins (sensitivity calibration depends only on
 // (L, β, γ, m, strategy), never on where the bytes live).
 //
-// FlagLabels01 records that the writer was asked to remap
+// flagLabels01 records that the writer was asked to remap
 // (Options.RemapLabels01) and saw the label set {0, 1} exactly; the
 // reader remaps such labels to ±1 at decode time, matching
 // data.LoadLIBSVM's convenience remap without a second pass over the
@@ -104,10 +104,10 @@ const (
 	maxChunkRows = 1 << 22
 )
 
-// FlagLabels01 marks a store written under Options.RemapLabels01 whose
+// flagLabels01 marks a store written under Options.RemapLabels01 whose
 // raw labels were exactly {0, 1}; the reader serves them remapped to
 // ±1 (the loaders' convenience remap).
-const FlagLabels01 = 1 << 0
+const flagLabels01 = 1 << 0
 
 // header is the decoded fixed-size file header.
 type header struct {

@@ -24,7 +24,7 @@ type Options struct {
 	// it sees, exactly as the LIBSVM loaders do.
 	Classes int
 
-	// RemapLabels01, when set, records FlagLabels01 if the appended
+	// RemapLabels01, when set, records flagLabels01 if the appended
 	// label set turns out to be exactly {0, 1}, making the reader serve
 	// those labels remapped to ±1. It exists for conversion paths that
 	// write raw, never-loaded labels (dpsgd -cache) and want the
@@ -323,7 +323,7 @@ func (w *Writer) Close() error {
 
 	var flags uint32
 	if w.labels01() {
-		flags |= FlagLabels01
+		flags |= flagLabels01
 	}
 	var hdr [headerSize]byte
 	(&header{
