@@ -8,7 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -245,19 +245,13 @@ func TestNoNeedlessExport(t *testing.T) {
 	var order []*decl
 	methods := map[key][]ast.Node{} // receiver type → its exported methods' signatures
 	declIdent := map[*ast.Ident]bool{}
-	add := func(dir string, id *ast.Ident, api ...ast.Node) {
+	add := func(dir string, id *ast.Ident, api []ast.Node) {
 		declIdent[id] = true
-		if !id.IsExported() {
-			return
+		if id.IsExported() {
+			d := &decl{fset.Position(id.Pos()), key{dir, id.Name}, api}
+			decls[d.key] = d
+			order = append(order, d)
 		}
-		d := &decl{fset.Position(id.Pos()), key{dir, id.Name}, nil}
-		for _, n := range api {
-			if n != nil && !reflect.ValueOf(n).IsNil() {
-				d.api = append(d.api, n)
-			}
-		}
-		decls[d.key] = d
-		order = append(order, d)
 	}
 	for _, g := range files {
 		if !g.internalSource() {
@@ -267,8 +261,11 @@ func TestNoNeedlessExport(t *testing.T) {
 			switch dd := dd.(type) {
 			case *ast.FuncDecl:
 				if dd.Recv == nil {
-					add(g.dir, dd.Name, dd.Type)
-				} else if declIdent[dd.Name] = true; dd.Name.IsExported() {
+					add(g.dir, dd.Name, []ast.Node{dd.Type})
+					continue
+				}
+				declIdent[dd.Name] = true
+				if dd.Name.IsExported() {
 					recv := key{g.dir, receiverName(dd.Recv.List[0].Type)}
 					methods[recv] = append(methods[recv], dd.Type)
 				}
@@ -276,10 +273,14 @@ func TestNoNeedlessExport(t *testing.T) {
 				for _, s := range dd.Specs {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
-						add(g.dir, s.Name, typeAPI(s)...)
+						add(g.dir, s.Name, typeAPI(s))
 					case *ast.ValueSpec:
+						var api []ast.Node
+						if s.Type != nil {
+							api = append(api, s.Type)
+						}
 						for _, id := range s.Names {
-							add(g.dir, id, s.Type)
+							add(g.dir, id, api)
 						}
 					}
 				}
@@ -314,7 +315,7 @@ func TestNoNeedlessExport(t *testing.T) {
 	for len(queue) > 0 {
 		d := queue[0]
 		queue = queue[1:]
-		for _, n := range append(d.api, methods[d.key]...) {
+		for _, n := range slices.Concat(d.api, methods[d.key]) {
 			ast.Inspect(n, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.SelectorExpr:
@@ -357,7 +358,10 @@ func receiverName(e ast.Expr) string {
 // parameters and, for a struct, its exported and embedded fields' types;
 // for any other type, its whole definition.
 func typeAPI(s *ast.TypeSpec) []ast.Node {
-	api := []ast.Node{s.TypeParams}
+	var api []ast.Node
+	if s.TypeParams != nil {
+		api = append(api, s.TypeParams)
+	}
 	st, ok := s.Type.(*ast.StructType)
 	if !ok {
 		return append(api, s.Type)
@@ -377,7 +381,7 @@ func typeAPI(s *ast.TypeSpec) []ast.Node {
 // unsetAllowed names the exported fields TestNoUnsetField lets stand
 // unset, each with the reason.
 var unsetAllowed = map[string]string{
-	"serve.Config.Float64Batch": "item 12 (ROADMAP): goes with the f32 scoring tier and the benchmark row that scores through it",
+	"serve.Config.Float64Batch": "goes with the f32 scoring tier, which a benchmark row still scores through (ROADMAP: delete the f32 tier)",
 }
 
 // TestNoUnsetField keeps internal/'s exported struct fields at the

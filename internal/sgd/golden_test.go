@@ -131,8 +131,8 @@ func goldenRuns() []struct {
 			c.W0, c.Average = w0, true
 			return c
 		})
-		// The cell keeps its committed name: it is the 11 passes a
-		// per-pass risk tolerance of 5e-3 once cut a 40-pass run to.
+		// The name is the committed cell's; the run is 11 passes with
+		// Progress set.
 		add(src.name+"/tol-progress", src.s, func() Config {
 			c := base(7)
 			c.Passes, c.Radius = 11, 0
