@@ -298,8 +298,8 @@ func TestSCS13BatchAboveRows(t *testing.T) {
 }
 
 // TestNegativePassesOrBatch: every baseline rejects a negative Passes
-// or Batch with an error naming the field, where SCS13 used to panic
-// splitting the budget and BST14 to run one update at the full ε.
+// or Batch with an error naming the field, before SCS13 splits the
+// budget by k or BST14 derives its iteration count from k and b.
 func TestNegativePassesOrBatch(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	s := separable(r, 50, 3)

@@ -451,8 +451,7 @@ func TestTableSamplesInterface(t *testing.T) {
 }
 
 // TestTrainUDANegativePassesOrBatch: TrainUDA rejects a negative Passes
-// or Batch under every algorithm, with an error naming the field, where
-// AlgSCS13 used to panic splitting the budget.
+// or Batch under every algorithm, with an error naming the field.
 func TestTrainUDANegativePassesOrBatch(t *testing.T) {
 	f := loss.NewLogistic(1e-2, 0)
 	tab := NewMemTable("t", 3)

@@ -234,7 +234,8 @@ func TestRunDPSGDErrors(t *testing.T) {
 		"multiclass sim": func(c *DPSGDConfig) { c.Sim = "mnist" },
 		"bst14 no delta": func(c *DPSGDConfig) { c.Algo = "bst14" },
 		"missing file":   func(c *DPSGDConfig) { c.DataPath = "/nonexistent.libsvm" },
-		// dpsgd -algo scs13 -passes -1 used to panic in dp.Budget.Split.
+		// A negative -passes or -batch is an error for every algorithm,
+		// never a panic or a shortened run priced at the whole ε.
 		"scs13 negative passes": func(c *DPSGDConfig) { c.Algo = "scs13"; c.Passes = -1 },
 		"bst14 negative passes": func(c *DPSGDConfig) { c.Algo = "bst14"; c.Delta = 1e-5; c.Passes = -1 },
 		"bst14 negative batch":  func(c *DPSGDConfig) { c.Algo = "bst14"; c.Delta = 1e-5; c.Batch = -1 },
